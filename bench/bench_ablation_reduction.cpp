@@ -1,5 +1,6 @@
 // Ablation: strict VN-ordered gradient reduction vs hierarchical
-// device-order reduction (DESIGN.md §4, decision 2).
+// device-order reduction (docs/architecture.md, "Invariant 1: bit-exact
+// mapping invariance").
 //
 // Both compute the same weighted mean, but float addition is not
 // associative: under hierarchical reduction the trained parameters drift

@@ -3,8 +3,8 @@
 //
 // Each bench binary regenerates one table or figure from the paper's
 // evaluation (§6), printing the same rows/series the paper reports plus a
-// `paper=` reference where a published number exists. EXPERIMENTS.md
-// records the paper-vs-measured comparison for every binary.
+// `paper=` reference where a published number exists (README.md,
+// "Benchmarks", lists how to run them).
 #pragma once
 
 #include <cstdint>

@@ -16,7 +16,7 @@ int main() {
 
   // 1. Offline profiles: throughput-vs-batch curves per device type
   //    (§5.1.1 — in this library the "hardware" is the simulated device
-  //    model, see DESIGN.md).
+  //    model, see docs/architecture.md).
   std::printf("profiling resnet50 on each device type...\n");
   std::map<DeviceType, OfflineProfile> profiles;
   for (const DeviceType t : {DeviceType::kV100, DeviceType::kP100}) {

@@ -1,10 +1,10 @@
 // Collective communication: cost model + functional collectives.
 //
-// Substitution (DESIGN.md §1): the paper synchronizes gradients with
-// Horovod ring all-reduce over a 16 Gbps interconnect. Here the *data
-// movement is real* (tensors are actually combined, because §5.2's
-// weighted-averaging correctness results are numerical claims) while the
-// *latency* comes from the standard α-β ring model.
+// Substitution (docs/architecture.md, "Layer map"): the paper synchronizes
+// gradients with Horovod ring all-reduce over a 16 Gbps interconnect.
+// Here the *data movement is real* (tensors are actually combined,
+// because §5.2's weighted-averaging correctness results are numerical
+// claims) while the *latency* comes from the standard α-β ring model.
 //
 // Determinism note: reductions combine contributions in ascending rank /
 // virtual-node order. Floating-point addition is not associative, so a

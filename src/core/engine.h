@@ -12,7 +12,8 @@
 //   3. every device applies the same averaged gradient to its replica.
 //
 // Math is real (actual SGD on actual gradients); device/step timing comes
-// from the analytic cost model and a virtual clock (DESIGN.md §4.1).
+// from the analytic cost model and a virtual clock (docs/architecture.md,
+// "Dataflow: one training step").
 //
 // Reduction-order contract: gradient contributions are combined in
 // ascending virtual-node-id order. Together with VN-id-keyed data
@@ -42,8 +43,8 @@
 
 namespace vf {
 
-/// Gradient reduction order (DESIGN.md §4, ablated by
-/// bench_ablation_reduction).
+/// Gradient reduction order (docs/architecture.md, "Invariant 1: bit-exact
+/// mapping invariance"; ablated by bench_ablation_reduction).
 enum class ReductionMode : std::uint8_t {
   /// Combine per-VN gradient sums in ascending VN-id order. Bit-exact
   /// under any VN -> device mapping (this library's default contract).

@@ -2,7 +2,7 @@
 //
 // The paper trains on ImageNet and GLUE; neither is available offline, so
 // we substitute deterministic synthetic classification tasks (see
-// DESIGN.md §1). Each dataset is a pure function of its seed: example i is
+// docs/architecture.md, "Layer map"). Each dataset is a pure function of its seed: example i is
 // generated on demand and is identical across processes, devices, and
 // virtual-node mappings — the property the reproducibility experiments
 // need from the data pipeline.

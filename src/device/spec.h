@@ -1,7 +1,7 @@
 // Simulated hardware accelerator catalog.
 //
-// Substitution (DESIGN.md §1): the paper's physical V100 / P100 / K80 /
-// RTX 2080 Ti GPUs are replaced by analytic specs. `compute_efficiency`
+// Substitution (docs/architecture.md, "Layer map"): the paper's physical
+// V100 / P100 / K80 / RTX 2080 Ti GPUs are replaced by analytic specs. `compute_efficiency`
 // is calibrated so *relative* speeds match what the paper reports for its
 // workloads (§5.1.2: "for this workload, V100 GPUs are 4x as fast as P100
 // GPUs"), which is what the heterogeneous-training and scheduling results

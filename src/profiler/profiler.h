@@ -5,9 +5,9 @@
 // memory" — batch sizes are powers of two and their midpoints, and ~20
 // steps per point suffice because step times are stable. In this repo the
 // "runs" execute against the simulated device cost model, which plays the
-// role of the physical GPU (DESIGN.md §1); the profiler's interface,
-// enumeration rule, curve shape, and downstream consumers (the
-// heterogeneous solver, Gavel+HT) are exactly the paper's.
+// role of the physical GPU (docs/architecture.md, "Layer map"); the
+// profiler's interface, enumeration rule, curve shape, and downstream
+// consumers (the heterogeneous solver, Gavel+HT) are exactly the paper's.
 #pragma once
 
 #include <cstdint>

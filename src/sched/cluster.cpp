@@ -12,8 +12,7 @@ namespace vf {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-// A job whose remaining work is below this is finished (simulate() uses
-// the same epsilon, so analytic jobs complete at identical stamps here).
+// An analytic job whose remaining work is below this is finished.
 constexpr double kStepEps = 1e-6;
 
 std::int64_t clamp64(std::int64_t v, std::int64_t lo, std::int64_t hi) {
@@ -90,10 +89,21 @@ void ClusterController::advance_analytic(double now, double t_next) {
     js.attained_service +=
         dt * tput / reference_throughput(js.spec.profile, js.spec.global_batch);
     if (js.remaining_steps <= kStepEps) {
+      // Done: the devices return to the pool at the completion stamp.
       js.remaining_steps = 0.0;
       js.completion_s = t_next;
+      close_segment(t, t_next);
+      js.alloc = Allocation{};
+      t.step_time_s = kInf;
     }
   }
+}
+
+void ClusterController::close_segment(Tenant& t, double now) {
+  if (t.open_since_s >= 0.0 && now > t.open_since_s && !t.state.alloc.empty()) {
+    t.state.timeline.push_back({t.open_since_s, now, t.state.alloc});
+  }
+  t.open_since_s = -1.0;
 }
 
 void ClusterController::refresh_from_leases(double now) {
@@ -104,8 +114,8 @@ void ClusterController::refresh_from_leases(double now) {
     if (t.backing == Backing::kTrainLease) {
       const sched::LoadSignal sig = t.lease->load();
       js.remaining_steps = std::max(0.0, static_cast<double>(sig.queue_depth));
-      // Attained service in the same normalized units simulate() uses, so
-      // LAS-style policies rank live engines against analytic jobs.
+      // Attained service in the same normalized units analytic jobs use,
+      // so LAS-style policies rank live engines against them.
       const double done =
           static_cast<double>(js.spec.total_steps) - js.remaining_steps;
       if (t.step_time_s < kInf && t.step_time_s > 0.0) {
@@ -149,9 +159,7 @@ void ClusterController::refresh_from_leases(double now) {
     // count — a fault kill shrinks the set without any grant being issued.
     if (sig.devices != js.alloc.total() && !js.alloc.empty()) {
       const DeviceType pool = js.alloc.per_type.begin()->first;
-      if (t.open_since_s >= 0.0 && now > t.open_since_s) {
-        js.timeline.push_back({t.open_since_s, now, js.alloc});
-      }
+      close_segment(t, now);
       js.alloc = Allocation::of(pool, sig.devices);
       t.open_since_s = now;
     }
@@ -196,15 +204,15 @@ void ClusterController::apply_train_alloc(Tenant& t, const Allocation& next,
                                           double now) {
   JobState& js = t.state;
   if (next == js.alloc) return;
-  if (t.open_since_s >= 0.0 && now > t.open_since_s && !js.alloc.empty()) {
-    js.timeline.push_back({t.open_since_s, now, js.alloc});
-  }
+  close_segment(t, now);
   const bool had_run = js.first_start_s >= 0.0;
   js.alloc = next;
   if (!next.empty()) {
     if (!had_run) {
       js.first_start_s = now;
     } else {
+      // Changing an in-flight allocation costs a pause: VirtualFlow's
+      // ~1 s all-gather, or a checkpoint-restart for baselines.
       ++js.resizes;
       js.pause_until_s = now + policy_.resize_penalty_s();
     }
@@ -212,7 +220,6 @@ void ClusterController::apply_train_alloc(Tenant& t, const Allocation& next,
     t.step_time_s = allocation_step_time_s(js.spec.profile, js.spec.global_batch,
                                            next, options_.link);
   } else {
-    t.open_since_s = -1.0;
     t.step_time_s = kInf;
   }
 }
@@ -237,11 +244,9 @@ void ClusterController::grant(Tenant& t, const Allocation& next, double now) {
   if (want == cur) return;
   if (js.first_start_s < 0.0 && want > 0) js.first_start_s = now;
   ++js.resizes;
-  if (t.open_since_s >= 0.0 && now > t.open_since_s && !js.alloc.empty()) {
-    js.timeline.push_back({t.open_since_s, now, js.alloc});
-  }
+  close_segment(t, now);
   js.alloc = next;
-  t.open_since_s = next.empty() ? -1.0 : now;
+  if (!next.empty()) t.open_since_s = now;
   if (t.backing == Backing::kTrainLease && !next.empty()) {
     // Refresh the cost-model step time so attained service stays
     // comparable with analytic jobs after a resize.
@@ -352,11 +357,8 @@ ClusterReport ClusterController::run() {
       } else if (t.state.completion_s < 0.0) {
         t.state.completion_s = now;
       }
-      if (t.open_since_s >= 0.0 && now > t.open_since_s && !t.state.alloc.empty()) {
-        t.state.timeline.push_back({t.open_since_s, now, t.state.alloc});
-      }
+      close_segment(t, now);
       t.state.alloc = {};
-      t.open_since_s = -1.0;
       t.retired = true;
     }
     refresh_from_leases(now);
@@ -366,10 +368,7 @@ ClusterReport ClusterController::run() {
   ClusterReport report;
   report.end_s = now;
   for (Tenant& t : tenants_) {
-    if (t.open_since_s >= 0.0 && now > t.open_since_s && !t.state.alloc.empty()) {
-      t.state.timeline.push_back({t.open_since_s, now, t.state.alloc});
-      t.open_since_s = -1.0;
-    }
+    close_segment(t, now);
     if (t.state.spec.kind == JobKind::kTrain && t.state.finished()) {
       report.train_makespan_s =
           std::max(report.train_makespan_s, t.state.completion_s);

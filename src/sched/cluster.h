@@ -1,14 +1,14 @@
 // ClusterController — one device economy for training AND serving.
 //
-// Before this layer, the allocation decision lived in two places: the
-// Scheduler policies sized training jobs inside simulate(), and each
-// serving loop sized itself with a private elastic_resize_target rule.
-// The controller pulls both under ONE pluggable policy:
+// The controller is the cluster's only event loop: simulate() is a thin
+// wrapper that runs a trace of analytic training jobs through it with no
+// leases, and every mixed train+serve run drives it directly. Serving
+// loops do not size themselves under it; ONE pluggable policy decides:
 //
 //   ClusterInventory (shared pool)
 //        |
 //   ClusterController ── event loop on the virtual clock
-//        |     analytic training jobs (simulate()'s advancement math)
+//        |     analytic training jobs (closed-form step advancement)
 //        |     + live DeviceLease holders (Server, ColocatedServer,
 //        |       EngineTrainLease) pumped between events
 //        v
@@ -27,12 +27,12 @@
 // policy arbitrates those desires against training demand.
 //
 // Determinism contract: the controller is an event loop on the virtual
-// clock, exactly like simulate() — leases are pumped in add-order at each
-// event, the policy consulted at arrivals/completions/round-ticks/lease
-// events, grants applied in job-id order. Every decision is a pure
-// function of (job specs, traces, policy, cost model), so a full cluster
-// run — hundreds of devices, mixed train+serve — replays bit-identically
-// across host worker counts.
+// clock — leases are pumped in add-order at each event, the policy
+// consulted at arrivals/completions/round-ticks/lease events, grants
+// applied in job-id order. Every decision is a pure function of (job
+// specs, traces, policy, cost model), so a full cluster run — hundreds of
+// devices, mixed train+serve — replays bit-identically across host worker
+// counts.
 #pragma once
 
 #include <cstdint>
@@ -95,9 +95,10 @@ class ClusterController {
   /// instant per issued grant on the control track.
   void set_observability(obs::Observability obs);
 
-  /// Adds an analytic training job (simulate()-style advancement: step
-  /// times from the cost model, attained service for LAS policies, resize
-  /// penalties as pauses). Ids must be unique across all added jobs.
+  /// Adds an analytic training job (closed-form advancement: step times
+  /// from the cost model, attained service for LAS policies, resize
+  /// penalties as pauses; the allocation is released at completion). Ids
+  /// must be unique across all added jobs.
   void add_train_job(JobSpec spec);
 
   /// Adds a live serving device-set. `spec.kind` must be kServe with
@@ -139,6 +140,8 @@ class ClusterController {
   void consult_policy(double now);
   void apply_train_alloc(Tenant& t, const Allocation& next, double now);
   void grant(Tenant& t, const Allocation& next, double now);
+  /// Ends the tenant's open timeline segment at `now` (if it has one).
+  void close_segment(Tenant& t, double now);
 
   ClusterInventory cluster_;
   Scheduler& policy_;

@@ -1,9 +1,9 @@
 #include "sched/simulator.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <utility>
 
+#include "sched/cluster.h"
 #include "util/common.h"
 
 namespace vf {
@@ -25,20 +25,6 @@ std::vector<double> SimResult::queueing_delays() const {
   for (const JobState& j : jobs) out.push_back(j.first_start_s - j.spec.arrival_s);
   return out;
 }
-
-namespace {
-
-constexpr double kStepEps = 1e-6;
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-void close_segment(JobState& job, double now, double& open_since) {
-  if (open_since >= 0.0 && !job.alloc.empty() && now > open_since) {
-    job.timeline.push_back({open_since, now, job.alloc});
-  }
-  open_since = -1.0;
-}
-
-}  // namespace
 
 void validate_allocations(const ClusterInventory& cluster,
                           const std::map<std::int64_t, Allocation>& allocs) {
@@ -119,146 +105,27 @@ std::map<std::int64_t, Allocation> carve_serving_grants(
 
 SimResult simulate(const ClusterInventory& cluster, std::vector<JobSpec> trace,
                    Scheduler& policy, const LinkSpec& link) {
-  check(!trace.empty(), "empty job trace");
-  check(cluster.total() > 0, "empty cluster");
   std::sort(trace.begin(), trace.end(),
             [](const JobSpec& a, const JobSpec& b) { return a.arrival_s < b.arrival_s; });
-
-  std::vector<JobState> jobs(trace.size());
-  std::vector<double> open_since(trace.size(), -1.0);
-  std::vector<double> step_times(trace.size(), kInf);
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    jobs[i].spec = trace[i];
-    jobs[i].remaining_steps = static_cast<double>(trace[i].total_steps);
-    check(trace[i].kind == JobKind::kTrain,
+  ClusterController controller(cluster, policy, {.link = link});
+  for (JobSpec& spec : trace) {
+    check(spec.kind == JobKind::kTrain,
           "simulate() drives analytic training jobs only; serving jobs are "
           "live replay loops — use the ClusterController (sched/cluster.h)");
-    check(trace[i].total_steps > 0, "job must have positive work");
-    check(trace[i].demand_gpus > 0, "job must demand at least one GPU");
+    controller.add_train_job(std::move(spec));
   }
+  ClusterReport report = controller.run();
 
-  double now = 0.0;
-  std::size_t next_arrival = 0;
-  const double round = policy.round_interval_s();
-
-  auto unfinished = [&] {
-    for (const JobState& j : jobs)
-      if (!j.finished()) return true;
-    return false;
-  };
-
-  std::int64_t guard = 0;
-  while (unfinished()) {
-    check(++guard < 2'000'000, "simulator exceeded event budget (policy livelock?)");
-
-    // ---- Next event time.
-    double t_next = kInf;
-    if (next_arrival < jobs.size())
-      t_next = std::min(t_next, jobs[next_arrival].spec.arrival_s);
-    if (round > 0.0) {
-      const double tick = (std::floor(now / round + 1e-9) + 1.0) * round;
-      t_next = std::min(t_next, tick);
-    }
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      JobState& j = jobs[i];
-      if (!j.running()) continue;
-      const double start = std::max(now, j.pause_until_s);
-      t_next = std::min(t_next, start + j.remaining_steps * step_times[i]);
-    }
-    check(t_next < kInf,
-          "scheduler stalled: queued work but no running jobs, arrivals, or rounds");
-    t_next = std::max(t_next, now);
-
-    // ---- Advance running jobs to t_next.
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      JobState& j = jobs[i];
-      if (!j.running()) continue;
-      const double start = std::max(now, j.pause_until_s);
-      const double dt = std::max(0.0, t_next - start);
-      if (dt > 0.0) {
-        const double steps = dt / step_times[i];
-        const double tput = static_cast<double>(j.spec.global_batch) / step_times[i];
-        j.attained_service +=
-            dt * tput / reference_throughput(j.spec.profile, j.spec.global_batch);
-        j.remaining_steps = std::max(0.0, j.remaining_steps - steps);
-      }
-    }
-    now = t_next;
-
-    // ---- Completions.
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      JobState& j = jobs[i];
-      if (!j.finished() && j.running() && j.remaining_steps <= kStepEps) {
-        j.completion_s = now;
-        close_segment(j, now, open_since[i]);
-        j.alloc = Allocation{};
-        step_times[i] = kInf;
-      }
-    }
-
-    // ---- Arrivals.
-    while (next_arrival < jobs.size() &&
-           jobs[next_arrival].spec.arrival_s <= now + 1e-9) {
-      ++next_arrival;
-    }
-
-    // ---- Re-schedule.
-    std::vector<const JobState*> active;
-    std::vector<std::size_t> active_idx;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      if (jobs[i].arrived(now) && !jobs[i].finished()) {
-        active.push_back(&jobs[i]);
-        active_idx.push_back(i);
-      }
-    }
-    if (active.empty()) continue;
-
-    auto allocs = policy.schedule(cluster, active, now);
-    validate_allocations(cluster, allocs);
-
-    for (std::size_t k = 0; k < active.size(); ++k) {
-      const std::size_t i = active_idx[k];
-      JobState& j = jobs[i];
-      Allocation next;
-      const auto it = allocs.find(j.spec.id);
-      if (it != allocs.end()) next = it->second;
-      if (next == j.alloc) continue;
-
-      close_segment(j, now, open_since[i]);
-      const bool had_run = j.first_start_s >= 0.0;
-      j.alloc = next;
-      if (!next.empty()) {
-        if (!had_run) {
-          j.first_start_s = now;
-        } else {
-          // Changing an in-flight allocation costs a pause: VirtualFlow's
-          // ~1 s all-gather, or a checkpoint-restart for baselines.
-          ++j.resizes;
-          j.pause_until_s = now + policy.resize_penalty_s();
-        }
-        open_since[i] = now;
-        step_times[i] = allocation_step_time_s(j.spec.profile, j.spec.global_batch,
-                                               j.alloc, link);
-      } else {
-        step_times[i] = kInf;
-      }
-    }
-  }
-
-  // ---- Metrics.
   SimResult result;
-  result.jobs = std::move(jobs);
-  double makespan = 0.0;
+  result.jobs = std::move(report.jobs);
+  result.makespan_s = report.train_makespan_s;
   double busy_gpu_time = 0.0;
-  for (const JobState& j : result.jobs) {
-    check(j.finished(), "job did not finish");
-    makespan = std::max(makespan, j.completion_s);
+  for (const JobState& j : result.jobs)
     for (const AllocSegment& s : j.timeline)
       busy_gpu_time += static_cast<double>(s.alloc.total()) * (s.t1 - s.t0);
-  }
-  result.makespan_s = makespan;
   result.avg_utilization =
-      busy_gpu_time / (static_cast<double>(cluster.total()) * std::max(makespan, 1e-9));
+      busy_gpu_time /
+      (static_cast<double>(cluster.total()) * std::max(result.makespan_s, 1e-9));
   return result;
 }
 

@@ -1,16 +1,19 @@
-// Event-driven cluster simulator.
+// Cluster-scheduling vocabulary (inventory, policy interface) and the
+// trace-driven simulate() entry point.
 //
-// Advances simulated time between scheduling events (job arrivals,
-// completions, and — for round-based policies like Gavel — periodic round
-// boundaries), asking the policy for fresh allocations at each event.
-// Allocation changes cost time: a seamless VirtualFlow resize pauses the
-// job for ~1 s (the §4.1 all-gather), while restart-based baselines pay a
-// checkpoint-restore penalty, matching the paper's comparison axis.
+// simulate() runs a trace of analytic training jobs through the
+// ClusterController (sched/cluster.h) with no leases: time advances
+// between scheduling events (job arrivals, completions, and — for
+// round-based policies like Gavel — periodic round boundaries), and the
+// policy is asked for fresh allocations at each event. Allocation changes
+// cost time: a seamless VirtualFlow resize pauses the job for ~1 s (the
+// §4.1 all-gather), while restart-based baselines pay a checkpoint-restore
+// penalty, matching the paper's comparison axis.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "comm/comm.h"
@@ -32,9 +35,9 @@ class Scheduler {
 
   /// Returns the desired allocation for every *arrived, unfinished* job
   /// (jobs omitted from the result are left queued/preempted with no
-  /// GPUs). Must never over-commit the inventory — both simulate() and
-  /// the ClusterController enforce this with validate_allocations() and
-  /// fail loudly on a buggy policy.
+  /// GPUs). Must never over-commit the inventory — the ClusterController
+  /// enforces this with validate_allocations() and fails loudly on a buggy
+  /// policy.
   ///
   /// Mixed job sets: `jobs` may contain serving jobs (JobKind::kServe)
   /// alongside training jobs. A policy that supports co-scheduling must
@@ -68,17 +71,18 @@ struct SimResult {
   std::vector<double> queueing_delays() const; ///< first start - arrival
 };
 
-/// Runs the trace to completion. `link` prices gradient synchronization in
-/// each job's throughput. Training jobs only — serving jobs are live
-/// replay loops, which the ClusterController (sched/cluster.h) drives.
+/// Runs the trace to completion on a lease-free ClusterController. `link`
+/// prices gradient synchronization in each job's throughput. Training jobs
+/// only — serving jobs are live replay loops, which need the controller's
+/// lease API directly. Jobs come back sorted by arrival.
 SimResult simulate(const ClusterInventory& cluster, std::vector<JobSpec> trace,
                    Scheduler& policy, const LinkSpec& link = {});
 
 /// Validates a policy's output against the inventory: no negative counts,
 /// no per-type over-commit. Throws VfError naming the offending device
-/// type on violation. Shared by simulate() and the ClusterController's
-/// grant path, so a buggy policy fails loudly at the decision point
-/// instead of corrupting downstream accounting.
+/// type on violation. The ClusterController calls it on every policy
+/// output, so a buggy policy fails loudly at the decision point instead of
+/// corrupting downstream accounting.
 void validate_allocations(const ClusterInventory& cluster,
                           const std::map<std::int64_t, Allocation>& allocs);
 

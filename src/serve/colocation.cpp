@@ -61,21 +61,7 @@ ColocatedServer::ColocatedServer(ModelRegistry& registry, ColocationConfig confi
               std::to_string(m) + " differs); they share one device set");
   }
 
-  if (config_.elastic.enabled) {
-    const ElasticPolicy& e = config_.elastic;
-    check(e.min_devices >= 1, "elastic min_devices must be >= 1");
-    check(e.max_devices >= e.min_devices, "elastic max_devices < min_devices");
-    check(e.high_watermark > e.low_watermark,
-          "elastic watermarks must satisfy high > low (hysteresis)");
-    check(e.cooldown_batches >= 0, "elastic cooldown must be non-negative");
-    for (std::int32_t m = 0; m < registry_.size(); ++m) {
-      check(e.max_devices <= registry_.engine(m).mapping().total_vns(),
-            "elastic max_devices (" + std::to_string(e.max_devices) +
-                ") exceeds model " + std::to_string(m) + "'s virtual-node count (" +
-                std::to_string(registry_.engine(m).mapping().total_vns()) +
-                "); devices beyond the VN count would idle for it");
-    }
-  }
+  if (config_.elastic.enabled) validate_elastic_policy(config_.elastic, min_vns());
 
   models_.reserve(static_cast<std::size_t>(registry_.size()));
   double total_share = 0.0;
@@ -130,6 +116,13 @@ void ColocatedServer::set_fault_injector(fault::FaultInjector* injector) {
         "fault injection requires continuous batching (recovery re-dispatches "
         "at slice granularity)");
   injector_ = injector;
+}
+
+std::int64_t ColocatedServer::min_vns() const {
+  std::int64_t vns = registry_.engine(0).mapping().total_vns();
+  for (std::int32_t m = 1; m < registry_.size(); ++m)
+    vns = std::min(vns, registry_.engine(m).mapping().total_vns());
+  return vns;
 }
 
 std::int64_t ColocatedServer::shared_devices() const {
@@ -191,15 +184,7 @@ void ColocatedServer::set_cluster_governed() {
         "the rolling slice-level migration path");
   // The ElasticPolicy band parameterizes the load() signal even when the
   // internal loop is off, so it must be coherent regardless of `enabled`.
-  const ElasticPolicy& e = config_.elastic;
-  check(e.min_devices >= 1, "elastic min_devices must be >= 1");
-  check(e.max_devices >= e.min_devices, "elastic max_devices < min_devices");
-  check(e.high_watermark > e.low_watermark,
-        "elastic watermarks must satisfy high > low (hysteresis)");
-  for (std::int32_t m = 0; m < registry_.size(); ++m)
-    check(e.max_devices <= registry_.engine(m).mapping().total_vns(),
-          "elastic max_devices exceeds model " + std::to_string(m) +
-              "'s virtual-node count");
+  validate_elastic_policy(config_.elastic, min_vns());
   cluster_governed_ = true;
 }
 
@@ -465,29 +450,24 @@ void ColocatedServer::perform_resize(std::int64_t target, std::int64_t depth) {
   }
 }
 
-Slot ColocatedServer::maybe_comm_fault(Slot slot) {
-  if (injector_ != nullptr && injector_->take_comm_fault()) {
-    slot.done_s += slot.comm_s;
-    slot.comm_s *= 2.0;
-  }
-  return slot;
-}
-
 void ColocatedServer::dispatch_slice(std::int32_t m) {
   ModelState& st = models_[static_cast<std::size_t>(m)];
   const std::int32_t vn = st.ledger.lowest_free();
   if (TokenStreamer::is_stream(st.queue.front())) {
     std::vector<InferRequest> one = st.queue.pop(1);
-    Slot slot = maybe_comm_fault(st.streamer.prefill(
-        st.dispatcher, vn, clock_, device_free_, std::move(one.front())));
+    Slot slot = with_comm_fault(
+        st.streamer.prefill(st.dispatcher, vn, clock_, device_free_,
+                            std::move(one.front())),
+        injector_);
     charge(m, slot.compute_s);
     st.ledger.admit(vn, std::move(slot));
     return;
   }
   const std::int64_t cap = registry_.engine(m).mapping().vn_batch(vn);
   const std::int64_t prefix = classify_prefix(st, cap);
-  Slot slot = maybe_comm_fault(st.dispatcher.dispatch_classify(
-      vn, clock_, device_free_, st.queue.pop(prefix)));
+  Slot slot = with_comm_fault(
+      st.dispatcher.dispatch_classify(vn, clock_, device_free_, st.queue.pop(prefix)),
+      injector_);
   charge(m, slot.compute_s);
   st.ledger.admit(vn, std::move(slot));
 }
@@ -571,8 +551,8 @@ void ColocatedServer::readmit_continuations() {
     ModelState& st = models_[m];
     if (st.continuations.empty() || clock_ < dispatch_ready_[m]) continue;
     for (const std::int32_t vn : st.continuations) {
-      Slot next = maybe_comm_fault(
-          st.streamer.next_decode(st.dispatcher, vn, clock_, device_free_));
+      Slot next = with_comm_fault(
+          st.streamer.next_decode(st.dispatcher, vn, clock_, device_free_), injector_);
       charge(static_cast<std::int32_t>(m), next.compute_s);
       st.ledger.readmit(vn, std::move(next));
       st.pending_chain[static_cast<std::size_t>(vn)] = 0;
@@ -646,8 +626,8 @@ void ColocatedServer::try_resumes() {
     if (best < 0) break;
     ModelState& st = models_[static_cast<std::size_t>(best)];
     const std::int32_t vn = st.ledger.lowest_free();
-    Slot slot = maybe_comm_fault(
-        st.streamer.resume(st.dispatcher, vn, clock_, device_free_));
+    Slot slot = with_comm_fault(
+        st.streamer.resume(st.dispatcher, vn, clock_, device_free_), injector_);
     charge(best, slot.compute_s);
     st.ledger.admit(vn, std::move(slot));
   }
@@ -778,7 +758,7 @@ void ColocatedServer::process_faults_due() {
           injector_->apply_slowdowns(registry_.engine(static_cast<std::int32_t>(m)));
         break;
       case fault::FaultKind::kCommFault:
-        // One-shot; consumed by the next dispatch (maybe_comm_fault).
+        // One-shot; consumed by the next dispatch (with_comm_fault).
         break;
     }
     faults_.push_back(rec);

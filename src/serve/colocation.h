@@ -295,13 +295,12 @@ class ColocatedServer : public sched::DeviceLease {
   void perform_resize(std::int64_t target, std::int64_t depth);
   /// True while a rolling migration is still cutting models over.
   bool migration_in_progress() const;
+  /// Smallest VN count across the registered models: the elastic ceiling
+  /// every co-located engine can honor.
+  std::int64_t min_vns() const;
   /// Dispatches one slice of model `m` onto its lowest free VN slot: a
   /// prefill when a stream heads the queue, a classify slice otherwise.
   void dispatch_slice(std::int32_t m);
-  /// Applies a pending one-shot comm fault to a freshly dispatched slot
-  /// (logits-return retry: done_s slips by one comm charge); identity
-  /// when no injector or no fault is pending.
-  Slot maybe_comm_fault(Slot slot);
   /// Executes one formed batch of model `m` on the full device set.
   void execute_model_batch(std::int32_t m, std::int64_t take);
 

@@ -37,6 +37,14 @@ void record_slice_requests(const Slot& done, SloTracker& tracker) {
   }
 }
 
+Slot with_comm_fault(Slot slot, fault::FaultInjector* injector) {
+  if (injector != nullptr && injector->take_comm_fault()) {
+    slot.done_s += slot.comm_s;
+    slot.comm_s *= 2.0;
+  }
+  return slot;
+}
+
 BatchEvent make_slice_event(const Slot& done, std::int32_t vn,
                             std::int64_t queue_depth_after) {
   BatchEvent ev;

@@ -19,6 +19,7 @@
 
 #include "core/engine.h"
 #include "data/dataset.h"
+#include "fault/fault.h"
 #include "obs/obs.h"
 #include "serve/batch_former.h"
 #include "serve/request.h"
@@ -62,6 +63,11 @@ void record_slice_requests(const Slot& done, SloTracker& tracker);
 /// `model` (co-located serving) if it has one.
 BatchEvent make_slice_event(const Slot& done, std::int32_t vn,
                             std::int64_t queue_depth_after);
+
+/// Applies a pending one-shot injected comm fault to a freshly dispatched
+/// slot: the slice retries its logits return, so done_s slips by one comm
+/// charge. Identity when `injector` is null or no comm fault is pending.
+Slot with_comm_fault(Slot slot, fault::FaultInjector* injector);
 
 class SliceDispatcher {
  public:

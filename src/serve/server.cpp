@@ -14,6 +14,18 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
+void validate_elastic_policy(const ElasticPolicy& e, std::int64_t vn_count) {
+  check(e.min_devices >= 1, "elastic min_devices must be >= 1");
+  check(e.max_devices >= e.min_devices, "elastic max_devices < min_devices");
+  check(e.max_devices <= vn_count,
+        "elastic max_devices (" + std::to_string(e.max_devices) +
+            ") exceeds the virtual-node count (" + std::to_string(vn_count) +
+            "); devices beyond the VN count would idle");
+  check(e.high_watermark > e.low_watermark,
+        "elastic watermarks must satisfy high > low (hysteresis)");
+  check(e.cooldown_batches >= 0, "elastic cooldown must be non-negative");
+}
+
 Server::Server(VirtualFlowEngine& engine, const Dataset& request_pool,
                ServerConfig config)
     : engine_(engine),
@@ -36,19 +48,8 @@ Server::Server(VirtualFlowEngine& engine, const Dataset& request_pool,
   // Deadline-aware load shedding (opt-in): requests already past the SLO
   // at admission are bounced at the door rather than queued to a miss.
   if (config_.shed_expired) queue_.set_deadline(config_.deadline_s);
-  if (config_.elastic.enabled) {
-    const ElasticPolicy& e = config_.elastic;
-    check(e.min_devices >= 1, "elastic min_devices must be >= 1");
-    check(e.max_devices >= e.min_devices, "elastic max_devices < min_devices");
-    check(e.max_devices <= engine_.mapping().total_vns(),
-          "elastic max_devices (" + std::to_string(e.max_devices) +
-              ") exceeds the virtual-node count (" +
-              std::to_string(engine_.mapping().total_vns()) +
-              "); devices beyond the VN count would idle");
-    check(e.high_watermark > e.low_watermark,
-          "elastic watermarks must satisfy high > low (hysteresis)");
-    check(e.cooldown_batches >= 0, "elastic cooldown must be non-negative");
-  }
+  if (config_.elastic.enabled)
+    validate_elastic_policy(config_.elastic, engine_.mapping().total_vns());
 }
 
 void Server::set_observability(obs::Observability obs) {
@@ -95,13 +96,7 @@ void Server::set_cluster_governed() {
         "the seamless slice-level resize path");
   // The ElasticPolicy band parameterizes the load() signal even when the
   // internal loop is off, so it must be coherent regardless of `enabled`.
-  const ElasticPolicy& e = config_.elastic;
-  check(e.min_devices >= 1, "elastic min_devices must be >= 1");
-  check(e.max_devices >= e.min_devices, "elastic max_devices < min_devices");
-  check(e.max_devices <= engine_.mapping().total_vns(),
-        "elastic max_devices exceeds the virtual-node count");
-  check(e.high_watermark > e.low_watermark,
-        "elastic watermarks must satisfy high > low (hysteresis)");
+  validate_elastic_policy(config_.elastic, engine_.mapping().total_vns());
   cluster_governed_ = true;
 }
 
@@ -244,16 +239,6 @@ void Server::admit_up_to_clock() {
     }
     ++f.next_arrival;
   }
-}
-
-// Injected comm fault (one-shot): the next dispatched slice retries its
-// logits return — one extra comm charge delays that slice's completion.
-Slot Server::with_comm_fault(Slot slot) {
-  if (injector_ != nullptr && injector_->take_comm_fault()) {
-    slot.done_s += slot.comm_s;
-    slot.comm_s *= 2.0;
-  }
-  return slot;
 }
 
 // Finalizes the newest slice event's trace span with the queue depth the
@@ -486,9 +471,9 @@ void Server::try_dispatch() {
     if (vn < 0) break;
     if (TokenStreamer::is_stream(queue_.front())) {
       std::vector<InferRequest> one = queue_.pop(1);
-      f.ledger.admit(vn, with_comm_fault(f.streamer.prefill(
-                             dispatcher_, vn, clock_, f.device_free,
-                             std::move(one.front()))));
+      Slot slot = f.streamer.prefill(dispatcher_, vn, clock_, f.device_free,
+                                     std::move(one.front()));
+      f.ledger.admit(vn, with_comm_fault(std::move(slot), injector_));
       continue;
     }
     const std::int64_t cap = engine_.mapping().vn_batch(vn);
@@ -500,8 +485,9 @@ void Server::try_dispatch() {
     const bool timed_out =
         clock_ >= queue_.front().arrival_s + config_.batch.max_wait_s;
     if (!full_slice && !timed_out) break;
-    f.ledger.admit(vn, with_comm_fault(dispatcher_.dispatch_classify(
-                           vn, clock_, f.device_free, queue_.pop(prefix))));
+    Slot slot =
+        dispatcher_.dispatch_classify(vn, clock_, f.device_free, queue_.pop(prefix));
+    f.ledger.admit(vn, with_comm_fault(std::move(slot), injector_));
   }
 }
 
@@ -509,9 +495,10 @@ void Server::try_dispatch() {
 // slice in the same (still busy) slot.
 void Server::readmit_continuations() {
   Flight& f = *flight_;
-  for (const std::int32_t vn : f.continuations)
-    f.ledger.readmit(vn, with_comm_fault(f.streamer.next_decode(
-                             dispatcher_, vn, clock_, f.device_free)));
+  for (const std::int32_t vn : f.continuations) {
+    Slot slot = f.streamer.next_decode(dispatcher_, vn, clock_, f.device_free);
+    f.ledger.readmit(vn, with_comm_fault(std::move(slot), injector_));
+  }
   f.continuations.clear();
 }
 
@@ -522,9 +509,8 @@ void Server::try_resumes() {
   while (f.streamer.has_paused()) {
     const std::int32_t vn = f.ledger.lowest_free();
     if (vn < 0) break;
-    f.ledger.admit(vn,
-                   with_comm_fault(f.streamer.resume(dispatcher_, vn, clock_,
-                                                     f.device_free)));
+    Slot slot = f.streamer.resume(dispatcher_, vn, clock_, f.device_free);
+    f.ledger.admit(vn, with_comm_fault(std::move(slot), injector_));
   }
 }
 

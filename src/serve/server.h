@@ -77,6 +77,13 @@ struct ElasticPolicy {
   std::int64_t cooldown_batches = 4;
 };
 
+/// The one coherence check of an ElasticPolicy band, shared by every
+/// server that reads it: min_devices >= 1, max_devices >= min_devices,
+/// max_devices <= `vn_count` (devices beyond the VN count would idle),
+/// high_watermark > low_watermark (hysteresis), cooldown_batches >= 0.
+/// Throws VfError naming the violated rule.
+void validate_elastic_policy(const ElasticPolicy& e, std::int64_t vn_count);
+
 struct ServerConfig {
   std::int64_t queue_capacity = 1024;
   BatchPolicy batch;
@@ -246,7 +253,6 @@ class Server : public sched::DeviceLease {
   // Continuous-mode transitions (one pump iteration = admit, complete,
   // faults, elastic decision, dispatch phases; see pump()).
   void admit_up_to_clock();
-  Slot with_comm_fault(Slot slot);
   void finalize_span_depth();
   void complete_due();
   void process_faults_due();

@@ -1,8 +1,8 @@
 // Trainable proxy tasks standing in for the paper's datasets.
 //
-// Substitution (DESIGN.md §1): ImageNet/GLUE are unavailable, so each paper
-// task maps to a deterministic synthetic classification task whose ceiling
-// (Bayes) accuracy is calibrated near the paper's reported target accuracy.
+// Substitution (docs/architecture.md, "Layer map"): ImageNet/GLUE are
+// unavailable, so each paper task maps to a deterministic synthetic
+// classification task whose ceiling (Bayes) accuracy is calibrated near the paper's reported target accuracy.
 // What the reproducibility experiments need from a task is *not* its
 // content but its optimization behaviour:
 //  * a fixed global batch + tuned hyperparameters reach the target;

@@ -1,6 +1,7 @@
-// Ablation of the strict VN-ordered reduction (DESIGN.md §4): both modes
-// compute the same expectation, but only the strict order is bit-exact
-// across mappings.
+// Ablation of the strict VN-ordered reduction (docs/architecture.md,
+// "Invariant 1: bit-exact mapping invariance"): both modes compute the
+// same expectation, but only the strict order is bit-exact across
+// mappings.
 #include <gtest/gtest.h>
 
 #include "core/engine.h"

@@ -111,6 +111,27 @@ TEST(ClusterController, ValidatesConstructionAndSpecs) {
   EXPECT_THROW(empty.run(), VfError);  // no jobs
 }
 
+TEST(ClusterController, FinishedAnalyticJobReleasesItsAllocation) {
+  // The short job completes long before the long one; its devices and its
+  // timeline must close at its own completion stamp, not at the run's end.
+  ElasticWfsScheduler wfs;
+  ClusterController c(v100s(4), wfs);
+  c.add_train_job(train_spec(0, 0.0, 100, 2));
+  c.add_train_job(train_spec(1, 0.0, 2000, 2));
+  const ClusterReport report = c.run();
+
+  const JobState& short_job = report.jobs[0];
+  const JobState& long_job = report.jobs[1];
+  ASSERT_TRUE(short_job.finished());
+  ASSERT_TRUE(long_job.finished());
+  ASSERT_LT(short_job.completion_s, long_job.completion_s);
+  ASSERT_FALSE(short_job.timeline.empty());
+  EXPECT_EQ(short_job.timeline.back().t1, short_job.completion_s);
+  EXPECT_TRUE(short_job.alloc.empty());
+  EXPECT_EQ(long_job.timeline.back().t1, long_job.completion_s);
+  EXPECT_TRUE(long_job.alloc.empty());
+}
+
 TEST(ClusterController, OverCommittingPolicyFailsLoudly) {
   struct Greedy : Scheduler {
     std::map<std::int64_t, Allocation> schedule(

@@ -73,6 +73,20 @@ TEST(Simulator, QueuedJobWaitsForFreeGpus) {
   EXPECT_GT(j1.first_start_s - j1.spec.arrival_s, 0.0);  // queueing delay
 }
 
+TEST(Simulator, ArrivalJustAfterAnEventStartsImmediately) {
+  // Job 1 lands 0.5 ns after job 0. Both fit on the 4 GPUs at once, so
+  // job 1 must start at its own arrival, not wait for a later event.
+  PriorityScheduler policy;
+  const auto res = simulate(
+      v100s(4), {basic_job(0, 0.0, 500, 2), basic_job(1, 5e-10, 500, 2)}, policy);
+  const JobState& j0 = res.jobs[0];
+  const JobState& j1 = res.jobs[1];
+  EXPECT_EQ(j1.first_start_s, 5e-10);
+  EXPECT_LT(j1.first_start_s, j0.completion_s);
+  ASSERT_EQ(j1.timeline.size(), 1u);
+  EXPECT_EQ(j1.timeline[0].alloc.total(), 2);
+}
+
 TEST(Simulator, UtilizationBetweenZeroAndOne) {
   PriorityScheduler policy;
   const auto res = simulate(
