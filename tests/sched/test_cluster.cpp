@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdio>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "fault/fault.h"
 #include "sched/cluster.h"
+#include "sched/gavel.h"
 #include "sched/wfs.h"
 #include "serve/arrival.h"
 #include "serve/server.h"
@@ -454,6 +458,114 @@ TEST(EngineTrainLease, FullPreemptionPausesAndResumes) {
   }
   EXPECT_TRUE(preempted) << "priority arrival must fully preempt the lease";
   EXPECT_TRUE(resumed) << "lease must be re-granted after the job completes";
+}
+
+// ---------------------------------------------------------------------------
+// Golden pin: one mixed run — a real serving lease, a real EngineTrainLease
+// and analytic jobs under Gavel's LAS rounds — reduced to an FNV-1a hash
+// over every JobState field, every grant and the final clock. Gavel ranks
+// by attained_service, so both attained-service formulas (analytic and
+// train lease) feed its decisions as well as the hash.
+// ---------------------------------------------------------------------------
+
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  void add(std::int64_t v) { add(static_cast<std::uint64_t>(v)); }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  void add(const Allocation& a) {
+    add(static_cast<std::int64_t>(a.per_type.size()));
+    for (const auto& [type, count] : a.per_type) {
+      add(static_cast<std::int64_t>(type));
+      add(count);
+    }
+  }
+};
+
+std::uint64_t report_hash(const ClusterReport& report) {
+  Fnv1a f;
+  f.add(static_cast<std::int64_t>(report.jobs.size()));
+  for (const JobState& j : report.jobs) {
+    f.add(j.spec.id);
+    f.add(j.remaining_steps);
+    f.add(j.alloc);
+    f.add(j.first_start_s);
+    f.add(j.completion_s);
+    f.add(j.pause_until_s);
+    f.add(j.attained_service);
+    f.add(j.resizes);
+    f.add(static_cast<std::int64_t>(j.timeline.size()));
+    for (const AllocSegment& s : j.timeline) {
+      f.add(s.t0);
+      f.add(s.t1);
+      f.add(s.alloc);
+    }
+    f.add(j.desired_gpus);
+    f.add(j.live_min_gpus);
+    f.add(j.live_max_gpus);
+    f.add(j.slo_pressure);
+  }
+  f.add(static_cast<std::int64_t>(report.grants.size()));
+  for (const GrantRecord& g : report.grants) {
+    f.add(g.time_s);
+    f.add(g.job_id);
+    f.add(g.from_devices);
+    f.add(g.to_devices);
+    f.add(g.migration_s);
+  }
+  f.add(report.train_makespan_s);
+  f.add(report.end_s);
+  return f.h;
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(ClusterController, GoldenMixedTenantRun) {
+  Rig serve_rig = make_rig();
+  VirtualFlowEngine serve_engine = make_engine(serve_rig, 1, /*workers=*/0);
+  serve::Server server(serve_engine, *serve_rig.task.val, serve_config());
+  server.set_cluster_governed();
+  const auto trace = burst_trace(*serve_rig.task.val);
+  server.begin(trace);
+
+  Rig train_rig = make_rig();
+  VirtualFlowEngine train_engine = make_engine(train_rig, /*devices=*/2, /*workers=*/0);
+  EngineTrainLease lease(train_engine, /*total_steps=*/30, DeviceType::kV100);
+  JobSpec lease_spec = train_spec(1, 0.0, 30, 2);
+  lease_spec.workload = "bert-base";
+  lease_spec.profile = model_profile("bert-base");
+  lease_spec.global_batch = train_rig.recipe.global_batch;
+
+  GavelOptions gopt;
+  gopt.round_s = 0.5;
+  gopt.restart_penalty_s = 0.2;
+  GavelScheduler gavel(gopt);
+  ClusterController c(v100s(16), gavel);
+  c.add_serve_job(serve_spec(0, 4, 1, 8), server);
+  c.add_train_lease(lease_spec, lease);
+  for (std::int64_t i = 0; i < 6; ++i) {
+    c.add_train_job(train_spec(10 + i, 0.3 * static_cast<double>(i), 400 + 150 * i,
+                               2 + 2 * (i % 3)));
+  }
+  const ClusterReport report = c.run();
+  server.finish();
+
+  ASSERT_TRUE(server.drained());
+  ASSERT_EQ(lease.steps_done(), 30);
+  for (const JobState& j : report.jobs) ASSERT_TRUE(j.finished()) << j.spec.id;
+  EXPECT_GT(report.jobs[1].attained_service, 0.0) << "the train lease accrued service";
+  // The hash of this run when the pin was taken. A change here means a
+  // controller decision or an attained-service bit moved.
+  EXPECT_EQ(hex(report_hash(report)), hex(0xaf0e08d8b88a1961ull));
 }
 
 }  // namespace
