@@ -8,6 +8,7 @@
 // depend on.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -16,6 +17,10 @@ namespace vf {
 
 /// Accelerator model.
 enum class DeviceType : std::uint8_t { kV100, kP100, kK80, kRtx2080Ti };
+/// Number of DeviceType enumerators; they are numbered from 0.
+inline constexpr std::size_t kNumDeviceTypes = 4;
+static_assert(static_cast<std::size_t>(DeviceType::kRtx2080Ti) + 1 == kNumDeviceTypes,
+              "kNumDeviceTypes must count every DeviceType");
 
 const char* device_type_name(DeviceType t);
 

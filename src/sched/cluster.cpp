@@ -40,7 +40,8 @@ void ClusterController::add_tenant(JobSpec spec, Backing backing,
   check(!ran_, "cannot add jobs after run()");
   check(spec.arrival_s >= 0.0, "job arrival must be >= 0");
   for (const Tenant& t : tenants_) {
-    check(t.state.spec.id != spec.id, "duplicate job id " + std::to_string(spec.id));
+    check(t.state.spec.id != spec.id,
+          [&] { return "duplicate job id " + std::to_string(spec.id); });
   }
   Tenant t;
   t.state.spec = std::move(spec);
@@ -48,6 +49,11 @@ void ClusterController::add_tenant(JobSpec spec, Backing backing,
   t.backing = backing;
   t.lease = lease;
   t.step_time_s = kInf;
+  if (backing != Backing::kServeLease) {
+    // A function of the spec alone: computed once here, not per event.
+    t.reference_tput =
+        reference_throughput(t.state.spec.profile, t.state.spec.global_batch);
+  }
   tenants_.push_back(std::move(t));
 }
 
@@ -70,6 +76,7 @@ void ClusterController::add_train_lease(JobSpec spec, sched::DeviceLease& lease)
   check(spec.kind == JobKind::kTrain, "add_train_lease needs a kTrain spec");
   check(spec.total_steps > 0, "training lease needs total_steps > 0");
   check(spec.demand_gpus > 0, "training lease needs demand_gpus > 0");
+  check(spec.global_batch > 0, "training lease needs global_batch > 0");
   add_tenant(std::move(spec), Backing::kTrainLease, &lease);
 }
 
@@ -86,8 +93,7 @@ void ClusterController::advance_analytic(double now, double t_next) {
     const double steps = dt / t.step_time_s;
     js.remaining_steps -= steps;
     const double tput = static_cast<double>(js.spec.global_batch) / t.step_time_s;
-    js.attained_service +=
-        dt * tput / reference_throughput(js.spec.profile, js.spec.global_batch);
+    js.attained_service += dt * tput / t.reference_tput;
     if (js.remaining_steps <= kStepEps) {
       // Done: the devices return to the pool at the completion stamp.
       js.remaining_steps = 0.0;
@@ -121,8 +127,7 @@ void ClusterController::refresh_from_leases(double now) {
       if (t.step_time_s < kInf && t.step_time_s > 0.0) {
         const double tput =
             static_cast<double>(js.spec.global_batch) / t.step_time_s;
-        js.attained_service = done * t.step_time_s * tput /
-            reference_throughput(js.spec.profile, js.spec.global_batch);
+        js.attained_service = done * t.step_time_s * tput / t.reference_tput;
       }
       continue;
     }
@@ -229,16 +234,17 @@ void ClusterController::grant(Tenant& t, const Allocation& next, double now) {
   const std::int64_t cur = js.alloc.total();
   const std::int64_t want = next.total();
   if (t.backing == Backing::kServeLease) {
-    check(want >= js.live_min_gpus && want <= js.live_max_gpus,
-          "policy " + policy_.name() + " granted serving job " +
-              std::to_string(js.spec.id) + " " + std::to_string(want) +
-              " devices, outside its live band [" +
-              std::to_string(js.live_min_gpus) + ", " +
-              std::to_string(js.live_max_gpus) + "]");
+    check(want >= js.live_min_gpus && want <= js.live_max_gpus, [&] {
+      return "policy " + policy_.name() + " granted serving job " +
+             std::to_string(js.spec.id) + " " + std::to_string(want) +
+             " devices, outside its live band [" + std::to_string(js.live_min_gpus) +
+             ", " + std::to_string(js.live_max_gpus) + "]";
+    });
   } else {
-    check(next.per_type.size() <= 1,
-          "train lease grants must be homogeneous (job " +
-              std::to_string(js.spec.id) + ")");
+    check(next.per_type.size() <= 1, [&] {
+      return "train lease grants must be homogeneous (job " +
+             std::to_string(js.spec.id) + ")";
+    });
   }
   const double migration_s = t.lease->apply_grant(want);
   if (want == cur) return;
@@ -267,16 +273,16 @@ void ClusterController::grant(Tenant& t, const Allocation& next, double now) {
 }
 
 void ClusterController::consult_policy(double now) {
-  std::vector<const JobState*> active;
-  std::vector<Tenant*> active_tenants;
+  active_jobs_.clear();
+  active_tenants_.clear();
   for (Tenant& t : tenants_) {
     if (t.state.finished() || t.retired || !t.state.arrived(now)) continue;
-    active.push_back(&t.state);
-    active_tenants.push_back(&t);
+    active_jobs_.push_back(&t.state);
+    active_tenants_.push_back(&t);
   }
-  if (active.empty()) return;
-  std::map<std::int64_t, Allocation> allocs =
-      policy_.schedule(cluster_, active, now);
+  if (active_jobs_.empty()) return;
+  const std::map<std::int64_t, Allocation> allocs =
+      policy_.schedule(cluster_, active_jobs_, now);
   // The defensive over-commit check: a buggy policy dies HERE, at the
   // decision point, not as corrupted downstream accounting.
   validate_allocations(cluster_, allocs);
@@ -284,9 +290,10 @@ void ClusterController::consult_policy(double now) {
   std::int64_t serve_devices = 0;
   std::int64_t train_devices = 0;
   std::int64_t running = 0;
-  for (Tenant* t : active_tenants) {
+  static const Allocation kNone;
+  for (Tenant* t : active_tenants_) {
     const auto it = allocs.find(t->state.spec.id);
-    const Allocation next = it == allocs.end() ? Allocation{} : it->second;
+    const Allocation& next = it == allocs.end() ? kNone : it->second;
     if (t->lease != nullptr) {
       grant(*t, next, now);
     } else {
@@ -331,9 +338,10 @@ ClusterReport ClusterController::run() {
     check(++events <= options_.max_events,
           "cluster controller exceeded max_events (policy/lease livelock?)");
     const double t_next = next_event(now);
-    check(t_next < kInf,
-          "cluster controller stalled: jobs remain but no future event "
-          "(policy " + policy_.name() + " starving a job?)");
+    check(t_next < kInf, [&] {
+      return "cluster controller stalled: jobs remain but no future event (policy " +
+             policy_.name() + " starving a job?)";
+    });
     advance_analytic(now, std::max(now, t_next));
     now = std::max(now, t_next);
     // Pump live holders up to the new stamp, in add order.

@@ -128,7 +128,10 @@ class ClusterController {
     JobState state;
     Backing backing = Backing::kAnalytic;
     sched::DeviceLease* lease = nullptr;  ///< null for analytic jobs
-    double step_time_s = 0.0;             ///< analytic: current step time
+    double step_time_s = 0.0;             ///< current cost-model step time
+    /// reference_throughput() of the spec, fixed at add time (training
+    /// tenants only): the attained-service normalizer.
+    double reference_tput = 0.0;
     double open_since_s = -1.0;           ///< open timeline segment start
     bool retired = false;                 ///< lease drained and released
   };
@@ -149,6 +152,9 @@ class ClusterController {
   obs::Observability obs_;
   std::vector<Tenant> tenants_;
   std::vector<GrantRecord> grants_;
+  // consult_policy() scratch, reused so a consult allocates nothing itself.
+  std::vector<const JobState*> active_jobs_;
+  std::vector<Tenant*> active_tenants_;
   bool ran_ = false;
 };
 

@@ -1,6 +1,7 @@
 #include "sched/simulator.h"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "sched/cluster.h"
@@ -28,17 +29,21 @@ std::vector<double> SimResult::queueing_delays() const {
 
 void validate_allocations(const ClusterInventory& cluster,
                           const std::map<std::int64_t, Allocation>& allocs) {
-  std::map<DeviceType, std::int64_t> used;
+  // Runs on every consult: no heap work unless a check fails.
+  std::array<std::int64_t, kNumDeviceTypes> used{};
   for (const auto& [id, a] : allocs)
     for (const auto& [t, c] : a.per_type) {
-      check(c >= 0, "negative allocation for job " + std::to_string(id));
-      used[t] += c;
+      check(c >= 0, [&] { return "negative allocation for job " + std::to_string(id); });
+      used[static_cast<std::size_t>(t)] += c;
     }
-  for (const auto& [t, c] : used) {
+  for (std::size_t i = 0; i < used.size(); ++i) {
+    const auto t = static_cast<DeviceType>(i);
     const auto it = cluster.per_type.find(t);
     const std::int64_t have = it == cluster.per_type.end() ? 0 : it->second;
-    check(c <= have, std::string("scheduler over-committed ") + device_type_name(t) +
-                         ": " + std::to_string(c) + " > " + std::to_string(have));
+    check(used[i] <= have, [&] {
+      return std::string("scheduler over-committed ") + device_type_name(t) + ": " +
+             std::to_string(used[i]) + " > " + std::to_string(have);
+    });
   }
 }
 
@@ -65,15 +70,17 @@ std::map<std::int64_t, Allocation> carve_serving_grants(
   // not fit, the cluster cannot host the serving set at all.
   std::int64_t mins = 0;
   for (const JobState* j : serve) {
-    check(j->live_min_gpus >= 1,
-          "serving job " + std::to_string(j->spec.id) +
-              " has live_min_gpus < 1 (a granted serving set never runs empty)");
+    check(j->live_min_gpus >= 1, [&] {
+      return "serving job " + std::to_string(j->spec.id) +
+             " has live_min_gpus < 1 (a granted serving set never runs empty)";
+    });
     mins += j->live_min_gpus;
   }
-  check(mins <= free, "serving minimums (" + std::to_string(mins) +
-                          " GPUs) exceed the pool (" + std::to_string(free) +
-                          " " + device_type_name(pool_type) +
-                          "); the cluster cannot host the serving set");
+  check(mins <= free, [&] {
+    return "serving minimums (" + std::to_string(mins) + " GPUs) exceed the pool (" +
+           std::to_string(free) + " " + device_type_name(pool_type) +
+           "); the cluster cannot host the serving set";
+  });
   for (const JobState* j : serve) {
     granted[j->spec.id] = j->live_min_gpus;
     free -= j->live_min_gpus;

@@ -48,7 +48,8 @@ double local_step_time(DeviceType type, const ModelProfile& profile,
                        double local_batch) {
   const DeviceSpec& spec = device_spec(type);
   const std::int64_t frontier = max_micro_batch(spec, profile, /*use_grad_buffer=*/true);
-  check(frontier > 0, "workload " + profile.name + " does not fit on " + spec.name);
+  check(frontier > 0,
+        [&] { return "workload " + profile.name + " does not fit on " + spec.name; });
   const double b = std::max(1.0, local_batch);
   const auto vns = static_cast<std::int64_t>(
       std::ceil(b / static_cast<double>(frontier)));
@@ -63,7 +64,7 @@ double local_step_time(DeviceType type, const ModelProfile& profile,
 double unit_speed(DeviceType type, const ModelProfile& profile) {
   const DeviceSpec& spec = device_spec(type);
   const std::int64_t frontier = max_micro_batch(spec, profile, true);
-  check(frontier > 0, "workload does not fit on " + spec.name);
+  check(frontier > 0, [&] { return "workload does not fit on " + spec.name; });
   return device_throughput(spec, profile, frontier, 1);
 }
 

@@ -1,6 +1,7 @@
 // Common error handling and small helpers shared by all VirtualFlow modules.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <source_location>
 #include <stdexcept>
@@ -41,6 +42,14 @@ inline std::string locate(std::string_view msg, const std::source_location& loc)
 inline void check(bool cond, std::string_view msg,
                   const std::source_location loc = std::source_location::current()) {
   if (!cond) throw VfError(detail::locate(msg, loc));
+}
+
+/// check() with a message built only on failure: `make_msg()` returns it.
+/// For hot paths whose message would otherwise be formatted on every pass.
+template <std::invocable MakeMsg>
+inline void check(bool cond, MakeMsg&& make_msg,
+                  const std::source_location loc = std::source_location::current()) {
+  if (!cond) throw VfError(detail::locate(make_msg(), loc));
 }
 
 /// Check specialized for index bounds; includes the offending value.

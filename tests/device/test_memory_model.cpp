@@ -2,6 +2,10 @@
 // paper's published memory-fit anchors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "device/memory_model.h"
 #include "util/common.h"
 #include "workloads/profiles.h"
@@ -122,6 +126,53 @@ TEST(MaxMicroBatch, VirtualNodesUnlockLargeGlobalBatches) {
   const std::int64_t frontier = max_micro_batch(rtx(), m, true);
   std::vector<std::int64_t> vns(8192 / frontier + 1, frontier);
   EXPECT_TRUE(fits(rtx(), m, vns, true));
+}
+
+// Oracle: max_micro_batch() as it was before it walked the ladder in
+// place: build the sorted pow2-like ladder up to 2^20 and test each rung
+// with fits({b}) until the first that does not fit.
+std::int64_t max_micro_batch_oracle(const DeviceSpec& spec, const ModelProfile& model,
+                                    bool use_grad_buffer) {
+  const std::int64_t limit = 1 << 20;
+  std::vector<std::int64_t> ladder;
+  for (std::int64_t p = 1; p <= limit; p *= 2) {
+    ladder.push_back(p);
+    const std::int64_t mid = p + p / 2;
+    if (p >= 2 && mid <= limit) ladder.push_back(mid);
+  }
+  std::sort(ladder.begin(), ladder.end());
+  std::int64_t best = 0;
+  for (std::int64_t b : ladder) {
+    if (!fits(spec, model, {b}, use_grad_buffer)) break;
+    best = b;
+  }
+  return best;
+}
+
+TEST(MaxMicroBatch, MatchesLadderOracleEverywhere) {
+  std::vector<ModelProfile> models;
+  for (const std::string& name : model_profile_names()) models.push_back(model_profile(name));
+  // The ladder's two ends: nothing fits, and every rung up to 2^20 fits.
+  ModelProfile huge = model_profile("resnet50");
+  huge.name = "huge";
+  huge.workspace_bytes = 1e15;
+  models.push_back(huge);
+  ModelProfile tiny;
+  tiny.name = "tiny";
+  models.push_back(tiny);
+
+  for (std::size_t d = 0; d < kNumDeviceTypes; ++d) {
+    const DeviceSpec& dev = device_spec(static_cast<DeviceType>(d));
+    for (const ModelProfile& m : models) {
+      for (const bool grad_buffer : {true, false}) {
+        EXPECT_EQ(max_micro_batch(dev, m, grad_buffer),
+                  max_micro_batch_oracle(dev, m, grad_buffer))
+            << dev.name << " / " << m.name << " / grad_buffer=" << grad_buffer;
+      }
+    }
+  }
+  EXPECT_EQ(max_micro_batch(v100(), huge, true), 0);
+  EXPECT_EQ(max_micro_batch(v100(), tiny, true), 1 << 20);
 }
 
 }  // namespace

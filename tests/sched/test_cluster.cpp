@@ -1,18 +1,17 @@
 // ClusterController: the one device economy. Covers the grant/lease
 // protocol (fake + real holders), the defensive over-commit and
 // serve-band checks, the static-partition baseline, fault-driven
-// re-grants with zero loss, and bit-identical replay across host worker
-// counts.
+// re-grants with zero loss, bit-identical replay across host worker
+// counts, and a golden hash of one mixed-tenant run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
-#include <cstdio>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "fault/fault.h"
+#include "golden_hash.h"
 #include "sched/cluster.h"
 #include "sched/gavel.h"
 #include "sched/wfs.h"
@@ -425,6 +424,18 @@ TEST(EngineTrainLease, RunsGrantedEngineToCompletion) {
   EXPECT_GT(report.train_makespan_s, 0.0);
 }
 
+TEST(EngineTrainLease, ZeroGlobalBatchRejectedAtAdd) {
+  Rig rig = make_rig();
+  VirtualFlowEngine engine = make_engine(rig, /*devices=*/2, /*workers=*/0);
+  EngineTrainLease lease(engine, /*total_steps=*/25, DeviceType::kV100);
+  JobSpec spec = train_spec(0, 0.0, 25, 2);
+  spec.global_batch = 0;
+
+  ElasticWfsScheduler wfs;
+  ClusterController c(v100s(4), wfs);
+  EXPECT_THROW(c.add_train_lease(spec, lease), VfError);
+}
+
 TEST(EngineTrainLease, FullPreemptionPausesAndResumes) {
   Rig rig = make_rig();
   VirtualFlowEngine engine = make_engine(rig, /*devices=*/2, /*workers=*/0);
@@ -468,27 +479,8 @@ TEST(EngineTrainLease, FullPreemptionPausesAndResumes) {
 // train lease) feed its decisions as well as the hash.
 // ---------------------------------------------------------------------------
 
-struct Fnv1a {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  void add(std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xffu;
-      h *= 0x100000001b3ull;
-    }
-  }
-  void add(std::int64_t v) { add(static_cast<std::uint64_t>(v)); }
-  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
-  void add(const Allocation& a) {
-    add(static_cast<std::int64_t>(a.per_type.size()));
-    for (const auto& [type, count] : a.per_type) {
-      add(static_cast<std::int64_t>(type));
-      add(count);
-    }
-  }
-};
-
 std::uint64_t report_hash(const ClusterReport& report) {
-  Fnv1a f;
+  golden::Fnv1a f;
   f.add(static_cast<std::int64_t>(report.jobs.size()));
   for (const JobState& j : report.jobs) {
     f.add(j.spec.id);
@@ -521,12 +513,6 @@ std::uint64_t report_hash(const ClusterReport& report) {
   f.add(report.train_makespan_s);
   f.add(report.end_s);
   return f.h;
-}
-
-std::string hex(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(v));
-  return buf;
 }
 
 TEST(ClusterController, GoldenMixedTenantRun) {
@@ -565,7 +551,7 @@ TEST(ClusterController, GoldenMixedTenantRun) {
   EXPECT_GT(report.jobs[1].attained_service, 0.0) << "the train lease accrued service";
   // The hash of this run when the pin was taken. A change here means a
   // controller decision or an attained-service bit moved.
-  EXPECT_EQ(hex(report_hash(report)), hex(0xaf0e08d8b88a1961ull));
+  EXPECT_EQ(golden::hex(report_hash(report)), golden::hex(0xaf0e08d8b88a1961ull));
 }
 
 }  // namespace

@@ -3,12 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
-#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "golden_hash.h"
 #include "sched/gavel.h"
 #include "sched/simulator.h"
 #include "sched/trace.h"
@@ -166,30 +165,11 @@ TEST(Simulator, StalledPolicyDetected) {
 // resulting schedule.
 // ---------------------------------------------------------------------------
 
-struct Fnv1a {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  void add(std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xffu;
-      h *= 0x100000001b3ull;
-    }
-  }
-  void add(std::int64_t v) { add(static_cast<std::uint64_t>(v)); }
-  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
-  void add(const Allocation& a) {
-    add(static_cast<std::int64_t>(a.per_type.size()));
-    for (const auto& [type, count] : a.per_type) {
-      add(static_cast<std::int64_t>(type));
-      add(count);
-    }
-  }
-};
-
 // remaining_steps is deliberately not hashed: a finished job's residual is
 // a sub-epsilon leftover of the advancement arithmetic (any value <= 1e-6
 // means "done"), not part of the schedule, and nothing downstream reads it.
 std::uint64_t schedule_hash(const SimResult& res) {
-  Fnv1a f;
+  golden::Fnv1a f;
   f.add(static_cast<std::int64_t>(res.jobs.size()));
   for (const JobState& j : res.jobs) {
     f.add(j.spec.id);
@@ -209,12 +189,6 @@ std::uint64_t schedule_hash(const SimResult& res) {
   f.add(res.makespan_s);
   f.add(res.avg_utilization);
   return f.h;
-}
-
-std::string hex(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(v));
-  return buf;
 }
 
 // bench_fig10_elastic3's make_job: length given as seconds at full demand.
@@ -337,7 +311,7 @@ TEST(Simulator, GoldenPaperFigureSchedules) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got[i].first, want[i].name);
-    EXPECT_EQ(hex(got[i].second), hex(want[i].expected)) << want[i].name;
+    EXPECT_EQ(golden::hex(got[i].second), golden::hex(want[i].expected)) << want[i].name;
   }
 }
 
