@@ -1,6 +1,7 @@
 // FNV-1a over the exact bits of a schedule, shared by the golden pins in
-// test_simulator.cpp (paper-figure schedules) and test_cluster.cpp (a
-// mixed-tenant controller run).
+// test_simulator.cpp (paper-figure schedules), test_cluster.cpp (a
+// mixed-tenant controller run) and serve/test_serving_golden.cpp (the
+// serving loops' output streams).
 #pragma once
 
 #include <bit>

@@ -1,0 +1,485 @@
+// Golden pins of the serving loop: every output stream of a run reduced to
+// its own FNV-1a hash, so a failure names the stream that moved — request
+// records (tokens, stamps, retries included), resizes, batches, faults,
+// the trace export bytes, the metrics export bytes and, for controller
+// leases, the grants and the final clock. Single-model `Server` runs cover
+// every mode (continuous classify, disaggregated and FIFO streaming,
+// faults with shedding, batch-boundary, self-driven and under a lease);
+// two-model `ColocatedServer` runs cover continuous streaming, faults,
+// batch-boundary and rolling cutovers under a lease. Every run records
+// with both sinks attached (recording never perturbs the schedule). The
+// hashes are those of the runs when the pins were taken; a change means a
+// scheduling decision, a stamp or an export byte moved.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "../sched/golden_hash.h"
+#include "fault/fault.h"
+#include "sched/cluster.h"
+#include "sched/wfs.h"
+#include "serve/arrival.h"
+#include "serve/colocation.h"
+#include "serve/server.h"
+#include "workloads/profiles.h"
+#include "workloads/tasks.h"
+
+namespace vf::serve {
+namespace {
+
+constexpr std::uint64_t kSeed = 42;
+
+struct Rig {
+  ProxyTask task;
+  Sequential model;
+  TrainRecipe recipe;
+};
+
+Rig make_rig(const std::string& task) {
+  return Rig{make_task(task, kSeed), make_proxy_model(task, kSeed), make_recipe(task)};
+}
+
+VirtualFlowEngine make_engine(Rig& rig, std::int64_t devices,
+                              const std::string& profile = "bert-base") {
+  EngineConfig cfg;
+  cfg.seed = kSeed;
+  cfg.enforce_memory = false;
+  return VirtualFlowEngine(rig.model, *rig.recipe.optimizer, *rig.recipe.schedule,
+                           *rig.task.train, model_profile(profile),
+                           make_devices(DeviceType::kV100, devices),
+                           VnMapping::even(8, devices, rig.recipe.global_batch), cfg);
+}
+
+ElasticPolicy elastic(std::int64_t high, std::int64_t low) {
+  ElasticPolicy e;
+  e.high_watermark = high;
+  e.low_watermark = low;
+  e.min_devices = 1;
+  e.max_devices = 8;
+  e.cooldown_batches = 1;
+  return e;
+}
+
+ServerConfig classify_config(bool continuous) {
+  ServerConfig cfg;
+  cfg.queue_capacity = 2048;
+  cfg.batch = {/*max_batch=*/64, /*max_wait_s=*/0.01};
+  cfg.deadline_s = 0.5;
+  cfg.continuous = continuous;
+  cfg.elastic = elastic(48, 4);
+  return cfg;
+}
+
+/// The vfbench serve-stream server: elastic token streaming with
+/// prefill/decode disaggregation, watermarks sized to 8 one-request slots.
+ServerConfig stream_config(bool disaggregate) {
+  ServerConfig cfg;
+  cfg.queue_capacity = 4096;
+  cfg.batch = {64, 0.005};
+  cfg.deadline_s = 0.25;
+  cfg.continuous = true;
+  cfg.stream.disaggregate = disaggregate;
+  cfg.elastic = elastic(18, 6);
+  return cfg;
+}
+
+StreamShape stream_shape(double fraction) {
+  StreamShape s;
+  s.stream_fraction = fraction;
+  return s;
+}
+
+std::vector<InferRequest> burst_trace(const Dataset& pool) {
+  return phased_poisson_trace(kSeed, {{300.0, 0.4}, {3000.0, 1.0}, {150.0, 1.6}},
+                              pool.size());
+}
+
+/// One hash per output stream of a run.
+struct Streams {
+  std::uint64_t records = 0;
+  std::uint64_t resizes = 0;
+  std::uint64_t batches = 0;
+  std::uint64_t faults = 0;
+  std::uint64_t trace = 0;
+  std::uint64_t metrics = 0;
+  std::uint64_t lease = 0;  ///< grants (with migration_s) + end stamp; 0 self-driven
+};
+
+void add_bytes(golden::Fnv1a& f, const std::string& s) {
+  f.add(static_cast<std::int64_t>(s.size()));
+  for (const char c : s) f.add(static_cast<std::int64_t>(static_cast<unsigned char>(c)));
+}
+
+void add_records(golden::Fnv1a& f, const std::vector<RequestRecord>& records) {
+  f.add(static_cast<std::int64_t>(records.size()));
+  for (const RequestRecord& r : records) {
+    f.add(r.id);
+    f.add(r.arrival_s);
+    f.add(r.dispatch_s);
+    f.add(r.queue_wait_s);
+    f.add(r.compute_s);
+    f.add(r.comm_s);
+    f.add(r.finish_s);
+    f.add(r.prediction);
+    f.add(static_cast<std::int64_t>(r.rejected));
+    f.add(static_cast<std::int64_t>(r.deadline_met));
+    f.add(r.retries);
+    f.add(r.first_token_s);
+    f.add(static_cast<std::int64_t>(r.tokens.size()));
+    for (const std::int64_t t : r.tokens) f.add(t);
+    for (const double s : r.token_stamps) f.add(s);
+  }
+}
+
+/// Hashes the streams every serving run shares; `slos` holds one tracker
+/// per model in model-id order.
+Streams hash_streams(const std::vector<const SloTracker*>& slos,
+                     const std::vector<ResizeEvent>& resizes,
+                     const std::vector<BatchEvent>& batches,
+                     const std::vector<FaultRecord>& faults,
+                     const obs::TraceRecorder& trace, const obs::MetricsRegistry& metrics) {
+  Streams s;
+  golden::Fnv1a rec;
+  for (const SloTracker* slo : slos) add_records(rec, slo->records());
+  s.records = rec.h;
+
+  golden::Fnv1a rz;
+  rz.add(static_cast<std::int64_t>(resizes.size()));
+  for (const ResizeEvent& e : resizes) {
+    rz.add(e.time_s);
+    rz.add(e.from_devices);
+    rz.add(e.to_devices);
+    rz.add(e.queue_depth);
+    rz.add(e.migration_s);
+  }
+  s.resizes = rz.h;
+
+  golden::Fnv1a bt;
+  bt.add(static_cast<std::int64_t>(batches.size()));
+  for (const BatchEvent& b : batches) {
+    bt.add(b.start_s);
+    bt.add(b.finish_s);
+    bt.add(b.size);
+    bt.add(b.devices);
+    bt.add(b.queue_depth_after);
+    bt.add(static_cast<std::int64_t>(b.vn));
+    bt.add(static_cast<std::int64_t>(b.model));
+    bt.add(static_cast<std::int64_t>(b.kind));
+    bt.add(b.device);
+    bt.add(static_cast<std::int64_t>(b.warm));
+  }
+  s.batches = bt.h;
+
+  golden::Fnv1a ft;
+  ft.add(static_cast<std::int64_t>(faults.size()));
+  for (const FaultRecord& r : faults) {
+    ft.add(r.time_s);
+    ft.add(static_cast<std::int64_t>(r.kind));
+    ft.add(r.device);
+    ft.add(static_cast<std::int64_t>(r.skipped));
+    ft.add(r.evicted_slices);
+    ft.add(r.requeued_requests);
+    ft.add(r.migration_s);
+  }
+  s.faults = ft.h;
+
+  golden::Fnv1a tr;
+  add_bytes(tr, trace.to_json());
+  s.trace = tr.h;
+  golden::Fnv1a mt;
+  add_bytes(mt, metrics.to_json());
+  s.metrics = mt.h;
+  return s;
+}
+
+std::uint64_t lease_hash(const ClusterReport& report) {
+  golden::Fnv1a f;
+  f.add(static_cast<std::int64_t>(report.grants.size()));
+  for (const GrantRecord& g : report.grants) {
+    f.add(g.time_s);
+    f.add(g.job_id);
+    f.add(g.from_devices);
+    f.add(g.to_devices);
+    f.add(g.migration_s);
+  }
+  f.add(report.end_s);
+  return f.h;
+}
+
+void expect_streams(const Streams& got, const Streams& want) {
+  EXPECT_EQ(golden::hex(got.records), golden::hex(want.records)) << "records moved";
+  EXPECT_EQ(golden::hex(got.resizes), golden::hex(want.resizes)) << "resizes moved";
+  EXPECT_EQ(golden::hex(got.batches), golden::hex(want.batches)) << "batches moved";
+  EXPECT_EQ(golden::hex(got.faults), golden::hex(want.faults)) << "faults moved";
+  EXPECT_EQ(golden::hex(got.trace), golden::hex(want.trace)) << "trace export moved";
+  EXPECT_EQ(golden::hex(got.metrics), golden::hex(want.metrics)) << "metrics export moved";
+  EXPECT_EQ(golden::hex(got.lease), golden::hex(want.lease)) << "lease grants/end moved";
+}
+
+// ---- Single-model Server ---------------------------------------------------
+
+/// Replays `trace` on a self-driven Server (optionally faulted) and hashes
+/// its streams.
+Streams server_run(VirtualFlowEngine& engine, const Dataset& pool, const ServerConfig& cfg,
+                   const std::vector<InferRequest>& trace,
+                   fault::FaultInjector* injector = nullptr) {
+  obs::TraceRecorder trace_rec;
+  obs::MetricsRegistry metrics;
+  Server server(engine, pool, cfg);
+  server.set_observability({&trace_rec, &metrics});
+  if (injector != nullptr) server.set_fault_injector(injector);
+  server.replay(trace);
+  return hash_streams({&server.slo()}, server.resizes(), server.batches(), server.faults(),
+                      trace_rec, metrics);
+}
+
+/// Runs `lease` (cluster-governed and begun) as a serving job next to an
+/// analytic training job under WFS on 12 V100s.
+ClusterReport run_under_controller(sched::DeviceLease& lease) {
+  ElasticWfsScheduler wfs;
+  ClusterInventory cluster;
+  cluster.per_type[DeviceType::kV100] = 12;
+  ClusterController c(cluster, wfs);
+  JobSpec serve;
+  serve.id = 0;
+  serve.kind = JobKind::kServe;
+  serve.priority = 10.0;
+  serve.demand_gpus = 4;
+  serve.min_gpus = 1;
+  serve.max_gpus = 8;
+  c.add_serve_job(serve, lease);
+  JobSpec train;
+  train.id = 1;
+  train.workload = "resnet56";
+  train.profile = model_profile("resnet56");
+  train.global_batch = 128;
+  train.total_steps = 1500;
+  train.demand_gpus = 4;
+  c.add_train_job(train);
+  return c.run();
+}
+
+/// A Server lease under the controller; `injector` may be null.
+Streams server_lease_run(fault::FaultInjector* injector) {
+  Rig rig = make_rig("mrpc-sim");
+  VirtualFlowEngine engine = make_engine(rig, 1);
+  obs::TraceRecorder trace_rec;
+  obs::MetricsRegistry metrics;
+  Server server(engine, *rig.task.val, classify_config(true));
+  server.set_observability({&trace_rec, &metrics});
+  if (injector != nullptr) server.set_fault_injector(injector);
+  server.set_cluster_governed();
+  const auto trace = phased_poisson_trace(
+      kSeed, {{300.0, 0.5}, {2500.0, 1.0}, {150.0, 2.0}}, rig.task.val->size());
+  server.begin(trace);
+  const ClusterReport report = run_under_controller(server);
+  server.finish();
+  EXPECT_TRUE(server.drained());
+
+  Streams s = hash_streams({&server.slo()}, server.resizes(), server.batches(),
+                           server.faults(), trace_rec, metrics);
+  s.lease = lease_hash(report);
+  return s;
+}
+
+TEST(ServingGolden, ServerContinuousElasticClassify) {
+  Rig rig = make_rig("mrpc-sim");
+  VirtualFlowEngine engine = make_engine(rig, 1);
+  expect_streams(server_run(engine, *rig.task.val, classify_config(true),
+                            burst_trace(*rig.task.val)),
+                 Streams{.records = 0xae394cff25f4fd62ull, .resizes = 0x620c746e5bdd206dull,
+                         .batches = 0x786199899d320bb9ull, .faults = 0xa8c7f832281a39c5ull,
+                         .trace = 0xe05d85a98a94609bull, .metrics = 0xd93b9cf3e3a4bd24ull});
+}
+
+TEST(ServingGolden, ServerServeStreamConfig) {
+  // vfbench serve-stream: 40 -> 90 -> 20 rps of 85% token streams on a
+  // one-device, 8-VN llm-decode engine.
+  Rig rig = make_rig("cifar10-sim");
+  VirtualFlowEngine engine = make_engine(rig, 1, "llm-decode");
+  const auto trace = streaming_trace(kSeed, {{40.0, 10.0}, {90.0, 10.0}, {20.0, 10.0}},
+                                     rig.task.val->size(), stream_shape(0.85));
+  expect_streams(server_run(engine, *rig.task.val, stream_config(true), trace),
+                 Streams{.records = 0xbaa00cdd6ed0e0f0ull, .resizes = 0xd246167e4ac53350ull,
+                         .batches = 0xd5b94761e6501f34ull, .faults = 0xa8c7f832281a39c5ull,
+                         .trace = 0xf697c998d419057cull, .metrics = 0x4ab7d8bc96dfdbc7ull});
+}
+
+TEST(ServingGolden, ServerFifoStreaming) {
+  Rig rig = make_rig("cifar10-sim");
+  VirtualFlowEngine engine = make_engine(rig, 1, "llm-decode");
+  const auto trace = streaming_trace(kSeed + 7, {{40.0, 3.0}, {110.0, 3.0}, {20.0, 3.0}},
+                                     rig.task.val->size(), stream_shape(0.6));
+  expect_streams(server_run(engine, *rig.task.val, stream_config(false), trace),
+                 Streams{.records = 0x25134768c5672f09ull, .resizes = 0x7f39a689ff3c35afull,
+                         .batches = 0x9b961588a79872b5ull, .faults = 0xa8c7f832281a39c5ull,
+                         .trace = 0x38bb34d56aafa395ull, .metrics = 0x8b77849d415af9c5ull});
+}
+
+TEST(ServingGolden, ServerKillsRecoverAndShedding) {
+  // Four devices, two kills (one of them under a straggler), a comm fault,
+  // both recovers; shedding bounces requests already past the SLO.
+  Rig rig = make_rig("mrpc-sim");
+  VirtualFlowEngine engine = make_engine(rig, 4);
+  ServerConfig cfg = classify_config(true);
+  cfg.deadline_s = 0.3;
+  cfg.shed_expired = true;
+  fault::FaultPlan plan;
+  plan.kill(0.5, 1)
+      .straggler(0.6, 0, 2.0, 0.4)
+      .comm_fault(0.7)
+      .kill(0.9, 3)
+      .recover(1.3)
+      .recover(1.7);
+  fault::FaultInjector injector(std::move(plan));
+  const auto trace = streaming_trace(kSeed, {{300.0, 0.4}, {3000.0, 1.0}, {150.0, 1.6}},
+                                     rig.task.val->size(), stream_shape(0.4));
+  expect_streams(server_run(engine, *rig.task.val, cfg, trace, &injector),
+                 Streams{.records = 0x6d0b7dfa1218c493ull, .resizes = 0xf87b2a0eb9f0b787ull,
+                         .batches = 0x648e5b7246346eb4ull, .faults = 0x4b6da71e42e354c2ull,
+                         .trace = 0x364240a8bee43b03ull, .metrics = 0xf15457898d2f8d4full});
+}
+
+TEST(ServingGolden, ServerBatchBoundaryElastic) {
+  Rig rig = make_rig("mrpc-sim");
+  VirtualFlowEngine engine = make_engine(rig, 1);
+  expect_streams(server_run(engine, *rig.task.val, classify_config(false),
+                            burst_trace(*rig.task.val)),
+                 Streams{.records = 0x78a49c5b1abd2582ull, .resizes = 0xda18431d588a9373ull,
+                         .batches = 0x304e1fa963e34bc3ull, .faults = 0xa8c7f832281a39c5ull,
+                         .trace = 0x3263d94e3a57929bull, .metrics = 0xb8fb361695d153adull});
+}
+
+TEST(ServingGolden, ServerControllerLease) {
+  expect_streams(server_lease_run(nullptr),
+                 Streams{.records = 0x432aa4f237d16f23ull, .resizes = 0xbd109f1784e58699ull,
+                         .batches = 0xdb46e279ee736ac4ull, .faults = 0xa8c7f832281a39c5ull,
+                         .trace = 0x80a728f0159daeebull, .metrics = 0xd610ee8067330d04ull,
+                         .lease = 0x788183b013ad5699ull});
+}
+
+TEST(ServingGolden, ServerControllerLeaseWithKill) {
+  fault::FaultPlan plan;
+  plan.kill(0.8, 0).recover(1.6);
+  fault::FaultInjector injector(std::move(plan));
+  expect_streams(server_lease_run(&injector),
+                 Streams{.records = 0x11462d0034133b2dull, .resizes = 0xeeb5fa0cc0ef960full,
+                         .batches = 0xb47fa3076328d948ull, .faults = 0xeb994cfafc6438f0ull,
+                         .trace = 0xbb97d67248f896c2ull, .metrics = 0xc2571ca4d42d19d1ull,
+                         .lease = 0x50bdd4e51362e44full});
+}
+
+// ---- Two-model ColocatedServer ---------------------------------------------
+
+ModelConfig model_config(const std::string& name) {
+  ModelConfig mc;
+  mc.name = name;
+  mc.queue_capacity = 2048;
+  mc.batch = {/*max_batch=*/64, /*max_wait_s=*/0.01};
+  mc.deadline_s = 0.5;
+  return mc;
+}
+
+ColocationConfig colo_config(bool continuous) {
+  ColocationConfig cfg;
+  cfg.continuous = continuous;
+  cfg.stream.disaggregate = true;
+  cfg.elastic = elastic(48, 4);
+  return cfg;
+}
+
+/// Two co-located models (mrpc + cola) on one shared device set.
+struct Pair {
+  Rig rig_a = make_rig("mrpc-sim");
+  Rig rig_b = make_rig("cola-sim");
+  VirtualFlowEngine eng_a;
+  VirtualFlowEngine eng_b;
+  ModelRegistry registry;
+
+  explicit Pair(std::int64_t devices)
+      : eng_a(make_engine(rig_a, devices)), eng_b(make_engine(rig_b, devices)) {
+    registry.add(eng_a, *rig_a.task.val, model_config("mrpc"));
+    registry.add(eng_b, *rig_b.task.val, model_config("cola"));
+  }
+
+  /// Staggered bursts (model 0 early, model 1 late); `fraction` of the
+  /// requests stream.
+  std::vector<std::vector<InferRequest>> traces(double fraction) const {
+    return {streaming_trace(kSeed, {{250.0, 0.4}, {2000.0, 0.8}, {120.0, 1.6}},
+                            rig_a.task.val->size(), stream_shape(fraction)),
+            streaming_trace(kSeed + 1, {{200.0, 1.0}, {2000.0, 0.8}, {100.0, 1.2}},
+                            rig_b.task.val->size(), stream_shape(fraction))};
+  }
+};
+
+Streams colocated_run(Pair& pair, bool continuous, double stream_fraction,
+                      fault::FaultInjector* injector = nullptr) {
+  obs::TraceRecorder trace_rec;
+  obs::MetricsRegistry metrics;
+  ColocatedServer server(pair.registry, colo_config(continuous));
+  server.set_observability({&trace_rec, &metrics});
+  if (injector != nullptr) server.set_fault_injector(injector);
+  const auto traces = pair.traces(stream_fraction);
+  server.replay(traces);
+  return hash_streams({&server.slo(0), &server.slo(1)}, server.resizes(), server.batches(),
+                      server.faults(), trace_rec, metrics);
+}
+
+TEST(ServingGolden, ColocatedContinuousStreaming) {
+  Pair pair(1);
+  expect_streams(colocated_run(pair, true, 0.4),
+                 Streams{.records = 0x3ed57d89d60841f2ull, .resizes = 0x373c5a1ba9ce0207ull,
+                         .batches = 0x33dd8f1411534deeull, .faults = 0xa8c7f832281a39c5ull,
+                         .trace = 0x541d5f77aa3c6d69ull, .metrics = 0xfeeacc97001b525eull});
+}
+
+TEST(ServingGolden, ColocatedFaults) {
+  Pair pair(2);
+  fault::FaultPlan plan;
+  plan.kill(0.6, 1).comm_fault(0.9).kill(1.4, 0).recover(1.8).recover(2.2);
+  fault::FaultInjector injector(std::move(plan));
+  expect_streams(colocated_run(pair, true, 0.4, &injector),
+                 Streams{.records = 0xb46255534b98b21bull, .resizes = 0x0e95cbad5df3ecbbull,
+                         .batches = 0xa8e772ece6620016ull, .faults = 0x953d218ad8bc3746ull,
+                         .trace = 0x68cf09e0f106c934ull, .metrics = 0xcba84bf4a37e1e92ull});
+}
+
+TEST(ServingGolden, ColocatedBatchBoundary) {
+  Pair pair(1);
+  expect_streams(colocated_run(pair, false, 0.0),
+                 Streams{.records = 0x362f3a8ccf6f1204ull, .resizes = 0x30cf85edece3fe08ull,
+                         .batches = 0x948600ea167199dfull, .faults = 0xa8c7f832281a39c5ull,
+                         .trace = 0x6eefbcb868279f79ull, .metrics = 0xe389cae906f26325ull});
+}
+
+TEST(ServingGolden, ColocatedControllerLeaseRollingCutovers) {
+  Pair pair(1);
+  obs::TraceRecorder trace_rec;
+  obs::MetricsRegistry metrics;
+  ColocatedServer server(pair.registry, colo_config(true));
+  server.set_observability({&trace_rec, &metrics});
+  server.set_cluster_governed();
+  const auto traces = pair.traces(0.4);
+  server.begin(traces);
+
+  const ClusterReport report = run_under_controller(server);
+  server.finish();
+  ASSERT_TRUE(server.drained());
+
+  std::int64_t rolled = 0;
+  for (const ResizeEvent& e : server.resizes()) rolled += e.migration_s > 0.0 ? 1 : 0;
+  EXPECT_GT(rolled, 0) << "the grants must roll at least one cutover";
+  Streams s = hash_streams({&server.slo(0), &server.slo(1)}, server.resizes(),
+                           server.batches(), server.faults(), trace_rec, metrics);
+  s.lease = lease_hash(report);
+  expect_streams(s,
+                 Streams{.records = 0xe6cd1abf1613a084ull, .resizes = 0x13867ab3b1d666c6ull,
+                         .batches = 0x240116394b399cb0ull, .faults = 0xa8c7f832281a39c5ull,
+                         .trace = 0xe31fc11f156a5ce8ull, .metrics = 0x28c212732815e83full,
+                         .lease = 0x76383e5893e25ed6ull});
+}
+
+}  // namespace
+}  // namespace vf::serve
