@@ -1,7 +1,7 @@
 // Shared elastic device-budget rule for the serving paths.
 //
-// Both the single-model vf::serve::Server and the multi-model
-// ColocatedServer size their device set with the same load hysteresis:
+// The serving loop (vf::serve::ColocatedServer, which the single-model
+// Server fronts) sizes its device set with this load hysteresis:
 // grow (double) when the *system* load — backlog plus in-flight requests
 // — reaches the high watermark, shrink (halve) when it falls to the low
 // watermark. Keeping the rule in one pure function is

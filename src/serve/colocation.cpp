@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <tuple>
 #include <utility>
 
@@ -13,6 +14,18 @@ namespace vf::serve {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
+
+void validate_elastic_policy(const ElasticPolicy& e, std::int64_t vn_count) {
+  check(e.min_devices >= 1, "elastic min_devices must be >= 1");
+  check(e.max_devices >= e.min_devices, "elastic max_devices < min_devices");
+  check(e.max_devices <= vn_count,
+        "elastic max_devices (" + std::to_string(e.max_devices) +
+            ") exceeds the virtual-node count (" + std::to_string(vn_count) +
+            "); devices beyond the VN count would idle");
+  check(e.high_watermark > e.low_watermark,
+        "elastic watermarks must satisfy high > low (hysteresis)");
+  check(e.cooldown_batches >= 0, "elastic cooldown must be non-negative");
+}
 
 // ---- ModelRegistry ---------------------------------------------------------
 
@@ -78,16 +91,17 @@ ColocatedServer::ColocatedServer(ModelRegistry& registry, ColocationConfig confi
   share_time_.assign(models_.size(), 0.0);
   device_seconds_.assign(models_.size(), 0.0);
 
-  // Drop accounting lives at each model's backpressure point, exactly as
-  // in the single-model server. models_ never resizes after this loop, so
-  // indexing through `this` stays valid.
+  // Drop accounting lives at each model's backpressure point: the queue
+  // reports every dropped request straight to the model's tracker (and a
+  // "reject" marker). models_ never resizes after this loop, so indexing
+  // through `this` stays valid.
   for (std::int32_t m = 0; m < registry_.size(); ++m) {
     models_[static_cast<std::size_t>(m)].queue.set_reject_observer(
         [this, m](const InferRequest& r, double now_s) {
           models_[static_cast<std::size_t>(m)].tracker.record_rejection(r, now_s);
           if (obs_.trace != nullptr)
             obs_.trace->instant("reject", now_s, /*device=*/-1, /*vn=*/-1,
-                                m, /*arg0=*/r.id);
+                                label(m), /*arg0=*/r.id);
         });
     if (registry_.config(m).shed_expired)
       models_[static_cast<std::size_t>(m)].queue.set_deadline(
@@ -101,11 +115,13 @@ void ColocatedServer::set_observability(obs::Observability obs) {
   share_gauges_.clear();
   for (std::int32_t m = 0; m < static_cast<std::int32_t>(models_.size()); ++m) {
     ModelState& st = models_[static_cast<std::size_t>(m)];
-    const std::string prefix = "serve." + registry_.config(m).name + ".";
-    st.dispatcher.set_observability(obs, m, prefix);
+    const std::string prefix = metrics_prefix(m);
+    st.dispatcher.set_observability(obs, label(m), prefix);
     st.tracker.set_metrics(obs.metrics, prefix);
-    st.ledger.set_metrics(obs.metrics, prefix);
-    if (obs.metrics != nullptr)
+    // One model reports Server's instruments only: slot counters where a
+    // ledger runs, no share gauges.
+    if (config_.continuous || !one_model()) st.ledger.set_metrics(obs.metrics, prefix);
+    if (obs.metrics != nullptr && !one_model())
       share_gauges_.push_back(&obs.metrics->gauge(prefix + "share_vtime"));
   }
 }
@@ -123,6 +139,10 @@ std::int64_t ColocatedServer::min_vns() const {
   for (std::int32_t m = 1; m < registry_.size(); ++m)
     vns = std::min(vns, registry_.engine(m).mapping().total_vns());
   return vns;
+}
+
+std::string ColocatedServer::metrics_prefix(std::int32_t m) const {
+  return one_model() ? "serve." : "serve." + registry_.config(m).name + ".";
 }
 
 std::int64_t ColocatedServer::shared_devices() const {
@@ -146,34 +166,13 @@ double ColocatedServer::device_time_used(std::int32_t m) const {
   return device_seconds_[static_cast<std::size_t>(m)];
 }
 
-void ColocatedServer::replay(const std::vector<std::vector<InferRequest>>& traces) {
+void ColocatedServer::replay(std::span<const std::vector<InferRequest>> traces) {
+  open(traces);
   if (config_.continuous) {
-    begin(traces);
     pump(kInf);
-    finish();
-    traces_ = nullptr;
-    return;
+  } else {
+    replay_batch_boundary();
   }
-  check(!replayed_, "a ColocatedServer replays exactly one trace set");
-  replayed_ = true;
-  check(registry_.size() == static_cast<std::int64_t>(models_.size()),
-        "the registry grew after this server was built (it serves the " +
-            std::to_string(models_.size()) + " models registered at construction)");
-  check(traces.size() == models_.size(),
-        "one trace per registered model (got " + std::to_string(traces.size()) +
-            ", registry holds " + std::to_string(models_.size()) + ")");
-  for (const auto& trace : traces) {
-    for (std::size_t i = 1; i < trace.size(); ++i)
-      check(trace[i - 1].arrival_s <= trace[i].arrival_s,
-            "each trace must be sorted by arrival time");
-    for (const InferRequest& r : trace)
-      check(!TokenStreamer::is_stream(r),
-            "token streams require continuous batching "
-            "(ColocationConfig::continuous)");
-  }
-  traces_ = &traces;
-  replay_batch_boundary();
-  traces_ = nullptr;
   finish();
 }
 
@@ -188,10 +187,13 @@ void ColocatedServer::set_cluster_governed() {
   cluster_governed_ = true;
 }
 
-void ColocatedServer::begin(const std::vector<std::vector<InferRequest>>& traces) {
-  check(!replayed_, "a ColocatedServer replays exactly one trace set");
-  check(config_.continuous,
-        "externally stepped serving requires continuous batching");
+void ColocatedServer::begin(std::span<const std::vector<InferRequest>> traces) {
+  check(config_.continuous, "externally stepped serving requires continuous batching");
+  open(traces);
+}
+
+void ColocatedServer::open(std::span<const std::vector<InferRequest>> traces) {
+  check(!replayed_, "a server replays exactly one trace set");
   replayed_ = true;
   check(registry_.size() == static_cast<std::int64_t>(models_.size()),
         "the registry grew after this server was built (it serves the " +
@@ -199,41 +201,42 @@ void ColocatedServer::begin(const std::vector<std::vector<InferRequest>>& traces
   check(traces.size() == models_.size(),
         "one trace per registered model (got " + std::to_string(traces.size()) +
             ", registry holds " + std::to_string(models_.size()) + ")");
-  for (const auto& trace : traces)
+  for (const auto& trace : traces) {
     for (std::size_t i = 1; i < trace.size(); ++i)
       check(trace[i - 1].arrival_s <= trace[i].arrival_s,
             "each trace must be sorted by arrival time");
-  traces_ = &traces;
+    for (const InferRequest& r : trace)
+      check(config_.continuous || !TokenStreamer::is_stream(r),
+            "token streams require continuous batching — a stream is a slice "
+            "chain through a VN slot, which batch-boundary mode has no notion of");
+    traces_.emplace_back(trace);
+  }
   device_free_.assign(static_cast<std::size_t>(shared_devices()), 0.0);
 }
 
 void ColocatedServer::finish() {
   if (finished_) return;
   finished_ = true;
-  if (obs_.metrics != nullptr) {
-    for (std::int32_t m = 0; m < static_cast<std::int32_t>(models_.size()); ++m) {
-      const ModelState& st = models_[static_cast<std::size_t>(m)];
-      const std::string prefix = "serve." + registry_.config(m).name + ".";
-      SloTracker::export_summary(st.tracker.summary(), *obs_.metrics, prefix,
-                                 clock_);
-      obs_.metrics->gauge(prefix + "device_seconds")
-          .set(device_time_used(m), clock_);
-    }
-    obs_.metrics->gauge("serve.devices")
-        .set(static_cast<double>(shared_devices()), clock_);
+  if (obs_.metrics == nullptr) return;
+  for (std::int32_t m = 0; m < static_cast<std::int32_t>(models_.size()); ++m) {
+    const std::string prefix = metrics_prefix(m);
+    SloTracker::export_summary(models_[static_cast<std::size_t>(m)].tracker.summary(),
+                               *obs_.metrics, prefix, clock_);
+    if (!one_model())
+      obs_.metrics->gauge(prefix + "device_seconds").set(device_time_used(m), clock_);
   }
+  obs_.metrics->gauge("serve.devices").set(static_cast<double>(shared_devices()), clock_);
 }
 
 double ColocatedServer::next_event_s() const {
-  if (traces_ == nullptr) return kInf;
-  return next_event_internal();
+  return traces_.empty() ? kInf : next_event_internal();
 }
 
 bool ColocatedServer::drained() const {
-  if (traces_ == nullptr) return false;
+  if (traces_.empty()) return false;
   for (std::size_t m = 0; m < models_.size(); ++m) {
     const ModelState& st = models_[m];
-    if (st.next_arrival != (*traces_)[m].size() || !st.queue.empty() ||
+    if (st.next_arrival != traces_[m].size() || !st.queue.empty() ||
         !st.ledger.all_free() || st.streamer.has_paused() ||
         !st.continuations.empty())
       return false;
@@ -242,7 +245,7 @@ bool ColocatedServer::drained() const {
 }
 
 sched::LoadSignal ColocatedServer::load() const {
-  check(traces_ != nullptr, "begin() traces before reading the load signal");
+  check(!traces_.empty(), "begin() traces before reading the load signal");
   const ElasticPolicy& e = config_.elastic;
   sched::LoadSignal s;
   // The co-located set is sized as one unit, so the signal is combined:
@@ -286,7 +289,7 @@ sched::LoadSignal ColocatedServer::load() const {
 double ColocatedServer::apply_grant(std::int64_t devices) {
   check(cluster_governed_,
         "apply_grant() requires cluster governance (set_cluster_governed)");
-  check(traces_ != nullptr, "begin() traces before granting devices");
+  check(!traces_.empty(), "begin() traces before granting devices");
   const std::int64_t cur = shared_devices();
   if (devices == cur) return 0.0;
   check(devices >= 1, "a device grant must keep at least one device");
@@ -301,11 +304,9 @@ double ColocatedServer::apply_grant(std::int64_t devices) {
   // has cut over — reaching here mid-migration means a buggy policy.
   check(!migration_in_progress(),
         "device grant while a rolling migration is still cutting over");
-  std::int64_t depth = 0;
-  for (const ModelState& st : models_) depth += st.queue.size();
-  perform_resize(devices, depth);
-  device_free_.assign(static_cast<std::size_t>(shared_devices()), clock_);
-  return resizes_.back().migration_s;
+  const double before = clock_;
+  perform_resize(devices);
+  return one_model() ? clock_ - before : resizes_.back().migration_s;
 }
 
 void ColocatedServer::charge(std::int32_t m, double compute_s) {
@@ -331,7 +332,7 @@ std::int64_t ColocatedServer::classify_prefix(const ModelState& st,
 void ColocatedServer::admit_up_to_clock() {
   for (std::size_t m = 0; m < models_.size(); ++m) {
     ModelState& st = models_[m];
-    const auto& trace = (*traces_)[m];
+    const std::span<const InferRequest> trace = traces_[m];
     const bool was_idle = st.queue.empty() && st.ledger.all_free() &&
                           !st.streamer.has_paused();
     bool admitted = false;
@@ -387,67 +388,73 @@ void ColocatedServer::resize_if_needed(std::int64_t combined_inflight) {
   const std::int64_t target = sched::elastic_resize_target(
       depth, combined_inflight, cur, e.high_watermark, e.low_watermark,
       e.min_devices, max_dev);
-  if (target == cur) return;
-  perform_resize(target, depth);
-  device_free_.assign(static_cast<std::size_t>(shared_devices()), clock_);
+  if (target != cur) perform_resize(target);
 }
 
-void ColocatedServer::perform_resize(std::int64_t target, std::int64_t depth) {
+void ColocatedServer::perform_resize(std::int64_t target) {
   const std::int64_t cur = shared_devices();
-
-  // Rolling migration order: deepest backlog first (it is the model the
-  // resize exists for), model id breaking ties — a pure function of
-  // replay state, so the cutover sequence is part of the determinism
-  // contract.
-  std::vector<std::int32_t> order(models_.size());
-  for (std::size_t m = 0; m < models_.size(); ++m)
-    order[m] = static_cast<std::int32_t>(m);
-  std::sort(order.begin(), order.end(), [&](std::int32_t a, std::int32_t b) {
-    const std::int64_t qa = models_[static_cast<std::size_t>(a)].queue.size();
-    const std::int64_t qb = models_[static_cast<std::size_t>(b)].queue.size();
-    if (qa != qb) return qa > qb;
-    return a < b;
-  });
-
-  // The state all-gathers share the links, so the charges serialize; but
-  // each model's NEW dispatches resume the moment ITS state has landed —
-  // the urgent (deepest-backlog) model pays only the price a dedicated
-  // server would have charged it. The mapping itself switches now;
-  // in-flight slices keep their old schedules (seamless), and a deferred
-  // decode chain resumes at its model's cutover stamp.
-  double migration = 0.0;
-  for (const std::int32_t m : order) {
-    VirtualFlowEngine& eng = registry_.engine(m);
-    const double before = eng.sim_time_s();
-    eng.resize(make_devices(config_.elastic.device, target));
-    migration += eng.sim_time_s() - before;
-    dispatch_ready_[static_cast<std::size_t>(m)] = clock_ + migration;
-    // Rolling migration: one "cutover" marker per model at its
-    // dispatch-resume stamp, in cutover (deepest-backlog-first) order.
-    if (obs_.trace != nullptr)
-      obs_.trace->instant("cutover", clock_ + migration, /*device=*/-1,
-                          /*vn=*/-1, m);
-  }
-
-  ResizeEvent ev;
-  ev.time_s = clock_ + migration;  // shared set fully live
-  ev.from_devices = cur;
-  ev.to_devices = target;
-  ev.queue_depth = depth;
-  ev.migration_s = migration;
-  resizes_.push_back(ev);
-  work_since_resize_ = 0;
-
+  std::vector<std::int64_t> backlog;
+  for (const ModelState& st : models_) backlog.push_back(st.queue.size());
+  const double migration = cut_over(target, /*dead=*/-1, backlog);
   if (obs_.trace != nullptr)
     obs_.trace->instant("resize", clock_, /*device=*/-1, /*vn=*/-1,
                         /*model=*/-1, /*arg0=*/cur, /*arg1=*/target,
                         /*arg_s=*/migration);
-  if (obs_.metrics != nullptr) {
-    obs_.metrics->counter(target > cur ? "serve.resizes.grow"
-                                       : "serve.resizes.shrink")
+  if (obs_.metrics != nullptr)
+    obs_.metrics->counter(target > cur ? "serve.resizes.grow" : "serve.resizes.shrink")
         .add();
-    obs_.metrics->gauge("serve.devices").set(static_cast<double>(target), clock_);
+  // One model: the arrivals that landed during the stall queue behind it.
+  if (one_model()) admit_up_to_clock();
+}
+
+double ColocatedServer::cut_over(std::int64_t to_devices, std::int64_t dead,
+                                 const std::vector<std::int64_t>& backlog) {
+  const std::int64_t from = shared_devices();
+  // Deepest backlog first (it is the model the change exists for), model
+  // id breaking ties — a pure function of replay state, so the cutover
+  // sequence is part of the determinism contract.
+  std::vector<std::int32_t> order(models_.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::int32_t a, std::int32_t b) {
+    const std::int64_t qa = backlog[static_cast<std::size_t>(a)];
+    const std::int64_t qb = backlog[static_cast<std::size_t>(b)];
+    return qa != qb ? qa > qb : a < b;
+  });
+  // The state all-gathers share the links, so the charges serialize —
+  // after any cutover still pending — but each model's NEW dispatches
+  // resume the moment ITS state has landed. The mapping itself switches
+  // now; in-flight slices keep their old schedules (seamless).
+  double base = clock_;
+  for (const double ready : dispatch_ready_) base = std::max(base, ready);
+  double migration = 0.0;
+  for (const std::int32_t m : order) {
+    VirtualFlowEngine& eng = registry_.engine(m);
+    const double before = eng.sim_time_s();
+    if (dead >= 0) {
+      eng.fail_device(dead);
+    } else {
+      eng.resize(make_devices(config_.elastic.device, to_devices));
+    }
+    migration += eng.sim_time_s() - before;
+    dispatch_ready_[static_cast<std::size_t>(m)] = base + migration;
+    if (obs_.trace != nullptr && !one_model())
+      obs_.trace->instant("cutover", base + migration, /*device=*/-1, /*vn=*/-1, m);
   }
+  // One model has no co-tenant to roll past: its whole clock stalls.
+  if (one_model()) clock_ = base + migration;
+  device_free_.assign(static_cast<std::size_t>(shared_devices()), clock_);
+  work_since_resize_ = 0;
+
+  ResizeEvent ev;
+  ev.time_s = base + migration;  // shared set fully live
+  ev.from_devices = from;
+  ev.to_devices = to_devices;
+  ev.queue_depth = std::accumulate(backlog.begin(), backlog.end(), std::int64_t{0});
+  ev.migration_s = migration;
+  resizes_.push_back(ev);
+  if (obs_.metrics != nullptr)
+    obs_.metrics->gauge("serve.devices").set(static_cast<double>(to_devices), clock_);
+  return migration;
 }
 
 void ColocatedServer::dispatch_slice(std::int32_t m) {
@@ -502,7 +509,7 @@ void ColocatedServer::complete_due() {
       record_slice_requests(done, st.tracker);
       ++work_since_resize_;
       BatchEvent ev = make_slice_event(done, vn, st.queue.size());
-      ev.model = m;
+      ev.model = label(m);
       batches_.push_back(ev);
       finalize_span_depth();
       continue;
@@ -512,7 +519,7 @@ void ColocatedServer::complete_due() {
     const bool more = st.streamer.absorb(vn, st.ledger.slot(vn));
     ++work_since_resize_;
     BatchEvent ev = make_slice_event(st.ledger.slot(vn), vn, st.queue.size());
-    ev.model = m;
+    ev.model = label(m);
     batches_.push_back(ev);
     finalize_span_depth();
     if (!more) {
@@ -530,11 +537,9 @@ void ColocatedServer::complete_due() {
       st.streamer.pause(vn);
       if (obs_.trace != nullptr)
         obs_.trace->instant("preempt", clock_,
-                            static_cast<std::int32_t>(freed.device), vn, m);
+                            static_cast<std::int32_t>(freed.device), vn, label(m));
       if (obs_.metrics != nullptr)
-        obs_.metrics->counter("serve." + registry_.config(m).name +
-                              ".preemptions")
-            .add();
+        obs_.metrics->counter(metrics_prefix(m) + "preemptions").add();
     } else {
       st.continuations.push_back(vn);
       st.pending_chain[static_cast<std::size_t>(vn)] = 1;
@@ -636,15 +641,15 @@ void ColocatedServer::try_resumes() {
 // Fault transition: fires every injected event due at the current stamp
 // (complete_due first — a slice finishing exactly at a kill's stamp
 // survives). A kill tears the dead device slot's in-flight slices off
-// EVERY model with the single-model Server's per-kind recovery
-// (classify/prefill requeue with honest retry stamps, decode chains park
-// and resume from their last landed token), then remaps each engine's
-// VNs onto the survivors as a ROLLING migration: the fail_device
-// all-gathers serialize deepest-backlog-first (model id tie-break, like
-// perform_resize), each model's new dispatches resuming at its own
-// cutover stamp — on top of any cutover stamps still pending from an
-// in-progress elastic migration, which is why the base is the max of the
-// clock and the existing dispatch_ready_ horizon.
+// EVERY model — classify/prefill requests requeue at the queue head with
+// honest retry stamps, decode chains park and later resume from their
+// last landed token — then remaps each engine's VNs onto the survivors
+// through cut_over, the requeues counting toward the backlog order. The
+// requeues land after the remap at the clock: the kill's stamp with
+// several models, the stall's end with one (so the migration window
+// counts in neither queue stint). Eviction matches slices by their
+// dispatch-time device slot; a slice that straddled an elastic resize
+// keeps its old slot index (see docs/fault_tolerance.md).
 void ColocatedServer::process_faults_due() {
   if (injector_ == nullptr) return;
   for (const fault::FaultEvent& ev : injector_->due(clock_)) {
@@ -656,16 +661,18 @@ void ColocatedServer::process_faults_due() {
       case fault::FaultKind::kKill: {
         const std::int64_t ndev = shared_devices();
         if (ndev <= 1) {
+          // The last device cannot die without ending the replay; the
+          // kill is skipped (capacity loss reverted) and recorded.
           injector_->kill_skipped();
           rec.skipped = true;
           break;
         }
         const std::int64_t dead = ev.device % ndev;
         rec.device = dead;
-        std::int64_t depth = 0;
+        std::vector<std::vector<InferRequest>> requeue(models_.size());
+        std::vector<std::int64_t> backlog(models_.size());
         for (std::size_t m = 0; m < models_.size(); ++m) {
           ModelState& st = models_[m];
-          std::vector<InferRequest> requeue;
           for (std::int32_t vn = 0; vn < st.ledger.total_slots(); ++vn) {
             const Slot& s = st.ledger.slot(vn);
             if (!s.busy || s.device != dead) continue;
@@ -674,83 +681,56 @@ void ColocatedServer::process_faults_due() {
             if (st.pending_chain[static_cast<std::size_t>(vn)]) continue;
             Slot evicted = st.ledger.evict(vn);
             ++rec.evicted_slices;
-            if (evicted.kind == SliceKind::kClassify) {
-              for (InferRequest& r : evicted.requests) {
-                r.queue_wait_accum_s += evicted.dispatch_s - r.enqueued_s();
-                ++r.retries;
-                requeue.push_back(std::move(r));
-              }
-            } else if (evicted.kind == SliceKind::kPrefill) {
-              InferRequest r = st.streamer.cancel(vn);
-              r.queue_wait_accum_s += evicted.dispatch_s - r.enqueued_s();
-              ++r.retries;
-              requeue.push_back(std::move(r));
-            } else {
+            if (evicted.kind == SliceKind::kDecode) {
+              // Never recompute landed tokens: park the chain; its resume
+              // re-dispatches only the lost token.
               st.streamer.mark_retry(vn);
               st.streamer.pause(vn);
+              continue;
+            }
+            // Classify requests requeue as they were; a prefill landed no
+            // token yet, so its stream aborts and the request requeues (its
+            // next prefill restarts the chain).
+            std::vector<InferRequest> lost;
+            if (evicted.kind == SliceKind::kPrefill) {
+              lost.push_back(st.streamer.cancel(vn));
+            } else {
+              lost = std::move(evicted.requests);
+            }
+            for (InferRequest& r : lost) {
+              r.queue_wait_accum_s += evicted.dispatch_s - r.enqueued_s();
+              ++r.retries;
+              requeue[m].push_back(std::move(r));
             }
           }
-          rec.requeued_requests += static_cast<std::int64_t>(requeue.size());
-          std::sort(requeue.begin(), requeue.end(),
-                    [](const InferRequest& a, const InferRequest& b) {
-                      return a.id < b.id;
-                    });
-          for (auto it = requeue.rbegin(); it != requeue.rend(); ++it) {
+          rec.requeued_requests += static_cast<std::int64_t>(requeue[m].size());
+          backlog[m] = st.queue.size() + static_cast<std::int64_t>(requeue[m].size());
+        }
+        rec.migration_s = cut_over(ndev - 1, dead, backlog);
+        for (std::size_t m = 0; m < models_.size(); ++m) {
+          // Requeue at the head, lowest id first (in-flight requests are
+          // always older than anything queued, so FIFO order is restored).
+          std::vector<InferRequest>& rq = requeue[m];
+          std::sort(rq.begin(), rq.end(), [](const InferRequest& a, const InferRequest& b) {
+            return a.id < b.id;
+          });
+          for (auto it = rq.rbegin(); it != rq.rend(); ++it) {
             it->requeue_s = clock_;
-            st.queue.push_front(*it);
+            models_[m].queue.push_front(*it);
           }
-          depth += st.queue.size();
-        }
-
-        // Rolling VN remap, deepest combined backlog first.
-        std::vector<std::int32_t> order(models_.size());
-        for (std::size_t m = 0; m < models_.size(); ++m)
-          order[m] = static_cast<std::int32_t>(m);
-        std::sort(order.begin(), order.end(),
-                  [&](std::int32_t a, std::int32_t b) {
-                    const std::int64_t qa =
-                        models_[static_cast<std::size_t>(a)].queue.size();
-                    const std::int64_t qb =
-                        models_[static_cast<std::size_t>(b)].queue.size();
-                    if (qa != qb) return qa > qb;
-                    return a < b;
-                  });
-        double base = clock_;
-        for (const double ready : dispatch_ready_)
-          base = std::max(base, ready);
-        double migration = 0.0;
-        for (const std::int32_t m : order) {
-          VirtualFlowEngine& eng = registry_.engine(m);
-          const double before = eng.sim_time_s();
-          eng.fail_device(dead);
-          migration += eng.sim_time_s() - before;
-          dispatch_ready_[static_cast<std::size_t>(m)] = base + migration;
-          if (obs_.trace != nullptr)
-            obs_.trace->instant("cutover", base + migration, /*device=*/-1,
-                                /*vn=*/-1, m);
-        }
-        rec.migration_s = migration;
-        device_free_.assign(static_cast<std::size_t>(shared_devices()), clock_);
-        for (std::size_t m = 0; m < models_.size(); ++m)
+          // The remap landed the VNs on fresh slots; re-apply any
+          // straggler windows still active.
           injector_->apply_slowdowns(registry_.engine(static_cast<std::int32_t>(m)));
-        work_since_resize_ = 0;
-        ResizeEvent rev;
-        rev.time_s = base + migration;
-        rev.from_devices = ndev;
-        rev.to_devices = ndev - 1;
-        rev.queue_depth = depth;
-        rev.migration_s = migration;
-        resizes_.push_back(rev);
-        if (obs_.metrics != nullptr) {
-          obs_.metrics->counter("serve.faults.requeued").add(rec.requeued_requests);
-          obs_.metrics->gauge("serve.devices")
-              .set(static_cast<double>(ndev - 1), clock_);
         }
+        if (obs_.metrics != nullptr)
+          obs_.metrics->counter("serve.faults.requeued").add(rec.requeued_requests);
         break;
       }
       case fault::FaultKind::kRecover:
-        // Capacity returns to the shared elastic budget (capacity_cap);
-        // the resize rule re-grows on observed load, not on the event.
+        // Capacity returns to the elastic budget (capacity_cap); the
+        // resize rule re-grows on observed load, not on the event. Under
+        // cluster governance the recover lifts the lease's advertised
+        // ceiling (load()), and the next policy grant re-expands.
         break;
       case fault::FaultKind::kStragglerStart:
       case fault::FaultKind::kStragglerEnd:
@@ -766,11 +746,12 @@ void ColocatedServer::process_faults_due() {
 }
 
 // Next event over all models: earliest in-flight completion, next
-// arrival, a deferred decode chain's cutover stamp, a parked stream's
-// resume opportunity, or — where a partial classify slice waits on a
-// free slot — the oldest request's timeout. Terms at or before the
-// clock denote states the dispatch phases have already consumed, so
-// the pump loop always advances.
+// arrival, a gated model's cutover stamp (a deferred decode chain, a
+// parked stream with a free slot, or a queued slice waiting on it), or —
+// where an ungated classify head has a free slot — its timeout. A cutover
+// stamp counts only while it lies ahead: the dispatch phases consume any
+// state it covered, so the pump loop always advances, and a one-model
+// lease reports what Server always has.
 double ColocatedServer::next_event_internal() const {
   double next_t = kInf;
   for (std::size_t m = 0; m < models_.size(); ++m) {
@@ -785,40 +766,38 @@ double ColocatedServer::next_event_internal() const {
       if (s.busy && !st.pending_chain[static_cast<std::size_t>(vn)])
         next_t = std::min(next_t, s.done_s);
     }
-    const auto& trace = (*traces_)[m];
-    if (st.next_arrival < trace.size())
-      next_t = std::min(next_t, trace[st.next_arrival].arrival_s);
-    if (!st.continuations.empty())
-      next_t = std::min(next_t, dispatch_ready_[m]);
-    if (st.streamer.has_paused() && st.ledger.lowest_free() >= 0)
-      next_t = std::min(next_t, dispatch_ready_[m]);
-    if (!st.queue.empty() && st.ledger.lowest_free() >= 0) {
-      if (TokenStreamer::is_stream(st.queue.front())) {
-        // A gated prefill fires at the cutover stamp; ungated it would
-        // have been admitted already.
-        next_t = std::min(next_t, dispatch_ready_[m]);
-      } else {
-        const std::int64_t cap = registry_.engine(static_cast<std::int32_t>(m))
-                                     .mapping()
-                                     .vn_batch(st.ledger.lowest_free());
-        const std::int64_t prefix = classify_prefix(st, cap);
-        const bool full_slice = prefix >= cap || prefix < st.queue.size();
-        const double timeout =
-            st.queue.front().arrival_s +
-            registry_.config(static_cast<std::int32_t>(m)).batch.max_wait_s;
-        const double t = full_slice
-                             ? dispatch_ready_[m]
-                             : std::max(timeout, dispatch_ready_[m]);
-        next_t = std::min(next_t, t);
-      }
+    if (st.next_arrival < traces_[m].size())
+      next_t = std::min(next_t, traces_[m][st.next_arrival].arrival_s);
+    const double ready = dispatch_ready_[m];
+    const bool gated = ready > clock_;
+    const std::int32_t free_vn = st.ledger.lowest_free();
+    if (gated && (!st.continuations.empty() || (st.streamer.has_paused() && free_vn >= 0)))
+      next_t = std::min(next_t, ready);
+    if (st.queue.empty() || free_vn < 0) continue;
+    if (TokenStreamer::is_stream(st.queue.front())) {
+      // A gated prefill fires at the cutover stamp; ungated it is always
+      // dispatchable.
+      if (gated) next_t = std::min(next_t, ready);
+      continue;
     }
+    const double timeout = st.queue.front().arrival_s +
+                           registry_.config(static_cast<std::int32_t>(m)).batch.max_wait_s;
+    if (!gated) {
+      next_t = std::min(next_t, timeout);
+      continue;
+    }
+    const std::int64_t cap =
+        registry_.engine(static_cast<std::int32_t>(m)).mapping().vn_batch(free_vn);
+    const std::int64_t prefix = classify_prefix(st, cap);
+    const bool full_slice = prefix >= cap || prefix < st.queue.size();
+    next_t = std::min(next_t, full_slice ? ready : std::max(timeout, ready));
   }
   if (injector_ != nullptr) next_t = std::min(next_t, injector_->next_event_s());
   return next_t;
 }
 
 void ColocatedServer::pump(double horizon_s) {
-  check(traces_ != nullptr, "begin() traces before pump()");
+  check(!traces_.empty(), "begin() traces before pump()");
   while (true) {
     admit_up_to_clock();
     complete_due();
@@ -848,16 +827,6 @@ void ColocatedServer::pump(double horizon_s) {
   // A bounded pump leaves the clock at its horizon so the next load()
   // snapshot and grant charge from a consistent stamp.
   if (horizon_s < kInf && clock_ < horizon_s) clock_ = horizon_s;
-}
-
-void ColocatedServer::execute_model_batch(std::int32_t m, std::int64_t take) {
-  ModelState& st = models_[static_cast<std::size_t>(m)];
-  BatchEvent ev =
-      st.dispatcher.run_formed_batch(st.queue, st.former, st.tracker, clock_, take);
-  clock_ = ev.finish_s;
-  ++work_since_resize_;
-  ev.model = m;
-  batches_.push_back(ev);
 }
 
 void ColocatedServer::replay_batch_boundary() {
@@ -890,12 +859,19 @@ void ColocatedServer::replay_batch_boundary() {
     }
 
     if (best >= 0) {
-      execute_model_batch(best, best_take);
+      ModelState& st = models_[static_cast<std::size_t>(best)];
+      BatchEvent ev =
+          st.dispatcher.run_formed_batch(st.queue, st.former, st.tracker, clock_, best_take);
+      clock_ = ev.finish_s;
+      ++work_since_resize_;
+      ev.model = label(best);
+      batches_.push_back(ev);
       // Admit the service window's arrivals before recording depth and
-      // deciding elasticity, exactly like the single-model server.
+      // deciding elasticity, so a burst's pressure registers the batch it
+      // builds up in, not one batch later.
       admit_up_to_clock();
-      batches_.back().queue_depth_after =
-          models_[static_cast<std::size_t>(best)].queue.size();
+      batches_.back().queue_depth_after = st.queue.size();
+      if (one_model()) finalize_span_depth();
       resize_if_needed(/*combined_inflight=*/0);
       continue;
     }
@@ -914,9 +890,8 @@ void ColocatedServer::replay_batch_boundary() {
                            dispatch_ready_[m]);
         next_t = std::min(next_t, formable);
       }
-      const auto& trace = (*traces_)[m];
-      if (st.next_arrival < trace.size())
-        next_t = std::min(next_t, trace[st.next_arrival].arrival_s);
+      if (st.next_arrival < traces_[m].size())
+        next_t = std::min(next_t, traces_[m][st.next_arrival].arrival_s);
     }
     if (next_t == kInf) break;  // queues drained, traces exhausted
     clock_ = std::max(clock_, next_t);

@@ -43,20 +43,17 @@
 // arrivals admitted in model-id order at equal stamps. Every decision is
 // a pure function of (traces, policies, cost model) on the virtual clock
 // — the full per-model record streams replay bit-identically across host
-// worker counts, in both batching modes, exactly like the single-model
-// Server. Token streams (serve/streaming.h) ride the continuous mode:
-// per-model prefill/decode chains compete through the same arbiter, and
-// every dispatch — prefill, decode, resume, classify — is charged to its
-// model's share ledger.
+// worker counts, in both batching modes. Token streams (serve/streaming.h)
+// ride the continuous mode: per-model prefill/decode chains compete
+// through the same arbiter, and every dispatch — prefill, decode, resume,
+// classify — is charged to its model's share ledger.
 //
 // Elasticity is a SHARED budget: grow/shrink decisions come from the
 // combined backlog (sum of queue depths) plus combined in-flight load via
-// the same hysteresis rule the single-model server uses
-// (sched::elastic_resize_target), and a resize moves every engine to the
-// same device count — the engines stay in lockstep on the shared device
-// set. In-flight slices keep the completion times their dispatch-time
-// mapping scheduled (the resize is seamless, like the single-model
-// server's).
+// the shared hysteresis rule (sched::elastic_resize_target), and a resize
+// moves every engine to the same device count — the engines stay in
+// lockstep on the shared device set. In-flight slices keep the completion
+// times their dispatch-time mapping scheduled (the resize is seamless).
 //
 // Migration is ROLLING: the models' state all-gathers ride the same
 // shared links, so they serialize — most-loaded model first (combined
@@ -64,29 +61,86 @@
 // resume the moment its own state has landed, instead of every model
 // stalling for the sum. The urgent model therefore pays exactly the
 // migration price a dedicated server would have charged it, and the
-// quiet models absorb the queueing. (The single-model Server jumps its
-// clock by the whole migration; with one model the two policies
-// coincide.) A resize is also atomic: no new resize decision fires until
-// the last model has cut over. A mid-stream decode chain stalls during
-// its model's cutover window and resumes at the cutover stamp.
+// quiet models absorb the queueing. A resize is also atomic: no new
+// resize decision fires until the last model has cut over. A mid-stream
+// decode chain stalls during its model's cutover window and resumes at
+// the cutover stamp.
+//
+// ONE MODEL is how Server (serve/server.h) serves: it registers its
+// engine here and forwards every call, so this is the repo's only serving
+// loop. One rule keyed on the model count keeps Server's behaviour. With
+// a single model a resize, grant or kill stalls the whole lease clock
+// for the migration instead of gating dispatch behind a cutover stamp: a
+// kill stamps its requeues after the jump, a resize or grant admits the
+// arrivals its window covered, and a grant returns the clock delta. The
+// exports carry Server's labels: model id -1, "serve." metric names, no
+// share or device-seconds gauges, no cutover markers; batch spans carry
+// their queue depth, and slot counters exist only in continuous mode.
+// The two migration rules are NOT equivalent: once a migration charges a
+// one-model replay, rolling it would move its records.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/engine.h"
 #include "data/dataset.h"
+#include "device/spec.h"
+#include "fault/fault.h"
 #include "sched/lease.h"
 #include "serve/batch_former.h"
 #include "serve/dispatch.h"
 #include "serve/request_queue.h"
-#include "serve/server.h"
 #include "serve/slo_tracker.h"
 #include "serve/slot_ledger.h"
 #include "serve/streaming.h"
 
 namespace vf::serve {
+
+/// Queue-depth-triggered elasticity with hysteresis: grow (double the
+/// device count) when depth reaches `high_watermark`, shrink (halve) when
+/// depth falls to `low_watermark`, never within `cooldown_batches` units
+/// of work (formed batches, or completed slices in continuous mode) of the
+/// previous resize. high > low keeps the loop from oscillating on a
+/// steady queue.
+struct ElasticPolicy {
+  bool enabled = true;
+  std::int64_t high_watermark = 64;
+  std::int64_t low_watermark = 4;
+  std::int64_t min_devices = 1;
+  std::int64_t max_devices = 8;  ///< must not exceed the mapping's VN count
+  DeviceType device = DeviceType::kV100;
+  std::int64_t cooldown_batches = 4;
+};
+
+/// The one coherence check of an ElasticPolicy band, shared by every
+/// server that reads it: min_devices >= 1, max_devices >= min_devices,
+/// max_devices <= `vn_count` (devices beyond the VN count would idle),
+/// high_watermark > low_watermark (hysteresis), cooldown_batches >= 0.
+/// Throws VfError naming the violated rule.
+void validate_elastic_policy(const ElasticPolicy& e, std::int64_t vn_count);
+
+/// One elastic reconfiguration taken during a replay.
+struct ResizeEvent {
+  double time_s = 0.0;  ///< virtual time after the migration completed
+  std::int64_t from_devices = 0;
+  std::int64_t to_devices = 0;
+  std::int64_t queue_depth = 0;   ///< depth that triggered the decision
+  double migration_s = 0.0;       ///< seamless all-gather cost charged
+};
+
+/// One injected fault the replay acted on (or explicitly skipped).
+struct FaultRecord {
+  double time_s = 0.0;          ///< virtual stamp the loop processed it at
+  fault::FaultKind kind = fault::FaultKind::kKill;
+  std::int64_t device = -1;     ///< resolved device slot (kills/stragglers)
+  bool skipped = false;         ///< kill skipped: the set was at one device
+  std::int64_t evicted_slices = 0;    ///< in-flight slices torn off the device
+  std::int64_t requeued_requests = 0; ///< classify/prefill requests requeued
+  double migration_s = 0.0;     ///< VN-remap all-gather charged by the kill
+};
 
 /// Per-model serving configuration within a co-located deployment.
 struct ModelConfig {
@@ -145,10 +199,9 @@ struct ColocationConfig {
   StreamPolicy stream;
 };
 
-/// Serves the registered models (typically 2+; a single model is a legal
-/// degenerate case equivalent to a continuous-mode Server) on one shared
-/// device set. One replay per server, same one-shot contract as the
-/// single-model Server.
+/// Serves the registered models on one shared device set: typically 2+,
+/// or one (Server's case; see the one-model rule above). One replay per
+/// server.
 class ColocatedServer : public sched::DeviceLease {
  public:
   /// All engines must start on identical device counts (they stay in
@@ -165,33 +218,41 @@ class ColocatedServer : public sched::DeviceLease {
   /// devices gauge) under "serve.". Rolling migrations additionally mark a
   /// per-model "cutover" instant at each dispatch_ready_ stamp, and the
   /// arbiter's share virtual time is exported as a per-model gauge — the
-  /// share-starvation signal on the timeline. Recording never perturbs the
-  /// schedule.
+  /// share-starvation signal on the timeline. One model records under
+  /// Server's labels instead (see the file comment). Recording never
+  /// perturbs the schedule.
   void set_observability(obs::Observability obs);
 
-  /// Attaches a fault injector (src/fault/) shared across the co-located
-  /// set: a kill evicts the dead device slot's in-flight slices of EVERY
-  /// model and remaps each engine's VNs onto the survivors as a rolling
-  /// migration (deepest-backlog model first, like perform_resize); see
-  /// Server::set_fault_injector for the per-slice recovery semantics.
-  /// Must be called before replay(); requires continuous mode; the
-  /// injector must outlive the replay.
+  /// Attaches a fault injector (src/fault/) shared across the set, before
+  /// replay(); requires continuous mode; the injector must outlive the
+  /// replay. A kill evicts the dead device slot's in-flight slices of
+  /// EVERY model — classify/prefill requests requeue at the queue head,
+  /// decode chains park and resume from their last landed token — remaps
+  /// each engine's VNs onto the survivors through the same cutover as a
+  /// resize, and caps the elastic budget until a recover; stragglers
+  /// re-apply cost-model slowdowns; comm faults retry the next slice's
+  /// logits return.
   void set_fault_injector(fault::FaultInjector* injector);
 
   /// Replays one open-loop arrival trace per model (indexed by model id,
   /// each ascending in arrival time) to completion, draining every queue.
   /// In continuous mode this is begin(traces); pump(+inf); finish().
-  void replay(const std::vector<std::vector<InferRequest>>& traces);
+  void replay(std::span<const std::vector<InferRequest>> traces);
+  /// Same, for a braced list of traces: replay({trace_a, trace_b}).
+  void replay(const std::vector<std::vector<InferRequest>>& traces) {
+    replay(std::span<const std::vector<InferRequest>>(traces));
+  }
 
   // ---- Cluster-governed stepping (the sched::DeviceLease protocol) ----
   //
-  // A co-located deployment is ONE lease: the ClusterController sizes the
-  // shared device set as a unit and the internal arbiter keeps splitting
-  // it between the co-tenants. See Server for the per-method contracts;
-  // the differences here are the combined load signal (sum of queues and
-  // in-flight, worst relative deadline pressure picks the reported SLO)
-  // and the rolling-migration grant (apply_grant returns the total
-  // serialized migration charge; each model cuts over at its own stamp).
+  // The ClusterController (sched/cluster.h) drives a server through
+  // begin()/pump()/apply_grant() instead of the self-driving replay(): the
+  // internal elastic loop is off — the cluster policy owns sizing, with
+  // the ElasticPolicy watermarks and min/max demoted to the load()
+  // signal's advisory band — and the device set changes only when a grant
+  // arrives, through the same cutover the self-driving loop uses. A
+  // co-located deployment is ONE lease: the controller sizes the shared
+  // set as a unit and the arbiter keeps splitting it between the tenants.
 
   /// Switches to cluster governance (before begin()): disables the shared
   /// internal elastic loop and enables apply_grant(). Requires continuous
@@ -201,18 +262,27 @@ class ColocatedServer : public sched::DeviceLease {
   /// Opens the per-model traces for externally-pumped stepping
   /// (continuous mode only; validation matches replay(); one begin per
   /// server). The traces must outlive the stepping run.
-  void begin(const std::vector<std::vector<InferRequest>>& traces);
+  void begin(std::span<const std::vector<InferRequest>> traces);
 
+  /// Processes every internal event due at or before `horizon_s` (slice
+  /// completions, arrivals, faults, timeouts, cutovers) and, when work
+  /// remains, advances the clock to `horizon_s` so a grant applied next is
+  /// stamped at controller time. `horizon_s = +inf` runs to the drain.
   void pump(double horizon_s) override;
   double next_event_s() const override;
+  /// Combined signal: sum of queues and in-flight; the model under the
+  /// worst relative deadline pressure supplies the reported SLO terms.
   sched::LoadSignal load() const override;
-  /// Resizes the shared set to `devices` through perform_resize (rolling
-  /// migration). Returns the total serialized migration seconds.
+  /// Resizes the shared set to `devices` through the cutover. Returns the
+  /// total serialized migration seconds (one model: the clock delta).
   double apply_grant(std::int64_t devices) override;
+  /// True once every trace is exhausted and every queue, slot and parked
+  /// stream is empty — and stays true after replay() returns.
   bool drained() const override;
 
   /// Exports the per-model SLO summaries + devices gauge to the attached
-  /// metrics registry (idempotent). replay() calls it at the drain.
+  /// metrics registry (idempotent). replay() calls it at the drain;
+  /// cluster runs call it when the lease retires.
   void finish();
 
   double now_s() const { return clock_; }
@@ -265,6 +335,8 @@ class ColocatedServer : public sched::DeviceLease {
     std::size_t next_arrival = 0;
   };
 
+  /// Validates and opens `traces` (one-shot; both modes).
+  void open(std::span<const std::vector<InferRequest>> traces);
   void replay_batch_boundary();
 
   // Continuous-mode transitions (one pump iteration = admit, complete,
@@ -289,10 +361,19 @@ class ColocatedServer : public sched::DeviceLease {
   std::int64_t classify_prefix(const ModelState& st, std::int64_t cap) const;
   /// Combined resize decision + lockstep execution (both modes).
   void resize_if_needed(std::int64_t combined_inflight);
-  /// Executes a decided resize as a rolling migration: engines cut over
-  /// to `target` devices serially (deepest combined backlog first, model
-  /// id tie-break); model m's dispatches resume at dispatch_ready_[m].
-  void perform_resize(std::int64_t target, std::int64_t depth);
+  /// Executes a decided resize (or grant) to `target` devices through
+  /// cut_over, with its "resize" marker and grow/shrink counter.
+  void perform_resize(std::int64_t target);
+  /// The one rolling cutover behind every change of the shared set: each
+  /// engine moves to `to_devices` (resize) or loses device slot `dead`
+  /// (kill, when >= 0), deepest `backlog` first with model id breaking
+  /// ties; the all-gathers serialize from the later of the clock and any
+  /// cutover still pending, and model m dispatches again at
+  /// dispatch_ready_[m] ("cutover" markers). One model jumps the clock to
+  /// its cutover instead. Records the ResizeEvent (depth = summed backlog)
+  /// and returns the migration seconds.
+  double cut_over(std::int64_t to_devices, std::int64_t dead,
+                  const std::vector<std::int64_t>& backlog);
   /// True while a rolling migration is still cutting models over.
   bool migration_in_progress() const;
   /// Smallest VN count across the registered models: the elastic ceiling
@@ -301,14 +382,19 @@ class ColocatedServer : public sched::DeviceLease {
   /// Dispatches one slice of model `m` onto its lowest free VN slot: a
   /// prefill when a stream heads the queue, a classify slice otherwise.
   void dispatch_slice(std::int32_t m);
-  /// Executes one formed batch of model `m` on the full device set.
-  void execute_model_batch(std::int32_t m, std::int64_t take);
+
+  // The one-model rule's switch and labels (see the file comment).
+  bool one_model() const { return models_.size() == 1; }
+  std::int32_t label(std::int32_t m) const { return one_model() ? -1 : m; }
+  std::string metrics_prefix(std::int32_t m) const;
 
   ModelRegistry& registry_;
   ColocationConfig config_;
   std::vector<ModelState> models_;
-  /// The traces being replayed; set for the duration of replay() only.
-  const std::vector<std::vector<InferRequest>>* traces_ = nullptr;
+  /// The opened traces, one per model (empty before begin()/replay()).
+  /// Kept after replay() so drained() holds; after the drain only their
+  /// sizes are read, so a replayed trace may already be gone.
+  std::vector<std::span<const InferRequest>> traces_;
 
   double clock_ = 0.0;
   /// Per-device busy horizon on the shared set; devices serialize slices

@@ -1,11 +1,10 @@
 // SliceDispatcher: the one engine-facing dispatch path of vf::serve.
 //
-// The single-model Server and the multi-model ColocatedServer used to
-// carry two copies of the same three bodies — gather-features/infer/price
+// The three engine-facing bodies of serving — gather-features/infer/price
 // for a continuous slice, the formed-batch execution of batch-boundary
-// mode, and the per-request completion recording — and the copies drifted
-// by exactly one forgotten edit per PR. This header is the dedupe: both
-// servers own a SliceDispatcher per engine and the bodies live once.
+// mode, and the per-request completion recording — live here once; the
+// serving loop (ColocatedServer, which Server fronts) owns one
+// SliceDispatcher per engine.
 //
 // Everything here is virtual-clock pure (same determinism contract as the
 // rest of vf::serve): a dispatch consumes the caller's clock and per-device

@@ -1,10 +1,17 @@
-// vf::serve::Server — deadline-aware inference serving on virtual nodes.
-//
-// Pipeline (one virtual-clock event loop):
+// vf::serve::Server — deadline-aware inference serving of ONE model on
+// virtual nodes.
 //
 //   arrival trace ──> RequestQueue ──> batching ──> engine.infer ──> SloTracker
 //        (open loop)   (bounded,        (two modes,    (forward-only     (p50/p95/p99,
 //                       backpressure)    below)          on VNs)           deadlines)
+//
+// Server is a facade: it registers its one engine in a ModelRegistry and
+// forwards every call to a ColocatedServer (serve/colocation.h), whose
+// event loop is the only serving loop in the repo. Serving one model is
+// the one-tenant case of several models sharing a device set; the loop's
+// one-model rule (see colocation.h) keeps this class's behaviour, labels
+// and exports: a migration stalls the whole clock, the trace carries
+// model id -1, and metrics live under "serve.".
 //
 // Two batching modes, selected by ServerConfig::continuous:
 //
@@ -25,64 +32,27 @@
 // StreamPolicy::disaggregate the scheduler may pause a stream at a token
 // boundary to lend its slot to a queued prefill — see serve/streaming.h.
 //
-// plus the elasticity loop the paper built for training: when queue depth
-// crosses hysteresis watermarks the server calls the engine's seamless
-// resize(), growing or shrinking the device set under the *same* virtual
-// nodes. In continuous mode the resize is as seamless as the paper's:
-// in-flight slices keep the completion times the old mapping scheduled
-// (compute is never interrupted), and the migration charge delays only
-// subsequent dispatches.
+// Elasticity: when queue plus in-flight load crosses hysteresis
+// watermarks the server calls the engine's seamless resize(), growing or
+// shrinking the device set under the *same* virtual nodes. In-flight
+// slices keep the completion times the old mapping scheduled (compute is
+// never interrupted), and the migration charge delays only subsequent
+// dispatches.
 //
 // Determinism contract: a replay is a pure function of (trace, policies,
-// engine construction). Arrival stamps come from the seeded trace, service
-// times from the analytic cost model, batch/slice boundaries from the FIFO
-// prefix policy (admission FIFO by request id, slots claimed in ascending
-// VN-id order, completions processed in (time, VN id) order) — host worker
-// count (EngineConfig::num_threads) can change wall-clock speed but not
-// one bit of the records. bench_serving and tests/serve/ verify this
-// across num_threads in {0, 2, 8} for both modes.
+// engine construction) — host worker count (EngineConfig::num_threads)
+// can change wall-clock speed but not one bit of the records.
+// bench_serving and tests/serve/ verify this across num_threads in
+// {0, 2, 8} for both modes.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <vector>
 
-#include "core/engine.h"
-#include "data/dataset.h"
-#include "device/spec.h"
-#include "fault/fault.h"
-#include "sched/lease.h"
-#include "serve/batch_former.h"
-#include "serve/dispatch.h"
-#include "serve/request_queue.h"
-#include "serve/slo_tracker.h"
-#include "serve/slot_ledger.h"
-#include "serve/streaming.h"
+#include "serve/colocation.h"
 
 namespace vf::serve {
-
-/// Queue-depth-triggered elasticity with hysteresis: grow (double the
-/// device count) when depth reaches `high_watermark`, shrink (halve) when
-/// depth falls to `low_watermark`, never within `cooldown_batches` units
-/// of work (formed batches, or completed slices in continuous mode) of the
-/// previous resize. high > low keeps the loop from oscillating on a
-/// steady queue.
-struct ElasticPolicy {
-  bool enabled = true;
-  std::int64_t high_watermark = 64;
-  std::int64_t low_watermark = 4;
-  std::int64_t min_devices = 1;
-  std::int64_t max_devices = 8;  ///< must not exceed the mapping's VN count
-  DeviceType device = DeviceType::kV100;
-  std::int64_t cooldown_batches = 4;
-};
-
-/// The one coherence check of an ElasticPolicy band, shared by every
-/// server that reads it: min_devices >= 1, max_devices >= min_devices,
-/// max_devices <= `vn_count` (devices beyond the VN count would idle),
-/// high_watermark > low_watermark (hysteresis), cooldown_batches >= 0.
-/// Throws VfError naming the violated rule.
-void validate_elastic_policy(const ElasticPolicy& e, std::int64_t vn_count);
 
 struct ServerConfig {
   std::int64_t queue_capacity = 1024;
@@ -111,28 +81,8 @@ struct ServerConfig {
   bool shed_expired = false;
 };
 
-/// One elastic reconfiguration taken during a replay.
-struct ResizeEvent {
-  double time_s = 0.0;  ///< virtual time after the migration completed
-  std::int64_t from_devices = 0;
-  std::int64_t to_devices = 0;
-  std::int64_t queue_depth = 0;   ///< depth that triggered the decision
-  double migration_s = 0.0;       ///< seamless all-gather cost charged
-};
-
-/// One injected fault the replay acted on (or explicitly skipped).
-struct FaultRecord {
-  double time_s = 0.0;          ///< virtual stamp the loop processed it at
-  fault::FaultKind kind = fault::FaultKind::kKill;
-  std::int64_t device = -1;     ///< resolved device slot (kills/stragglers)
-  bool skipped = false;         ///< kill skipped: the set was at one device
-  std::int64_t evicted_slices = 0;    ///< in-flight slices torn off the device
-  std::int64_t requeued_requests = 0; ///< classify/prefill requests requeued
-  double migration_s = 0.0;     ///< VN-remap all-gather charged by the kill
-};
-
-// BatchEvent lives in serve/dispatch.h (shared with the SliceDispatcher
-// that produces them); included above.
+// ElasticPolicy, ResizeEvent and FaultRecord live in serve/colocation.h,
+// BatchEvent in serve/dispatch.h (which colocation.h includes).
 
 class Server : public sched::DeviceLease {
  public:
@@ -141,9 +91,9 @@ class Server : public sched::DeviceLease {
   /// must outlive the server.
   Server(VirtualFlowEngine& engine, const Dataset& request_pool, ServerConfig config);
 
-  /// Non-copyable, non-movable: the queue's reject observer holds a
-  /// back-pointer to this server's tracker, which a copy or move would
-  /// leave dangling at the original address.
+  /// Non-copyable, non-movable: the loop holds a reference to this
+  /// server's registry, which a copy or move would leave dangling at the
+  /// original address.
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
@@ -155,7 +105,7 @@ class Server : public sched::DeviceLease {
   /// exports the SLO summary as gauges when the replay drains. Recording
   /// never perturbs the schedule — records are bit-identical with sinks
   /// attached or not (bench_serving gates this).
-  void set_observability(obs::Observability obs);
+  void set_observability(obs::Observability obs) { loop_.set_observability(obs); }
 
   /// Attaches a fault injector (src/fault/) whose events the continuous
   /// replay loop processes at their virtual stamps: kills evict the dead
@@ -166,12 +116,15 @@ class Server : public sched::DeviceLease {
   /// cost-model slowdowns; comm faults retry the next slice's logits
   /// return. Must be called before replay(); requires continuous mode; the
   /// injector must outlive the replay.
-  void set_fault_injector(fault::FaultInjector* injector);
+  void set_fault_injector(fault::FaultInjector* injector) {
+    loop_.set_fault_injector(injector);
+  }
 
   /// Replays an open-loop arrival trace (ascending arrival order) to
-  /// completion, draining the queue. One replay per Server. Implemented
-  /// on the stepping machinery below: begin(trace); pump(+inf); finish().
-  void replay(const std::vector<InferRequest>& trace);
+  /// completion, draining the queue. One replay per Server; the server
+  /// reports drained() afterwards. In continuous mode this is
+  /// begin(trace); pump(+inf); finish().
+  void replay(const std::vector<InferRequest>& trace) { loop_.replay(one(trace)); }
 
   // ---- Cluster-governed stepping (the sched::DeviceLease protocol) ----
   //
@@ -180,115 +133,53 @@ class Server : public sched::DeviceLease {
   // the internal elastic loop is off — the cluster policy owns sizing,
   // with the ElasticPolicy watermarks and min/max demoted to the load()
   // signal's advisory band — and the device set changes only when a
-  // grant arrives. The seamless-resize machinery underneath is the same
-  // one the self-driving loop uses (perform_resize).
+  // grant arrives, through the same seamless resize the self-driving
+  // loop uses.
 
   /// Switches the server to cluster governance (before begin()):
-  /// disables the internal elastic_resize_target loop and enables
-  /// apply_grant(). Requires continuous batching and validates the
-  /// ElasticPolicy band fields (they parameterize load()) regardless of
-  /// `elastic.enabled`.
-  void set_cluster_governed();
+  /// disables the internal elastic loop and enables apply_grant().
+  /// Requires continuous batching and validates the ElasticPolicy band
+  /// fields (they parameterize load()) regardless of `elastic.enabled`.
+  void set_cluster_governed() { loop_.set_cluster_governed(); }
 
   /// Opens `trace` for externally-pumped stepping (continuous mode
   /// only; validation matches replay(); one begin per Server). The trace
   /// must outlive the stepping run.
-  void begin(const std::vector<InferRequest>& trace);
+  void begin(const std::vector<InferRequest>& trace) { loop_.begin(one(trace)); }
 
   /// Processes every internal event due at or before `horizon_s` (slice
   /// completions, arrivals, faults, timeouts) and, when work remains,
   /// advances the clock to `horizon_s` so a grant applied next is
   /// stamped at controller time. `horizon_s = +inf` runs to the drain.
-  void pump(double horizon_s) override;
-  double next_event_s() const override;
-  sched::LoadSignal load() const override;
-  /// Resizes to `devices` through perform_resize (seamless migration,
-  /// ResizeEvent record, obs markers). Returns the migration seconds.
-  double apply_grant(std::int64_t devices) override;
-  bool drained() const override;
+  void pump(double horizon_s) override { loop_.pump(horizon_s); }
+  double next_event_s() const override { return loop_.next_event_s(); }
+  sched::LoadSignal load() const override { return loop_.load(); }
+  /// Resizes to `devices` (seamless migration, ResizeEvent record, obs
+  /// markers); the clock stalls for the migration and the arrivals it
+  /// covered are admitted. Returns the clock delta.
+  double apply_grant(std::int64_t devices) override { return loop_.apply_grant(devices); }
+  bool drained() const override { return loop_.drained(); }
 
   /// Exports the SLO summary + devices gauge to the attached metrics
   /// registry (idempotent). replay() calls it at the drain; cluster runs
   /// call it when the lease retires.
-  void finish();
+  void finish() { loop_.finish(); }
 
-  double now_s() const { return clock_; }
-  const SloTracker& slo() const { return tracker_; }
-  const RequestQueue& queue() const { return queue_; }
-  const std::vector<ResizeEvent>& resizes() const { return resizes_; }
-  const std::vector<BatchEvent>& batches() const { return batches_; }
-  const std::vector<FaultRecord>& faults() const { return faults_; }
+  double now_s() const { return loop_.now_s(); }
+  const SloTracker& slo() const { return loop_.slo(0); }
+  const RequestQueue& queue() const { return loop_.queue(0); }
+  const std::vector<ResizeEvent>& resizes() const { return loop_.resizes(); }
+  const std::vector<BatchEvent>& batches() const { return loop_.batches(); }
+  const std::vector<FaultRecord>& faults() const { return loop_.faults(); }
 
  private:
-  /// Continuous-mode in-flight state, created by begin() and alive for
-  /// the whole stepping run. Holding it as a member (rather than locals
-  /// of a closed replay loop) is what lets the ClusterController pump the
-  /// replay between grants.
-  struct Flight {
-    const std::vector<InferRequest>* trace;
-    SlotLedger ledger;
-    TokenStreamer streamer;
-    /// Per-device serialization horizon, indexed by device id under the
-    /// current mapping; rebuilt after every resize.
-    std::vector<double> device_free;
-    std::size_t next_arrival = 0;
-    /// Streams whose slice finished this instant and want another token;
-    /// drained within the same event-loop iteration.
-    std::vector<std::int32_t> continuations;
+  /// `trace` as the loop's one-model trace set.
+  static std::span<const std::vector<InferRequest>> one(const std::vector<InferRequest>& trace) {
+    return {&trace, 1};
+  }
 
-    Flight(const std::vector<InferRequest>& t, std::int64_t vns,
-           std::int64_t pool_size, std::size_t devices)
-        : trace(&t), ledger(vns), streamer(vns, pool_size),
-          device_free(devices, 0.0) {}
-  };
-
-  void replay_batch_boundary(const std::vector<InferRequest>& trace);
-  void execute_batch(std::int64_t take);
-  void maybe_resize();
-  /// Executes a decided resize to `target` devices: seamless migration on
-  /// the engine, clock charge, event record, cooldown reset. `depth` is
-  /// the queue depth that triggered the decision.
-  void perform_resize(std::int64_t target, std::int64_t depth);
-
-  // Continuous-mode transitions (one pump iteration = admit, complete,
-  // faults, elastic decision, dispatch phases; see pump()).
-  void admit_up_to_clock();
-  void finalize_span_depth();
-  void complete_due();
-  void process_faults_due();
-  void resize_if_needed();
-  void try_dispatch();
-  void readmit_continuations();
-  void try_resumes();
-  double next_event_internal() const;
-
-  VirtualFlowEngine& engine_;
-  const Dataset& request_pool_;
-  ServerConfig config_;
-  RequestQueue queue_;
-  BatchFormer former_;
-  SloTracker tracker_;
-
-  /// The shared engine-facing dispatch path (gather/infer/price scratch
-  /// lives there, reused dispatch after dispatch).
-  SliceDispatcher dispatcher_;
-
-  /// Observability sinks (null = off); see set_observability.
-  obs::Observability obs_;
-
-  /// Fault injector (null = no faults); see set_fault_injector.
-  fault::FaultInjector* injector_ = nullptr;
-
-  double clock_ = 0.0;
-  /// Work units (batches or slices) since the last resize; cooldown gate.
-  std::int64_t work_since_resize_ = 0;
-  bool replayed_ = false;
-  bool cluster_governed_ = false;
-  bool finished_ = false;
-  std::unique_ptr<Flight> flight_;
-  std::vector<ResizeEvent> resizes_;
-  std::vector<BatchEvent> batches_;
-  std::vector<FaultRecord> faults_;
+  ModelRegistry registry_;  ///< the one model; outlives loop_ (declared first)
+  ColocatedServer loop_;
 };
 
 }  // namespace vf::serve

@@ -34,13 +34,13 @@ struct SliceSchedule {
   bool warm = false;       ///< amortized dispatch (device was mid-pass)
 };
 
-/// The warm/cold dispatch pricing rule shared by the single-model Server
-/// and the multi-model ColocatedServer (one definition so the two price
-/// models can never silently diverge): a slice landing on a device that
-/// is still mid-pass (`device_free_s > now_s`) pipelines behind it — the
-/// per-dispatch framework overhead hides under the running pass and only
-/// the forward time is charged; a cold dispatch (idle device) pays the
-/// full overhead. Pure function of virtual-clock state.
+/// The warm/cold dispatch pricing rule of every serving dispatch (one
+/// definition, so no path can price differently): a slice landing on a
+/// device that is still mid-pass (`device_free_s > now_s`) pipelines
+/// behind it — the per-dispatch framework overhead hides under the
+/// running pass and only the forward time is charged; a cold dispatch
+/// (idle device) pays the full overhead. Pure function of virtual-clock
+/// state.
 inline SliceSchedule price_slice_dispatch(double now_s, double device_free_s,
                                           const SliceCost& cost) {
   SliceSchedule s;

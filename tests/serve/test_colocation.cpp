@@ -4,6 +4,7 @@
 // across host worker counts in BOTH batching modes.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "serve/arrival.h"
@@ -490,6 +491,27 @@ TEST(Colocation, RejectsRegistryGrowthAfterConstruction) {
                      poisson_trace(kSeed, 100.0, 5, rig_b.task.val->size()),
                      poisson_trace(kSeed, 100.0, 5, rig_b.task.val->size())}),
       VfError);
+}
+
+TEST(Colocation, ReplayLeavesTheServerDrained) {
+  // replay() runs the traces to the drain, and the server must say so
+  // afterwards — drained() true, no event left — in both modes, exactly
+  // as the single-model Server on this loop reports.
+  for (const bool continuous : {true, false}) {
+    Rig rig_a = make_rig("mrpc-sim");
+    Rig rig_b = make_rig("cola-sim");
+    VirtualFlowEngine eng_a = make_engine(rig_a, 1, 0);
+    VirtualFlowEngine eng_b = make_engine(rig_b, 1, 0);
+    ModelRegistry registry;
+    registry.add(eng_a, *rig_a.task.val, model_config("a"));
+    registry.add(eng_b, *rig_b.task.val, model_config("b"));
+    ColocatedServer server(registry, colo_config(continuous));
+    EXPECT_FALSE(server.drained()) << "nothing opened yet";
+    server.replay(staggered_traces(*rig_a.task.val, *rig_b.task.val));
+    EXPECT_TRUE(server.drained()) << "continuous=" << continuous;
+    EXPECT_EQ(server.next_event_s(), std::numeric_limits<double>::infinity())
+        << "continuous=" << continuous;
+  }
 }
 
 TEST(Colocation, ReplayIsOneShot) {

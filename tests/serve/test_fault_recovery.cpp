@@ -262,8 +262,11 @@ TEST(FaultRecovery, ExpiredRequestsShedAtAdmissionWhenOptedIn) {
       << "sheds are a subset of rejections";
   // A shed request's record carries no queue wait credit: it was bounced
   // at admission, stamped at the bounce.
-  for (const RequestRecord& r : server.slo().records())
-    if (r.rejected) EXPECT_DOUBLE_EQ(r.finish_s, r.dispatch_s) << r.id;
+  for (const RequestRecord& r : server.slo().records()) {
+    if (r.rejected) {
+      EXPECT_DOUBLE_EQ(r.finish_s, r.dispatch_s) << r.id;
+    }
+  }
 }
 
 TEST(FaultRecovery, FaultedReplayBitIdenticalAcrossWorkerCounts) {
