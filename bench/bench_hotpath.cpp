@@ -8,11 +8,13 @@
 //      shape (no tier may change one bit) and the backend factory's
 //      per-shape dispatch decision printed per row ("vector" = the AVX2
 //      kernel served; "isa"/"narrow-n" = a fallback did — see
-//      tensor/backend.h for the rule names). On large shapes
-//      (>= 8 MFLOP) the simd tier must beat blocked by
-//      --min-simd-speedup (default 1.5x, smoke 1.2x) whenever the
-//      vector ISA is live; hosts without AVX2 skip the gate and report
-//      the fallback tier honestly.
+//      tensor/backend.h for the rule names). The three tiers are timed
+//      in kKernelRounds interleaved rounds and every figure is the
+//      per-tier median, so a burst of host load skews one round, not
+//      one tier. On large shapes (>= 8 MFLOP) the median simd time must
+//      beat the median blocked time by --min-simd-speedup (default
+//      1.5x, smoke 1.2x) whenever the vector ISA is live; hosts without
+//      AVX2 skip the gate and report the fallback tier honestly.
 //   2. End-to-end step time: the same training job run three times —
 //      "reference" arm: reference kernels + allocate-per-use workspaces
 //      (VF_WORKSPACE_REUSE=0 semantics), i.e. the pre-optimization hot
@@ -39,6 +41,7 @@
 #include "obs/trace.h"
 #include "tensor/backend.h"
 #include "tensor/kernels.h"
+#include "util/stats.h"
 
 using namespace vf;
 using vf::bench::Flags;
@@ -51,6 +54,10 @@ double now_s() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+/// Interleaved timing rounds per kernel shape (reference, blocked, simd
+/// in turn each round).
+constexpr int kKernelRounds = 5;
 
 struct KernelCase {
   const char* op;  // "matmul", "tl", "tr"
@@ -184,7 +191,9 @@ int main(int argc, char** argv) {
         {"matmul", 256, 256, 256},         // beyond-L1 square
     };
 
-    std::printf("  per-kernel throughput (GFLOP/s), reference vs blocked vs simd:\n");
+    std::printf("  per-kernel throughput (GFLOP/s, median of %d interleaved rounds), "
+                "reference vs blocked vs simd:\n",
+                kKernelRounds);
     Table table({"kernel", "m", "k", "n", "reference", "blocked", "simd",
                  "simd/blk", "tier", "bit-identical"});
     CounterRng rng(seed, /*stream=*/0xBE7C4);
@@ -203,8 +212,8 @@ int main(int argc, char** argv) {
                            static_cast<double>(c.k) * static_cast<double>(c.n);
       const auto reps = std::max<std::int64_t>(
           1, static_cast<std::int64_t>((flags.smoke() ? 2e7 : 2e8) / flops));
-      // Which tier actually serves VF_KERNELS=simd here, and under which
-      // factory rule (tensor/backend.h).
+      // Which tier actually serves the simd mode (the default) here, and
+      // under which factory rule (tensor/backend.h).
       const backend::KernelOp bop =
           op == "matmul" ? backend::KernelOp::kMatmul
           : op == "tl"   ? backend::KernelOp::kMatmulTransposeLhs
@@ -216,9 +225,15 @@ int main(int argc, char** argv) {
       time_kernel(c, KernelMode::kSimd, a, b, out_simd, 1);
       const bool identical = out_ref.equals(out_blk) && out_ref.equals(out_simd);
       ok &= identical;
-      const double ref_s = time_kernel(c, KernelMode::kReference, a, b, out_ref, reps);
-      const double blk_s = time_kernel(c, KernelMode::kBlocked, a, b, out_blk, reps);
-      const double simd_s = time_kernel(c, KernelMode::kSimd, a, b, out_simd, reps);
+      std::vector<double> ref_t, blk_t, simd_t;
+      for (int round = 0; round < kKernelRounds; ++round) {
+        ref_t.push_back(time_kernel(c, KernelMode::kReference, a, b, out_ref, reps));
+        blk_t.push_back(time_kernel(c, KernelMode::kBlocked, a, b, out_blk, reps));
+        simd_t.push_back(time_kernel(c, KernelMode::kSimd, a, b, out_simd, reps));
+      }
+      const double ref_s = median(ref_t);
+      const double blk_s = median(blk_t);
+      const double simd_s = median(simd_t);
       const double ref_gf = flops / ref_s / 1e9;
       const double blk_gf = flops / blk_s / 1e9;
       const double simd_gf = flops / simd_s / 1e9;
@@ -246,8 +261,8 @@ int main(int argc, char** argv) {
       report.add("kernel." + op + "." + shape + ".simd", simd_gf, "GFLOP/s");
     }
     table.print(std::cout);
-    std::printf("  (tier = backend-factory rule serving VF_KERNELS=simd for that "
-                "shape; * = simd speedup gated)\n");
+    std::printf("  (tier = backend-factory rule serving the default simd mode for "
+                "that shape; * = simd speedup gated)\n");
     if (factory.simd_available()) {
       std::printf("  simd-over-blocked on gated shapes >= %.2fx: %s\n",
                   min_simd_speedup,

@@ -555,8 +555,9 @@ InferStats VirtualFlowEngine::infer(const std::vector<InferSlice>& slices) {
   infer_seen_.assign(static_cast<std::size_t>(mapping_.total_vns()), false);
   for (const InferSlice& s : slices) {
     check_index(s.vn, mapping_.total_vns(), "virtual node");
-    check(!infer_seen_[static_cast<std::size_t>(s.vn)],
-          "infer: virtual node " + std::to_string(s.vn) + " appears twice");
+    check(!infer_seen_[static_cast<std::size_t>(s.vn)], [&] {
+      return "infer: virtual node " + std::to_string(s.vn) + " appears twice";
+    });
     infer_seen_[static_cast<std::size_t>(s.vn)] = true;
     check(s.features.rank() == 2 && s.features.rows() > 0,
           "infer slice features must be a non-empty [count x dim] matrix");

@@ -9,14 +9,15 @@ Tensor& VnState::slot(const std::string& key, const std::vector<std::int64_t>& s
   if (it == slots_.end()) {
     it = slots_.emplace(key, Tensor(shape)).first;
   } else {
-    check(it->second.shape() == shape, "VnState slot '" + key + "' shape mismatch");
+    check(it->second.shape() == shape,
+          [&] { return "VnState slot '" + key + "' shape mismatch"; });
   }
   return it->second;
 }
 
 const Tensor& VnState::get(const std::string& key) const {
   auto it = slots_.find(key);
-  check(it != slots_.end(), "VnState slot '" + key + "' not found");
+  check(it != slots_.end(), [&] { return "VnState slot '" + key + "' not found"; });
   return it->second;
 }
 

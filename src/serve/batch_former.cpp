@@ -25,9 +25,10 @@ double BatchFormer::timeout_deadline_s(const RequestQueue& q) const {
 std::vector<VnPack> BatchFormer::pack(std::int64_t count,
                                       const VnMapping& mapping) const {
   check(count > 0, "cannot pack an empty batch");
-  check(count <= mapping.global_batch(),
-        "batch of " + std::to_string(count) + " exceeds serving capacity " +
-            std::to_string(mapping.global_batch()));
+  check(count <= mapping.global_batch(), [&] {
+    return "batch of " + std::to_string(count) + " exceeds serving capacity " +
+           std::to_string(mapping.global_batch());
+  });
   std::vector<VnPack> packs;
   std::int64_t next = 0;
   for (std::int32_t vn = 0; vn < mapping.total_vns() && next < count; ++vn) {

@@ -48,8 +48,10 @@ void RequestQueue::push_front(const InferRequest& r) {
 }
 
 std::vector<InferRequest> RequestQueue::pop(std::int64_t n) {
-  check(n >= 0 && n <= size(), "pop count " + std::to_string(n) +
-                                   " exceeds queue depth " + std::to_string(size()));
+  check(n >= 0 && n <= size(), [&] {
+    return "pop count " + std::to_string(n) + " exceeds queue depth " +
+           std::to_string(size());
+  });
   std::vector<InferRequest> out;
   out.reserve(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) {

@@ -29,7 +29,7 @@ double SlotLedger::earliest_done_s() const {
 void SlotLedger::admit(std::int32_t vn, Slot slot) {
   check_index(vn, total_slots(), "virtual-node slot");
   Slot& dst = slots_[static_cast<std::size_t>(vn)];
-  check(!dst.busy, "admit into busy slot VN " + std::to_string(vn));
+  check(!dst.busy, [&] { return "admit into busy slot VN " + std::to_string(vn); });
   check(!slot.requests.empty(), "an admitted slice holds at least one request");
   check(slot.dispatch_s <= slot.done_s, "slice completes before its dispatch");
   slot.busy = true;
@@ -56,7 +56,7 @@ std::vector<std::int32_t> SlotLedger::due(double now_s) const {
 Slot SlotLedger::complete(std::int32_t vn) {
   check_index(vn, total_slots(), "virtual-node slot");
   Slot& s = slots_[static_cast<std::size_t>(vn)];
-  check(s.busy, "complete on free slot VN " + std::to_string(vn));
+  check(s.busy, [&] { return "complete on free slot VN " + std::to_string(vn); });
   Slot out = std::move(s);
   s = Slot{};
   --busy_;
@@ -68,11 +68,12 @@ Slot SlotLedger::complete(std::int32_t vn) {
 Slot SlotLedger::readmit(std::int32_t vn, Slot next) {
   check_index(vn, total_slots(), "virtual-node slot");
   Slot& s = slots_[static_cast<std::size_t>(vn)];
-  check(s.busy, "readmit on free slot VN " + std::to_string(vn));
+  check(s.busy, [&] { return "readmit on free slot VN " + std::to_string(vn); });
   check(!next.requests.empty(), "an admitted slice holds at least one request");
   check(next.dispatch_s <= next.done_s, "slice completes before its dispatch");
-  check(s.done_s <= next.dispatch_s,
-        "readmit into VN " + std::to_string(vn) + " before its slice finished");
+  check(s.done_s <= next.dispatch_s, [&] {
+    return "readmit into VN " + std::to_string(vn) + " before its slice finished";
+  });
   Slot out = std::move(s);
   inflight_ += static_cast<std::int64_t>(next.requests.size()) -
                static_cast<std::int64_t>(out.requests.size());
@@ -86,7 +87,7 @@ Slot SlotLedger::readmit(std::int32_t vn, Slot next) {
 Slot SlotLedger::evict(std::int32_t vn) {
   check_index(vn, total_slots(), "virtual-node slot");
   Slot& s = slots_[static_cast<std::size_t>(vn)];
-  check(s.busy, "evict on free slot VN " + std::to_string(vn));
+  check(s.busy, [&] { return "evict on free slot VN " + std::to_string(vn); });
   Slot out = std::move(s);
   s = Slot{};
   --busy_;

@@ -27,8 +27,9 @@ Slot TokenStreamer::prefill(SliceDispatcher& dispatcher, std::int32_t vn,
                             double now_s, std::vector<double>& device_free,
                             InferRequest r) {
   check_index(vn, static_cast<std::int64_t>(seq_.size()), "virtual-node slot");
-  check(!live_[static_cast<std::size_t>(vn)],
-        "prefill into VN " + std::to_string(vn) + " already hosting a stream");
+  check(!live_[static_cast<std::size_t>(vn)], [&] {
+    return "prefill into VN " + std::to_string(vn) + " already hosting a stream";
+  });
   check(is_stream(r), "prefill needs a stream request (stream_tokens > 0)");
   check(r.prompt_tokens >= 1, "a stream needs at least one prompt token");
 
@@ -48,8 +49,9 @@ Slot TokenStreamer::prefill(SliceDispatcher& dispatcher, std::int32_t vn,
 
 bool TokenStreamer::absorb(std::int32_t vn, const Slot& done) {
   check_index(vn, static_cast<std::int64_t>(seq_.size()), "virtual-node slot");
-  check(live_[static_cast<std::size_t>(vn)],
-        "absorb on VN " + std::to_string(vn) + " with no live stream");
+  check(live_[static_cast<std::size_t>(vn)], [&] {
+    return "absorb on VN " + std::to_string(vn) + " with no live stream";
+  });
   check(done.kind != SliceKind::kClassify, "absorb expects a stream slice");
   SequenceState& s = seq_[static_cast<std::size_t>(vn)];
   // Greedy sampling: the slice's last logits row argmax is the token. For
@@ -69,8 +71,9 @@ Slot TokenStreamer::next_decode(SliceDispatcher& dispatcher, std::int32_t vn,
                                 double now_s,
                                 std::vector<double>& device_free) {
   check_index(vn, static_cast<std::int64_t>(seq_.size()), "virtual-node slot");
-  check(live_[static_cast<std::size_t>(vn)],
-        "decode on VN " + std::to_string(vn) + " with no live stream");
+  check(live_[static_cast<std::size_t>(vn)], [&] {
+    return "decode on VN " + std::to_string(vn) + " with no live stream";
+  });
   const SequenceState& s = seq_[static_cast<std::size_t>(vn)];
   return dispatcher.dispatch_rows(vn, SliceKind::kDecode, now_s, device_free,
                                   {s.request}, {feature_row(s)});
@@ -78,8 +81,9 @@ Slot TokenStreamer::next_decode(SliceDispatcher& dispatcher, std::int32_t vn,
 
 void TokenStreamer::pause(std::int32_t vn) {
   check_index(vn, static_cast<std::int64_t>(seq_.size()), "virtual-node slot");
-  check(live_[static_cast<std::size_t>(vn)],
-        "pause on VN " + std::to_string(vn) + " with no live stream");
+  check(live_[static_cast<std::size_t>(vn)], [&] {
+    return "pause on VN " + std::to_string(vn) + " with no live stream";
+  });
   paused_.push_back(std::move(seq_[static_cast<std::size_t>(vn)]));
   live_[static_cast<std::size_t>(vn)] = 0;
 }
@@ -88,8 +92,9 @@ Slot TokenStreamer::resume(SliceDispatcher& dispatcher, std::int32_t vn,
                            double now_s, std::vector<double>& device_free) {
   check(!paused_.empty(), "resume with no paused stream");
   check_index(vn, static_cast<std::int64_t>(seq_.size()), "virtual-node slot");
-  check(!live_[static_cast<std::size_t>(vn)],
-        "resume into VN " + std::to_string(vn) + " already hosting a stream");
+  check(!live_[static_cast<std::size_t>(vn)], [&] {
+    return "resume into VN " + std::to_string(vn) + " already hosting a stream";
+  });
   seq_[static_cast<std::size_t>(vn)] = std::move(paused_.front());
   paused_.pop_front();
   live_[static_cast<std::size_t>(vn)] = 1;
@@ -98,8 +103,9 @@ Slot TokenStreamer::resume(SliceDispatcher& dispatcher, std::int32_t vn,
 
 RequestRecord TokenStreamer::finish(std::int32_t vn) {
   check_index(vn, static_cast<std::int64_t>(seq_.size()), "virtual-node slot");
-  check(live_[static_cast<std::size_t>(vn)],
-        "finish on VN " + std::to_string(vn) + " with no live stream");
+  check(live_[static_cast<std::size_t>(vn)], [&] {
+    return "finish on VN " + std::to_string(vn) + " with no live stream";
+  });
   SequenceState& s = seq_[static_cast<std::size_t>(vn)];
   check(s.generated == s.request.stream_tokens,
         "finish on a stream that still wants tokens");
@@ -127,8 +133,9 @@ RequestRecord TokenStreamer::finish(std::int32_t vn) {
 
 InferRequest TokenStreamer::cancel(std::int32_t vn) {
   check_index(vn, static_cast<std::int64_t>(seq_.size()), "virtual-node slot");
-  check(live_[static_cast<std::size_t>(vn)],
-        "cancel on VN " + std::to_string(vn) + " with no live stream");
+  check(live_[static_cast<std::size_t>(vn)], [&] {
+    return "cancel on VN " + std::to_string(vn) + " with no live stream";
+  });
   SequenceState& s = seq_[static_cast<std::size_t>(vn)];
   check(s.generated == 0,
         "cancel on a stream with landed tokens — pause/resume it instead");
@@ -140,8 +147,9 @@ InferRequest TokenStreamer::cancel(std::int32_t vn) {
 
 void TokenStreamer::mark_retry(std::int32_t vn) {
   check_index(vn, static_cast<std::int64_t>(seq_.size()), "virtual-node slot");
-  check(live_[static_cast<std::size_t>(vn)],
-        "mark_retry on VN " + std::to_string(vn) + " with no live stream");
+  check(live_[static_cast<std::size_t>(vn)], [&] {
+    return "mark_retry on VN " + std::to_string(vn) + " with no live stream";
+  });
   ++seq_[static_cast<std::size_t>(vn)].request.retries;
 }
 

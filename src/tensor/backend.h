@@ -1,6 +1,6 @@
 // Runtime kernel-backend factory: decides, per op and per shape, which
 // kernel tier actually serves a call when the configured mode asks for
-// the SIMD tier (`VF_KERNELS=simd`).
+// the SIMD tier (the default mode, or `VF_KERNELS=simd`).
 //
 // VirtualFlow decouples the model from the hardware it runs on; on a CPU
 // host the kernel layer is that hardware, and this factory is the

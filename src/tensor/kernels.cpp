@@ -23,13 +23,15 @@ namespace {
   std::exit(2);
 }
 
+/// Unset or empty means the default, kSimd: the backend factory then picks
+/// the tier per shape from the CPU probe (blocked without the vector ISA).
 KernelMode mode_from_env() {
   const char* env = std::getenv("VF_KERNELS");
-  if (env == nullptr) return KernelMode::kBlocked;
+  if (env == nullptr) return KernelMode::kSimd;
   const std::string v(env);
   if (v == "reference") return KernelMode::kReference;
-  if (v == "blocked" || v.empty()) return KernelMode::kBlocked;
-  if (v == "simd") return KernelMode::kSimd;
+  if (v == "blocked") return KernelMode::kBlocked;
+  if (v == "simd" || v.empty()) return KernelMode::kSimd;
   env_usage_error("VF_KERNELS must be 'reference', 'blocked', or 'simd', got: '" +
                   v + "'");
 }

@@ -12,7 +12,7 @@
 //   * kSimd      — explicitly vectorized (AVX2; NEON slot stubbed) cores,
 //     selected per shape through the backend factory in tensor/backend.h,
 //     which probes the CPU at runtime and falls back to blocked whenever
-//     the ISA or the shape cannot keep the contract below.
+//     the ISA or the shape cannot keep the contract below. The default.
 //
 // Bit-exactness contract: all modes produce bit-identical outputs on all
 // finite inputs. The blocked kernels tile ONLY over the i/j (output)
@@ -58,9 +58,10 @@ const char* kernel_mode_name(KernelMode mode);
 /// benches A/B all knobs):
 ///
 ///   VF_KERNELS=reference|blocked|simd  kernel implementation (default
-///                                      blocked; simd falls back to
-///                                      blocked per shape when the CPU or
-///                                      the shape cannot carry it)
+///                                      simd, also when empty: the
+///                                      backend factory serves blocked
+///                                      per shape when the CPU or the
+///                                      shape cannot carry it)
 ///   VF_WORKSPACE_REUSE=0|1             workspace buffer reuse (default 1;
 ///                                      0 is the allocate-per-use baseline)
 ///

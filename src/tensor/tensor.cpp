@@ -39,7 +39,7 @@ std::int64_t shape_product(std::span<const std::int64_t> shape) {
 /// computation silently; catch it loudly instead.
 void check_no_alias(const Tensor& out, const Tensor& in, const char* op) {
   check(out.data().data() != in.data().data() || out.data().empty(),
-        std::string(op) + ": out must not alias an input tensor");
+        [&] { return std::string(op) + ": out must not alias an input tensor"; });
 }
 
 }  // namespace
@@ -149,8 +149,9 @@ Tensor& Tensor::fill(float value) {
 }
 
 void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
-  check(a.shape() == b.shape(),
-        std::string(op) + ": shape mismatch " + a.shape_str() + " vs " + b.shape_str());
+  check(a.shape() == b.shape(), [&] {
+    return std::string(op) + ": shape mismatch " + a.shape_str() + " vs " + b.shape_str();
+  });
 }
 
 Tensor& Tensor::add_(const Tensor& other) {
@@ -212,8 +213,10 @@ void Tensor::mul_into(const Tensor& other, Tensor& out) const {
 
 void Tensor::matmul_into(const Tensor& rhs, Tensor& out) const {
   check(rank() == 2 && rhs.rank() == 2, "matmul requires rank-2 tensors");
-  check(cols() == rhs.rows(), "matmul: inner dimensions disagree (" + shape_str() + " @ " +
-                                  rhs.shape_str() + ")");
+  check(cols() == rhs.rows(), [&] {
+    return "matmul: inner dimensions disagree (" + shape_str() + " @ " +
+           rhs.shape_str() + ")";
+  });
   check_no_alias(out, *this, "matmul_into");
   check_no_alias(out, rhs, "matmul_into");
   const std::int64_t m = rows(), k = cols(), n = rhs.cols();

@@ -62,10 +62,11 @@ void Workspace::assert_vn_owner(std::int32_t vn) {
   for (;;) {
     if ((cur >> 32) == gen) {
       // The VN is claimed in this region; only its owner may touch it.
-      check((cur & 0xffffffffULL) == me,
-            "workspace confinement violated: virtual node " + std::to_string(vn) +
-                " acquired by a second thread within one region (slots assume "
-                "one worker per VN; see Workspace docs)");
+      check((cur & 0xffffffffULL) == me, [&] {
+        return "workspace confinement violated: virtual node " + std::to_string(vn) +
+               " acquired by a second thread within one region (slots assume "
+               "one worker per VN; see Workspace docs)";
+      });
       return;
     }
     // Unclaimed this region: claim it. A lost CAS means another thread

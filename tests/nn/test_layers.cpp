@@ -1,7 +1,12 @@
 // Behavioural tests for individual layers (shapes, modes, determinism).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "nn/layers.h"
 #include "util/common.h"
@@ -70,15 +75,39 @@ TEST(Relu, ClampsNegatives) {
   EXPECT_EQ(y.at(0, 2), 2.0F);
 }
 
+float from_bits(std::uint32_t bits) {
+  float f;
+  std::memcpy(&f, &bits, sizeof f);
+  return f;
+}
+
 TEST(Relu, BackwardMasksBySign) {
+  // 37 elements: a vector body plus a scalar tail at any vector width,
+  // with every special value landing in both.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {-0.0F, 1.5F, -2.5F, 0.0F, -kDenorm, kNan, kDenorm, kInf, -kInf};
+  constexpr std::int64_t kN = 37;
+  std::vector<float> in(kN), grad(kN), want(kN);
+  for (std::int64_t i = 0; i < kN; ++i) {
+    in[i] = specials[i % 9];
+    // Negative values and NaNs with distinct payloads, so a pass-through
+    // is checked bit for bit.
+    grad[i] = i % 3 == 0   ? from_bits(0x7fc00000U | static_cast<std::uint32_t>(i + 1))
+              : i % 3 == 1 ? -0.25F * static_cast<float>(i + 1)
+                           : 0.5F * static_cast<float>(i + 1);
+    // Derivative at 0 (either sign) is defined as 0 and written as +0; a
+    // positive or NaN input passes the gradient through.
+    const bool passes = std::isnan(in[i]) || in[i] > 0.0F;
+    want[i] = passes ? grad[i] : 0.0F;
+  }
+
   Relu r;
-  Tensor x = Tensor::from_values({1, 3}, {-1, 2, 0});
-  r.forward(x, make_ctx(true));
-  Tensor g = Tensor::full({1, 3}, 5.0F);
-  Tensor gx = r.backward(g);
-  EXPECT_EQ(gx.at(0, 0), 0.0F);
-  EXPECT_EQ(gx.at(0, 1), 5.0F);
-  EXPECT_EQ(gx.at(0, 2), 0.0F);  // derivative at 0 defined as 0
+  r.forward(Tensor::from_values({1, kN}, in), make_ctx(true));
+  const Tensor gx = r.backward(Tensor::from_values({1, kN}, grad));
+  ASSERT_EQ(gx.size(), kN);
+  EXPECT_EQ(std::memcmp(gx.data().data(), want.data(), kN * sizeof(float)), 0);
 }
 
 TEST(Tanh, Saturates) {

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "tensor/backend.h"
 #include "tensor/kernels.h"
 #include "tensor/tensor.h"
 #include "util/common.h"
@@ -213,9 +214,34 @@ TEST_F(EnvConfig, AcceptsEveryDocumentedKernelMode) {
   ::setenv("VF_KERNELS", "blocked", 1);
   TensorConfig::reload_from_env();
   EXPECT_EQ(TensorConfig::kernel_mode(), KernelMode::kBlocked);
+  // Unset and empty both mean the default, simd; each is read after
+  // "blocked", so the mode is seen to move.
+  ::setenv("VF_KERNELS", "", 1);
+  TensorConfig::reload_from_env();
+  EXPECT_EQ(TensorConfig::kernel_mode(), KernelMode::kSimd);
+  ::setenv("VF_KERNELS", "blocked", 1);
+  TensorConfig::reload_from_env();
   ::unsetenv("VF_KERNELS");
   TensorConfig::reload_from_env();
-  EXPECT_EQ(TensorConfig::kernel_mode(), KernelMode::kBlocked);
+  EXPECT_EQ(TensorConfig::kernel_mode(), KernelMode::kSimd);
+}
+
+TEST_F(EnvConfig, DefaultModeServesBlockedWithoutTheVectorIsa) {
+  ::unsetenv("VF_KERNELS");
+  TensorConfig::reload_from_env();
+  ASSERT_EQ(TensorConfig::kernel_mode(), KernelMode::kSimd);
+  backend::ScopedSimdDisable disable;
+  const backend::Dispatch d =
+      backend::BackendFactory::instance().select(backend::KernelOp::kMatmul, 256, 64, 64);
+  EXPECT_EQ(d.tier, KernelMode::kBlocked);
+  EXPECT_STREQ(d.rule, "isa");
+
+  CounterRng rng(29, 0x23);
+  const Tensor a = Tensor::randn({33, 17}, rng);
+  const Tensor b = Tensor::randn({17, 29}, rng);
+  const Tensor by_default = a.matmul(b);
+  TensorConfig::set_kernel_mode(KernelMode::kReference);
+  EXPECT_TRUE(by_default.equals(a.matmul(b)));
 }
 
 TEST_F(EnvConfig, RejectsUnknownKernelModeWithUsageError) {

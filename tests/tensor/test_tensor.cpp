@@ -2,6 +2,10 @@
 // whole training stack.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <regex>
+#include <string>
+
 #include "tensor/tensor.h"
 #include "util/common.h"
 
@@ -86,6 +90,36 @@ TEST(Tensor, MatmulInnerDimMismatchThrows) {
   Tensor a({2, 3});
   Tensor b({2, 3});
   EXPECT_THROW(a.matmul(b), VfError);
+}
+
+/// The message of the VfError `op` throws, after checking that its
+/// "<file>:<line>: " prefix names tensor.cpp, where the check sits.
+std::string tensor_check_message(const std::function<void()>& op) {
+  try {
+    op();
+  } catch (const VfError& e) {
+    const std::string text = e.what();
+    std::smatch m;
+    EXPECT_TRUE(
+        std::regex_match(text, m, std::regex(R"(.*src/tensor/tensor\.cpp:[0-9]+: (.*))")))
+        << text;
+    return m.size() == 2 ? m[1].str() : text;
+  }
+  return "<no throw>";
+}
+
+TEST(Tensor, FailedChecksNameTheOpAndShapes) {
+  Tensor a({2, 3});
+  Tensor b({3, 2});
+  EXPECT_EQ(tensor_check_message([&] { a.add_(b); }),
+            "add_: shape mismatch [2, 3] vs [3, 2]");
+  Tensor out;
+  EXPECT_EQ(tensor_check_message([&] { a.matmul_into(a, out); }),
+            "matmul: inner dimensions disagree ([2, 3] @ [2, 3])");
+  Tensor sq({2, 2});
+  Tensor rhs({2, 2});
+  EXPECT_EQ(tensor_check_message([&] { sq.matmul_into(rhs, sq); }),
+            "matmul_into: out must not alias an input tensor");
 }
 
 TEST(Tensor, MatmulTransposeLhsMatchesExplicit) {
