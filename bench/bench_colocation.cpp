@@ -14,8 +14,10 @@
 //      split, at no worse p99 queue wait (worst model of each setup).
 //   3. The shared budget closes the elastic loop: the bursts grow the
 //      shared set, the drains shrink it back.
-//   4. Determinism: every model's record stream and the resize timeline
-//      replay bit-identically across host worker counts {0, 2, 8}.
+//   4. Determinism: every schedule stream — each model's records, the
+//      shared resize timeline, the batch and fault logs (the run digest,
+//      serve/digest.h) — replays bit-identically across host worker
+//      counts {0, 2, 8}.
 //
 // Prints per-model SLO tables for both setups, the shared-set resize
 // timeline, and the co-located vs dedicated comparison. Exit 1 when any
@@ -33,6 +35,7 @@
 using namespace vf;
 using namespace vf::serve;
 using vf::bench::Flags;
+using vf::bench::TaskBox;
 
 namespace {
 
@@ -52,29 +55,6 @@ struct BenchParams {
   double burst_rps = 2000.0;
   double burst_s = 2.5;
   double tail_s = 2.0;
-};
-
-struct EngineBox {
-  ProxyTask task;
-  Sequential model;
-  TrainRecipe recipe;
-
-  explicit EngineBox(const std::string& task_name, std::uint64_t seed)
-      : task(make_task(task_name, seed)),
-        model(make_proxy_model(task_name, seed)),
-        recipe(make_recipe(task_name)) {}
-
-  VirtualFlowEngine make_engine(const BenchParams& p, std::int64_t devices,
-                                std::int64_t workers) const {
-    EngineConfig cfg;
-    cfg.seed = 42;
-    cfg.enforce_memory = false;
-    cfg.num_threads = workers;
-    return VirtualFlowEngine(model, *recipe.optimizer, *recipe.schedule, *task.train,
-                             model_profile(p.profile),
-                             make_devices(DeviceType::kV100, devices),
-                             VnMapping::even(p.vns, devices, recipe.global_batch), cfg);
-  }
 };
 
 /// Model A bursts early, model B late (staggered by A's burst window).
@@ -108,21 +88,21 @@ ElasticPolicy elastic(std::int64_t max_devices) {
 }
 
 struct SetupOutcome {
-  std::vector<SloSummary> summaries;              // per model
-  std::vector<std::vector<RequestRecord>> records;  // per model
+  std::vector<SloSummary> summaries;  // per model
+  RunDigest digest;                   // co-located runs only
   std::vector<ResizeEvent> resizes;
   double drained_at_s = 0.0;
 };
 
 SetupOutcome run_colocated(const BenchParams& p, std::int64_t workers,
                            obs::Observability obs = {}) {
-  EngineBox box_a(p.task_a, p.seed);
-  EngineBox box_b(p.task_b, p.seed);
+  const TaskBox box_a(p.task_a, p.seed);
+  const TaskBox box_b(p.task_b, p.seed);
   // The shared set starts at 2 devices — the same total hardware the
   // dedicated split starts with (1 + 1) — and may grow to max_devices,
   // the same total the split's two halves may reach together.
-  VirtualFlowEngine eng_a = box_a.make_engine(p, /*devices=*/2, workers);
-  VirtualFlowEngine eng_b = box_b.make_engine(p, /*devices=*/2, workers);
+  VirtualFlowEngine eng_a = box_a.engine(p.profile, p.vns, /*devices=*/2, workers, 42);
+  VirtualFlowEngine eng_b = box_b.engine(p.profile, p.vns, /*devices=*/2, workers, 42);
 
   ModelRegistry registry;
   ModelConfig mc_a;
@@ -144,10 +124,8 @@ SetupOutcome run_colocated(const BenchParams& p, std::int64_t workers,
   server.replay(staggered_traces(p, *box_a.task.val, *box_b.task.val));
 
   SetupOutcome out;
-  for (std::int32_t m = 0; m < 2; ++m) {
-    out.summaries.push_back(server.slo(m).summary());
-    out.records.push_back(server.slo(m).records());
-  }
+  for (std::int32_t m = 0; m < 2; ++m) out.summaries.push_back(server.slo(m).summary());
+  out.digest = digest(server, obs);
   out.resizes = server.resizes();
   out.drained_at_s = server.now_s();
   return out;
@@ -155,17 +133,18 @@ SetupOutcome run_colocated(const BenchParams& p, std::int64_t workers,
 
 SetupOutcome run_dedicated(const BenchParams& p) {
   SetupOutcome out;
-  EngineBox box_a(p.task_a, p.seed);
-  EngineBox box_b(p.task_b, p.seed);
+  const TaskBox box_a(p.task_a, p.seed);
+  const TaskBox box_b(p.task_b, p.seed);
   const auto traces = staggered_traces(p, *box_a.task.val, *box_b.task.val);
 
-  const EngineBox* boxes[2] = {&box_a, &box_b};
+  const TaskBox* boxes[2] = {&box_a, &box_b};
   const double deadlines[2] = {p.deadline_a_s, p.deadline_b_s};
   for (int m = 0; m < 2; ++m) {
     // Each model gets its own half-size device set: starts at 1 device,
     // elastic ceiling max_devices / 2 — it can never borrow the other
     // model's idle half.
-    VirtualFlowEngine engine = boxes[m]->make_engine(p, /*devices=*/1, /*workers=*/0);
+    VirtualFlowEngine engine =
+        boxes[m]->engine(p.profile, p.vns, /*devices=*/1, /*workers=*/0, 42);
     ServerConfig scfg;
     scfg.queue_capacity = p.queue_cap;
     scfg.batch = {p.max_batch, p.max_wait_s};
@@ -175,34 +154,10 @@ SetupOutcome run_dedicated(const BenchParams& p) {
     Server server(engine, *boxes[m]->task.val, scfg);
     server.replay(traces[static_cast<std::size_t>(m)]);
     out.summaries.push_back(server.slo().summary());
-    out.records.push_back(server.slo().records());
     for (const ResizeEvent& e : server.resizes()) out.resizes.push_back(e);
     out.drained_at_s = std::max(out.drained_at_s, server.now_s());
   }
   return out;
-}
-
-bool identical(const SetupOutcome& a, const SetupOutcome& b) {
-  for (std::size_t m = 0; m < 2; ++m) {
-    if (a.records[m].size() != b.records[m].size()) return false;
-    for (std::size_t i = 0; i < a.records[m].size(); ++i) {
-      const RequestRecord& x = a.records[m][i];
-      const RequestRecord& y = b.records[m][i];
-      // Exact comparisons throughout: the claim is bit-identity.
-      if (x.id != y.id || x.rejected != y.rejected || x.prediction != y.prediction ||
-          x.dispatch_s != y.dispatch_s || x.queue_wait_s != y.queue_wait_s ||
-          x.compute_s != y.compute_s || x.comm_s != y.comm_s ||
-          x.finish_s != y.finish_s)
-        return false;
-    }
-  }
-  if (a.resizes.size() != b.resizes.size()) return false;
-  for (std::size_t i = 0; i < a.resizes.size(); ++i) {
-    if (a.resizes[i].time_s != b.resizes[i].time_s ||
-        a.resizes[i].to_devices != b.resizes[i].to_devices)
-      return false;
-  }
-  return true;
 }
 
 void print_setup_table(const char* title, const BenchParams& p,
@@ -332,9 +287,9 @@ int main(int argc, char** argv) {
         "steady-rps", "burst-rps", "burst-s", "seed"})
     custom_load |= flags.overridden(knob);
 
-  bool exact = true;
-  for (std::size_t i = 1; i < colo_runs.size(); ++i)
-    exact &= identical(colo, colo_runs[i]);
+  const char* moved = nullptr;
+  for (std::size_t i = 1; i < colo_runs.size() && moved == nullptr; ++i)
+    moved = first_difference(colo.digest, colo_runs[i].digest);
   bool grew = false, shrank = false;
   for (const ResizeEvent& e : colo.resizes) {
     grew |= e.to_devices > e.from_devices;
@@ -382,9 +337,9 @@ int main(int argc, char** argv) {
   std::printf("  worst-model p99 queue wait <= dedicated: %s\n", wait_ok ? "yes" : miss);
   std::printf("  shared budget grew and shrank: %s\n", (grew && shrank) ? "yes" : miss);
   std::printf("  bit-identical per-model records across workers {0, 2, 8}: %s\n",
-              exact ? "yes" : "NO — BUG");
+              vf::bench::identity_verdict(moved).c_str());
 
-  if (!exact) ok = false;
+  if (moved != nullptr) ok = false;
   if (!custom_load && (!slo_met || !served_ok || !wait_ok || !grew || !shrank))
     ok = false;
   return ok ? 0 : 1;

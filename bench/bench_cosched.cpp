@@ -20,8 +20,12 @@
 //   2. At equal hardware, co-scheduling beats the static partition on the
 //      worst model's SLO hit rate, for both policies.
 //   3. It pays for that with at most 5% training-makespan degradation.
-//   4. Determinism: grants, per-model record streams, and the final clock
-//      replay bit-identically across host worker counts {0, 2, 8}.
+//   4. Determinism: both serving loops' schedule streams (per-model
+//      records, resizes, batches, faults) and the whole controller report
+//      (every job state, grant, the training makespan and the final
+//      clock) replay bit-identically across host worker counts {0, 2, 8}
+//      — decided by the run digest (serve/digest.h), which names the
+//      stream that moved.
 //
 // --json emits the perf-trajectory record; --metrics snapshots the
 // sched.* + serve.* instrument families from the co-scheduled WFS run.
@@ -41,6 +45,7 @@
 using namespace vf;
 using namespace vf::serve;
 using vf::bench::Flags;
+using vf::bench::TaskBox;
 
 namespace {
 
@@ -73,31 +78,6 @@ BenchParams params_from(const Flags& flags) {
   p.train_steps = flags.get_int("train_steps", p.train_steps, 2500);
   return p;
 }
-
-struct EngineBox {
-  ProxyTask task;
-  Sequential model;
-  TrainRecipe recipe;
-
-  EngineBox(const std::string& task_name, std::uint64_t seed)
-      : task(make_task(task_name, seed)),
-        model(make_proxy_model(task_name, seed)),
-        recipe(make_recipe(task_name)) {}
-
-  VirtualFlowEngine make_engine(std::int64_t devices, std::int64_t workers,
-                                const std::string& profile = "bert-base",
-                                std::int64_t vns = 8) const {
-    EngineConfig cfg;
-    cfg.seed = 42;
-    cfg.enforce_memory = false;
-    cfg.num_threads = workers;
-    return VirtualFlowEngine(model, *recipe.optimizer, *recipe.schedule,
-                             *task.train, model_profile(profile),
-                             make_devices(DeviceType::kV100, devices),
-                             VnMapping::even(vns, devices, recipe.global_batch),
-                             cfg);
-  }
-};
 
 ElasticPolicy elastic(std::int64_t max_devices, std::int64_t min_devices = 1) {
   ElasticPolicy e;
@@ -180,23 +160,22 @@ const char* policy_label(PolicyKind k) {
 
 struct RunOutcome {
   std::vector<SloSummary> summaries;  ///< models 0 (server), 1, 2 (colocated)
-  std::vector<std::vector<double>> latencies;  ///< per model, record order
+  RunDigest digest;  ///< both loops; lease = the whole controller report
   std::vector<GrantRecord> grants;
   double train_makespan_s = 0.0;
   double end_s = 0.0;
   double worst_hit_rate = 1.0;
-  std::int64_t lease_steps_done = 0;
 };
 
 RunOutcome run_cluster(const BenchParams& p, PolicyKind kind, bool static_split,
                        std::int64_t workers, obs::Observability obs = {}) {
-  EngineBox box_a("cola-sim", p.seed);
-  EngineBox box_b("cola-sim", p.seed + 1);
-  EngineBox box_c("mrpc-sim", p.seed + 2);
-  EngineBox box_t("mrpc-sim", p.seed + 3);
+  const TaskBox box_a("cola-sim", p.seed);
+  const TaskBox box_b("cola-sim", p.seed + 1);
+  const TaskBox box_c("mrpc-sim", p.seed + 2);
+  const TaskBox box_t("mrpc-sim", p.seed + 3);
 
   // Serving lease 1: single-model Server.
-  VirtualFlowEngine eng_a = box_a.make_engine(1, workers);
+  VirtualFlowEngine eng_a = box_a.engine("bert-base", 8, 1, workers, 42);
   ServerConfig scfg;
   scfg.continuous = true;
   scfg.queue_capacity = p.queue_cap;
@@ -213,8 +192,8 @@ RunOutcome run_cluster(const BenchParams& p, PolicyKind kind, bool static_split,
   // set hosts two tenants, so its elastic ceiling (and VN count) is two
   // single-model ceilings.
   const std::int64_t colo_max = 2 * p.serve_max;
-  VirtualFlowEngine eng_b = box_b.make_engine(2, workers, "bert-base", colo_max);
-  VirtualFlowEngine eng_c = box_c.make_engine(2, workers, "bert-base", colo_max);
+  VirtualFlowEngine eng_b = box_b.engine("bert-base", colo_max, 2, workers, 42);
+  VirtualFlowEngine eng_c = box_c.engine("bert-base", colo_max, 2, workers, 42);
   ModelRegistry registry;
   ModelConfig mc_b;
   mc_b.name = "model_b";
@@ -239,7 +218,7 @@ RunOutcome run_cluster(const BenchParams& p, PolicyKind kind, bool static_split,
   colo.begin(traces_bc);
 
   // A real training engine on the same economy.
-  VirtualFlowEngine eng_t = box_t.make_engine(2, workers);
+  VirtualFlowEngine eng_t = box_t.engine("bert-base", 8, 2, workers, 42);
   EngineTrainLease lease(eng_t, p.lease_steps, DeviceType::kV100);
   JobSpec lease_spec;
   lease_spec.id = 99;
@@ -284,19 +263,13 @@ RunOutcome run_cluster(const BenchParams& p, PolicyKind kind, bool static_split,
   out.summaries.push_back(server.slo().summary());
   out.summaries.push_back(colo.slo(0).summary());
   out.summaries.push_back(colo.slo(1).summary());
-  out.latencies.resize(3);
-  for (const RequestRecord& r : server.slo().records())
-    if (!r.rejected) out.latencies[0].push_back(r.latency_s());
-  for (std::int32_t m = 0; m < 2; ++m)
-    for (const RequestRecord& r : colo.slo(m).records())
-      if (!r.rejected)
-        out.latencies[static_cast<std::size_t>(m) + 1].push_back(r.latency_s());
+  out.digest = digest({server, colo}, obs);
+  out.digest.lease = report_digest(report);
   out.grants = report.grants;
   out.train_makespan_s = report.train_makespan_s;
   out.end_s = report.end_s;
   for (const SloSummary& s : out.summaries)
     out.worst_hit_rate = std::min(out.worst_hit_rate, s.hit_rate);
-  out.lease_steps_done = lease.steps_done();
   return out;
 }
 
@@ -315,21 +288,6 @@ void print_outcome(const char* label, const RunOutcome& o) {
                 static_cast<long long>(g.job_id),
                 static_cast<long long>(g.from_devices),
                 static_cast<long long>(g.to_devices), g.migration_s);
-}
-
-bool identical(const RunOutcome& a, const RunOutcome& b) {
-  if (a.end_s != b.end_s || a.train_makespan_s != b.train_makespan_s) return false;
-  if (a.latencies != b.latencies) return false;
-  if (a.lease_steps_done != b.lease_steps_done) return false;
-  if (a.grants.size() != b.grants.size()) return false;
-  for (std::size_t i = 0; i < a.grants.size(); ++i) {
-    if (a.grants[i].time_s != b.grants[i].time_s ||
-        a.grants[i].job_id != b.grants[i].job_id ||
-        a.grants[i].to_devices != b.grants[i].to_devices ||
-        a.grants[i].migration_s != b.grants[i].migration_s)
-      return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -369,7 +327,7 @@ int main(int argc, char** argv) {
 
   struct PolicyResult {
     RunOutcome cosched, stat;
-    bool deterministic = true;
+    const char* moved = nullptr;  ///< first stream a worker count moved
   };
   std::map<std::string, PolicyResult> results;
   for (PolicyKind kind : {PolicyKind::kWfs, PolicyKind::kGavel}) {
@@ -383,7 +341,7 @@ int main(int argc, char** argv) {
     for (std::int64_t workers : {2, 8}) {
       const RunOutcome other =
           run_cluster(p, kind, /*static_split=*/false, workers);
-      if (!identical(r.cosched, other)) r.deterministic = false;
+      if (r.moved == nullptr) r.moved = first_difference(r.cosched.digest, other.digest);
     }
     std::printf("\npolicy=%s\n", policy_label(kind));
     print_outcome("co-scheduled", r.cosched);
@@ -407,7 +365,8 @@ int main(int argc, char** argv) {
     std::string t2 = name + ": training makespan within 5% of static split";
     gate(r.cosched.train_makespan_s <= 1.05 * r.stat.train_makespan_s, t2.c_str());
     std::string t3 = name + ": bit-identical across workers {0, 2, 8}";
-    gate(r.deterministic, t3.c_str());
+    if (r.moved != nullptr) t3 += std::string(" (") + r.moved + " moved)";
+    gate(r.moved == nullptr, t3.c_str());
   }
 
   const std::string json = flags.json_path();

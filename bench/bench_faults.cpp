@@ -25,10 +25,12 @@
 //   4. Faults bite: every kill is honored (4-device rig, never at minimum),
 //      charges a VN-remap migration, and evicts in-flight slices whose
 //      requests all surface as recorded retries.
-//   5. Determinism: the faulted replay — records, fault log, resize
-//      timeline — is bit-identical across host worker counts {0, 2, 8},
-//      the exported trace + metrics JSON are BYTE-identical across the
-//      sweep, and a re-run with the same fault seed is byte-identical too.
+//   5. Determinism: the faulted replay — records, resize timeline, batch
+//      log, fault log — is bit-identical across host worker counts
+//      {0, 2, 8}, the exported trace + metrics JSON are BYTE-identical
+//      across the sweep, and a re-run with the same fault seed is
+//      identical in every stream. The run digest (serve/digest.h) decides
+//      all three and names the stream that moved.
 //   6. Training recovery invariant: a chaos plan replays bit-exactly across
 //      worker counts, and a kill's post-remap trajectory equals a
 //      from-scratch run on the surviving device set.
@@ -50,6 +52,7 @@
 using namespace vf;
 using namespace vf::serve;
 using vf::bench::Flags;
+using vf::bench::TaskBox;
 
 namespace {
 
@@ -72,30 +75,6 @@ struct BenchParams {
   double tail_s = 1.0;
   double slo_delta = 0.25;  ///< max hit-rate drop the chaos arm may cost
   std::int64_t train_steps = 12;
-};
-
-struct Rig {
-  ProxyTask task;
-  Sequential model;
-  TrainRecipe recipe;
-
-  explicit Rig(const std::string& task_name, std::uint64_t seed)
-      : task(make_task(task_name, seed)),
-        model(make_proxy_model(task_name, seed)),
-        recipe(make_recipe(task_name)) {}
-
-  VirtualFlowEngine make_engine(const BenchParams& p, std::int64_t devices,
-                                std::int64_t workers) const {
-    EngineConfig cfg;
-    cfg.seed = 42;
-    cfg.enforce_memory = false;
-    cfg.num_threads = workers;
-    return VirtualFlowEngine(model, *recipe.optimizer, *recipe.schedule, *task.train,
-                             model_profile(p.profile),
-                             make_devices(DeviceType::kV100, devices),
-                             VnMapping::even(p.vns, devices, recipe.global_batch),
-                             cfg);
-  }
 };
 
 std::vector<InferRequest> chaos_trace(const BenchParams& p, const Dataset& pool) {
@@ -142,6 +121,7 @@ ServerConfig server_config(const BenchParams& p, bool shed) {
 
 struct RunOutcome {
   SloSummary summary;
+  RunDigest digest;
   std::vector<RequestRecord> records;
   std::vector<ResizeEvent> resizes;
   std::vector<FaultRecord> faults;
@@ -154,16 +134,17 @@ struct RunOutcome {
 /// story). The baseline runs the identical trace with neither.
 RunOutcome run_serving(const BenchParams& p, std::int64_t workers, bool faulted,
                        obs::Observability obs = {}) {
-  Rig rig(p.task, p.seed);
-  VirtualFlowEngine engine = rig.make_engine(p, p.devices, workers);
-  Server server(engine, *rig.task.val, server_config(p, /*shed=*/faulted));
+  const TaskBox box(p.task, p.seed);
+  VirtualFlowEngine engine = box.engine(p.profile, p.vns, p.devices, workers, 42);
+  Server server(engine, *box.task.val, server_config(p, /*shed=*/faulted));
   server.set_observability(obs);
   fault::FaultInjector injector(make_plan(p));
   injector.set_observability(obs);
   if (faulted) server.set_fault_injector(&injector);
-  server.replay(chaos_trace(p, *rig.task.val));
-  return {server.slo().summary(), server.slo().records(), server.resizes(),
-          server.faults(),         server.queue().shed(), server.queue().requeued()};
+  server.replay(chaos_trace(p, *box.task.val));
+  return {server.slo().summary(),  digest(server, obs),   server.slo().records(),
+          server.resizes(),        server.faults(),       server.queue().shed(),
+          server.queue().requeued()};
 }
 
 /// Zero-loss invariant: every trace request leaves the replay exactly
@@ -192,44 +173,6 @@ bool streams_intact(const RunOutcome& o, const std::vector<InferRequest>& trace)
       if (r.token_stamps[i] <= r.token_stamps[i - 1]) return false;
   }
   return true;
-}
-
-/// Bit-identity over records, fault log, and resize timeline.
-bool identical(const RunOutcome& a, const RunOutcome& b) {
-  if (a.records.size() != b.records.size()) return false;
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    const RequestRecord& x = a.records[i];
-    const RequestRecord& y = b.records[i];
-    if (x.id != y.id || x.rejected != y.rejected || x.retries != y.retries ||
-        x.prediction != y.prediction || x.dispatch_s != y.dispatch_s ||
-        x.queue_wait_s != y.queue_wait_s || x.finish_s != y.finish_s ||
-        x.first_token_s != y.first_token_s)
-      return false;
-    if (x.tokens.size() != y.tokens.size()) return false;
-    for (std::size_t t = 0; t < x.tokens.size(); ++t)
-      if (x.tokens[t] != y.tokens[t] || x.token_stamps[t] != y.token_stamps[t])
-        return false;
-  }
-  if (a.faults.size() != b.faults.size()) return false;
-  for (std::size_t i = 0; i < a.faults.size(); ++i)
-    if (a.faults[i].time_s != b.faults[i].time_s ||
-        a.faults[i].device != b.faults[i].device ||
-        a.faults[i].skipped != b.faults[i].skipped ||
-        a.faults[i].evicted_slices != b.faults[i].evicted_slices ||
-        a.faults[i].migration_s != b.faults[i].migration_s)
-      return false;
-  if (a.resizes.size() != b.resizes.size()) return false;
-  for (std::size_t i = 0; i < a.resizes.size(); ++i)
-    if (a.resizes[i].time_s != b.resizes[i].time_s ||
-        a.resizes[i].to_devices != b.resizes[i].to_devices)
-      return false;
-  return true;
-}
-
-/// Does the exported trace contain an event with this exact name?
-bool has_event(const std::string& trace_json, const char* name) {
-  return trace_json.find("{\"name\": \"" + std::string(name) + "\"") !=
-         std::string::npos;
 }
 
 /// Drives training steps against an injector-scheduled plan on the
@@ -284,8 +227,8 @@ TrainOutcome run_training(const BenchParams& p) {
   std::vector<Tensor> params;
   std::vector<double> times;
   for (const std::int64_t workers : {0, 2, 8}) {
-    Rig rig(task_name, p.seed);
-    VirtualFlowEngine eng = rig.make_engine(p, p.devices, workers);
+    const TaskBox box(task_name, p.seed);
+    VirtualFlowEngine eng = box.engine(p.profile, p.vns, p.devices, workers, 42);
     fault::FaultInjector inj(fault::FaultPlan::chaos(p.fault_seed, cfg));
     train_with_faults(eng, inj, p.train_steps);
     params.push_back(eng.parameters());
@@ -297,9 +240,9 @@ TrainOutcome run_training(const BenchParams& p) {
 
   // The §7 invariant: kill one of `devices`, train on; the trajectory must
   // match an engine that ran on the survivors from step zero.
-  Rig rig(task_name, p.seed);
-  VirtualFlowEngine faulted = rig.make_engine(p, p.devices, 0);
-  VirtualFlowEngine survivors = rig.make_engine(p, p.devices - 1, 0);
+  const TaskBox box(task_name, p.seed);
+  VirtualFlowEngine faulted = box.engine(p.profile, p.vns, p.devices, 0, 42);
+  VirtualFlowEngine survivors = box.engine(p.profile, p.vns, p.devices - 1, 0, 42);
   fault::FaultPlan plan;
   plan.kill(faulted.sim_time_s(), p.devices - 1);
   fault::FaultInjector inj(std::move(plan));
@@ -362,8 +305,8 @@ int main(int argc, char** argv) {
               static_cast<long long>(p.max_devices), p.steady_rps, p.burst_rps,
               static_cast<unsigned long long>(p.fault_seed));
 
-  Rig trace_rig(p.task, p.seed);
-  const std::vector<InferRequest> trace = chaos_trace(p, *trace_rig.task.val);
+  const TaskBox trace_box(p.task, p.seed);
+  const std::vector<InferRequest> trace = chaos_trace(p, *trace_box.task.val);
 
   // Baseline and chaos arms on the identical trace; the chaos arm's
   // determinism sweep carries the worker-count bit-identity claim, with
@@ -371,26 +314,24 @@ int main(int argc, char** argv) {
   const RunOutcome baseline = run_serving(p, 0, /*faulted=*/false);
   const std::vector<std::int64_t> worker_counts = {0, 2, 8};
   std::vector<RunOutcome> chaos_runs;
-  std::vector<std::string> trace_jsons, metrics_jsons;
+  std::string trace_json, metrics_json;  // the serial run's exports
   for (const std::int64_t w : worker_counts) {
     obs::TraceRecorder rec;
     obs::MetricsRegistry metrics;
     chaos_runs.push_back(run_serving(p, w, /*faulted=*/true, {&rec, &metrics}));
-    trace_jsons.push_back(rec.to_json());
-    metrics_jsons.push_back(metrics.to_json());
+    if (w == worker_counts.front()) {
+      trace_json = rec.to_json();
+      metrics_json = metrics.to_json();
+    }
   }
   const RunOutcome& chaos = chaos_runs.front();
 
-  // Same fault seed, fresh everything: the replay must be byte-identical.
-  std::string replay_trace_json, replay_metrics_json;
-  {
-    obs::TraceRecorder rec;
-    obs::MetricsRegistry metrics;
-    const RunOutcome again = run_serving(p, 0, /*faulted=*/true, {&rec, &metrics});
-    (void)again;
-    replay_trace_json = rec.to_json();
-    replay_metrics_json = metrics.to_json();
-  }
+  // Same fault seed, fresh everything: the replay must be identical in
+  // every stream, export bytes included.
+  obs::TraceRecorder again_trace;
+  obs::MetricsRegistry again_metrics;
+  const RunDigest again =
+      run_serving(p, 0, /*faulted=*/true, {&again_trace, &again_metrics}).digest;
 
   std::printf("\n  no-fault baseline vs chaos schedule (same trace):\n");
   Table table({"arm", "served", "rejected", "shed", "retried", "p99 (ms)",
@@ -461,21 +402,16 @@ int main(int argc, char** argv) {
   const bool faults_bite = kills == 2 && kills_honored && migrations_charged &&
                            evicted > 0 && chaos.summary.retried > 0 &&
                            chaos.requeued <= chaos.summary.retries;
-  bool exact = true;
-  for (std::size_t i = 1; i < chaos_runs.size(); ++i)
-    exact &= identical(chaos, chaos_runs[i]);
-  bool export_exact = true;
-  for (std::size_t i = 1; i < trace_jsons.size(); ++i) {
-    export_exact &= trace_jsons[i] == trace_jsons.front();
-    export_exact &= metrics_jsons[i] == metrics_jsons.front();
-  }
-  const bool replay_exact = replay_trace_json == trace_jsons.front() &&
-                            replay_metrics_json == metrics_jsons.front();
-  const std::string& trace_json = trace_jsons.front();
-  const bool markers_ok =
-      has_event(trace_json, "kill") && has_event(trace_json, "recover") &&
-      has_event(trace_json, "straggler") && has_event(trace_json, "comm_fault") &&
-      has_event(trace_json, "resize");
+  // Every sweep run recorded, so one digest comparison covers both
+  // determinism lines: a schedule stream that moved fails both (the
+  // export bytes went unchecked), an export stream only the byte line.
+  const char* moved = nullptr;
+  for (std::size_t i = 1; i < chaos_runs.size() && moved == nullptr; ++i)
+    moved = first_difference(chaos.digest, chaos_runs[i].digest);
+  const char* replay_moved = first_difference(chaos.digest, again);
+  bool markers_ok = true;
+  for (const char* name : {"kill", "recover", "straggler", "comm_fault", "resize"})
+    markers_ok &= obs::has_event(trace_json, name);
 
   bool ok = true;
   const std::string json = flags.json_path();
@@ -511,7 +447,7 @@ int main(int argc, char** argv) {
       !vf::obs::save_text_file(flags.trace_path(), trace_json))
     ok = false;
   if (!flags.metrics_path().empty() &&
-      !vf::obs::save_text_file(flags.metrics_path(), metrics_jsons.front()))
+      !vf::obs::save_text_file(flags.metrics_path(), metrics_json))
     ok = false;
 
   const char* miss = custom_load ? "no (informational: custom workload)" : "NO — BUG";
@@ -525,11 +461,11 @@ int main(int argc, char** argv) {
               "retries: %s\n",
               faults_bite ? "yes" : miss);
   std::printf("  bit-identical faulted replay across workers {0, 2, 8}: %s\n",
-              exact ? "yes" : "NO — BUG");
+              vf::bench::identity_verdict(vf::bench::schedule_only(moved)).c_str());
   std::printf("  byte-identical trace + metrics export across workers: %s\n",
-              export_exact ? "yes" : "NO — BUG");
+              vf::bench::identity_verdict(moved).c_str());
   std::printf("  byte-identical replay for the fixed fault seed: %s\n",
-              replay_exact ? "yes" : "NO — BUG");
+              vf::bench::identity_verdict(replay_moved).c_str());
   std::printf("  trace carries kill/recover/straggler/comm_fault markers: %s\n",
               markers_ok ? "yes" : miss);
   std::printf("  training chaos bit-exact across workers {0, 2, 8}: %s\n",
@@ -537,7 +473,7 @@ int main(int argc, char** argv) {
   std::printf("  post-kill trajectory == from-scratch surviving set: %s\n",
               train.survivors_exact ? "yes" : "NO — BUG");
 
-  if (!loss_ok || !streams_ok || !exact || !export_exact || !replay_exact ||
+  if (!loss_ok || !streams_ok || moved != nullptr || replay_moved != nullptr ||
       !train.workers_exact || !train.survivors_exact)
     ok = false;
   if (!custom_load && (!slo_ok || !faults_bite || !markers_ok)) ok = false;

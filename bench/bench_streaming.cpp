@@ -22,10 +22,12 @@
 //      by their configured share weights: the SMALL-BATCH model's measured
 //      share lands within 10% of its weight — the starvation case the
 //      deadline-only arbiter failed.
-//   4. Determinism: records — including every per-token stamp — replay
-//      bit-identically across host worker counts {0, 2, 8}; the exported
-//      observability trace (obs/trace.h) is BYTE-identical across the
-//      same sweep, and attaching the recorder never perturbs a record.
+//   4. Determinism: every schedule stream — records with every per-token
+//      stamp, resizes, batches, faults — replays bit-identically across
+//      host worker counts {0, 2, 8}; the exported observability trace and
+//      metrics snapshot are BYTE-identical across the same sweep, and
+//      attaching the recorder never perturbs a record. The run digest
+//      (serve/digest.h) decides all three and names the stream that moved.
 //
 // Prints the A/B SLO/TTFT/ITL table, the resize timeline, and the share
 // split. Exit 1 when any enforced claim fails. --json emits the
@@ -45,6 +47,7 @@
 using namespace vf;
 using namespace vf::serve;
 using vf::bench::Flags;
+using vf::bench::TaskBox;
 
 namespace {
 
@@ -66,30 +69,6 @@ struct BenchParams {
   double burst_s = 2.0;
   double tail_s = 2.0;
   std::int64_t share_requests = 1024;  ///< small-batch model's backlog size
-};
-
-struct Rig {
-  ProxyTask task;
-  Sequential model;
-  TrainRecipe recipe;
-
-  Rig(const std::string& task_name, std::uint64_t seed, std::int64_t batch = -1)
-      : task(make_task(task_name, seed)),
-        model(make_proxy_model(task_name, seed)),
-        recipe(batch > 0 ? make_recipe_with_batch(task_name, batch)
-                         : make_recipe(task_name)) {}
-
-  VirtualFlowEngine make_engine(const BenchParams& p, std::int64_t devices,
-                                std::int64_t workers, std::int64_t vns) const {
-    EngineConfig cfg;
-    cfg.seed = 42;
-    cfg.enforce_memory = false;
-    cfg.num_threads = workers;
-    return VirtualFlowEngine(model, *recipe.optimizer, *recipe.schedule, *task.train,
-                             model_profile(p.profile),
-                             make_devices(DeviceType::kV100, devices),
-                             VnMapping::even(vns, devices, recipe.global_batch), cfg);
-  }
 };
 
 std::vector<InferRequest> make_stream_trace(const BenchParams& p,
@@ -122,7 +101,7 @@ ElasticPolicy elastic(std::int64_t max_devices) {
 
 struct RunOutcome {
   SloSummary summary;
-  std::vector<RequestRecord> records;
+  RunDigest digest;
   std::vector<ResizeEvent> resizes;
 };
 
@@ -133,8 +112,8 @@ struct RunOutcome {
 RunOutcome run_streaming(const BenchParams& p, std::int64_t workers,
                          bool disaggregate, bool elastic_enabled,
                          obs::Observability obs = {}) {
-  Rig rig(p.task, p.seed);
-  VirtualFlowEngine engine = rig.make_engine(p, /*devices=*/1, workers, p.vns);
+  const TaskBox box(p.task, p.seed);
+  VirtualFlowEngine engine = box.engine(p.profile, p.vns, /*devices=*/1, workers, 42);
   ServerConfig cfg;
   cfg.queue_capacity = p.queue_cap;
   cfg.batch = {p.max_batch, p.max_wait_s};
@@ -143,40 +122,10 @@ RunOutcome run_streaming(const BenchParams& p, std::int64_t workers,
   cfg.stream.disaggregate = disaggregate;
   cfg.elastic = elastic(p.max_devices);
   cfg.elastic.enabled = elastic_enabled;
-  Server server(engine, *rig.task.val, cfg);
+  Server server(engine, *box.task.val, cfg);
   server.set_observability(obs);
-  server.replay(make_stream_trace(p, *rig.task.val));
-  return {server.slo().summary(), server.slo().records(), server.resizes()};
-}
-
-/// Does the exported trace contain an event with this exact name?
-bool has_event(const std::string& trace_json, const char* name) {
-  return trace_json.find("{\"name\": \"" + std::string(name) + "\"") !=
-         std::string::npos;
-}
-
-/// Bit-identity over full streamed records, token stamps included.
-bool identical(const RunOutcome& a, const RunOutcome& b) {
-  if (a.records.size() != b.records.size()) return false;
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    const RequestRecord& x = a.records[i];
-    const RequestRecord& y = b.records[i];
-    if (x.id != y.id || x.rejected != y.rejected || x.prediction != y.prediction ||
-        x.dispatch_s != y.dispatch_s || x.queue_wait_s != y.queue_wait_s ||
-        x.compute_s != y.compute_s || x.comm_s != y.comm_s ||
-        x.finish_s != y.finish_s || x.first_token_s != y.first_token_s)
-      return false;
-    if (x.tokens.size() != y.tokens.size()) return false;
-    for (std::size_t t = 0; t < x.tokens.size(); ++t)
-      if (x.tokens[t] != y.tokens[t] || x.token_stamps[t] != y.token_stamps[t])
-        return false;
-  }
-  if (a.resizes.size() != b.resizes.size()) return false;
-  for (std::size_t i = 0; i < a.resizes.size(); ++i)
-    if (a.resizes[i].time_s != b.resizes[i].time_s ||
-        a.resizes[i].to_devices != b.resizes[i].to_devices)
-      return false;
-  return true;
+  server.replay(make_stream_trace(p, *box.task.val));
+  return {server.slo().summary(), digest(server, obs), server.resizes()};
 }
 
 /// Two-model weighted-share contention: an aggressive large-batch model
@@ -191,10 +140,10 @@ struct ShareOutcome {
 };
 
 ShareOutcome run_share_split(const BenchParams& p) {
-  Rig rig_big(p.task, p.seed, /*batch=*/64);
-  Rig rig_small(p.task, p.seed + 1, /*batch=*/8);
-  VirtualFlowEngine eng_big = rig_big.make_engine(p, 1, 0, /*vns=*/8);
-  VirtualFlowEngine eng_small = rig_small.make_engine(p, 1, 0, /*vns=*/8);
+  const TaskBox box_big(p.task, p.seed, /*batch=*/64);
+  const TaskBox box_small(p.task, p.seed + 1, /*batch=*/8);
+  VirtualFlowEngine eng_big = box_big.engine(p.profile, /*vns=*/8, 1, 0, 42);
+  VirtualFlowEngine eng_small = box_small.engine(p.profile, /*vns=*/8, 1, 0, 42);
 
   ModelRegistry registry;
   ModelConfig mc_big;
@@ -206,8 +155,8 @@ ShareOutcome run_share_split(const BenchParams& p) {
   ModelConfig mc_small = mc_big;
   mc_small.name = "small-batch";
   mc_small.share = 3.0;
-  registry.add(eng_big, *rig_big.task.val, mc_big);
-  registry.add(eng_small, *rig_small.task.val, mc_small);
+  registry.add(eng_big, *box_big.task.val, mc_big);
+  registry.add(eng_small, *box_small.task.val, mc_small);
 
   ColocationConfig cfg;
   cfg.continuous = true;
@@ -228,8 +177,8 @@ ShareOutcome run_share_split(const BenchParams& p) {
       trace.push_back(InferRequest{i, 0.0, i % pool.size()});
     return trace;
   };
-  server.replay({backlog(big_n, *rig_big.task.val),
-                 backlog(small_n, *rig_small.task.val)});
+  server.replay({backlog(big_n, *box_big.task.val),
+                 backlog(small_n, *box_small.task.val)});
 
   const double used_big = server.device_time_used(0);
   const double used_small = server.device_time_used(1);
@@ -301,15 +250,17 @@ int main(int argc, char** argv) {
   // witness of the determinism contract, not just the records).
   const std::vector<std::int64_t> worker_counts = {0, 2, 8};
   std::vector<RunOutcome> elastic_runs;
-  std::vector<std::string> trace_jsons, metrics_jsons;
+  std::string trace_json, metrics_json;  // the serial run's exports
   for (const std::int64_t w : worker_counts) {
     obs::TraceRecorder trace;
     obs::MetricsRegistry metrics;
     elastic_runs.push_back(run_streaming(p, w, /*disaggregate=*/true,
                                          /*elastic_enabled=*/true,
                                          {&trace, &metrics}));
-    trace_jsons.push_back(trace.to_json());
-    metrics_jsons.push_back(metrics.to_json());
+    if (w == worker_counts.front()) {
+      trace_json = trace.to_json();
+      metrics_json = metrics.to_json();
+    }
   }
   const RunOutcome& grown = elastic_runs.front();
 
@@ -361,22 +312,18 @@ int main(int argc, char** argv) {
         "share-requests", "seed"})
     custom_load |= flags.overridden(knob);
 
-  bool exact = true;
-  for (std::size_t i = 1; i < elastic_runs.size(); ++i)
-    exact &= identical(grown, elastic_runs[i]);
-  bool trace_exact = true;
-  for (std::size_t i = 1; i < trace_jsons.size(); ++i) {
-    trace_exact &= trace_jsons[i] == trace_jsons.front();
-    trace_exact &= metrics_jsons[i] == metrics_jsons.front();
-  }
-  const bool unperturbed = identical(grown, unobserved);
+  // Every sweep run recorded, so one digest comparison covers both
+  // determinism lines: a schedule stream that moved fails both (the
+  // export bytes went unchecked), an export stream only the byte line.
+  const char* moved = nullptr;
+  for (std::size_t i = 1; i < elastic_runs.size() && moved == nullptr; ++i)
+    moved = first_difference(grown.digest, elastic_runs[i].digest);
+  const char* perturbed = first_difference(grown.digest, unobserved.digest);
   // The elastic streaming replay must have exercised every slice kind and
   // both scheduler markers the trace exists to expose.
-  const std::string& trace_json = trace_jsons.front();
-  const bool trace_complete =
-      has_event(trace_json, "classify") && has_event(trace_json, "prefill") &&
-      has_event(trace_json, "decode") && has_event(trace_json, "resize") &&
-      has_event(trace_json, "preempt");
+  bool trace_complete = true;
+  for (const char* name : {"classify", "prefill", "decode", "resize", "preempt"})
+    trace_complete &= obs::has_event(trace_json, name);
   bool grew = false, shrank = false;
   for (const ResizeEvent& e : grown.resizes) {
     grew |= e.to_devices > e.from_devices;
@@ -423,7 +370,7 @@ int main(int argc, char** argv) {
       !vf::obs::save_text_file(flags.trace_path(), trace_json))
     ok = false;
   if (!flags.metrics_path().empty() &&
-      !vf::obs::save_text_file(flags.metrics_path(), metrics_jsons.front()))
+      !vf::obs::save_text_file(flags.metrics_path(), metrics_json))
     ok = false;
 
   const char* miss = custom_load ? "no (informational: custom workload)" : "NO — BUG";
@@ -435,16 +382,16 @@ int main(int argc, char** argv) {
               share_ok ? "yes" : miss);
   std::printf("  bit-identical records (token stamps included) across workers "
               "{0, 2, 8}: %s\n",
-              exact ? "yes" : "NO — BUG");
+              vf::bench::identity_verdict(vf::bench::schedule_only(moved)).c_str());
   std::printf("  byte-identical trace + metrics export across workers "
               "{0, 2, 8}: %s\n",
-              trace_exact ? "yes" : "NO — BUG");
+              vf::bench::identity_verdict(moved).c_str());
   std::printf("  recording does not perturb the replay: %s\n",
-              unperturbed ? "yes" : "NO — BUG");
+              vf::bench::identity_verdict(perturbed).c_str());
   std::printf("  trace covers classify/prefill/decode + resize + preempt: %s\n",
               trace_complete ? "yes" : miss);
 
-  if (!exact || !trace_exact || !unperturbed) ok = false;
+  if (moved != nullptr || perturbed != nullptr) ok = false;
   if (!custom_load && (!ttft_ok || !tokens_ok || !grew || !shrank || !share_ok ||
                        !trace_complete))
     ok = false;

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <string_view>
 
 namespace vf::bench {
 
@@ -94,6 +95,33 @@ EngineSetup make_setup(const std::string& task_name, const std::string& profile_
                            VnMapping::even(total_vns, num_devices, recipe.global_batch),
                            cfg);
   return EngineSetup{std::move(task), std::move(recipe), std::move(engine)};
+}
+
+TaskBox::TaskBox(const std::string& task_name, std::uint64_t seed, std::int64_t batch)
+    : task(make_task(task_name, seed)),
+      model(make_proxy_model(task_name, seed)),
+      recipe(batch > 0 ? make_recipe_with_batch(task_name, batch) : make_recipe(task_name)) {}
+
+VirtualFlowEngine TaskBox::engine(const std::string& profile, std::int64_t vns,
+                                  std::int64_t devices, std::int64_t workers,
+                                  std::uint64_t seed) const {
+  EngineConfig cfg;
+  cfg.seed = seed;
+  cfg.enforce_memory = false;
+  cfg.num_threads = workers;
+  return VirtualFlowEngine(model, *recipe.optimizer, *recipe.schedule, *task.train,
+                           model_profile(profile), make_devices(DeviceType::kV100, devices),
+                           VnMapping::even(vns, devices, recipe.global_batch), cfg);
+}
+
+std::string identity_verdict(const char* moved) {
+  return moved == nullptr ? "yes" : std::string("NO — BUG (") + moved + " moved)";
+}
+
+const char* schedule_only(const char* moved) {
+  if (moved == nullptr) return nullptr;
+  const std::string_view s = moved;
+  return s == "trace" || s == "metrics" ? nullptr : moved;
 }
 
 void print_claim(const std::string& name, double measured, double paper,

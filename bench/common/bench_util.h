@@ -89,6 +89,34 @@ EngineSetup make_setup(const std::string& task_name, const std::string& profile_
                        std::int64_t batch_override = -1,
                        std::int64_t epochs_override = -1);
 
+/// One proxy task's datasets, model and training recipe: what the serving
+/// benches build their engines from. Engines borrow the box's recipe and
+/// training set, so the box must outlive them.
+struct TaskBox {
+  ProxyTask task;
+  Sequential model;
+  TrainRecipe recipe;
+
+  /// `batch` > 0 replaces the task's reference global batch.
+  TaskBox(const std::string& task_name, std::uint64_t seed, std::int64_t batch = -1);
+
+  /// `vns` virtual nodes evenly over `devices` V100s at the recipe's
+  /// global batch, timed by the `profile` paper model, `workers` host
+  /// threads, engine seed `seed`; simulated memory limits off (the proxy
+  /// models are tiny).
+  VirtualFlowEngine engine(const std::string& profile, std::int64_t vns,
+                           std::int64_t devices, std::int64_t workers,
+                           std::uint64_t seed) const;
+};
+
+/// A bit-identity claim's verdict: "yes", or "NO — BUG (<stream> moved)"
+/// for the stream serve::first_difference named.
+std::string identity_verdict(const char* moved);
+
+/// `moved` unless it names an export stream ("trace", "metrics"): the
+/// verdict of a schedule-only claim line next to a byte-identity line.
+const char* schedule_only(const char* moved);
+
 /// Prints "name: measured vs paper (delta)" comparison lines.
 void print_claim(const std::string& name, double measured, double paper,
                  const std::string& unit = "");

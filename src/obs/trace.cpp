@@ -128,4 +128,11 @@ bool TraceRecorder::save(const std::string& path) const {
   return save_text_file(path, to_json());
 }
 
+bool has_event(std::string_view trace_json, std::string_view name) {
+  std::string needle = "{\"name\": \"";
+  needle += name;
+  needle += '"';
+  return trace_json.find(needle) != std::string_view::npos;
+}
+
 }  // namespace vf::obs

@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace vf::obs {
@@ -81,5 +82,10 @@ class TraceRecorder {
  private:
   std::vector<TraceEvent> events_;
 };
+
+/// True when exported trace JSON (TraceRecorder::to_json) carries an event
+/// named exactly `name`: how benches and tests check that a replay
+/// exercised a slice kind or a marker.
+bool has_event(std::string_view trace_json, std::string_view name);
 
 }  // namespace vf::obs

@@ -14,6 +14,9 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 // An analytic job whose remaining work is below this is finished.
 constexpr double kStepEps = 1e-6;
+// Event budget of one run; exceeding it means a policy/lease livelock,
+// which fails loudly instead of spinning.
+constexpr std::int64_t kMaxEvents = 2'000'000;
 
 std::int64_t clamp64(std::int64_t v, std::int64_t lo, std::int64_t hi) {
   return std::max(lo, std::min(hi, v));
@@ -29,8 +32,6 @@ ClusterController::ClusterController(ClusterInventory cluster, Scheduler& policy
                                      ClusterOptions options)
     : cluster_(std::move(cluster)), policy_(policy), options_(std::move(options)) {
   check(cluster_.total() > 0, "cluster inventory is empty");
-  check(options_.max_events > 0, "max_events must be positive");
-  check(options_.reeval_interval_s >= 0.0, "reeval_interval_s must be >= 0");
 }
 
 void ClusterController::set_observability(obs::Observability obs) { obs_ = obs; }
@@ -173,7 +174,6 @@ void ClusterController::refresh_from_leases(double now) {
 
 double ClusterController::next_event(double now) const {
   double t_next = kInf;
-  bool lease_active = false;
   for (const Tenant& t : tenants_) {
     const JobState& js = t.state;
     if (js.finished() || t.retired) continue;
@@ -182,7 +182,6 @@ double ClusterController::next_event(double now) const {
       continue;
     }
     if (t.lease != nullptr) {
-      lease_active = true;
       const double e = t.lease->next_event_s();
       if (e < kInf) t_next = std::min(t_next, std::max(e, now));
       continue;
@@ -195,11 +194,6 @@ double ClusterController::next_event(double now) const {
   const double round = policy_.round_interval_s();
   if (round > 0.0) {
     const double tick = (std::floor(now / round + 1e-9) + 1.0) * round;
-    t_next = std::min(t_next, tick);
-  }
-  if (options_.reeval_interval_s > 0.0 && lease_active) {
-    const double iv = options_.reeval_interval_s;
-    const double tick = (std::floor(now / iv + 1e-9) + 1.0) * iv;
     t_next = std::min(t_next, tick);
   }
   return t_next;
@@ -335,8 +329,8 @@ ClusterReport ClusterController::run() {
   };
 
   while (unfinished()) {
-    check(++events <= options_.max_events,
-          "cluster controller exceeded max_events (policy/lease livelock?)");
+    check(++events <= kMaxEvents,
+          "cluster controller exceeded its event budget (policy/lease livelock?)");
     const double t_next = next_event(now);
     check(t_next < kInf, [&] {
       return "cluster controller stalled: jobs remain but no future event (policy " +

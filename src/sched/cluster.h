@@ -49,18 +49,13 @@
 
 namespace vf {
 
-/// Controller configuration.
+/// Controller configuration. The controller is purely event-driven: it
+/// consults the policy at arrivals, completions, lease events and policy
+/// round ticks — serving load changes only at lease events, so extra
+/// ticks would add cost without information.
 struct ClusterOptions {
   /// Prices gradient synchronization in analytic training throughput.
   LinkSpec link;
-  /// > 0 inserts a policy consult every interval while any lease is
-  /// active, on top of the event-driven consults (arrivals, completions,
-  /// lease events, policy round ticks). 0 (default) stays purely
-  /// event-driven — serving load changes only at lease events, so extra
-  /// ticks add cost without information.
-  double reeval_interval_s = 0.0;
-  /// Event budget; exceeded means a policy/lease livelock. Fails loudly.
-  std::int64_t max_events = 2'000'000;
 };
 
 /// One device grant the controller issued to a lease holder.

@@ -6,6 +6,16 @@
 #include "util/common.h"
 
 namespace vf {
+namespace {
+
+// Minimum relative throughput gain for adding another device type to a
+// job's allocation (keeps the +HT extension from mixing types for noise).
+constexpr double kMinHeteroGain = 0.05;
+// Device type serving jobs draw from in mixed job sets (serving engines
+// run homogeneous pools; see carve_serving_grants).
+constexpr DeviceType kServePool = DeviceType::kV100;
+
+}  // namespace
 
 GavelScheduler::GavelScheduler(GavelOptions options) : options_(options) {
   check(options.round_s > 0.0, "round duration must be positive");
@@ -56,8 +66,8 @@ std::map<std::int64_t, Allocation> GavelScheduler::schedule(
     std::int64_t serve_mins = 0;
     for (const JobState* j : jobs)
       if (j->is_serve()) serve_mins += j->live_min_gpus;
-    if (serve_mins <= free.per_type[options_.serve_pool]) {
-      auto serve_out = carve_serving_grants(free, jobs, options_.serve_pool);
+    if (serve_mins <= free.per_type[kServePool]) {
+      auto serve_out = carve_serving_grants(free, jobs, kServePool);
       out.insert(serve_out.begin(), serve_out.end());
       return out;
     }
@@ -65,7 +75,7 @@ std::map<std::int64_t, Allocation> GavelScheduler::schedule(
   next_recompute_s_ =
       (std::floor(now / options_.round_s + 1e-9) + 1.0) * options_.round_s;
   ClusterInventory train_pool = cluster;
-  auto serve_out = carve_serving_grants(train_pool, jobs, options_.serve_pool);
+  auto serve_out = carve_serving_grants(train_pool, jobs, kServePool);
   cached_ = compute_round(train_pool, train);
   std::map<std::int64_t, Allocation> out = cached_;
   out.insert(serve_out.begin(), serve_out.end());
@@ -113,7 +123,7 @@ std::map<std::int64_t, Allocation> GavelScheduler::compute_round(
 
   // Pass 2 (+HT): in the same order, offer each job the leftover GPUs of
   // other types, keeping an addition only if it improves the job's
-  // throughput by at least min_hetero_gain (VirtualFlow's solver fallback
+  // throughput by at least kMinHeteroGain (VirtualFlow's solver fallback
   // behaviour: don't mix when mixing doesn't help).
   for (const JobState* j : order) {
     const auto it = out.find(j->spec.id);
@@ -130,7 +140,7 @@ std::map<std::int64_t, Allocation> GavelScheduler::compute_round(
         cand.per_type[type] = extra;
         const double tput =
             allocation_throughput(j->spec.profile, j->spec.global_batch, cand);
-        if (tput >= current_tput * (1.0 + options_.min_hetero_gain)) {
+        if (tput >= current_tput * (1.0 + kMinHeteroGain)) {
           current = cand;
           current_tput = tput;
           avail -= extra;

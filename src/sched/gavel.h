@@ -22,12 +22,6 @@ struct GavelOptions {
   bool heterogeneous_allocations = false;  ///< the paper's +HT extension
   double round_s = 360.0;                  ///< paper: 6-minute rounds
   double restart_penalty_s = 30.0;         ///< checkpoint-restart on change
-  /// Minimum relative throughput gain for adding another device type to a
-  /// job's allocation (keeps the extension from mixing types for noise).
-  double min_hetero_gain = 0.05;
-  /// Device type serving jobs draw from in mixed job sets (serving
-  /// engines run homogeneous pools; see carve_serving_grants).
-  DeviceType serve_pool = DeviceType::kV100;
 };
 
 class GavelScheduler : public Scheduler {

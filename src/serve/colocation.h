@@ -155,7 +155,9 @@ struct ModelConfig {
   /// compare to its co-tenants'. Must be positive.
   double share = 1.0;
   /// Deadline-aware load shedding at admission for this model (see
-  /// ServerConfig::shed_expired). Off by default.
+  /// ServerConfig::shed_expired). Off by default. With two or more models
+  /// in continuous mode the clock never stalls past arrivals, so nothing
+  /// is ever shed at admission (docs/fault_tolerance.md).
   bool shed_expired = false;
 };
 

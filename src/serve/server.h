@@ -77,7 +77,9 @@ struct ServerConfig {
   /// to them are bounced instead of queued to a guaranteed miss — the
   /// graceful-degradation arm of the fault story under sustained capacity
   /// loss. Off by default: shedding changes which requests are served, so
-  /// it is opt-in per workload (bench_faults turns it on).
+  /// it is opt-in per workload (bench_faults turns it on). In continuous
+  /// mode a request can only expire before admission when the one-model
+  /// stall rule jumps the clock past arrivals (docs/fault_tolerance.md).
   bool shed_expired = false;
 };
 

@@ -1,10 +1,6 @@
 #include "tensor/backend.h"
 
-#include <array>
 #include <atomic>
-#include <mutex>
-
-#include "util/common.h"
 
 namespace vf::backend {
 
@@ -24,20 +20,6 @@ CpuFeatures probe_cpu() {
   return f;
 }
 
-struct ContractKey {
-  KernelOp op;
-  std::int64_t m, k, n;
-};
-
-// Bounded lock-free-read registry: writers append under a mutex and then
-// publish by bumping the count (release); readers acquire the count and
-// scan. Registration is a setup/test API — it must not race in-flight
-// kernels that could observe a slot mid-write after clear() recycles it.
-constexpr std::size_t kMaxContractFallbacks = 64;
-std::array<ContractKey, kMaxContractFallbacks> g_contract{};
-std::atomic<std::size_t> g_contract_count{0};
-std::mutex g_contract_mu;
-
 std::atomic<bool> g_simd_disabled{false};
 
 /// Lazily probed on first use: __builtin_cpu_supports needs libgcc's cpu
@@ -46,16 +28,6 @@ std::atomic<bool> g_simd_disabled{false};
 const CpuFeatures& features() {
   static const CpuFeatures f = probe_cpu();
   return f;
-}
-
-bool contract_fallback_hit(KernelOp op, std::int64_t m, std::int64_t k,
-                           std::int64_t n) {
-  const std::size_t count = g_contract_count.load(std::memory_order_acquire);
-  for (std::size_t i = 0; i < count; ++i) {
-    const ContractKey& e = g_contract[i];
-    if (e.op == op && e.m == m && e.k == k && e.n == n) return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -113,31 +85,12 @@ bool BackendFactory::simd_disabled() const {
   return g_simd_disabled.load(std::memory_order_relaxed);
 }
 
-void BackendFactory::register_contract_fallback(KernelOp op, std::int64_t m,
-                                                std::int64_t k, std::int64_t n) {
-  std::lock_guard<std::mutex> lock(g_contract_mu);
-  const std::size_t count = g_contract_count.load(std::memory_order_relaxed);
-  check(count < kMaxContractFallbacks,
-        "backend contract-fallback registry is full");
-  g_contract[count] = ContractKey{op, m, k, n};
-  g_contract_count.store(count + 1, std::memory_order_release);
-}
-
-void BackendFactory::clear_contract_fallbacks() {
-  std::lock_guard<std::mutex> lock(g_contract_mu);
-  g_contract_count.store(0, std::memory_order_release);
-}
-
-std::size_t BackendFactory::contract_fallback_count() const {
-  return g_contract_count.load(std::memory_order_acquire);
-}
-
-Dispatch BackendFactory::select(KernelOp op, std::int64_t m, std::int64_t k,
+Dispatch BackendFactory::select(KernelOp op, std::int64_t /*m*/, std::int64_t /*k*/,
                                 std::int64_t n) const {
-  // Rule order is the contract (backend.h): ISA, then per-shape contract
-  // fallbacks, then the static per-op entries, then the vector kernel.
+  // Rule order is the contract (backend.h): ISA, then the static per-op
+  // entries, then the vector kernel. Today's rules read only the lane
+  // axis; m and k stay in the signature for rules that need the shape.
   if (!simd_available()) return {KernelMode::kBlocked, "isa"};
-  if (contract_fallback_hit(op, m, k, n)) return {KernelMode::kReference, "contract"};
   switch (op) {
     case KernelOp::kTranspose:
       // Pure data movement: the blocked tiles already run at load/store

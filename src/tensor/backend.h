@@ -8,26 +8,22 @@
 // (`TensorConfig::kernel_mode()`), while the factory probes what the CPU
 // can actually do (cpuid via `__builtin_cpu_supports`) and resolves every
 // (op, shape) to the fastest tier that can keep the repo's bit-exactness
-// contract. Resolution is by a small registry of named rules, evaluated
-// in a fixed order:
+// contract. Resolution is by a small set of named rules, evaluated in a
+// fixed order:
 //
 //   1. "isa"       — the SIMD tier was not compiled in, the CPU lacks the
 //                    ISA, or a test force-disabled it: serve with blocked
 //                    (bit-identical, the fastest scalar tier).
-//   2. "contract"  — the (op, shape) is registered as unable to keep
-//                    bit-identity under the SIMD implementation: serve
-//                    with reference (the executable specification). The
-//                    AVX2 backend never splits an accumulation chain —
-//                    its vector lanes are independent output elements —
-//                    so it registers nothing here; the registry exists so
-//                    a backend that *does* split chains (a lane-tree dot
-//                    kernel, say) can fall back per shape instead of
-//                    weakening the contract for everyone.
-//   3. static per-op entries — e.g. "narrow-n" (the vectorized axis is
+//   2. static per-op entries — e.g. "narrow-n" (the vectorized axis is
 //                    shorter than one vector register: nothing to win) or
 //                    "no-simd-transpose" (pure data movement; the blocked
 //                    tiles already saturate the load/store ports).
-//   4. "vector"    — the SIMD kernel serves the call.
+//   3. "vector"    — the SIMD kernel serves the call.
+//
+// The AVX2 backend never splits an accumulation chain — its vector lanes
+// are independent output elements — so no shape needs a bit-exactness
+// fallback. A future backend that cannot keep that discipline for some
+// shape adds a static per-op rule that serves it elsewhere.
 //
 // The factory exposes the decision (`select()` returns tier + rule name)
 // so bench_hotpath can print which tier actually served each shape and
@@ -67,15 +63,15 @@ struct CpuFeatures {
 };
 
 /// One dispatch decision: the tier that will serve, and the name of the
-/// registry rule that decided it.
+/// rule that decided it.
 struct Dispatch {
   KernelMode tier;
   const char* rule;
 };
 
 /// Process-wide backend factory. All queries are lock-free and safe from
-/// any thread; the registration/override hooks are test/setup APIs and
-/// must not race in-flight kernels.
+/// any thread; the override hook is a test/setup API and must not race
+/// in-flight kernels.
 class BackendFactory {
  public:
   static BackendFactory& instance();
@@ -98,15 +94,6 @@ class BackendFactory {
   /// (every simd-mode call falls back to blocked under rule "isa").
   void set_simd_disabled(bool disabled);
   bool simd_disabled() const;
-
-  /// Registers (op, shape) as unable to keep bit-identity under the SIMD
-  /// implementation; `select()` then serves it with the reference tier
-  /// under rule "contract". Bounded registry — throws VfError when full.
-  void register_contract_fallback(KernelOp op, std::int64_t m, std::int64_t k,
-                                  std::int64_t n);
-  /// Drops every registered contract fallback (test hook).
-  void clear_contract_fallbacks();
-  std::size_t contract_fallback_count() const;
 
   /// Resolves the tier that will serve `op` at this shape when the
   /// configured kernel mode is kSimd. Shape extents follow the op (see

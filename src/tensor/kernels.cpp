@@ -165,8 +165,8 @@ void column_sums_scalar(const float* in, float* out, std::int64_t rows,
 }
 
 /// Resolves the tier that actually serves this call: kSimd consults the
-/// backend factory per shape (ISA probe, contract fallbacks, per-op
-/// entries — see backend.h); the other modes are themselves.
+/// backend factory per shape (ISA probe, then per-op entries — see
+/// backend.h); the other modes are themselves.
 KernelMode resolve(backend::KernelOp op, std::int64_t m, std::int64_t k,
                    std::int64_t n, KernelMode mode) {
   if (mode != KernelMode::kSimd) return mode;

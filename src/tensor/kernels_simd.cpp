@@ -19,9 +19,10 @@
 // bit-identity with the reference tier on all finite inputs at ANY
 // vector width — the lane count only changes how many independent chains
 // advance per instruction, never the order within a chain. A backend
-// that cannot keep this discipline (e.g. a lane-split dot product with a
-// reduction tree) must register its shapes in the factory's contract-
-// fallback registry instead of weakening the contract (backend.h).
+// that cannot keep this discipline for some shape (e.g. a lane-split dot
+// product with a reduction tree) must route that shape to another tier
+// through a per-op rule in the factory instead of weakening the contract
+// (backend.h).
 //
 // The matmul core keeps a 2-row x 32-column block of out in eight ymm
 // accumulators across each k tile, streaming b row by row — with mul+add

@@ -23,6 +23,7 @@
 
 // Substrates.
 #include "util/common.h"
+#include "util/fnv1a.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -67,6 +68,7 @@
 #include "serve/arrival.h"
 #include "serve/batch_former.h"
 #include "serve/colocation.h"
+#include "serve/digest.h"
 #include "serve/request.h"
 #include "serve/request_queue.h"
 #include "serve/server.h"

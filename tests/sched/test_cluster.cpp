@@ -6,16 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "fault/fault.h"
-#include "golden_hash.h"
 #include "sched/cluster.h"
 #include "sched/gavel.h"
 #include "sched/wfs.h"
 #include "serve/arrival.h"
+#include "serve/digest.h"
 #include "serve/server.h"
 #include "util/common.h"
 #include "workloads/profiles.h"
@@ -59,9 +60,12 @@ JobSpec serve_spec(std::int64_t id, std::int64_t demand, std::int64_t min_gpus,
 }
 
 /// Minimal scripted lease: reports a fixed backlog until `busy_until_s`,
-/// then drains. Lets the contract tests run without a full serving rig.
+/// then drains. While busy it ticks every `tick_s`, the way a real lease
+/// reports its slice events, so the controller re-reads its load. Lets
+/// the contract tests run without a full serving rig.
 struct FakeServeLease : sched::DeviceLease {
   double busy_until_s = 2.0;
+  double tick_s = 0.25;
   std::int64_t queue_depth = 100;
   std::int64_t max_devices = 8;
   double clock_ = 0.0;
@@ -69,8 +73,8 @@ struct FakeServeLease : sched::DeviceLease {
   std::vector<std::int64_t> grants_seen;
 
   double next_event_s() const override {
-    return clock_ < busy_until_s ? busy_until_s
-                                 : std::numeric_limits<double>::infinity();
+    if (clock_ >= busy_until_s) return std::numeric_limits<double>::infinity();
+    return std::min(busy_until_s, (std::floor(clock_ / tick_s + 1e-9) + 1.0) * tick_s);
   }
   void pump(double horizon_s) override {
     if (horizon_s < std::numeric_limits<double>::infinity())
@@ -172,9 +176,7 @@ TEST(ClusterController, ServeGrantOutsideLiveBandFailsLoudly) {
 
 TEST(ClusterController, WfsGrowsBackloggedServingJob) {
   ElasticWfsScheduler wfs;
-  ClusterOptions opts;
-  opts.reeval_interval_s = 0.25;  // the fake lease has no internal events
-  ClusterController c(v100s(16), wfs, opts);
+  ClusterController c(v100s(16), wfs);
   FakeServeLease lease;
   c.add_serve_job(serve_spec(0, 2, 1, 8), lease);
   c.add_train_job(train_spec(1, 0.0, 2000, 8));
@@ -200,9 +202,7 @@ TEST(ClusterController, StaticPartitionPinsServingAtProvisionedSize) {
   StaticPartitionScheduler policy(wfs, DeviceType::kV100);
   EXPECT_EQ(policy.name(), "static(elastic-wfs)");
 
-  ClusterOptions opts;
-  opts.reeval_interval_s = 0.25;
-  ClusterController c(v100s(16), policy, opts);
+  ClusterController c(v100s(16), policy);
   FakeServeLease lease;  // backlog wants 8, partition pins 4
   c.add_serve_job(serve_spec(0, /*demand=*/4, 1, 8), lease);
   c.add_train_job(train_spec(1, 0.0, 500, 12));
@@ -270,16 +270,9 @@ std::vector<serve::InferRequest> burst_trace(const Dataset& pool) {
       pool.size());
 }
 
-struct CoschedResult {
-  std::vector<GrantRecord> grants;
-  std::vector<double> latencies;
-  std::int64_t completed = 0;
-  std::int64_t rejected = 0;
-  double train_completion_s = 0.0;
-  double end_s = 0.0;
-};
-
-CoschedResult run_cosched(std::int64_t workers) {
+/// The serving lease's streams, with the whole controller report as its
+/// lease stream.
+serve::RunDigest run_cosched(std::int64_t workers) {
   Rig rig = make_rig();
   VirtualFlowEngine engine = make_engine(rig, /*devices=*/1, workers);
   serve::Server server(engine, *rig.task.val, serve_config());
@@ -294,16 +287,10 @@ CoschedResult run_cosched(std::int64_t workers) {
   const ClusterReport report = c.run();
   server.finish();
 
-  CoschedResult out;
-  out.grants = report.grants;
-  for (const serve::RequestRecord& r : server.slo().records()) {
-    if (!r.rejected) out.latencies.push_back(r.latency_s());
-  }
-  out.completed = server.slo().completed();
-  out.rejected = server.slo().rejected();
-  out.train_completion_s = report.jobs[1].completion_s;
-  out.end_s = report.end_s;
-  return out;
+  EXPECT_GT(server.slo().completed(), 0);
+  serve::RunDigest d = serve::digest(server);
+  d.lease = serve::report_digest(report);
+  return d;
 }
 
 TEST(ClusterController, ServerLeaseEndToEnd) {
@@ -344,24 +331,10 @@ TEST(ClusterController, ServerLeaseEndToEnd) {
 }
 
 TEST(ClusterController, BitIdenticalAcrossWorkerCounts) {
-  const CoschedResult base = run_cosched(/*workers=*/0);
-  ASSERT_GT(base.completed, 0);
-  for (std::int64_t workers : {2, 8}) {
-    const CoschedResult other = run_cosched(workers);
-    EXPECT_EQ(base.completed, other.completed) << "workers=" << workers;
-    EXPECT_EQ(base.rejected, other.rejected) << "workers=" << workers;
-    EXPECT_EQ(base.latencies, other.latencies) << "workers=" << workers;
-    EXPECT_EQ(base.train_completion_s, other.train_completion_s)
+  const serve::RunDigest base = run_cosched(/*workers=*/0);
+  for (std::int64_t workers : {2, 8})
+    EXPECT_EQ(serve::first_difference(base, run_cosched(workers)), nullptr)
         << "workers=" << workers;
-    EXPECT_EQ(base.end_s, other.end_s) << "workers=" << workers;
-    ASSERT_EQ(base.grants.size(), other.grants.size()) << "workers=" << workers;
-    for (std::size_t i = 0; i < base.grants.size(); ++i) {
-      EXPECT_EQ(base.grants[i].time_s, other.grants[i].time_s);
-      EXPECT_EQ(base.grants[i].job_id, other.grants[i].job_id);
-      EXPECT_EQ(base.grants[i].to_devices, other.grants[i].to_devices);
-      EXPECT_EQ(base.grants[i].migration_s, other.grants[i].migration_s);
-    }
-  }
 }
 
 TEST(ClusterController, FaultKillForcesRegrantWithZeroLoss) {
@@ -473,47 +446,12 @@ TEST(EngineTrainLease, FullPreemptionPausesAndResumes) {
 
 // ---------------------------------------------------------------------------
 // Golden pin: one mixed run — a real serving lease, a real EngineTrainLease
-// and analytic jobs under Gavel's LAS rounds — reduced to an FNV-1a hash
-// over every JobState field, every grant and the final clock. Gavel ranks
-// by attained_service, so both attained-service formulas (analytic and
-// train lease) feed its decisions as well as the hash.
+// and analytic jobs under Gavel's LAS rounds — reduced to the report
+// digest (serve/digest.h): an FNV-1a hash over every JobState field, every
+// grant and the final clock. Gavel ranks by attained_service, so both
+// attained-service formulas (analytic and train lease) feed its decisions
+// as well as the hash.
 // ---------------------------------------------------------------------------
-
-std::uint64_t report_hash(const ClusterReport& report) {
-  golden::Fnv1a f;
-  f.add(static_cast<std::int64_t>(report.jobs.size()));
-  for (const JobState& j : report.jobs) {
-    f.add(j.spec.id);
-    f.add(j.remaining_steps);
-    f.add(j.alloc);
-    f.add(j.first_start_s);
-    f.add(j.completion_s);
-    f.add(j.pause_until_s);
-    f.add(j.attained_service);
-    f.add(j.resizes);
-    f.add(static_cast<std::int64_t>(j.timeline.size()));
-    for (const AllocSegment& s : j.timeline) {
-      f.add(s.t0);
-      f.add(s.t1);
-      f.add(s.alloc);
-    }
-    f.add(j.desired_gpus);
-    f.add(j.live_min_gpus);
-    f.add(j.live_max_gpus);
-    f.add(j.slo_pressure);
-  }
-  f.add(static_cast<std::int64_t>(report.grants.size()));
-  for (const GrantRecord& g : report.grants) {
-    f.add(g.time_s);
-    f.add(g.job_id);
-    f.add(g.from_devices);
-    f.add(g.to_devices);
-    f.add(g.migration_s);
-  }
-  f.add(report.train_makespan_s);
-  f.add(report.end_s);
-  return f.h;
-}
 
 TEST(ClusterController, GoldenMixedTenantRun) {
   Rig serve_rig = make_rig();
@@ -551,7 +489,7 @@ TEST(ClusterController, GoldenMixedTenantRun) {
   EXPECT_GT(report.jobs[1].attained_service, 0.0) << "the train lease accrued service";
   // The hash of this run when the pin was taken. A change here means a
   // controller decision or an attained-service bit moved.
-  EXPECT_EQ(golden::hex(report_hash(report)), golden::hex(0xaf0e08d8b88a1961ull));
+  EXPECT_EQ(hex(serve::report_digest(report)), hex(0xaf0e08d8b88a1961ull));
 }
 
 }  // namespace

@@ -7,11 +7,11 @@
 #include <utility>
 #include <vector>
 
-#include "golden_hash.h"
 #include "sched/gavel.h"
 #include "sched/simulator.h"
 #include "sched/trace.h"
 #include "sched/wfs.h"
+#include "serve/digest.h"
 #include "util/common.h"
 #include "workloads/profiles.h"
 
@@ -169,7 +169,7 @@ TEST(Simulator, StalledPolicyDetected) {
 // a sub-epsilon leftover of the advancement arithmetic (any value <= 1e-6
 // means "done"), not part of the schedule, and nothing downstream reads it.
 std::uint64_t schedule_hash(const SimResult& res) {
-  golden::Fnv1a f;
+  Fnv1a f;
   f.add(static_cast<std::int64_t>(res.jobs.size()));
   for (const JobState& j : res.jobs) {
     f.add(j.spec.id);
@@ -178,12 +178,12 @@ std::uint64_t schedule_hash(const SimResult& res) {
     f.add(j.pause_until_s);
     f.add(j.attained_service);
     f.add(j.resizes);
-    f.add(j.alloc);
+    serve::add_allocation(f, j.alloc);
     f.add(static_cast<std::int64_t>(j.timeline.size()));
     for (const AllocSegment& s : j.timeline) {
       f.add(s.t0);
       f.add(s.t1);
-      f.add(s.alloc);
+      serve::add_allocation(f, s.alloc);
     }
   }
   f.add(res.makespan_s);
@@ -311,7 +311,7 @@ TEST(Simulator, GoldenPaperFigureSchedules) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got[i].first, want[i].name);
-    EXPECT_EQ(golden::hex(got[i].second), golden::hex(want[i].expected)) << want[i].name;
+    EXPECT_EQ(hex(got[i].second), hex(want[i].expected)) << want[i].name;
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include "serve/arrival.h"
 #include "serve/batch_former.h"
+#include "serve/digest.h"
 #include "serve/server.h"
 #include "util/common.h"
 #include "workloads/profiles.h"
@@ -74,12 +75,8 @@ TEST(BatchFormer, PackRejectsOverCapacityAndEmpty) {
 
 // ---- Purity property: batches are a function of the trace, not the host.
 
-struct ReplayShape {
-  std::vector<BatchEvent> batches;
-  std::vector<std::int64_t> record_ids;  // completion order
-};
-
-ReplayShape run_replay(std::int64_t workers) {
+/// The batch log and every other output stream of one replay.
+RunDigest run_replay(std::int64_t workers) {
   const std::uint64_t seed = 7;
   ProxyTask task = make_task("mrpc-sim", seed);
   Sequential model = make_proxy_model("mrpc-sim", seed);
@@ -107,26 +104,14 @@ ReplayShape run_replay(std::int64_t workers) {
   server.replay(poisson_trace(seed, /*rate_rps=*/400.0, /*count=*/300,
                               task.val->size()));
 
-  ReplayShape shape;
-  shape.batches = server.batches();
-  for (const RequestRecord& r : server.slo().records()) shape.record_ids.push_back(r.id);
-  return shape;
+  EXPECT_FALSE(server.batches().empty());
+  return digest(server);
 }
 
 TEST(BatchFormer, BatchSequencePureFunctionOfTraceAcrossWorkerCounts) {
-  const ReplayShape serial = run_replay(0);
-  ASSERT_FALSE(serial.batches.empty());
-  for (const std::int64_t workers : {2LL, 8LL}) {
-    const ReplayShape pooled = run_replay(workers);
-    ASSERT_EQ(serial.batches.size(), pooled.batches.size()) << workers << " workers";
-    for (std::size_t b = 0; b < serial.batches.size(); ++b) {
-      EXPECT_EQ(serial.batches[b].size, pooled.batches[b].size) << "batch " << b;
-      EXPECT_EQ(serial.batches[b].start_s, pooled.batches[b].start_s) << "batch " << b;
-      EXPECT_EQ(serial.batches[b].finish_s, pooled.batches[b].finish_s) << "batch " << b;
-      EXPECT_EQ(serial.batches[b].devices, pooled.batches[b].devices) << "batch " << b;
-    }
-    EXPECT_EQ(serial.record_ids, pooled.record_ids) << workers << " workers";
-  }
+  const RunDigest serial = run_replay(0);
+  for (const std::int64_t workers : {2LL, 8LL})
+    EXPECT_EQ(first_difference(serial, run_replay(workers)), nullptr) << workers << " workers";
 }
 
 }  // namespace

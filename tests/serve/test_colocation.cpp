@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "serve/arrival.h"
 #include "serve/colocation.h"
+#include "serve/digest.h"
 #include "util/common.h"
 #include "workloads/profiles.h"
 #include "workloads/tasks.h"
@@ -75,7 +77,7 @@ std::vector<std::vector<InferRequest>> staggered_traces(const Dataset& pool_a,
 }
 
 struct ColoResult {
-  std::vector<std::vector<RequestRecord>> records;  // per model
+  RunDigest digest;  ///< every output stream, compared bit for bit
   std::vector<ResizeEvent> resizes;
   std::vector<SloSummary> summaries;
   std::int64_t final_devices = 0;
@@ -96,10 +98,8 @@ ColoResult run_colocated(bool continuous, std::int64_t workers,
   server.replay(staggered_traces(*rig_a.task.val, *rig_b.task.val));
 
   ColoResult out;
-  for (std::int32_t m = 0; m < 2; ++m) {
-    out.records.push_back(server.slo(m).records());
-    out.summaries.push_back(server.slo(m).summary());
-  }
+  out.digest = digest(server);
+  for (std::int32_t m = 0; m < 2; ++m) out.summaries.push_back(server.slo(m).summary());
   out.resizes = server.resizes();
   out.final_devices = server.shared_devices();
   return out;
@@ -347,10 +347,10 @@ TEST(Colocation, StreamingChainsRideTheSharedArbiter) {
          streaming_trace(kSeed + 1, phases, rig_b.task.val->size(), shape)});
     std::vector<std::vector<RequestRecord>> records;
     for (std::int32_t m = 0; m < 2; ++m) records.push_back(server.slo(m).records());
-    return records;
+    return std::make_pair(records, digest(server));
   };
 
-  const auto serial = run(0);
+  const auto [serial, serial_digest] = run(0);
   for (std::size_t m = 0; m < 2; ++m) {
     std::int64_t streams = 0;
     for (const RequestRecord& r : serial[m]) {
@@ -363,19 +363,7 @@ TEST(Colocation, StreamingChainsRideTheSharedArbiter) {
     }
     EXPECT_GT(streams, 20) << "model " << m;
   }
-  const auto pooled = run(8);
-  for (std::size_t m = 0; m < 2; ++m) {
-    ASSERT_EQ(serial[m].size(), pooled[m].size()) << "model " << m;
-    for (std::size_t i = 0; i < serial[m].size(); ++i) {
-      EXPECT_EQ(serial[m][i].finish_s, pooled[m][i].finish_s) << m << ":" << i;
-      EXPECT_EQ(serial[m][i].first_token_s, pooled[m][i].first_token_s)
-          << m << ":" << i;
-      ASSERT_EQ(serial[m][i].token_stamps.size(), pooled[m][i].token_stamps.size());
-      for (std::size_t t = 0; t < serial[m][i].token_stamps.size(); ++t)
-        EXPECT_EQ(serial[m][i].token_stamps[t], pooled[m][i].token_stamps[t])
-            << m << ":" << i << ":" << t;
-    }
-  }
+  EXPECT_EQ(first_difference(serial_digest, run(8).second), nullptr);
 }
 
 TEST(Colocation, ShareWeightMustBePositive) {
@@ -393,34 +381,12 @@ TEST(Colocation, ShareWeightMustBePositive) {
 TEST(Colocation, ReplayBitIdenticalAcrossWorkerCountsBothModes) {
   for (const bool continuous : {true, false}) {
     const ColoResult serial = run_colocated(continuous, 0);
-    ASSERT_FALSE(serial.records[0].empty());
-    ASSERT_FALSE(serial.records[1].empty());
-    for (const std::int64_t workers : {2, 8}) {
-      const ColoResult pooled = run_colocated(continuous, workers);
-      for (std::size_t m = 0; m < 2; ++m) {
-        ASSERT_EQ(serial.records[m].size(), pooled.records[m].size())
-            << "model " << m << " " << workers << "w continuous=" << continuous;
-        for (std::size_t i = 0; i < serial.records[m].size(); ++i) {
-          const RequestRecord& a = serial.records[m][i];
-          const RequestRecord& b = pooled.records[m][i];
-          EXPECT_EQ(a.id, b.id) << i;
-          EXPECT_EQ(a.rejected, b.rejected) << i;
-          EXPECT_EQ(a.prediction, b.prediction) << i;
-          // EXPECT_EQ on doubles is exact — bit-identical, not close.
-          EXPECT_EQ(a.dispatch_s, b.dispatch_s) << i;
-          EXPECT_EQ(a.queue_wait_s, b.queue_wait_s) << i;
-          EXPECT_EQ(a.compute_s, b.compute_s) << i;
-          EXPECT_EQ(a.comm_s, b.comm_s) << i;
-          EXPECT_EQ(a.finish_s, b.finish_s) << i;
-        }
-        EXPECT_EQ(serial.summaries[m].p99_s, pooled.summaries[m].p99_s);
-      }
-      ASSERT_EQ(serial.resizes.size(), pooled.resizes.size());
-      for (std::size_t i = 0; i < serial.resizes.size(); ++i) {
-        EXPECT_EQ(serial.resizes[i].time_s, pooled.resizes[i].time_s) << i;
-        EXPECT_EQ(serial.resizes[i].to_devices, pooled.resizes[i].to_devices) << i;
-      }
-    }
+    ASSERT_GT(serial.summaries[0].completed, 0);
+    ASSERT_GT(serial.summaries[1].completed, 0);
+    for (const std::int64_t workers : {2, 8})
+      EXPECT_EQ(first_difference(serial.digest, run_colocated(continuous, workers).digest),
+                nullptr)
+          << workers << "w continuous=" << continuous;
   }
 }
 

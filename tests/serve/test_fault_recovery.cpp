@@ -13,6 +13,7 @@
 #include "fault/fault.h"
 #include "serve/arrival.h"
 #include "serve/colocation.h"
+#include "serve/digest.h"
 #include "serve/server.h"
 #include "util/common.h"
 #include "workloads/profiles.h"
@@ -287,33 +288,14 @@ TEST(FaultRecovery, FaultedReplayBitIdenticalAcrossWorkerCounts) {
     server.replay(streaming_trace(
         kSeed, {{200.0, 0.4}, {1500.0, 1.0}, {100.0, 1.6}},
         rig.task.val->size(), shape));
-    return std::make_pair(server.slo().records(), server.faults());
+    EXPECT_FALSE(server.slo().records().empty());
+    EXPECT_FALSE(server.faults().empty());
+    return digest(server);
   };
 
-  const auto serial = run(0);
-  ASSERT_FALSE(serial.first.empty());
-  ASSERT_FALSE(serial.second.empty());
-  for (const std::int64_t workers : {2, 8}) {
-    const auto pooled = run(workers);
-    ASSERT_EQ(serial.first.size(), pooled.first.size()) << workers << "w";
-    for (std::size_t i = 0; i < serial.first.size(); ++i) {
-      const RequestRecord& a = serial.first[i];
-      const RequestRecord& b = pooled.first[i];
-      EXPECT_EQ(a.id, b.id) << i;
-      EXPECT_EQ(a.retries, b.retries) << i;
-      EXPECT_EQ(a.prediction, b.prediction) << i;
-      // EXPECT_EQ on doubles is exact — bit-identical, not approximately.
-      EXPECT_EQ(a.queue_wait_s, b.queue_wait_s) << i;
-      EXPECT_EQ(a.finish_s, b.finish_s) << i;
-    }
-    ASSERT_EQ(serial.second.size(), pooled.second.size()) << workers << "w";
-    for (std::size_t i = 0; i < serial.second.size(); ++i) {
-      EXPECT_EQ(serial.second[i].time_s, pooled.second[i].time_s) << i;
-      EXPECT_EQ(serial.second[i].device, pooled.second[i].device) << i;
-      EXPECT_EQ(serial.second[i].evicted_slices, pooled.second[i].evicted_slices)
-          << i;
-    }
-  }
+  const RunDigest serial = run(0);
+  for (const std::int64_t workers : {2, 8})
+    EXPECT_EQ(first_difference(serial, run(workers)), nullptr) << workers << "w";
 }
 
 TEST(FaultRecovery, InjectorRequiresContinuousModeAndPreReplayAttach) {
@@ -421,25 +403,12 @@ TEST(FaultRecovery, ColocatedFaultedReplayBitIdenticalAcrossWorkerCounts) {
                    streaming_trace(kSeed + 1,
                                    {{200.0, 0.6}, {1500.0, 0.8}, {100.0, 1.2}},
                                    rig_b.task.val->size(), shape)});
-    std::vector<std::vector<RequestRecord>> records;
-    for (std::int32_t m = 0; m < 2; ++m) records.push_back(server.slo(m).records());
-    return records;
+    return digest(server);
   };
 
-  const auto serial = run(0);
-  for (const std::int64_t workers : {2, 8}) {
-    const auto pooled = run(workers);
-    for (std::size_t m = 0; m < 2; ++m) {
-      ASSERT_EQ(serial[m].size(), pooled[m].size()) << "model " << m;
-      for (std::size_t i = 0; i < serial[m].size(); ++i) {
-        EXPECT_EQ(serial[m][i].id, pooled[m][i].id) << m << "/" << i;
-        EXPECT_EQ(serial[m][i].retries, pooled[m][i].retries) << m << "/" << i;
-        EXPECT_EQ(serial[m][i].finish_s, pooled[m][i].finish_s) << m << "/" << i;
-        EXPECT_EQ(serial[m][i].queue_wait_s, pooled[m][i].queue_wait_s)
-            << m << "/" << i;
-      }
-    }
-  }
+  const RunDigest serial = run(0);
+  for (const std::int64_t workers : {2, 8})
+    EXPECT_EQ(first_difference(serial, run(workers)), nullptr) << workers << "w";
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "serve/arrival.h"
+#include "serve/digest.h"
 #include "serve/server.h"
 #include "tensor/kernels.h"
 #include "util/common.h"
@@ -145,46 +146,30 @@ TEST(Server, TinyQueueExercisesBackpressure) {
 // ---- The acceptance-criteria property: bit-identical across num_threads.
 
 struct ReplayResult {
-  std::vector<RequestRecord> records;
-  std::vector<ResizeEvent> resizes;
+  RunDigest digest;  ///< every output stream, compared bit for bit
   SloSummary summary;
+  std::size_t resizes = 0;
 };
+
+ReplayResult replay_result(const Server& server) {
+  return {digest(server), server.slo().summary(), server.resizes().size()};
+}
 
 ReplayResult run_replay(std::int64_t workers) {
   Rig rig = make_rig();
   VirtualFlowEngine engine = make_engine(rig, /*devices=*/1, workers);
   Server server(engine, *rig.task.val, burst_config());
   server.replay(burst_trace(*rig.task.val));
-  return ReplayResult{server.slo().records(), server.resizes(),
-                      server.slo().summary()};
+  return replay_result(server);
 }
 
 TEST(Server, ReplayBitIdenticalAcrossWorkerCounts) {
   const ReplayResult serial = run_replay(0);
-  ASSERT_FALSE(serial.records.empty());
-  ASSERT_FALSE(serial.resizes.empty());
-  for (const std::int64_t workers : {2, 8}) {
-    const ReplayResult pooled = run_replay(workers);
-    ASSERT_EQ(serial.records.size(), pooled.records.size()) << workers << "w";
-    for (std::size_t i = 0; i < serial.records.size(); ++i) {
-      const RequestRecord& a = serial.records[i];
-      const RequestRecord& b = pooled.records[i];
-      EXPECT_EQ(a.id, b.id) << i;
-      EXPECT_EQ(a.rejected, b.rejected) << i;
-      EXPECT_EQ(a.prediction, b.prediction) << i;
-      // EXPECT_EQ on doubles is exact — bit-identical, not approximately.
-      EXPECT_EQ(a.queue_wait_s, b.queue_wait_s) << i;
-      EXPECT_EQ(a.compute_s, b.compute_s) << i;
-      EXPECT_EQ(a.comm_s, b.comm_s) << i;
-      EXPECT_EQ(a.finish_s, b.finish_s) << i;
-    }
-    ASSERT_EQ(serial.resizes.size(), pooled.resizes.size()) << workers << "w";
-    for (std::size_t i = 0; i < serial.resizes.size(); ++i) {
-      EXPECT_EQ(serial.resizes[i].time_s, pooled.resizes[i].time_s) << i;
-      EXPECT_EQ(serial.resizes[i].to_devices, pooled.resizes[i].to_devices) << i;
-    }
-    EXPECT_EQ(serial.summary.p99_s, pooled.summary.p99_s);
-  }
+  ASSERT_GT(serial.summary.completed, 0);
+  ASSERT_GT(serial.resizes, 0U);
+  for (const std::int64_t workers : {2, 8})
+    EXPECT_EQ(first_difference(serial.digest, run_replay(workers).digest), nullptr)
+        << workers << "w";
 }
 
 // ---- Continuous (in-flight) batching.
@@ -275,57 +260,26 @@ ReplayResult run_continuous_replay(std::int64_t workers) {
   cfg.continuous = true;
   Server server(engine, *rig.task.val, cfg);
   server.replay(burst_trace(*rig.task.val));
-  return ReplayResult{server.slo().records(), server.resizes(),
-                      server.slo().summary()};
+  return replay_result(server);
 }
 
 TEST(Server, ContinuousReplayBitIdenticalAcrossWorkerCounts) {
   const ReplayResult serial = run_continuous_replay(0);
-  ASSERT_FALSE(serial.records.empty());
-  ASSERT_FALSE(serial.resizes.empty());
-  for (const std::int64_t workers : {2, 8}) {
-    const ReplayResult pooled = run_continuous_replay(workers);
-    ASSERT_EQ(serial.records.size(), pooled.records.size()) << workers << "w";
-    for (std::size_t i = 0; i < serial.records.size(); ++i) {
-      const RequestRecord& a = serial.records[i];
-      const RequestRecord& b = pooled.records[i];
-      EXPECT_EQ(a.id, b.id) << i;
-      EXPECT_EQ(a.rejected, b.rejected) << i;
-      EXPECT_EQ(a.prediction, b.prediction) << i;
-      // EXPECT_EQ on doubles is exact — bit-identical, not approximately.
-      EXPECT_EQ(a.dispatch_s, b.dispatch_s) << i;
-      EXPECT_EQ(a.queue_wait_s, b.queue_wait_s) << i;
-      EXPECT_EQ(a.compute_s, b.compute_s) << i;
-      EXPECT_EQ(a.comm_s, b.comm_s) << i;
-      EXPECT_EQ(a.finish_s, b.finish_s) << i;
-    }
-    ASSERT_EQ(serial.resizes.size(), pooled.resizes.size()) << workers << "w";
-    for (std::size_t i = 0; i < serial.resizes.size(); ++i) {
-      EXPECT_EQ(serial.resizes[i].time_s, pooled.resizes[i].time_s) << i;
-      EXPECT_EQ(serial.resizes[i].to_devices, pooled.resizes[i].to_devices) << i;
-    }
-    EXPECT_EQ(serial.summary.p99_s, pooled.summary.p99_s);
-  }
+  ASSERT_GT(serial.summary.completed, 0);
+  ASSERT_GT(serial.resizes, 0U);
+  for (const std::int64_t workers : {2, 8})
+    EXPECT_EQ(first_difference(serial.digest, run_continuous_replay(workers).digest),
+              nullptr)
+        << workers << "w";
 }
 
 TEST(Server, ReplayBitIdenticalAcrossKernelModes) {
   // The kernel layer cannot move a prediction, a latency bit, or a resize
   // decision — in either batching mode. (Replays run under reference,
-  // blocked, and simd kernels at different worker counts; records are
-  // compared exactly. The simd arm runs everywhere: without the vector
-  // ISA the backend factory serves it with the blocked tier.)
+  // blocked, and simd kernels at different worker counts; every output
+  // stream is compared exactly. The simd arm runs everywhere: without the
+  // vector ISA the backend factory serves it with the blocked tier.)
   const KernelMode saved = TensorConfig::kernel_mode();
-  const auto compare = [](const ReplayResult& a, const ReplayResult& b) {
-    ASSERT_EQ(a.records.size(), b.records.size());
-    for (std::size_t i = 0; i < a.records.size(); ++i) {
-      EXPECT_EQ(a.records[i].id, b.records[i].id) << i;
-      EXPECT_EQ(a.records[i].prediction, b.records[i].prediction) << i;
-      EXPECT_EQ(a.records[i].queue_wait_s, b.records[i].queue_wait_s) << i;
-      EXPECT_EQ(a.records[i].finish_s, b.records[i].finish_s) << i;
-    }
-    ASSERT_EQ(a.resizes.size(), b.resizes.size());
-    EXPECT_EQ(a.summary.p99_s, b.summary.p99_s);
-  };
 
   TensorConfig::set_kernel_mode(KernelMode::kReference);
   const ReplayResult batch_ref = run_replay(0);
@@ -338,11 +292,11 @@ TEST(Server, ReplayBitIdenticalAcrossKernelModes) {
   const ReplayResult cont_simd = run_continuous_replay(8);
   TensorConfig::set_kernel_mode(saved);
 
-  ASSERT_FALSE(batch_ref.records.empty());
-  compare(batch_ref, batch_blk);
-  compare(cont_ref, cont_blk);
-  compare(batch_ref, batch_simd);
-  compare(cont_ref, cont_simd);
+  ASSERT_GT(batch_ref.summary.completed, 0);
+  EXPECT_EQ(first_difference(batch_ref.digest, batch_blk.digest), nullptr);
+  EXPECT_EQ(first_difference(cont_ref.digest, cont_blk.digest), nullptr);
+  EXPECT_EQ(first_difference(batch_ref.digest, batch_simd.digest), nullptr);
+  EXPECT_EQ(first_difference(cont_ref.digest, cont_simd.digest), nullptr);
 }
 
 // ---- Token streaming: prefill/decode disaggregation on the slice chain.
@@ -371,7 +325,7 @@ ReplayResult run_streaming_replay(std::int64_t workers, bool disaggregate = true
   cfg.stream.disaggregate = disaggregate;
   Server server(engine, *rig.task.val, cfg);
   server.replay(stream_trace(*rig.task.val));
-  return {server.slo().records(), server.resizes(), server.slo().summary()};
+  return replay_result(server);
 }
 
 TEST(Server, StreamingReplayStampsEveryToken) {
@@ -453,30 +407,13 @@ TEST(Server, DisaggregationCutsTtftTailAtEqualTokens) {
 }
 
 TEST(Server, StreamingReplayBitIdenticalAcrossWorkerCounts) {
+  // Token ids and per-token stamps are part of the records stream.
   const ReplayResult serial = run_streaming_replay(0);
-  ASSERT_FALSE(serial.records.empty());
-  for (const std::int64_t workers : {2, 8}) {
-    const ReplayResult pooled = run_streaming_replay(workers);
-    ASSERT_EQ(serial.records.size(), pooled.records.size()) << workers << "w";
-    for (std::size_t i = 0; i < serial.records.size(); ++i) {
-      const RequestRecord& a = serial.records[i];
-      const RequestRecord& b = pooled.records[i];
-      EXPECT_EQ(a.id, b.id) << i;
-      EXPECT_EQ(a.prediction, b.prediction) << i;
-      EXPECT_EQ(a.dispatch_s, b.dispatch_s) << i;
-      EXPECT_EQ(a.finish_s, b.finish_s) << i;
-      EXPECT_EQ(a.first_token_s, b.first_token_s) << i;
-      ASSERT_EQ(a.tokens.size(), b.tokens.size()) << i;
-      for (std::size_t t = 0; t < a.tokens.size(); ++t) {
-        EXPECT_EQ(a.tokens[t], b.tokens[t]) << i << ":" << t;
-        // Exact double equality: per-token stamps are part of the
-        // bit-exactness contract, not just the scalar record fields.
-        EXPECT_EQ(a.token_stamps[t], b.token_stamps[t]) << i << ":" << t;
-      }
-    }
-    EXPECT_EQ(serial.summary.p99_ttft_s, pooled.summary.p99_ttft_s);
-    EXPECT_EQ(serial.summary.mean_itl_s, pooled.summary.mean_itl_s);
-  }
+  ASSERT_GT(serial.summary.streams, 0);
+  for (const std::int64_t workers : {2, 8})
+    EXPECT_EQ(first_difference(serial.digest, run_streaming_replay(workers).digest),
+              nullptr)
+        << workers << "w";
 }
 
 TEST(Server, ValidatesElasticPolicy) {

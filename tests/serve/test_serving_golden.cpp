@@ -1,8 +1,9 @@
 // Golden pins of the serving loop: every output stream of a run reduced to
-// its own FNV-1a hash, so a failure names the stream that moved — request
-// records (tokens, stamps, retries included), resizes, batches, faults,
-// the trace export bytes, the metrics export bytes and, for controller
-// leases, the grants and the final clock. Single-model `Server` runs cover
+// its own FNV-1a hash by the run digest (serve/digest.h), so a failure
+// names the stream that moved — request records (tokens, stamps, retries
+// included), resizes, batches, faults, the trace export bytes, the
+// metrics export bytes and, for controller leases, the grants and the
+// final clock. Single-model `Server` runs cover
 // every mode (continuous classify, disaggregated and FIFO streaming,
 // faults with shedding, batch-boundary, self-driven and under a lease);
 // two-model `ColocatedServer` runs cover continuous streaming, faults,
@@ -16,12 +17,12 @@
 #include <string>
 #include <vector>
 
-#include "../sched/golden_hash.h"
 #include "fault/fault.h"
 #include "sched/cluster.h"
 #include "sched/wfs.h"
 #include "serve/arrival.h"
 #include "serve/colocation.h"
+#include "serve/digest.h"
 #include "serve/server.h"
 #include "workloads/profiles.h"
 #include "workloads/tasks.h"
@@ -96,143 +97,32 @@ std::vector<InferRequest> burst_trace(const Dataset& pool) {
                               pool.size());
 }
 
-/// One hash per output stream of a run.
-struct Streams {
-  std::uint64_t records = 0;
-  std::uint64_t resizes = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t faults = 0;
-  std::uint64_t trace = 0;
-  std::uint64_t metrics = 0;
-  std::uint64_t lease = 0;  ///< grants (with migration_s) + end stamp; 0 self-driven
-};
-
-void add_bytes(golden::Fnv1a& f, const std::string& s) {
-  f.add(static_cast<std::int64_t>(s.size()));
-  for (const char c : s) f.add(static_cast<std::int64_t>(static_cast<unsigned char>(c)));
-}
-
-void add_records(golden::Fnv1a& f, const std::vector<RequestRecord>& records) {
-  f.add(static_cast<std::int64_t>(records.size()));
-  for (const RequestRecord& r : records) {
-    f.add(r.id);
-    f.add(r.arrival_s);
-    f.add(r.dispatch_s);
-    f.add(r.queue_wait_s);
-    f.add(r.compute_s);
-    f.add(r.comm_s);
-    f.add(r.finish_s);
-    f.add(r.prediction);
-    f.add(static_cast<std::int64_t>(r.rejected));
-    f.add(static_cast<std::int64_t>(r.deadline_met));
-    f.add(r.retries);
-    f.add(r.first_token_s);
-    f.add(static_cast<std::int64_t>(r.tokens.size()));
-    for (const std::int64_t t : r.tokens) f.add(t);
-    for (const double s : r.token_stamps) f.add(s);
-  }
-}
-
-/// Hashes the streams every serving run shares; `slos` holds one tracker
-/// per model in model-id order.
-Streams hash_streams(const std::vector<const SloTracker*>& slos,
-                     const std::vector<ResizeEvent>& resizes,
-                     const std::vector<BatchEvent>& batches,
-                     const std::vector<FaultRecord>& faults,
-                     const obs::TraceRecorder& trace, const obs::MetricsRegistry& metrics) {
-  Streams s;
-  golden::Fnv1a rec;
-  for (const SloTracker* slo : slos) add_records(rec, slo->records());
-  s.records = rec.h;
-
-  golden::Fnv1a rz;
-  rz.add(static_cast<std::int64_t>(resizes.size()));
-  for (const ResizeEvent& e : resizes) {
-    rz.add(e.time_s);
-    rz.add(e.from_devices);
-    rz.add(e.to_devices);
-    rz.add(e.queue_depth);
-    rz.add(e.migration_s);
-  }
-  s.resizes = rz.h;
-
-  golden::Fnv1a bt;
-  bt.add(static_cast<std::int64_t>(batches.size()));
-  for (const BatchEvent& b : batches) {
-    bt.add(b.start_s);
-    bt.add(b.finish_s);
-    bt.add(b.size);
-    bt.add(b.devices);
-    bt.add(b.queue_depth_after);
-    bt.add(static_cast<std::int64_t>(b.vn));
-    bt.add(static_cast<std::int64_t>(b.model));
-    bt.add(static_cast<std::int64_t>(b.kind));
-    bt.add(b.device);
-    bt.add(static_cast<std::int64_t>(b.warm));
-  }
-  s.batches = bt.h;
-
-  golden::Fnv1a ft;
-  ft.add(static_cast<std::int64_t>(faults.size()));
-  for (const FaultRecord& r : faults) {
-    ft.add(r.time_s);
-    ft.add(static_cast<std::int64_t>(r.kind));
-    ft.add(r.device);
-    ft.add(static_cast<std::int64_t>(r.skipped));
-    ft.add(r.evicted_slices);
-    ft.add(r.requeued_requests);
-    ft.add(r.migration_s);
-  }
-  s.faults = ft.h;
-
-  golden::Fnv1a tr;
-  add_bytes(tr, trace.to_json());
-  s.trace = tr.h;
-  golden::Fnv1a mt;
-  add_bytes(mt, metrics.to_json());
-  s.metrics = mt.h;
-  return s;
-}
-
-std::uint64_t lease_hash(const ClusterReport& report) {
-  golden::Fnv1a f;
-  f.add(static_cast<std::int64_t>(report.grants.size()));
-  for (const GrantRecord& g : report.grants) {
-    f.add(g.time_s);
-    f.add(g.job_id);
-    f.add(g.from_devices);
-    f.add(g.to_devices);
-    f.add(g.migration_s);
-  }
-  f.add(report.end_s);
-  return f.h;
-}
-
-void expect_streams(const Streams& got, const Streams& want) {
-  EXPECT_EQ(golden::hex(got.records), golden::hex(want.records)) << "records moved";
-  EXPECT_EQ(golden::hex(got.resizes), golden::hex(want.resizes)) << "resizes moved";
-  EXPECT_EQ(golden::hex(got.batches), golden::hex(want.batches)) << "batches moved";
-  EXPECT_EQ(golden::hex(got.faults), golden::hex(want.faults)) << "faults moved";
-  EXPECT_EQ(golden::hex(got.trace), golden::hex(want.trace)) << "trace export moved";
-  EXPECT_EQ(golden::hex(got.metrics), golden::hex(want.metrics)) << "metrics export moved";
-  EXPECT_EQ(golden::hex(got.lease), golden::hex(want.lease)) << "lease grants/end moved";
+/// Every stream against its pin, exactly: a run that stops recording an
+/// export (hash 0) fails here too.
+void expect_streams(const RunDigest& got, const RunDigest& want) {
+  EXPECT_EQ(hex(got.records), hex(want.records)) << "records moved";
+  EXPECT_EQ(hex(got.resizes), hex(want.resizes)) << "resizes moved";
+  EXPECT_EQ(hex(got.batches), hex(want.batches)) << "batches moved";
+  EXPECT_EQ(hex(got.faults), hex(want.faults)) << "faults moved";
+  EXPECT_EQ(hex(got.trace), hex(want.trace)) << "trace export moved";
+  EXPECT_EQ(hex(got.metrics), hex(want.metrics)) << "metrics export moved";
+  EXPECT_EQ(hex(got.lease), hex(want.lease)) << "lease grants/end moved";
 }
 
 // ---- Single-model Server ---------------------------------------------------
 
 /// Replays `trace` on a self-driven Server (optionally faulted) and hashes
 /// its streams.
-Streams server_run(VirtualFlowEngine& engine, const Dataset& pool, const ServerConfig& cfg,
-                   const std::vector<InferRequest>& trace,
-                   fault::FaultInjector* injector = nullptr) {
+RunDigest server_run(VirtualFlowEngine& engine, const Dataset& pool, const ServerConfig& cfg,
+                     const std::vector<InferRequest>& trace,
+                     fault::FaultInjector* injector = nullptr) {
   obs::TraceRecorder trace_rec;
   obs::MetricsRegistry metrics;
   Server server(engine, pool, cfg);
   server.set_observability({&trace_rec, &metrics});
   if (injector != nullptr) server.set_fault_injector(injector);
   server.replay(trace);
-  return hash_streams({&server.slo()}, server.resizes(), server.batches(), server.faults(),
-                      trace_rec, metrics);
+  return digest(server, {&trace_rec, &metrics});
 }
 
 /// Runs `lease` (cluster-governed and begun) as a serving job next to an
@@ -262,7 +152,7 @@ ClusterReport run_under_controller(sched::DeviceLease& lease) {
 }
 
 /// A Server lease under the controller; `injector` may be null.
-Streams server_lease_run(fault::FaultInjector* injector) {
+RunDigest server_lease_run(fault::FaultInjector* injector) {
   Rig rig = make_rig("mrpc-sim");
   VirtualFlowEngine engine = make_engine(rig, 1);
   obs::TraceRecorder trace_rec;
@@ -278,9 +168,8 @@ Streams server_lease_run(fault::FaultInjector* injector) {
   server.finish();
   EXPECT_TRUE(server.drained());
 
-  Streams s = hash_streams({&server.slo()}, server.resizes(), server.batches(),
-                           server.faults(), trace_rec, metrics);
-  s.lease = lease_hash(report);
+  RunDigest s = digest(server, {&trace_rec, &metrics});
+  s.lease = lease_digest(report);
   return s;
 }
 
@@ -289,9 +178,9 @@ TEST(ServingGolden, ServerContinuousElasticClassify) {
   VirtualFlowEngine engine = make_engine(rig, 1);
   expect_streams(server_run(engine, *rig.task.val, classify_config(true),
                             burst_trace(*rig.task.val)),
-                 Streams{.records = 0xae394cff25f4fd62ull, .resizes = 0x620c746e5bdd206dull,
-                         .batches = 0x786199899d320bb9ull, .faults = 0xa8c7f832281a39c5ull,
-                         .trace = 0xe05d85a98a94609bull, .metrics = 0xd93b9cf3e3a4bd24ull});
+                 RunDigest{.records = 0xae394cff25f4fd62ull, .resizes = 0x620c746e5bdd206dull,
+                           .batches = 0x786199899d320bb9ull, .faults = 0xa8c7f832281a39c5ull,
+                           .trace = 0xe05d85a98a94609bull, .metrics = 0xd93b9cf3e3a4bd24ull});
 }
 
 TEST(ServingGolden, ServerServeStreamConfig) {
@@ -302,9 +191,9 @@ TEST(ServingGolden, ServerServeStreamConfig) {
   const auto trace = streaming_trace(kSeed, {{40.0, 10.0}, {90.0, 10.0}, {20.0, 10.0}},
                                      rig.task.val->size(), stream_shape(0.85));
   expect_streams(server_run(engine, *rig.task.val, stream_config(true), trace),
-                 Streams{.records = 0xbaa00cdd6ed0e0f0ull, .resizes = 0xd246167e4ac53350ull,
-                         .batches = 0xd5b94761e6501f34ull, .faults = 0xa8c7f832281a39c5ull,
-                         .trace = 0xf697c998d419057cull, .metrics = 0x4ab7d8bc96dfdbc7ull});
+                 RunDigest{.records = 0xbaa00cdd6ed0e0f0ull, .resizes = 0xd246167e4ac53350ull,
+                           .batches = 0xd5b94761e6501f34ull, .faults = 0xa8c7f832281a39c5ull,
+                           .trace = 0xf697c998d419057cull, .metrics = 0x4ab7d8bc96dfdbc7ull});
 }
 
 TEST(ServingGolden, ServerFifoStreaming) {
@@ -313,9 +202,9 @@ TEST(ServingGolden, ServerFifoStreaming) {
   const auto trace = streaming_trace(kSeed + 7, {{40.0, 3.0}, {110.0, 3.0}, {20.0, 3.0}},
                                      rig.task.val->size(), stream_shape(0.6));
   expect_streams(server_run(engine, *rig.task.val, stream_config(false), trace),
-                 Streams{.records = 0x25134768c5672f09ull, .resizes = 0x7f39a689ff3c35afull,
-                         .batches = 0x9b961588a79872b5ull, .faults = 0xa8c7f832281a39c5ull,
-                         .trace = 0x38bb34d56aafa395ull, .metrics = 0x8b77849d415af9c5ull});
+                 RunDigest{.records = 0x25134768c5672f09ull, .resizes = 0x7f39a689ff3c35afull,
+                           .batches = 0x9b961588a79872b5ull, .faults = 0xa8c7f832281a39c5ull,
+                           .trace = 0x38bb34d56aafa395ull, .metrics = 0x8b77849d415af9c5ull});
 }
 
 TEST(ServingGolden, ServerKillsRecoverAndShedding) {
@@ -337,9 +226,9 @@ TEST(ServingGolden, ServerKillsRecoverAndShedding) {
   const auto trace = streaming_trace(kSeed, {{300.0, 0.4}, {3000.0, 1.0}, {150.0, 1.6}},
                                      rig.task.val->size(), stream_shape(0.4));
   expect_streams(server_run(engine, *rig.task.val, cfg, trace, &injector),
-                 Streams{.records = 0x6d0b7dfa1218c493ull, .resizes = 0xf87b2a0eb9f0b787ull,
-                         .batches = 0x648e5b7246346eb4ull, .faults = 0x4b6da71e42e354c2ull,
-                         .trace = 0x364240a8bee43b03ull, .metrics = 0xf15457898d2f8d4full});
+                 RunDigest{.records = 0x6d0b7dfa1218c493ull, .resizes = 0xf87b2a0eb9f0b787ull,
+                           .batches = 0x648e5b7246346eb4ull, .faults = 0x4b6da71e42e354c2ull,
+                           .trace = 0x364240a8bee43b03ull, .metrics = 0xf15457898d2f8d4full});
 }
 
 TEST(ServingGolden, ServerBatchBoundaryElastic) {
@@ -347,17 +236,17 @@ TEST(ServingGolden, ServerBatchBoundaryElastic) {
   VirtualFlowEngine engine = make_engine(rig, 1);
   expect_streams(server_run(engine, *rig.task.val, classify_config(false),
                             burst_trace(*rig.task.val)),
-                 Streams{.records = 0x78a49c5b1abd2582ull, .resizes = 0xda18431d588a9373ull,
-                         .batches = 0x304e1fa963e34bc3ull, .faults = 0xa8c7f832281a39c5ull,
-                         .trace = 0x3263d94e3a57929bull, .metrics = 0xb8fb361695d153adull});
+                 RunDigest{.records = 0x78a49c5b1abd2582ull, .resizes = 0xda18431d588a9373ull,
+                           .batches = 0x304e1fa963e34bc3ull, .faults = 0xa8c7f832281a39c5ull,
+                           .trace = 0x3263d94e3a57929bull, .metrics = 0xb8fb361695d153adull});
 }
 
 TEST(ServingGolden, ServerControllerLease) {
   expect_streams(server_lease_run(nullptr),
-                 Streams{.records = 0x432aa4f237d16f23ull, .resizes = 0xbd109f1784e58699ull,
-                         .batches = 0xdb46e279ee736ac4ull, .faults = 0xa8c7f832281a39c5ull,
-                         .trace = 0x80a728f0159daeebull, .metrics = 0xd610ee8067330d04ull,
-                         .lease = 0x788183b013ad5699ull});
+                 RunDigest{.records = 0x432aa4f237d16f23ull, .resizes = 0xbd109f1784e58699ull,
+                           .batches = 0xdb46e279ee736ac4ull, .faults = 0xa8c7f832281a39c5ull,
+                           .trace = 0x80a728f0159daeebull, .metrics = 0xd610ee8067330d04ull,
+                           .lease = 0x788183b013ad5699ull});
 }
 
 TEST(ServingGolden, ServerControllerLeaseWithKill) {
@@ -365,10 +254,10 @@ TEST(ServingGolden, ServerControllerLeaseWithKill) {
   plan.kill(0.8, 0).recover(1.6);
   fault::FaultInjector injector(std::move(plan));
   expect_streams(server_lease_run(&injector),
-                 Streams{.records = 0x11462d0034133b2dull, .resizes = 0xeeb5fa0cc0ef960full,
-                         .batches = 0xb47fa3076328d948ull, .faults = 0xeb994cfafc6438f0ull,
-                         .trace = 0xbb97d67248f896c2ull, .metrics = 0xc2571ca4d42d19d1ull,
-                         .lease = 0x50bdd4e51362e44full});
+                 RunDigest{.records = 0x11462d0034133b2dull, .resizes = 0xeeb5fa0cc0ef960full,
+                           .batches = 0xb47fa3076328d948ull, .faults = 0xeb994cfafc6438f0ull,
+                           .trace = 0xbb97d67248f896c2ull, .metrics = 0xc2571ca4d42d19d1ull,
+                           .lease = 0x50bdd4e51362e44full});
 }
 
 // ---- Two-model ColocatedServer ---------------------------------------------
@@ -414,8 +303,8 @@ struct Pair {
   }
 };
 
-Streams colocated_run(Pair& pair, bool continuous, double stream_fraction,
-                      fault::FaultInjector* injector = nullptr) {
+RunDigest colocated_run(Pair& pair, bool continuous, double stream_fraction,
+                        fault::FaultInjector* injector = nullptr) {
   obs::TraceRecorder trace_rec;
   obs::MetricsRegistry metrics;
   ColocatedServer server(pair.registry, colo_config(continuous));
@@ -423,16 +312,15 @@ Streams colocated_run(Pair& pair, bool continuous, double stream_fraction,
   if (injector != nullptr) server.set_fault_injector(injector);
   const auto traces = pair.traces(stream_fraction);
   server.replay(traces);
-  return hash_streams({&server.slo(0), &server.slo(1)}, server.resizes(), server.batches(),
-                      server.faults(), trace_rec, metrics);
+  return digest(server, {&trace_rec, &metrics});
 }
 
 TEST(ServingGolden, ColocatedContinuousStreaming) {
   Pair pair(1);
   expect_streams(colocated_run(pair, true, 0.4),
-                 Streams{.records = 0x3ed57d89d60841f2ull, .resizes = 0x373c5a1ba9ce0207ull,
-                         .batches = 0x33dd8f1411534deeull, .faults = 0xa8c7f832281a39c5ull,
-                         .trace = 0x541d5f77aa3c6d69ull, .metrics = 0xfeeacc97001b525eull});
+                 RunDigest{.records = 0x3ed57d89d60841f2ull, .resizes = 0x373c5a1ba9ce0207ull,
+                           .batches = 0x33dd8f1411534deeull, .faults = 0xa8c7f832281a39c5ull,
+                           .trace = 0x541d5f77aa3c6d69ull, .metrics = 0xfeeacc97001b525eull});
 }
 
 TEST(ServingGolden, ColocatedFaults) {
@@ -441,17 +329,17 @@ TEST(ServingGolden, ColocatedFaults) {
   plan.kill(0.6, 1).comm_fault(0.9).kill(1.4, 0).recover(1.8).recover(2.2);
   fault::FaultInjector injector(std::move(plan));
   expect_streams(colocated_run(pair, true, 0.4, &injector),
-                 Streams{.records = 0xb46255534b98b21bull, .resizes = 0x0e95cbad5df3ecbbull,
-                         .batches = 0xa8e772ece6620016ull, .faults = 0x953d218ad8bc3746ull,
-                         .trace = 0x68cf09e0f106c934ull, .metrics = 0xcba84bf4a37e1e92ull});
+                 RunDigest{.records = 0xb46255534b98b21bull, .resizes = 0x0e95cbad5df3ecbbull,
+                           .batches = 0xa8e772ece6620016ull, .faults = 0x953d218ad8bc3746ull,
+                           .trace = 0x68cf09e0f106c934ull, .metrics = 0xcba84bf4a37e1e92ull});
 }
 
 TEST(ServingGolden, ColocatedBatchBoundary) {
   Pair pair(1);
   expect_streams(colocated_run(pair, false, 0.0),
-                 Streams{.records = 0x362f3a8ccf6f1204ull, .resizes = 0x30cf85edece3fe08ull,
-                         .batches = 0x948600ea167199dfull, .faults = 0xa8c7f832281a39c5ull,
-                         .trace = 0x6eefbcb868279f79ull, .metrics = 0xe389cae906f26325ull});
+                 RunDigest{.records = 0x362f3a8ccf6f1204ull, .resizes = 0x30cf85edece3fe08ull,
+                           .batches = 0x948600ea167199dfull, .faults = 0xa8c7f832281a39c5ull,
+                           .trace = 0x6eefbcb868279f79ull, .metrics = 0xe389cae906f26325ull});
 }
 
 TEST(ServingGolden, ColocatedControllerLeaseRollingCutovers) {
@@ -471,14 +359,13 @@ TEST(ServingGolden, ColocatedControllerLeaseRollingCutovers) {
   std::int64_t rolled = 0;
   for (const ResizeEvent& e : server.resizes()) rolled += e.migration_s > 0.0 ? 1 : 0;
   EXPECT_GT(rolled, 0) << "the grants must roll at least one cutover";
-  Streams s = hash_streams({&server.slo(0), &server.slo(1)}, server.resizes(),
-                           server.batches(), server.faults(), trace_rec, metrics);
-  s.lease = lease_hash(report);
+  RunDigest s = digest(server, {&trace_rec, &metrics});
+  s.lease = lease_digest(report);
   expect_streams(s,
-                 Streams{.records = 0xe6cd1abf1613a084ull, .resizes = 0x13867ab3b1d666c6ull,
-                         .batches = 0x240116394b399cb0ull, .faults = 0xa8c7f832281a39c5ull,
-                         .trace = 0xe31fc11f156a5ce8ull, .metrics = 0x28c212732815e83full,
-                         .lease = 0x76383e5893e25ed6ull});
+                 RunDigest{.records = 0xe6cd1abf1613a084ull, .resizes = 0x13867ab3b1d666c6ull,
+                           .batches = 0x240116394b399cb0ull, .faults = 0xa8c7f832281a39c5ull,
+                           .trace = 0xe31fc11f156a5ce8ull, .metrics = 0x28c212732815e83full,
+                           .lease = 0x76383e5893e25ed6ull});
 }
 
 }  // namespace
