@@ -6,7 +6,7 @@
 // answers every kill with a VN remap onto the survivors plus a zero-loss
 // re-dispatch of the dead device's in-flight slices; the elastic rule sees
 // the loss as a capacity cap until recovery; expired requests shed
-// gracefully at admission. The same injector drives a training arm: a kill
+// gracefully at the queue head. The same injector drives a training arm: a kill
 // mid-run must leave the parameter trajectory bit-identical to an engine
 // that ran on the surviving device count from the start.
 //

@@ -40,7 +40,7 @@ struct TraceEvent {
   std::int64_t queue_depth = -1;  ///< finalized late via set_queue_depth
   bool warm = false;             ///< warm/cold dispatch pricing of the slice
   /// Marker payload, interpretation by name: resize -> (from, to) device
-  /// counts and `arg_s` = migration seconds; cutover -> arg0 = model;
+  /// counts and `arg_s` = migration seconds; cutover -> none (model field);
   /// reject -> arg0 = request id; preempt -> none.
   std::int64_t arg0 = 0;
   std::int64_t arg1 = 0;

@@ -72,10 +72,10 @@ class DeviceLease {
 
   /// Resizes the leased device-set to `devices` through the holder's own
   /// seamless/rolling-migration machinery. Returns the migration seconds
-  /// charged to the holder's clock. A no-op (and 0.0) when `devices`
-  /// equals the current count. Serving holders require `devices` >= 1
-  /// (they cannot run on nothing); EngineTrainLease additionally accepts
-  /// 0 as full preemption.
+  /// the change charged (a serving holder gates dispatch behind them). A
+  /// no-op (and 0.0) when `devices` equals the current count. Serving
+  /// holders require `devices` >= 1 (they cannot run on nothing);
+  /// EngineTrainLease additionally accepts 0 as full preemption.
   virtual double apply_grant(std::int64_t devices) = 0;
 
   /// True once all work has drained; the controller retires the lease and

@@ -103,9 +103,6 @@ ColocatedServer::ColocatedServer(ModelRegistry& registry, ColocationConfig confi
             obs_.trace->instant("reject", now_s, /*device=*/-1, /*vn=*/-1,
                                 label(m), /*arg0=*/r.id);
         });
-    if (registry_.config(m).shed_expired)
-      models_[static_cast<std::size_t>(m)].queue.set_deadline(
-          registry_.config(m).deadline_s);
   }
 }
 
@@ -118,9 +115,9 @@ void ColocatedServer::set_observability(obs::Observability obs) {
     const std::string prefix = metrics_prefix(m);
     st.dispatcher.set_observability(obs, label(m), prefix);
     st.tracker.set_metrics(obs.metrics, prefix);
-    // One model reports Server's instruments only: slot counters where a
-    // ledger runs, no share gauges.
-    if (config_.continuous || !one_model()) st.ledger.set_metrics(obs.metrics, prefix);
+    // Slot counters only where a ledger runs; one model reports no share
+    // gauges (Server's instruments).
+    if (config_.continuous) st.ledger.set_metrics(obs.metrics, prefix);
     if (obs.metrics != nullptr && !one_model())
       share_gauges_.push_back(&obs.metrics->gauge(prefix + "share_vtime"));
   }
@@ -304,9 +301,8 @@ double ColocatedServer::apply_grant(std::int64_t devices) {
   // has cut over — reaching here mid-migration means a buggy policy.
   check(!migration_in_progress(),
         "device grant while a rolling migration is still cutting over");
-  const double before = clock_;
   perform_resize(devices);
-  return one_model() ? clock_ - before : resizes_.back().migration_s;
+  return resizes_.back().migration_s;
 }
 
 void ColocatedServer::charge(std::int32_t m, double compute_s) {
@@ -336,18 +332,16 @@ void ColocatedServer::admit_up_to_clock() {
     const bool was_idle = st.queue.empty() && st.ledger.all_free() &&
                           !st.streamer.has_paused();
     bool admitted = false;
-    const bool shed = registry_.config(static_cast<std::int32_t>(m)).shed_expired;
     while (st.next_arrival < trace.size() &&
            trace[st.next_arrival].arrival_s <= clock_) {
-      // Shedding models stamp admission at the loop's clock so a request
-      // already past its SLO is bounced, not queued to a guaranteed miss.
-      if (shed)
-        st.queue.push(trace[st.next_arrival], clock_);
-      else
-        st.queue.push(trace[st.next_arrival]);
+      st.queue.push(trace[st.next_arrival]);
       ++st.next_arrival;
       admitted = true;
     }
+    // A shedding model drops its expired head at the clock, so no request
+    // already past its SLO dispatches to a guaranteed miss.
+    const ModelConfig& mc = registry_.config(static_cast<std::int32_t>(m));
+    if (mc.shed_expired) st.queue.shed_expired(clock_, mc.deadline_s);
     // Re-activation: a fully idle model's share debt snaps up to the
     // system virtual time, so a model cannot bank device-time credit by
     // idling and then starve its co-tenants with a stale (low) debt.
@@ -403,8 +397,6 @@ void ColocatedServer::perform_resize(std::int64_t target) {
   if (obs_.metrics != nullptr)
     obs_.metrics->counter(target > cur ? "serve.resizes.grow" : "serve.resizes.shrink")
         .add();
-  // One model: the arrivals that landed during the stall queue behind it.
-  if (one_model()) admit_up_to_clock();
 }
 
 double ColocatedServer::cut_over(std::int64_t to_devices, std::int64_t dead,
@@ -437,11 +429,9 @@ double ColocatedServer::cut_over(std::int64_t to_devices, std::int64_t dead,
     }
     migration += eng.sim_time_s() - before;
     dispatch_ready_[static_cast<std::size_t>(m)] = base + migration;
-    if (obs_.trace != nullptr && !one_model())
-      obs_.trace->instant("cutover", base + migration, /*device=*/-1, /*vn=*/-1, m);
+    if (obs_.trace != nullptr)
+      obs_.trace->instant("cutover", base + migration, /*device=*/-1, /*vn=*/-1, label(m));
   }
-  // One model has no co-tenant to roll past: its whole clock stalls.
-  if (one_model()) clock_ = base + migration;
   device_free_.assign(static_cast<std::size_t>(shared_devices()), clock_);
   work_since_resize_ = 0;
 
@@ -645,9 +635,8 @@ void ColocatedServer::try_resumes() {
 // honest retry stamps, decode chains park and later resume from their
 // last landed token — then remaps each engine's VNs onto the survivors
 // through cut_over, the requeues counting toward the backlog order. The
-// requeues land after the remap at the clock: the kill's stamp with
-// several models, the stall's end with one (so the migration window
-// counts in neither queue stint). Eviction matches slices by their
+// requeues are stamped at the kill (the clock); they dispatch again from
+// their model's cutover stamp. Eviction matches slices by their
 // dispatch-time device slot; a slice that straddled an elastic resize
 // keeps its old slot index (see docs/fault_tolerance.md).
 void ColocatedServer::process_faults_due() {
@@ -750,8 +739,7 @@ void ColocatedServer::process_faults_due() {
 // parked stream with a free slot, or a queued slice waiting on it), or —
 // where an ungated classify head has a free slot — its timeout. A cutover
 // stamp counts only while it lies ahead: the dispatch phases consume any
-// state it covered, so the pump loop always advances, and a one-model
-// lease reports what Server always has.
+// state it covered, so the pump loop always advances.
 double ColocatedServer::next_event_internal() const {
   double next_t = kInf;
   for (std::size_t m = 0; m < models_.size(); ++m) {
@@ -871,7 +859,7 @@ void ColocatedServer::replay_batch_boundary() {
       // builds up in, not one batch later.
       admit_up_to_clock();
       batches_.back().queue_depth_after = st.queue.size();
-      if (one_model()) finalize_span_depth();
+      finalize_span_depth();
       resize_if_needed(/*combined_inflight=*/0);
       continue;
     }

@@ -62,22 +62,23 @@
 // stalling for the sum. The urgent model therefore pays exactly the
 // migration price a dedicated server would have charged it, and the
 // quiet models absorb the queueing. A resize is also atomic: no new
-// resize decision fires until the last model has cut over. A mid-stream
-// decode chain stalls during its model's cutover window and resumes at
-// the cutover stamp.
+// resize decision fires until the last model has cut over. Throughout a
+// cutover window the clock keeps running: arrivals are admitted at their
+// own stamps and in-flight slices complete; only the model's new
+// dispatches wait. A mid-stream decode chain stalls during its model's
+// cutover window and resumes at the cutover stamp.
+//
+// Shedding (ModelConfig::shed_expired) happens at the queue head: after
+// every admission pass, in both batching modes, a shedding model drops
+// the queued requests already past its deadline at the clock, so no
+// request dispatches after arrival + deadline.
 //
 // ONE MODEL is how Server (serve/server.h) serves: it registers its
 // engine here and forwards every call, so this is the repo's only serving
-// loop. One rule keyed on the model count keeps Server's behaviour. With
-// a single model a resize, grant or kill stalls the whole lease clock
-// for the migration instead of gating dispatch behind a cutover stamp: a
-// kill stamps its requeues after the jump, a resize or grant admits the
-// arrivals its window covered, and a grant returns the clock delta. The
-// exports carry Server's labels: model id -1, "serve." metric names, no
-// share or device-seconds gauges, no cutover markers; batch spans carry
-// their queue depth, and slot counters exist only in continuous mode.
-// The two migration rules are NOT equivalent: once a migration charges a
-// one-model replay, rolling it would move its records.
+// loop, and one model rolls its migrations exactly as N models do. The
+// model count only picks export labels: one model records under Server's
+// (model id -1, "serve." metric names, no share or device-seconds
+// gauges).
 #pragma once
 
 #include <cstdint>
@@ -154,10 +155,9 @@ struct ModelConfig {
   /// share / Σ shares of the total, regardless of how its slice costs
   /// compare to its co-tenants'. Must be positive.
   double share = 1.0;
-  /// Deadline-aware load shedding at admission for this model (see
-  /// ServerConfig::shed_expired). Off by default. With two or more models
-  /// in continuous mode the clock never stalls past arrivals, so nothing
-  /// is ever shed at admission (docs/fault_tolerance.md).
+  /// Deadline-aware load shedding for this model (see
+  /// ServerConfig::shed_expired): after each admission pass the queue
+  /// drops its expired head at the clock. Off by default.
   bool shed_expired = false;
 };
 
@@ -202,8 +202,7 @@ struct ColocationConfig {
 };
 
 /// Serves the registered models on one shared device set: typically 2+,
-/// or one (Server's case; see the one-model rule above). One replay per
-/// server.
+/// or one (Server's case; see the file comment). One replay per server.
 class ColocatedServer : public sched::DeviceLease {
  public:
   /// All engines must start on identical device counts (they stay in
@@ -221,8 +220,9 @@ class ColocatedServer : public sched::DeviceLease {
   /// per-model "cutover" instant at each dispatch_ready_ stamp, and the
   /// arbiter's share virtual time is exported as a per-model gauge — the
   /// share-starvation signal on the timeline. One model records under
-  /// Server's labels instead (see the file comment). Recording never
-  /// perturbs the schedule.
+  /// Server's labels instead (see the file comment). Batch spans carry
+  /// their post-admission queue depth; slot counters exist only in
+  /// continuous mode. Recording never perturbs the schedule.
   void set_observability(obs::Observability obs);
 
   /// Attaches a fault injector (src/fault/) shared across the set, before
@@ -276,7 +276,7 @@ class ColocatedServer : public sched::DeviceLease {
   /// worst relative deadline pressure supplies the reported SLO terms.
   sched::LoadSignal load() const override;
   /// Resizes the shared set to `devices` through the cutover. Returns the
-  /// total serialized migration seconds (one model: the clock delta).
+  /// total serialized migration seconds.
   double apply_grant(std::int64_t devices) override;
   /// True once every trace is exhausted and every queue, slot and parked
   /// stream is empty — and stays true after replay() returns.
@@ -351,9 +351,10 @@ class ColocatedServer : public sched::DeviceLease {
   void process_faults_due();
   double next_event_internal() const;
 
-  /// Admits every model's arrivals up to the clock, in model-id order.
-  /// Re-activation snaps an idle model's share debt up to the system
-  /// virtual time (idling banks no credit).
+  /// Admits every model's arrivals up to the clock, in model-id order,
+  /// then sheds each shedding model's expired head. Re-activation snaps an
+  /// idle model's share debt up to the system virtual time (idling banks
+  /// no credit).
   void admit_up_to_clock();
   /// Charges `compute_s` device-seconds of model `m` to the share ledger.
   void charge(std::int32_t m, double compute_s);
@@ -371,9 +372,9 @@ class ColocatedServer : public sched::DeviceLease {
   /// (kill, when >= 0), deepest `backlog` first with model id breaking
   /// ties; the all-gathers serialize from the later of the clock and any
   /// cutover still pending, and model m dispatches again at
-  /// dispatch_ready_[m] ("cutover" markers). One model jumps the clock to
-  /// its cutover instead. Records the ResizeEvent (depth = summed backlog)
-  /// and returns the migration seconds.
+  /// dispatch_ready_[m] ("cutover" markers); the clock does not move.
+  /// Records the ResizeEvent (depth = summed backlog) and returns the
+  /// migration seconds.
   double cut_over(std::int64_t to_devices, std::int64_t dead,
                   const std::vector<std::int64_t>& backlog);
   /// True while a rolling migration is still cutting models over.
@@ -385,7 +386,7 @@ class ColocatedServer : public sched::DeviceLease {
   /// prefill when a stream heads the queue, a classify slice otherwise.
   void dispatch_slice(std::int32_t m);
 
-  // The one-model rule's switch and labels (see the file comment).
+  // One model records under Server's labels (see the file comment).
   bool one_model() const { return models_.size() == 1; }
   std::int32_t label(std::int32_t m) const { return one_model() ? -1 : m; }
   std::string metrics_prefix(std::int32_t m) const;

@@ -60,7 +60,7 @@ struct InferRequest {
 };
 
 /// Per-request accounting recorded by the SloTracker once a request leaves
-/// the system (served or rejected at admission).
+/// the system (served, rejected at admission, or shed).
 struct RequestRecord {
   std::int64_t id = 0;
   double arrival_s = 0.0;
@@ -74,9 +74,9 @@ struct RequestRecord {
   double comm_s = 0.0;        ///< logits return of its batch/slice (summed)
   double finish_s = 0.0;      ///< virtual completion stamp
   std::int64_t prediction = -1;  ///< classify: argmax; stream: last token
-  bool rejected = false;      ///< bounced at admission (queue full or expired)
+  bool rejected = false;      ///< bounced at admission (queue full) or shed
   bool deadline_met = false;  ///< classify: latency SLO; stream: TTFT SLO
-  std::int64_t retries = 0;   ///< fault evictions survived before completing
+  std::int64_t retries = 0;   ///< fault evictions before completing or shedding
 
   /// Token stream accounting; all empty/zero for classify requests.
   double first_token_s = 0.0;  ///< prefill completion (first token) stamp

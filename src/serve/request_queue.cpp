@@ -13,26 +13,14 @@ void RequestQueue::set_reject_observer(
   reject_observer_ = std::move(observer);
 }
 
-void RequestQueue::set_deadline(double deadline_s) {
-  check(deadline_s > 0.0, "shed deadline must be positive");
-  deadline_s_ = deadline_s;
-  shed_enabled_ = true;
-}
-
 bool RequestQueue::reject(const InferRequest& r, double now_s) {
   ++rejected_;
   if (reject_observer_) reject_observer_(r, now_s);
   return false;
 }
 
-bool RequestQueue::push(const InferRequest& r) { return push(r, r.arrival_s); }
-
-bool RequestQueue::push(const InferRequest& r, double now_s) {
-  if (shed_enabled_ && now_s - r.arrival_s > deadline_s_) {
-    ++shed_;
-    return reject(r, now_s);
-  }
-  if (size() >= capacity_) return reject(r, now_s);
+bool RequestQueue::push(const InferRequest& r) {
+  if (size() >= capacity_) return reject(r, r.arrival_s);
   check(q_.empty() || q_.back().arrival_s <= r.arrival_s,
         "requests must be admitted in arrival order");
   q_.push_back(r);
@@ -45,6 +33,14 @@ void RequestQueue::push_front(const InferRequest& r) {
         "requeued request must not be younger than the queue head");
   q_.push_front(r);
   ++requeued_;
+}
+
+void RequestQueue::shed_expired(double now_s, double deadline_s) {
+  while (!q_.empty() && now_s - q_.front().arrival_s > deadline_s) {
+    ++shed_;
+    reject(q_.front(), now_s);
+    q_.pop_front();
+  }
 }
 
 std::vector<InferRequest> RequestQueue::pop(std::int64_t n) {

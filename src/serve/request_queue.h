@@ -2,13 +2,13 @@
 //
 // Backpressure is the admission story: when the queue is at capacity, a
 // new request is rejected immediately (the caller records the rejection)
-// rather than queued into unbounded latency. With a deadline configured
-// (set_deadline), admission also sheds requests that are already past
-// their deadline at admission time — under sustained capacity loss they
-// would consume a slot only to miss, so dropping them at the door is the
-// graceful-degradation half of the fault story. FIFO order is part of the
-// determinism contract — the BatchFormer only ever takes a prefix, so the
-// batch sequence is a pure function of the arrival trace and the policy.
+// rather than queued into unbounded latency. A shedding caller also drops
+// the expired prefix at the head (shed_expired): requests already past
+// their deadline would consume a slot only to miss, so dropping them
+// before dispatch is the graceful-degradation half of the fault story.
+// FIFO order is part of the determinism contract — the BatchFormer only
+// ever takes a prefix, so the batch sequence is a pure function of the
+// arrival trace and the policy.
 #pragma once
 
 #include <cstdint>
@@ -24,28 +24,19 @@ class RequestQueue {
  public:
   explicit RequestQueue(std::int64_t capacity);
 
-  /// Called with each request the queue drops at admission (capacity or
-  /// deadline shed), before push() returns false, along with the virtual
-  /// stamp of the drop. The Server wires this to
+  /// Called with each request the queue drops (a capacity bounce at
+  /// admission, before push() returns false, or a deadline shed), along
+  /// with the virtual stamp of the drop. The Server wires this to
   /// SloTracker::record_rejection so drop accounting lives at the
   /// backpressure point itself — every replay path (batch-boundary or
   /// continuous) gets the dropped request's id recorded without
   /// re-implementing it.
   void set_reject_observer(std::function<void(const InferRequest&, double)> observer);
 
-  /// Enables deadline shedding: push(r, now_s) drops requests with
-  /// now_s - arrival_s > deadline_s (stamped as rejections at now_s, never
-  /// counted as queue wait).
-  void set_deadline(double deadline_s);
-
   /// Admits `r` unless the queue is full. Returns false (and counts the
   /// rejection, notifying the reject observer at the arrival stamp) when
   /// capacity is reached — the backpressure signal.
   bool push(const InferRequest& r);
-
-  /// Admission at virtual time `now_s`: sheds `r` first when a deadline is
-  /// configured and already blown, then applies the capacity check.
-  bool push(const InferRequest& r, double now_s);
 
   /// Returns a fault-evicted request to the *head* of the queue. Requeues
   /// bypass capacity (zero-loss invariant: an admitted request is never
@@ -53,6 +44,12 @@ class RequestQueue {
   /// requests are always older than anything still queued (dispatch takes
   /// a FIFO prefix), so head insertion keeps the queue arrival-ordered.
   void push_front(const InferRequest& r);
+
+  /// Sheds the expired prefix at virtual time `now_s`: every request at
+  /// the head with now_s - arrival_s > deadline_s, requeued ones included,
+  /// leaves as a rejection stamped at `now_s`. The queue is
+  /// arrival-ordered, so the expired requests are exactly a prefix.
+  void shed_expired(double now_s, double deadline_s);
 
   /// Removes and returns the oldest `n` requests (n <= size()).
   std::vector<InferRequest> pop(std::int64_t n);
@@ -78,8 +75,6 @@ class RequestQueue {
   std::int64_t capacity_;
   std::deque<InferRequest> q_;
   std::function<void(const InferRequest&, double)> reject_observer_;
-  double deadline_s_ = 0.0;
-  bool shed_enabled_ = false;
   std::int64_t admitted_ = 0;
   std::int64_t rejected_ = 0;
   std::int64_t shed_ = 0;

@@ -8,10 +8,11 @@
 // Server is a facade: it registers its one engine in a ModelRegistry and
 // forwards every call to a ColocatedServer (serve/colocation.h), whose
 // event loop is the only serving loop in the repo. Serving one model is
-// the one-tenant case of several models sharing a device set; the loop's
-// one-model rule (see colocation.h) keeps this class's behaviour, labels
-// and exports: a migration stalls the whole clock, the trace carries
-// model id -1, and metrics live under "serve.".
+// the one-tenant case of several models sharing a device set: a
+// migration rolls exactly as it does for N models (arrivals keep being
+// admitted; new dispatches wait for the cutover stamp), and only the
+// export labels differ: the trace carries model id -1, and metrics live
+// under "serve.".
 //
 // Two batching modes, selected by ServerConfig::continuous:
 //
@@ -37,7 +38,7 @@
 // shrinking the device set under the *same* virtual nodes. In-flight
 // slices keep the completion times the old mapping scheduled (compute is
 // never interrupted), and the migration charge delays only subsequent
-// dispatches.
+// dispatches: they wait for the "cutover" stamp the trace marks.
 //
 // Determinism contract: a replay is a pure function of (trace, policies,
 // engine construction) — host worker count (EngineConfig::num_threads)
@@ -72,14 +73,14 @@ struct ServerConfig {
   /// stream requests require continuous mode — a stream is a slice chain
   /// through a VN slot, which batch-boundary mode has no notion of.
   StreamPolicy stream;
-  /// Deadline-aware load shedding at admission (RequestQueue::set_deadline
-  /// with `deadline_s`): requests already past the SLO when the loop gets
-  /// to them are bounced instead of queued to a guaranteed miss — the
-  /// graceful-degradation arm of the fault story under sustained capacity
-  /// loss. Off by default: shedding changes which requests are served, so
-  /// it is opt-in per workload (bench_faults turns it on). In continuous
-  /// mode a request can only expire before admission when the one-model
-  /// stall rule jumps the clock past arrivals (docs/fault_tolerance.md).
+  /// Deadline-aware load shedding at the queue head
+  /// (RequestQueue::shed_expired with `deadline_s`): after each admission
+  /// pass, queued requests already past the SLO are dropped instead of
+  /// dispatched to a guaranteed miss — the graceful-degradation arm of the
+  /// fault story under sustained capacity loss. Every request served is
+  /// then dispatched by arrival + `deadline_s`. Off by default: shedding
+  /// changes which requests are served, so it is opt-in per workload
+  /// (bench_faults turns it on).
   bool shed_expired = false;
 };
 
@@ -102,9 +103,9 @@ class Server : public sched::DeviceLease {
   /// Attaches observability sinks (obs/obs.h; either pointer may be null).
   /// Must be called before replay(); the referents must outlive it. With a
   /// TraceRecorder attached the replay records one span per slice/batch on
-  /// its device's track plus instant markers (resize, preempt, reject);
-  /// with a MetricsRegistry it feeds "serve.*" counters/histograms and
-  /// exports the SLO summary as gauges when the replay drains. Recording
+  /// its device's track plus instant markers (resize, cutover, preempt,
+  /// reject); with a MetricsRegistry it feeds "serve.*" counters/histograms
+  /// and exports the SLO summary as gauges when the replay drains. Recording
   /// never perturbs the schedule — records are bit-identical with sinks
   /// attached or not (bench_serving gates this).
   void set_observability(obs::Observability obs) { loop_.set_observability(obs); }
@@ -157,8 +158,8 @@ class Server : public sched::DeviceLease {
   double next_event_s() const override { return loop_.next_event_s(); }
   sched::LoadSignal load() const override { return loop_.load(); }
   /// Resizes to `devices` (seamless migration, ResizeEvent record, obs
-  /// markers); the clock stalls for the migration and the arrivals it
-  /// covered are admitted. Returns the clock delta.
+  /// markers); the clock keeps running, and dispatch resumes at the
+  /// cutover stamp. Returns the migration seconds.
   double apply_grant(std::int64_t devices) override { return loop_.apply_grant(devices); }
   bool drained() const override { return loop_.drained(); }
 

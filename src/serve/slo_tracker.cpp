@@ -29,10 +29,6 @@ void SloTracker::record_completion(RequestRecord r) {
     ++deadline_misses_;
     if (misses_ != nullptr) misses_->add();
   }
-  if (r.retries > 0) {
-    ++retried_;
-    retries_ += r.retries;
-  }
   ++completed_;
   if (completions_ != nullptr) completions_->add();
   if (latency_hist_ != nullptr) latency_hist_->observe(r.latency_s());
@@ -53,6 +49,7 @@ void SloTracker::record_rejection(const InferRequest& r, double now_s) {
   rec.finish_s = now_s;
   rec.rejected = true;
   rec.deadline_met = false;
+  rec.retries = r.retries;  // a requeued request can be shed
   ++rejected_;
   if (rejections_ != nullptr) rejections_->add();
   records_.push_back(std::move(rec));
@@ -142,8 +139,6 @@ SloSummary SloTracker::summary() const {
   s.completed = completed_;
   s.rejected = rejected_;
   s.deadline_misses = deadline_misses_;
-  s.retried = retried_;
-  s.retries = retries_;
   const std::vector<double> xs = completed_samples(
       records_, [](const RequestRecord& r) { return r.latency_s(); });
   if (!xs.empty()) {
@@ -169,11 +164,13 @@ SloSummary SloTracker::summary() const {
     s.mean_inflight_s = mean(inflight);
   }
 
-  // Streaming read-outs: TTFT per completed stream, ITL per consecutive
-  // token pair within each stream.
+  // Retries over every record (served or shed); streaming read-outs: TTFT
+  // per completed stream, ITL per consecutive token pair within each stream.
   std::vector<double> ttft;
   std::vector<double> itl;
   for (const RequestRecord& r : records_) {
+    s.retried += r.retries > 0 ? 1 : 0;
+    s.retries += r.retries;
     if (r.rejected || !r.streamed()) continue;
     ++s.streams;
     s.tokens += static_cast<std::int64_t>(r.tokens.size());

@@ -25,10 +25,11 @@ struct SloSummary {
   std::int64_t completed = 0;
   std::int64_t rejected = 0;
   std::int64_t deadline_misses = 0;
-  /// Completed requests that survived at least one fault eviction, and the
-  /// total evictions across them — the retry/requeue read-out of the fault
-  /// story (docs/fault_tolerance.md). Queue-wait stats above already count
-  /// pre-eviction waits (RequestRecord::queue_wait_s is the honest total).
+  /// Requests that survived at least one fault eviction, served or shed,
+  /// and the total evictions across them — the retry/requeue read-out of
+  /// the fault story (docs/fault_tolerance.md). Queue-wait stats above
+  /// already count pre-eviction waits (RequestRecord::queue_wait_s is the
+  /// honest total).
   std::int64_t retried = 0;
   std::int64_t retries = 0;
   double p50_s = 0.0;
@@ -72,7 +73,8 @@ class SloTracker {
   /// Records a served request; stamps `deadline_met` from the tracker's SLO.
   void record_completion(RequestRecord r);
 
-  /// Records an admission-time rejection (queue full) at time `now_s`.
+  /// Records a rejection (queue full at admission, or a deadline shed) at
+  /// time `now_s`; the record keeps the request's retries.
   void record_rejection(const InferRequest& r, double now_s);
 
   std::int64_t completed() const;
@@ -113,8 +115,6 @@ class SloTracker {
   std::int64_t completed_ = 0;
   std::int64_t rejected_ = 0;
   std::int64_t deadline_misses_ = 0;
-  std::int64_t retried_ = 0;
-  std::int64_t retries_ = 0;
   // Cached instrument pointers (null = off); see set_metrics.
   obs::Counter* completions_ = nullptr;
   obs::Counter* rejections_ = nullptr;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "fault/fault.h"
@@ -115,12 +116,17 @@ TEST(FaultRecovery, RetryStampsKeepQueueWaitHonest) {
   VirtualFlowEngine engine = make_engine(rig, /*devices=*/4, /*workers=*/0);
   Server server(engine, *rig.task.val, fault_config());
 
+  // The kill lands after the 4 -> 8 growth has cut over (a kill inside a
+  // cutover window finds nothing in flight: dispatch is gated there).
   fault::FaultPlan plan;
-  plan.kill(0.6, 0);
+  plan.kill(0.7, 0);
   fault::FaultInjector injector(std::move(plan));
   server.set_fault_injector(&injector);
   const auto trace = burst_trace(*rig.task.val);
   server.replay(trace);
+  ASSERT_EQ(server.faults().size(), 1u);
+  ASSERT_GE(server.faults()[0].evicted_slices, 1) << "the kill must hit a slice";
+  ASSERT_GE(server.faults()[0].requeued_requests, 1) << "and requeue its requests";
 
   bool saw_retry = false;
   for (const RequestRecord& r : server.slo().records()) {
@@ -242,31 +248,49 @@ TEST(FaultRecovery, CapacityCapHoldsTheSetDownUntilRecovery) {
   EXPECT_LE(static_cast<std::int64_t>(engine.devices().size()), 2);
 }
 
-TEST(FaultRecovery, ExpiredRequestsShedAtAdmissionWhenOptedIn) {
-  Rig rig = make_rig();
-  VirtualFlowEngine engine = make_engine(rig, /*devices=*/2, /*workers=*/0);
-  ServerConfig cfg = fault_config();
-  cfg.shed_expired = true;
-  cfg.deadline_s = 0.05;  // tight SLO + kill-induced backlog => sheds
-  Server server(engine, *rig.task.val, cfg);
-
-  fault::FaultPlan plan;
-  plan.kill(0.5, 0);
-  fault::FaultInjector injector(std::move(plan));
-  server.set_fault_injector(&injector);
-  const auto trace = burst_trace(*rig.task.val);
-  server.replay(trace);
-
-  expect_zero_loss(server.slo(), trace.size());
-  EXPECT_GT(server.queue().shed(), 0);
-  EXPECT_LE(server.queue().shed(), server.queue().rejected())
-      << "sheds are a subset of rejections";
-  // A shed request's record carries no queue wait credit: it was bounced
-  // at admission, stamped at the bounce.
-  for (const RequestRecord& r : server.slo().records()) {
-    if (r.rejected) {
-      EXPECT_DOUBLE_EQ(r.finish_s, r.dispatch_s) << r.id;
+/// Head shedding's two guarantees for a model with deadline `deadline_s`:
+/// every served request dispatched by arrival + deadline, and every shed
+/// record stamped past it (a capacity bounce is stamped at its arrival).
+/// A rejected record carries no queue wait credit: it was bounced, stamped
+/// at the bounce. Returns the shed records seen.
+std::int64_t expect_shed_guarantees(const SloTracker& slo, double deadline_s) {
+  std::int64_t shed = 0;
+  for (const RequestRecord& r : slo.records()) {
+    if (!r.rejected) {
+      EXPECT_LE(r.dispatch_s - r.arrival_s, deadline_s) << "served late: " << r.id;
+      continue;
     }
+    EXPECT_DOUBLE_EQ(r.finish_s, r.dispatch_s) << r.id;
+    if (r.finish_s == r.arrival_s) continue;  // queue full at admission
+    EXPECT_GT(r.finish_s - r.arrival_s, deadline_s) << "shed early: " << r.id;
+    ++shed;
+  }
+  return shed;
+}
+
+TEST(FaultRecovery, ExpiredRequestsShedAtQueueHeadWhenOptedIn) {
+  for (const double deadline : {0.01, 0.02, 0.05}) {
+    Rig rig = make_rig();
+    VirtualFlowEngine engine = make_engine(rig, /*devices=*/2, /*workers=*/0);
+    ServerConfig cfg = fault_config();
+    cfg.shed_expired = true;
+    cfg.deadline_s = deadline;  // tight SLO + kill-induced backlog => sheds
+    Server server(engine, *rig.task.val, cfg);
+
+    fault::FaultPlan plan;
+    plan.kill(0.5, 0);
+    fault::FaultInjector injector(std::move(plan));
+    server.set_fault_injector(&injector);
+    const auto trace = burst_trace(*rig.task.val);
+    server.replay(trace);
+
+    expect_zero_loss(server.slo(), trace.size());
+    EXPECT_GT(server.queue().shed(), 0) << deadline;
+    EXPECT_LE(server.queue().shed(), server.queue().rejected())
+        << "sheds are a subset of rejections";
+    EXPECT_EQ(expect_shed_guarantees(server.slo(), deadline), server.queue().shed());
+    EXPECT_EQ(server.queue().requeued(), server.slo().summary().retries)
+        << "a shed requeue still counts its retry";
   }
 }
 
@@ -377,6 +401,51 @@ TEST(FaultRecovery, ColocatedKillDuringRollingMigrationKeepsEveryRequest) {
   for (const ResizeEvent& e : server.resizes())
     if (e.to_devices == e.from_devices - 1) kill_resize = true;
   EXPECT_TRUE(kill_resize);
+}
+
+TEST(FaultRecovery, ColocatedExpiredRequestsShedAtQueueHead) {
+  // The shedding test's setup with two co-located models, both shedding:
+  // requests expire while they wait in the queue, and a fault-requeued
+  // request can be shed too.
+  bool saw_requeued_shed = false;
+  for (const double deadline : {0.01, 0.02, 0.05}) {
+    Rig rig_a = make_rig("mrpc-sim");
+    Rig rig_b = make_rig("mrpc-sim");
+    VirtualFlowEngine eng_a = make_engine(rig_a, /*devices=*/2, /*workers=*/0);
+    VirtualFlowEngine eng_b = make_engine(rig_b, /*devices=*/2, /*workers=*/0);
+    ModelRegistry registry;
+    for (auto [eng, rig, name] : {std::tuple{&eng_a, &rig_a, "mrpc_a"},
+                                  std::tuple{&eng_b, &rig_b, "mrpc_b"}}) {
+      ModelConfig mc = model_config(name);
+      mc.deadline_s = deadline;
+      mc.shed_expired = true;
+      registry.add(*eng, *rig->task.val, mc);
+    }
+    ColocatedServer server(registry, colo_config());
+
+    fault::FaultPlan plan;
+    plan.kill(0.5, 0);
+    fault::FaultInjector injector(std::move(plan));
+    server.set_fault_injector(&injector);
+    const std::vector<std::vector<InferRequest>> traces = {
+        burst_trace(*rig_a.task.val),
+        phased_poisson_trace(kSeed + 1, {{300.0, 0.4}, {3000.0, 1.0}, {150.0, 1.6}},
+                             rig_b.task.val->size())};
+    server.replay(traces);
+
+    for (std::int32_t m = 0; m < 2; ++m) {
+      const SloTracker& slo = server.slo(m);
+      const RequestQueue& queue = server.queue(m);
+      expect_zero_loss(slo, traces[static_cast<std::size_t>(m)].size());
+      EXPECT_GT(queue.shed(), 0) << deadline << " model " << m;
+      EXPECT_EQ(expect_shed_guarantees(slo, deadline), queue.shed());
+      EXPECT_EQ(queue.requeued(), slo.summary().retries)
+          << "a shed requeue still counts its retry";
+      for (const RequestRecord& r : slo.records())
+        if (r.rejected && r.retries > 0) saw_requeued_shed = true;
+    }
+  }
+  EXPECT_TRUE(saw_requeued_shed);
 }
 
 TEST(FaultRecovery, ColocatedFaultedReplayBitIdenticalAcrossWorkerCounts) {

@@ -83,29 +83,57 @@ TEST(RequestQueue, RejectObserverReceivesEveryDroppedRequest) {
   EXPECT_EQ(tracker.rejected(), 2);
 }
 
-TEST(RequestQueue, DeadlineShedsExpiredRequestsAtAdmission) {
-  RequestQueue q(4);
-  q.set_deadline(0.5);
+TEST(RequestQueue, ShedExpiredDropsOnlyTheExpiredHead) {
+  RequestQueue q(8);
   SloTracker tracker(0.5);
   q.set_reject_observer([&](const InferRequest& r, double now_s) {
     tracker.record_rejection(r, now_s);
   });
+  EXPECT_TRUE(q.push(req(0, 0.0)));
+  EXPECT_TRUE(q.push(req(1, 0.25)));
+  EXPECT_TRUE(q.push(req(2, 0.5)));
 
-  // Within deadline at admission time: admitted.
-  EXPECT_TRUE(q.push(req(0, 0.0), /*now_s=*/0.4));
-  // Past deadline when the loop gets to it: shed, stamped at now_s.
-  EXPECT_FALSE(q.push(req(1, 0.0), /*now_s=*/0.6));
+  // At 0.875 the two oldest are past a 0.5 s deadline; id 2 is not.
+  q.shed_expired(/*now_s=*/0.875, /*deadline_s=*/0.5);
   EXPECT_EQ(q.size(), 1);
-  EXPECT_EQ(q.shed(), 1);
-  EXPECT_EQ(q.rejected(), 1) << "sheds count as rejections";
-  ASSERT_EQ(tracker.records().size(), 1u);
-  EXPECT_EQ(tracker.records()[0].id, 1);
-  EXPECT_EQ(tracker.records()[0].finish_s, 0.6) << "shed stamped at now_s";
+  EXPECT_EQ(q.front().id, 2);
+  EXPECT_EQ(q.shed(), 2);
+  EXPECT_EQ(q.rejected(), 2) << "sheds count as rejections";
+  EXPECT_EQ(q.admitted(), 3);
+  ASSERT_EQ(tracker.records().size(), 2u);
+  EXPECT_EQ(tracker.records()[0].id, 0);
+  EXPECT_EQ(tracker.records()[1].id, 1);
+  for (const RequestRecord& r : tracker.records()) {
+    EXPECT_TRUE(r.rejected);
+    EXPECT_EQ(r.finish_s, 0.875) << "shed stamped at now_s";
+    EXPECT_EQ(r.dispatch_s, r.finish_s) << r.id;
+  }
 
-  // Without set_deadline, push(r, now) never sheds.
+  // A fault-requeued head is shed too; its record keeps the retry. A
+  // request exactly at its deadline is not expired.
+  InferRequest evicted = req(5, 0.375);
+  evicted.retries = 1;
+  evicted.requeue_s = 0.75;
+  q.push_front(evicted);
+  q.shed_expired(/*now_s=*/1.0, /*deadline_s=*/0.5);
+  EXPECT_EQ(q.size(), 1);
+  EXPECT_EQ(q.front().id, 2);
+  EXPECT_EQ(q.shed(), 3);
+  EXPECT_EQ(q.rejected(), 3);
+  ASSERT_EQ(tracker.records().size(), 3u);
+  EXPECT_EQ(tracker.records()[2].id, 5);
+  EXPECT_EQ(tracker.records()[2].finish_s, 1.0);
+  EXPECT_EQ(tracker.records()[2].retries, 1);
+  EXPECT_EQ(tracker.summary().retried, 1);
+  EXPECT_EQ(tracker.summary().retries, 1);
+
+  // Without shed_expired a queue never sheds, however old its head.
   RequestQueue plain(4);
-  EXPECT_TRUE(plain.push(req(0, 0.0), /*now_s=*/100.0));
+  EXPECT_TRUE(plain.push(req(0, 0.0)));
+  EXPECT_TRUE(plain.push(req(1, 100.0)));
+  EXPECT_EQ(plain.size(), 2);
   EXPECT_EQ(plain.shed(), 0);
+  EXPECT_EQ(plain.rejected(), 0);
 }
 
 TEST(RequestQueue, PushFrontRequeuesAtHeadBypassingCapacity) {

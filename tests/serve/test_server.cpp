@@ -3,6 +3,8 @@
 // the bit-exactness contract across host worker counts.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "serve/arrival.h"
@@ -251,6 +253,62 @@ TEST(Server, ContinuousCutsQueueWaitUnderBurst) {
       << "admitting arrivals into in-flight slots must cut mean queue wait";
   EXPECT_NEAR(cont.mean_queue_wait_s + cont.mean_inflight_s, cont.mean_s, 1e-9)
       << "latency decomposes into queue wait + in-flight time";
+}
+
+TEST(Server, MigrationRollsBehindACutoverStamp) {
+  // One model rolls a migration as N models do: the grant leaves the clock
+  // where it was, arrivals inside the window are admitted at their own
+  // stamps, and new dispatches wait for the cutover stamp.
+  Rig rig = make_rig();
+  VirtualFlowEngine engine = make_engine(rig, /*devices=*/1, /*workers=*/0);
+  ServerConfig cfg = burst_config();
+  cfg.continuous = true;
+  cfg.queue_capacity = 8192;  // every arrival is admitted
+  Server server(engine, *rig.task.val, cfg);
+  obs::TraceRecorder trace_rec;
+  server.set_observability({&trace_rec, nullptr});
+  server.set_cluster_governed();
+  const auto trace = burst_trace(*rig.task.val);
+  server.begin(trace);
+
+  const double t0 = 0.6;  // mid-burst
+  server.pump(t0);
+  ASSERT_EQ(server.now_s(), t0);
+  const double migration = server.apply_grant(4);
+  ASSERT_GT(migration, 0.0);
+  EXPECT_EQ(migration, server.resizes().back().migration_s);
+  EXPECT_EQ(server.now_s(), t0) << "a grant does not move the clock";
+  const double cutover = server.resizes().back().time_s;
+  EXPECT_EQ(cutover, t0 + migration);
+
+  const double mid = t0 + 0.5 * migration;
+  server.pump(mid);
+  EXPECT_EQ(server.now_s(), mid);
+  std::int64_t before = 0;
+  std::int64_t arrived = 0;
+  for (const InferRequest& r : trace) {
+    before += r.arrival_s <= t0 ? 1 : 0;
+    arrived += r.arrival_s <= mid ? 1 : 0;
+  }
+  ASSERT_GT(arrived, before) << "the window must see arrivals";
+  ASSERT_LT(arrived, static_cast<std::int64_t>(trace.size()));
+  EXPECT_EQ(server.queue().admitted(), arrived)
+      << "arrivals inside the window are admitted at their own stamps";
+
+  server.pump(std::numeric_limits<double>::infinity());
+  server.finish();
+  ASSERT_TRUE(server.drained());
+  std::int64_t after = 0;
+  for (const BatchEvent& b : server.batches()) {
+    EXPECT_TRUE(b.start_s <= t0 || b.start_s >= cutover)
+        << "dispatched mid-migration at " << b.start_s;
+    after += b.start_s >= cutover ? 1 : 0;
+  }
+  EXPECT_GT(after, 0);
+  bool marked = false;
+  for (const obs::TraceEvent& e : trace_rec.events())
+    if (e.instant && std::string(e.name) == "cutover" && e.ts_s == cutover) marked = true;
+  EXPECT_TRUE(marked) << "the trace marks the cutover stamp";
 }
 
 ReplayResult run_continuous_replay(std::int64_t workers) {

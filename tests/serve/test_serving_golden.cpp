@@ -178,9 +178,9 @@ TEST(ServingGolden, ServerContinuousElasticClassify) {
   VirtualFlowEngine engine = make_engine(rig, 1);
   expect_streams(server_run(engine, *rig.task.val, classify_config(true),
                             burst_trace(*rig.task.val)),
-                 RunDigest{.records = 0xae394cff25f4fd62ull, .resizes = 0x620c746e5bdd206dull,
-                           .batches = 0x786199899d320bb9ull, .faults = 0xa8c7f832281a39c5ull,
-                           .trace = 0xe05d85a98a94609bull, .metrics = 0xd93b9cf3e3a4bd24ull});
+                 RunDigest{.records = 0xb02365605749af7eull, .resizes = 0x620c746e5bdd206dull,
+                           .batches = 0xfc821880f0a9c645ull, .faults = 0xa8c7f832281a39c5ull,
+                           .trace = 0x13b6a1908351bd36ull, .metrics = 0x6001332c688ca841ull});
 }
 
 TEST(ServingGolden, ServerServeStreamConfig) {
@@ -191,9 +191,9 @@ TEST(ServingGolden, ServerServeStreamConfig) {
   const auto trace = streaming_trace(kSeed, {{40.0, 10.0}, {90.0, 10.0}, {20.0, 10.0}},
                                      rig.task.val->size(), stream_shape(0.85));
   expect_streams(server_run(engine, *rig.task.val, stream_config(true), trace),
-                 RunDigest{.records = 0xbaa00cdd6ed0e0f0ull, .resizes = 0xd246167e4ac53350ull,
-                           .batches = 0xd5b94761e6501f34ull, .faults = 0xa8c7f832281a39c5ull,
-                           .trace = 0xf697c998d419057cull, .metrics = 0x4ab7d8bc96dfdbc7ull});
+                 RunDigest{.records = 0xb0c04723b6c34064ull, .resizes = 0xd6554566068d3facull,
+                           .batches = 0x9dd1e7abdf69ce64ull, .faults = 0xa8c7f832281a39c5ull,
+                           .trace = 0xa360f30e26eed6f8ull, .metrics = 0xe7e43c3e6ff05e4bull});
 }
 
 TEST(ServingGolden, ServerFifoStreaming) {
@@ -202,14 +202,14 @@ TEST(ServingGolden, ServerFifoStreaming) {
   const auto trace = streaming_trace(kSeed + 7, {{40.0, 3.0}, {110.0, 3.0}, {20.0, 3.0}},
                                      rig.task.val->size(), stream_shape(0.6));
   expect_streams(server_run(engine, *rig.task.val, stream_config(false), trace),
-                 RunDigest{.records = 0x25134768c5672f09ull, .resizes = 0x7f39a689ff3c35afull,
-                           .batches = 0x9b961588a79872b5ull, .faults = 0xa8c7f832281a39c5ull,
-                           .trace = 0x38bb34d56aafa395ull, .metrics = 0x8b77849d415af9c5ull});
+                 RunDigest{.records = 0xc49568c0a5c50412ull, .resizes = 0xae4a08d9afcf858eull,
+                           .batches = 0x69afc3e7f60cc8acull, .faults = 0xa8c7f832281a39c5ull,
+                           .trace = 0x0c9b1448eab00b08ull, .metrics = 0x908df8d4fa59880cull});
 }
 
 TEST(ServingGolden, ServerKillsRecoverAndShedding) {
   // Four devices, two kills (one of them under a straggler), a comm fault,
-  // both recovers; shedding bounces requests already past the SLO.
+  // both recovers; shedding drops queued requests already past the SLO.
   Rig rig = make_rig("mrpc-sim");
   VirtualFlowEngine engine = make_engine(rig, 4);
   ServerConfig cfg = classify_config(true);
@@ -226,9 +226,9 @@ TEST(ServingGolden, ServerKillsRecoverAndShedding) {
   const auto trace = streaming_trace(kSeed, {{300.0, 0.4}, {3000.0, 1.0}, {150.0, 1.6}},
                                      rig.task.val->size(), stream_shape(0.4));
   expect_streams(server_run(engine, *rig.task.val, cfg, trace, &injector),
-                 RunDigest{.records = 0x6d0b7dfa1218c493ull, .resizes = 0xf87b2a0eb9f0b787ull,
-                           .batches = 0x648e5b7246346eb4ull, .faults = 0x4b6da71e42e354c2ull,
-                           .trace = 0x364240a8bee43b03ull, .metrics = 0xf15457898d2f8d4full});
+                 RunDigest{.records = 0x1ee4ede9e779999aull, .resizes = 0x6538e9884c6f2ef3ull,
+                           .batches = 0x09ca251e3d187697ull, .faults = 0x89ef48457d72643full,
+                           .trace = 0x9a4c07840833ac06ull, .metrics = 0x82b30a9983fa2ebcull});
 }
 
 TEST(ServingGolden, ServerBatchBoundaryElastic) {
@@ -238,15 +238,15 @@ TEST(ServingGolden, ServerBatchBoundaryElastic) {
                             burst_trace(*rig.task.val)),
                  RunDigest{.records = 0x78a49c5b1abd2582ull, .resizes = 0xda18431d588a9373ull,
                            .batches = 0x304e1fa963e34bc3ull, .faults = 0xa8c7f832281a39c5ull,
-                           .trace = 0x3263d94e3a57929bull, .metrics = 0xb8fb361695d153adull});
+                           .trace = 0xc27025724066fbb8ull, .metrics = 0xd2c7e28b5848da6bull});
 }
 
 TEST(ServingGolden, ServerControllerLease) {
   expect_streams(server_lease_run(nullptr),
                  RunDigest{.records = 0x432aa4f237d16f23ull, .resizes = 0xbd109f1784e58699ull,
-                           .batches = 0xdb46e279ee736ac4ull, .faults = 0xa8c7f832281a39c5ull,
-                           .trace = 0x80a728f0159daeebull, .metrics = 0xd610ee8067330d04ull,
-                           .lease = 0x788183b013ad5699ull});
+                           .batches = 0x767380089d2e07caull, .faults = 0xa8c7f832281a39c5ull,
+                           .trace = 0x0e9e679c2e7ee252ull, .metrics = 0x73b2653c477a12bcull,
+                           .lease = 0xde178a53b6b641eaull});
 }
 
 TEST(ServingGolden, ServerControllerLeaseWithKill) {
@@ -254,10 +254,10 @@ TEST(ServingGolden, ServerControllerLeaseWithKill) {
   plan.kill(0.8, 0).recover(1.6);
   fault::FaultInjector injector(std::move(plan));
   expect_streams(server_lease_run(&injector),
-                 RunDigest{.records = 0x11462d0034133b2dull, .resizes = 0xeeb5fa0cc0ef960full,
-                           .batches = 0xb47fa3076328d948ull, .faults = 0xeb994cfafc6438f0ull,
-                           .trace = 0xbb97d67248f896c2ull, .metrics = 0xc2571ca4d42d19d1ull,
-                           .lease = 0x50bdd4e51362e44full});
+                 RunDigest{.records = 0x8787ff695b9a0e8bull, .resizes = 0xeeb5fa0cc0ef960full,
+                           .batches = 0x3d43514ec7fd2e0eull, .faults = 0xeb994cfafc6438f0ull,
+                           .trace = 0x0bdac3fd94284ac1ull, .metrics = 0xcab46169cd859844ull,
+                           .lease = 0xa349e93512a4dde3ull});
 }
 
 // ---- Two-model ColocatedServer ---------------------------------------------
@@ -339,7 +339,7 @@ TEST(ServingGolden, ColocatedBatchBoundary) {
   expect_streams(colocated_run(pair, false, 0.0),
                  RunDigest{.records = 0x362f3a8ccf6f1204ull, .resizes = 0x30cf85edece3fe08ull,
                            .batches = 0x948600ea167199dfull, .faults = 0xa8c7f832281a39c5ull,
-                           .trace = 0x6eefbcb868279f79ull, .metrics = 0xe389cae906f26325ull});
+                           .trace = 0xdfe161bf2c230f13ull, .metrics = 0x036ef95ac72d18f4ull});
 }
 
 TEST(ServingGolden, ColocatedControllerLeaseRollingCutovers) {
