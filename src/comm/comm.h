@@ -44,9 +44,12 @@ double broadcast_time_s(double bytes, std::int64_t world, const LinkSpec& link);
 double send_time_s(double bytes, const LinkSpec& link);
 
 /// Weighted sum of equally-shaped tensors: out = Σ_i weights[i] * bufs[i],
-/// reduced in ascending index order. This is the numerical core of both
-/// homogeneous averaging (uniform weights) and the weighted gradient
-/// synchronization of §5.2 (weights = per-device batch shares).
+/// reduced in ascending index order — §5.2's weighted average of
+/// per-device means (weights = per-device batch shares) in its textbook
+/// form. The engine does not call it: VirtualFlowEngine::sync_and_update
+/// sums the per-VN gradient sums in VN order and scales once by the
+/// global batch, which equals this average and stays bit-identical under
+/// any mapping. Only bench_microbench and tests/comm use it.
 Tensor weighted_sum(const std::vector<const Tensor*>& bufs,
                     const std::vector<double>& weights);
 

@@ -22,22 +22,29 @@ std::int64_t clamp64(std::int64_t v, std::int64_t lo, std::int64_t hi) {
   return std::max(lo, std::min(hi, v));
 }
 
+// The spec checks every training tenant passes, analytic or leased.
+void check_train_spec(const JobSpec& spec, const char* caller) {
+  check(spec.kind == JobKind::kTrain,
+        [&] { return std::string(caller) + " needs a kTrain spec"; });
+  check(spec.total_steps > 0, "training job needs total_steps > 0");
+  check(spec.demand_gpus > 0, "training job needs demand_gpus > 0");
+  check(spec.global_batch > 0, "training job needs global_batch > 0");
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // ClusterController
 // ---------------------------------------------------------------------------
 
-ClusterController::ClusterController(ClusterInventory cluster, Scheduler& policy,
-                                     ClusterOptions options)
-    : cluster_(std::move(cluster)), policy_(policy), options_(std::move(options)) {
+ClusterController::ClusterController(ClusterInventory cluster, Scheduler& policy)
+    : cluster_(std::move(cluster)), policy_(policy) {
   check(cluster_.total() > 0, "cluster inventory is empty");
 }
 
 void ClusterController::set_observability(obs::Observability obs) { obs_ = obs; }
 
-void ClusterController::add_tenant(JobSpec spec, Backing backing,
-                                   sched::DeviceLease* lease) {
+void ClusterController::add_tenant(JobSpec spec, sched::DeviceLease* lease) {
   check(!ran_, "cannot add jobs after run()");
   check(spec.arrival_s >= 0.0, "job arrival must be >= 0");
   for (const Tenant& t : tenants_) {
@@ -47,10 +54,9 @@ void ClusterController::add_tenant(JobSpec spec, Backing backing,
   Tenant t;
   t.state.spec = std::move(spec);
   t.state.remaining_steps = static_cast<double>(t.state.spec.total_steps);
-  t.backing = backing;
   t.lease = lease;
   t.step_time_s = kInf;
-  if (backing != Backing::kServeLease) {
+  if (!t.state.is_serve()) {
     // A function of the spec alone: computed once here, not per event.
     t.reference_tput =
         reference_throughput(t.state.spec.profile, t.state.spec.global_batch);
@@ -59,33 +65,27 @@ void ClusterController::add_tenant(JobSpec spec, Backing backing,
 }
 
 void ClusterController::add_train_job(JobSpec spec) {
-  check(spec.kind == JobKind::kTrain, "add_train_job needs a kTrain spec");
-  check(spec.total_steps > 0, "training job needs total_steps > 0");
-  check(spec.demand_gpus > 0, "training job needs demand_gpus > 0");
-  check(spec.global_batch > 0, "training job needs global_batch > 0");
-  add_tenant(std::move(spec), Backing::kAnalytic, nullptr);
+  check_train_spec(spec, "add_train_job");
+  add_tenant(std::move(spec), nullptr);
 }
 
 void ClusterController::add_serve_job(JobSpec spec, sched::DeviceLease& lease) {
   check(spec.kind == JobKind::kServe, "add_serve_job needs a kServe spec");
   check(spec.min_gpus >= 1, "serving job needs min_gpus >= 1");
   check(spec.max_gpus >= spec.min_gpus, "serving job needs max_gpus >= min_gpus");
-  add_tenant(std::move(spec), Backing::kServeLease, &lease);
+  add_tenant(std::move(spec), &lease);
 }
 
 void ClusterController::add_train_lease(JobSpec spec, sched::DeviceLease& lease) {
-  check(spec.kind == JobKind::kTrain, "add_train_lease needs a kTrain spec");
-  check(spec.total_steps > 0, "training lease needs total_steps > 0");
-  check(spec.demand_gpus > 0, "training lease needs demand_gpus > 0");
-  check(spec.global_batch > 0, "training lease needs global_batch > 0");
-  add_tenant(std::move(spec), Backing::kTrainLease, &lease);
+  check_train_spec(spec, "add_train_lease");
+  add_tenant(std::move(spec), &lease);
 }
 
 void ClusterController::advance_analytic(double now, double t_next) {
   const double dt_total = t_next - now;
   if (dt_total <= 0.0) return;
   for (Tenant& t : tenants_) {
-    if (t.backing != Backing::kAnalytic) continue;
+    if (t.lease != nullptr) continue;
     JobState& js = t.state;
     if (js.finished() || js.alloc.empty()) continue;
     const double start = std::max(now, js.pause_until_s);
@@ -118,7 +118,7 @@ void ClusterController::refresh_from_leases(double now) {
     if (t.lease == nullptr || t.retired || t.state.finished()) continue;
     if (!t.state.arrived(now)) continue;
     JobState& js = t.state;
-    if (t.backing == Backing::kTrainLease) {
+    if (!js.is_serve()) {
       const sched::LoadSignal sig = t.lease->load();
       js.remaining_steps = std::max(0.0, static_cast<double>(sig.queue_depth));
       // Attained service in the same normalized units analytic jobs use,
@@ -216,8 +216,8 @@ void ClusterController::apply_train_alloc(Tenant& t, const Allocation& next,
       js.pause_until_s = now + policy_.resize_penalty_s();
     }
     t.open_since_s = now;
-    t.step_time_s = allocation_step_time_s(js.spec.profile, js.spec.global_batch,
-                                           next, options_.link);
+    t.step_time_s =
+        allocation_step_time_s(js.spec.profile, js.spec.global_batch, next);
   } else {
     t.step_time_s = kInf;
   }
@@ -227,7 +227,7 @@ void ClusterController::grant(Tenant& t, const Allocation& next, double now) {
   JobState& js = t.state;
   const std::int64_t cur = js.alloc.total();
   const std::int64_t want = next.total();
-  if (t.backing == Backing::kServeLease) {
+  if (js.is_serve()) {
     check(want >= js.live_min_gpus && want <= js.live_max_gpus, [&] {
       return "policy " + policy_.name() + " granted serving job " +
              std::to_string(js.spec.id) + " " + std::to_string(want) +
@@ -247,11 +247,11 @@ void ClusterController::grant(Tenant& t, const Allocation& next, double now) {
   close_segment(t, now);
   js.alloc = next;
   if (!next.empty()) t.open_since_s = now;
-  if (t.backing == Backing::kTrainLease && !next.empty()) {
+  if (!js.is_serve() && !next.empty()) {
     // Refresh the cost-model step time so attained service stays
     // comparable with analytic jobs after a resize.
-    t.step_time_s = allocation_step_time_s(js.spec.profile, js.spec.global_batch,
-                                           next, options_.link);
+    t.step_time_s =
+        allocation_step_time_s(js.spec.profile, js.spec.global_batch, next);
   }
   grants_.push_back({now, js.spec.id, cur, want, migration_s});
   if (obs_.metrics != nullptr) {
@@ -352,7 +352,7 @@ ClusterReport ClusterController::run() {
       if (t.lease == nullptr || t.retired) continue;
       if (!t.state.arrived(now) || !t.lease->drained()) continue;
       if (t.lease->next_event_s() < kInf) continue;
-      if (t.backing == Backing::kServeLease) {
+      if (t.state.is_serve()) {
         // Serving drains only once its trace is exhausted; a mid-run empty
         // queue with future arrivals reports drained() == false.
         t.state.completion_s = now;

@@ -40,7 +40,6 @@
 #include <string>
 #include <vector>
 
-#include "comm/comm.h"
 #include "core/engine.h"
 #include "obs/obs.h"
 #include "sched/job.h"
@@ -48,15 +47,6 @@
 #include "sched/simulator.h"
 
 namespace vf {
-
-/// Controller configuration. The controller is purely event-driven: it
-/// consults the policy at arrivals, completions, lease events and policy
-/// round ticks — serving load changes only at lease events, so extra
-/// ticks would add cost without information.
-struct ClusterOptions {
-  /// Prices gradient synchronization in analytic training throughput.
-  LinkSpec link;
-};
 
 /// One device grant the controller issued to a lease holder.
 struct GrantRecord {
@@ -81,9 +71,12 @@ struct ClusterReport {
 class ClusterController {
  public:
   /// `policy` must outlive the controller; `cluster` is the shared pool
-  /// the policy allocates from (validated against on every consult).
-  ClusterController(ClusterInventory cluster, Scheduler& policy,
-                    ClusterOptions options = {});
+  /// the policy allocates from (validated against on every consult). The
+  /// controller is purely event-driven: it consults the policy at
+  /// arrivals, completions, lease events and policy round ticks — serving
+  /// load changes only at lease events, so extra ticks would add cost
+  /// without information.
+  ClusterController(ClusterInventory cluster, Scheduler& policy);
 
   /// Attaches observability sinks before run(): "sched.*" counters/gauges
   /// (policy_calls, grants, per-class device gauges) plus one "grant"
@@ -117,11 +110,10 @@ class ClusterController {
   ClusterReport run();
 
  private:
-  enum class Backing { kAnalytic, kTrainLease, kServeLease };
-
+  /// A tenant's kind is derived, never stored: a null lease is an
+  /// analytic job, and a lease serves or trains by its spec.kind.
   struct Tenant {
     JobState state;
-    Backing backing = Backing::kAnalytic;
     sched::DeviceLease* lease = nullptr;  ///< null for analytic jobs
     double step_time_s = 0.0;             ///< current cost-model step time
     /// reference_throughput() of the spec, fixed at add time (training
@@ -131,7 +123,7 @@ class ClusterController {
     bool retired = false;                 ///< lease drained and released
   };
 
-  void add_tenant(JobSpec spec, Backing backing, sched::DeviceLease* lease);
+  void add_tenant(JobSpec spec, sched::DeviceLease* lease);
   void advance_analytic(double now, double t_next);
   void refresh_from_leases(double now);
   double next_event(double now) const;
@@ -143,7 +135,6 @@ class ClusterController {
 
   ClusterInventory cluster_;
   Scheduler& policy_;
-  ClusterOptions options_;
   obs::Observability obs_;
   std::vector<Tenant> tenants_;
   std::vector<GrantRecord> grants_;

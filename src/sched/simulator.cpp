@@ -111,10 +111,10 @@ std::map<std::int64_t, Allocation> carve_serving_grants(
 }
 
 SimResult simulate(const ClusterInventory& cluster, std::vector<JobSpec> trace,
-                   Scheduler& policy, const LinkSpec& link) {
+                   Scheduler& policy) {
   std::sort(trace.begin(), trace.end(),
             [](const JobSpec& a, const JobSpec& b) { return a.arrival_s < b.arrival_s; });
-  ClusterController controller(cluster, policy, {.link = link});
+  ClusterController controller(cluster, policy);
   for (JobSpec& spec : trace) {
     check(spec.kind == JobKind::kTrain,
           "simulate() drives analytic training jobs only; serving jobs are "

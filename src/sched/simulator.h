@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "comm/comm.h"
 #include "sched/job.h"
 #include "sched/throughput.h"
 
@@ -71,12 +70,12 @@ struct SimResult {
   std::vector<double> queueing_delays() const; ///< first start - arrival
 };
 
-/// Runs the trace to completion on a lease-free ClusterController. `link`
-/// prices gradient synchronization in each job's throughput. Training jobs
+/// Runs the trace to completion on a lease-free ClusterController, with
+/// gradient synchronization priced on the default LinkSpec. Training jobs
 /// only — serving jobs are live replay loops, which need the controller's
 /// lease API directly. Jobs come back sorted by arrival.
 SimResult simulate(const ClusterInventory& cluster, std::vector<JobSpec> trace,
-                   Scheduler& policy, const LinkSpec& link = {});
+                   Scheduler& policy);
 
 /// Validates a policy's output against the inventory: no negative counts,
 /// no per-type over-commit. Throws VfError naming the offending device

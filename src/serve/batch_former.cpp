@@ -11,13 +11,6 @@ BatchFormer::BatchFormer(BatchPolicy policy) : policy_(policy) {
   check(policy_.max_wait_s >= 0.0, "batch policy max_wait_s must be non-negative");
 }
 
-std::int64_t BatchFormer::ready_count(const RequestQueue& q, double now_s) const {
-  if (q.empty()) return 0;
-  if (q.size() >= policy_.max_batch) return policy_.max_batch;
-  if (now_s >= q.front().arrival_s + policy_.max_wait_s) return q.size();
-  return 0;
-}
-
 double BatchFormer::timeout_deadline_s(const RequestQueue& q) const {
   return q.front().arrival_s + policy_.max_wait_s;
 }

@@ -1,14 +1,16 @@
 // BatchFormer: packs queued requests into per-VN inference micro-batches.
 //
-// Determinism contract: both decisions the former makes — *when* a batch
-// forms and *which* requests it contains — are pure functions of the queue
-// contents and the virtual clock. A batch forms when `max_batch` requests
-// are waiting, or when the oldest request has waited `max_wait_s` (the
-// classic size-or-timeout policy); it always takes the FIFO prefix; and it
-// packs that prefix onto virtual nodes in ascending VN-id order, each VN
-// taking at most its mapping batch share. Nothing depends on host threads
-// or execution order, so a replayed trace forms identical batches under
-// any `num_threads` — the property tests/serve/test_batch_former.cpp pins.
+// Determinism contract: both decisions of batch-boundary serving — *when*
+// a batch forms and *which* requests it contains — are pure functions of
+// the queue contents and the virtual clock. A batch forms when `max_batch`
+// requests are waiting, or when the oldest request has waited `max_wait_s`
+// (the classic size-or-timeout policy, applied by the serving loop's one
+// readiness rule, ColocatedServer::dispatch_stamp); it always takes the
+// FIFO prefix; and the former packs that prefix onto virtual nodes in
+// ascending VN-id order, each VN taking at most its mapping batch share.
+// Nothing depends on host threads or execution order, so a replayed trace
+// forms identical batches under any `num_threads` — the property
+// tests/serve/test_batch_former.cpp pins.
 #pragma once
 
 #include <cstdint>
@@ -38,15 +40,10 @@ class BatchFormer {
 
   const BatchPolicy& policy() const { return policy_; }
 
-  /// How many requests to take from the queue front at virtual time
-  /// `now_s`; 0 means keep waiting. Never exceeds `max_batch` — a deeper
-  /// queue drains over consecutive batches.
-  std::int64_t ready_count(const RequestQueue& q, double now_s) const;
-
-  /// Earliest virtual time at which the *current* queue contents would
-  /// form a batch (the oldest request's timeout). Only meaningful when the
-  /// queue is non-empty and ready_count() == 0; a later arrival can only
-  /// move the formation earlier, never later.
+  /// The oldest queued request's timeout stamp: the latest a head short of
+  /// a full batch or slice waits (later arrivals can only fill it sooner).
+  /// Both batching modes read it through the serving loop's readiness rule.
+  /// The queue must be non-empty.
   double timeout_deadline_s(const RequestQueue& q) const;
 
   /// Packs `count` formed requests onto virtual nodes: ascending VN id,

@@ -266,12 +266,8 @@ sched::LoadSignal ColocatedServer::load() const {
     }
   }
   s.devices = shared_devices();
-  std::int64_t max_dev = e.max_devices;
-  if (injector_ != nullptr)
-    max_dev = std::max<std::int64_t>(
-        1, std::min(max_dev, injector_->capacity_cap(e.max_devices)));
-  s.max_devices = max_dev;
-  s.min_devices = std::min(e.min_devices, max_dev);
+  s.max_devices = device_ceiling();
+  s.min_devices = std::min(e.min_devices, s.max_devices);
   s.high_watermark = e.high_watermark;
   s.low_watermark = e.low_watermark;
   s.drained = drained();
@@ -373,16 +369,17 @@ void ColocatedServer::resize_if_needed(std::int64_t combined_inflight) {
   std::int64_t depth = 0;
   for (const ModelState& st : models_) depth += st.queue.size();
   const std::int64_t cur = shared_devices();
-  // Killed devices shrink the elastic budget until their recover events
-  // lift the cap — growth cannot resurrect lost capacity.
-  std::int64_t max_dev = e.max_devices;
-  if (injector_ != nullptr)
-    max_dev = std::max(e.min_devices,
-                       std::min(max_dev, injector_->capacity_cap(e.max_devices)));
+  const std::int64_t ceiling = device_ceiling();
   const std::int64_t target = sched::elastic_resize_target(
       depth, combined_inflight, cur, e.high_watermark, e.low_watermark,
-      e.min_devices, max_dev);
+      std::min(e.min_devices, ceiling), ceiling);
   if (target != cur) perform_resize(target);
+}
+
+std::int64_t ColocatedServer::device_ceiling() const {
+  const std::int64_t max_dev = config_.elastic.max_devices;
+  if (injector_ == nullptr) return max_dev;
+  return std::max<std::int64_t>(1, std::min(max_dev, injector_->capacity_cap(max_dev)));
 }
 
 void ColocatedServer::perform_resize(std::int64_t target) {
@@ -494,24 +491,18 @@ void ColocatedServer::complete_due() {
   for (const auto& [done_s, m, vn] : due) {
     static_cast<void>(done_s);
     ModelState& st = models_[static_cast<std::size_t>(m)];
+    BatchEvent ev = make_slice_event(st.ledger.slot(vn), vn, st.queue.size());
+    ev.model = label(m);
+    batches_.push_back(ev);
+    finalize_span_depth();
+    ++work_since_resize_;
     if (st.ledger.slot(vn).kind == SliceKind::kClassify) {
-      const Slot done = st.ledger.complete(vn);
-      record_slice_requests(done, st.tracker);
-      ++work_since_resize_;
-      BatchEvent ev = make_slice_event(done, vn, st.queue.size());
-      ev.model = label(m);
-      batches_.push_back(ev);
-      finalize_span_depth();
+      record_slice_requests(st.ledger.complete(vn), st.tracker);
       continue;
     }
     // Stream slice: stamp one token off the finished slice, then chain,
     // retire, or yield the slot at this token boundary.
     const bool more = st.streamer.absorb(vn, st.ledger.slot(vn));
-    ++work_since_resize_;
-    BatchEvent ev = make_slice_event(st.ledger.slot(vn), vn, st.queue.size());
-    ev.model = label(m);
-    batches_.push_back(ev);
-    finalize_span_depth();
     if (!more) {
       st.ledger.complete(vn);
       st.tracker.record_completion(st.streamer.finish(vn));
@@ -556,49 +547,49 @@ void ColocatedServer::readmit_continuations() {
   }
 }
 
-// The share-weighted deadline arbiter: while any model has a
-// dispatchable slice (free slot + stream at the head, full classify
-// prefix, or timed-out oldest request), claim slots in ascending
-// (deadline key + share debt, model id, VN id) order. Under contention
-// the debt term dominates — an over-served model's key drifts up and it
-// yields — fixing the small-batch starvation the deadline-only arbiter
-// had. The VN-id part comes free: within a model, lowest_free() claims
+double ColocatedServer::dispatch_stamp(std::int32_t m) const {
+  const ModelState& st = models_[static_cast<std::size_t>(m)];
+  if (st.queue.empty()) return kInf;
+  bool full;
+  if (config_.continuous) {
+    const std::int32_t vn = st.ledger.lowest_free();
+    if (vn < 0) return kInf;
+    const std::int64_t cap = registry_.engine(m).mapping().vn_batch(vn);
+    const std::int64_t prefix = classify_prefix(st, cap);
+    // A stream head has an empty classify prefix, which stops short of
+    // the queue: it is full, like a slice that fills the VN.
+    full = prefix >= cap || prefix < st.queue.size();
+  } else {
+    full = st.queue.size() >= st.former.policy().max_batch;
+  }
+  const double cutover = dispatch_ready_[static_cast<std::size_t>(m)];
+  return full ? cutover : std::max(st.former.timeout_deadline_s(st.queue), cutover);
+}
+
+// Strict < keeps the lowest model id on key ties (scan order). The key's
+// sum order is part of the determinism contract; batch-boundary mode
+// never charges the ledger, so there it adds 0.0 to the deadline key.
+std::int32_t ColocatedServer::next_dispatch() const {
+  std::int32_t best = -1;
+  double best_key = kInf;
+  for (std::int32_t m = 0; m < num_models(); ++m) {
+    if (dispatch_stamp(m) > clock_) continue;
+    const auto i = static_cast<std::size_t>(m);
+    const double key = models_[i].queue.front().arrival_s +
+                       registry_.config(m).deadline_s + share_time_[i];
+    if (key < best_key) {
+      best_key = key;
+      best = m;
+    }
+  }
+  return best;
+}
+
+// Claims slots in arbiter order while any model can dispatch. The VN-id
+// part of the order comes free: within a model, lowest_free() claims
 // ascending VN ids.
 void ColocatedServer::try_dispatch() {
-  for (;;) {
-    std::int32_t best = -1;
-    double best_key = kInf;
-    for (std::size_t m = 0; m < models_.size(); ++m) {
-      ModelState& st = models_[m];
-      if (clock_ < dispatch_ready_[m]) continue;  // still cutting over
-      if (st.queue.empty()) continue;
-      const std::int32_t vn = st.ledger.lowest_free();
-      if (vn < 0) continue;
-      const ModelConfig& mc = registry_.config(static_cast<std::int32_t>(m));
-      bool dispatchable;
-      if (TokenStreamer::is_stream(st.queue.front())) {
-        dispatchable = true;  // a prefill admits alone, always ready
-      } else {
-        const std::int64_t cap =
-            registry_.engine(static_cast<std::int32_t>(m)).mapping().vn_batch(vn);
-        const std::int64_t prefix = classify_prefix(st, cap);
-        const bool full_slice = prefix >= cap || prefix < st.queue.size();
-        const bool timed_out =
-            clock_ >= st.queue.front().arrival_s + mc.batch.max_wait_s;
-        dispatchable = full_slice || timed_out;
-      }
-      if (!dispatchable) continue;
-      // Strict < keeps the lowest model id on key ties (scan order).
-      const double key = st.queue.front().arrival_s + mc.deadline_s +
-                         share_time_[m];
-      if (key < best_key) {
-        best_key = key;
-        best = static_cast<std::int32_t>(m);
-      }
-    }
-    if (best < 0) break;
-    dispatch_slice(best);
-  }
+  for (std::int32_t m = next_dispatch(); m >= 0; m = next_dispatch()) dispatch_slice(m);
 }
 
 // Un-park transition: paused streams take free slots left over after
@@ -734,12 +725,9 @@ void ColocatedServer::process_faults_due() {
   }
 }
 
-// Next event over all models: earliest in-flight completion, next
-// arrival, a gated model's cutover stamp (a deferred decode chain, a
-// parked stream with a free slot, or a queued slice waiting on it), or —
-// where an ungated classify head has a free slot — its timeout. A cutover
-// stamp counts only while it lies ahead: the dispatch phases consume any
-// state it covered, so the pump loop always advances.
+// Called after the dispatch phases, every term lies ahead of the clock:
+// a stamp at or before it would have been consumed, so the loop always
+// advances.
 double ColocatedServer::next_event_internal() const {
   double next_t = kInf;
   for (std::size_t m = 0; m < models_.size(); ++m) {
@@ -757,28 +745,10 @@ double ColocatedServer::next_event_internal() const {
     if (st.next_arrival < traces_[m].size())
       next_t = std::min(next_t, traces_[m][st.next_arrival].arrival_s);
     const double ready = dispatch_ready_[m];
-    const bool gated = ready > clock_;
-    const std::int32_t free_vn = st.ledger.lowest_free();
-    if (gated && (!st.continuations.empty() || (st.streamer.has_paused() && free_vn >= 0)))
+    if (ready > clock_ && (!st.continuations.empty() ||
+                           (st.streamer.has_paused() && st.ledger.lowest_free() >= 0)))
       next_t = std::min(next_t, ready);
-    if (st.queue.empty() || free_vn < 0) continue;
-    if (TokenStreamer::is_stream(st.queue.front())) {
-      // A gated prefill fires at the cutover stamp; ungated it is always
-      // dispatchable.
-      if (gated) next_t = std::min(next_t, ready);
-      continue;
-    }
-    const double timeout = st.queue.front().arrival_s +
-                           registry_.config(static_cast<std::int32_t>(m)).batch.max_wait_s;
-    if (!gated) {
-      next_t = std::min(next_t, timeout);
-      continue;
-    }
-    const std::int64_t cap =
-        registry_.engine(static_cast<std::int32_t>(m)).mapping().vn_batch(free_vn);
-    const std::int64_t prefix = classify_prefix(st, cap);
-    const bool full_slice = prefix >= cap || prefix < st.queue.size();
-    next_t = std::min(next_t, full_slice ? ready : std::max(timeout, ready));
+    next_t = std::min(next_t, dispatch_stamp(static_cast<std::int32_t>(m)));
   }
   if (injector_ != nullptr) next_t = std::min(next_t, injector_->next_event_s());
   return next_t;
@@ -817,72 +787,37 @@ void ColocatedServer::pump(double horizon_s) {
   if (horizon_s < kInf && clock_ < horizon_s) clock_ = horizon_s;
 }
 
+// The same arbiter picks whole formed batches; each runs on the FULL
+// shared device set, so batches of different models serialize.
 void ColocatedServer::replay_batch_boundary() {
   while (true) {
     admit_up_to_clock();
-
-    // Deadline-ordered batch arbitration: among models whose former says
-    // a batch is ready, serve the one whose oldest request's deadline is
-    // earliest (model id breaks ties); each batch runs on the FULL shared
-    // device set, so batches of different models serialize. (The
-    // share-weighted arbiter is a continuous-mode feature; this baseline
-    // stays deadline-only.)
-    std::int32_t best = -1;
-    double best_key = kInf;
-    std::int64_t best_take = 0;
-    for (std::size_t m = 0; m < models_.size(); ++m) {
-      ModelState& st = models_[m];
-      if (clock_ < dispatch_ready_[m]) continue;  // still cutting over
-      const std::int64_t ready = st.former.ready_count(st.queue, clock_);
-      if (ready == 0) continue;
-      const ModelConfig& mc = registry_.config(static_cast<std::int32_t>(m));
-      const double key = st.queue.front().arrival_s + mc.deadline_s;
-      if (key < best_key) {
-        best_key = key;
-        best = static_cast<std::int32_t>(m);
-        best_take = std::min(
-            ready,
-            registry_.engine(static_cast<std::int32_t>(m)).mapping().global_batch());
-      }
-    }
-
-    if (best >= 0) {
-      ModelState& st = models_[static_cast<std::size_t>(best)];
-      BatchEvent ev =
-          st.dispatcher.run_formed_batch(st.queue, st.former, st.tracker, clock_, best_take);
-      clock_ = ev.finish_s;
-      ++work_since_resize_;
-      ev.model = label(best);
-      batches_.push_back(ev);
-      // Admit the service window's arrivals before recording depth and
-      // deciding elasticity, so a burst's pressure registers the batch it
-      // builds up in, not one batch later.
-      admit_up_to_clock();
-      batches_.back().queue_depth_after = st.queue.size();
-      finalize_span_depth();
-      resize_if_needed(/*combined_inflight=*/0);
+    const std::int32_t m = next_dispatch();
+    if (m < 0) {
+      // Nothing ready: no slot, chain or fault injector is live in this
+      // mode, so the next event is a dispatch stamp or an arrival.
+      const double next_t = next_event_internal();
+      if (next_t == kInf) break;  // queues drained, traces exhausted
+      clock_ = std::max(clock_, next_t);
       continue;
     }
-
-    // Nothing ready: jump to the next event — a queued model's timeout
-    // (no earlier than its cutover stamp) or the next arrival of any
-    // model.
-    double next_t = kInf;
-    for (std::size_t m = 0; m < models_.size(); ++m) {
-      const ModelState& st = models_[m];
-      if (!st.queue.empty()) {
-        const double formable =
-            st.former.ready_count(st.queue, clock_) > 0
-                ? dispatch_ready_[m]  // gated batch fires at cutover
-                : std::max(st.former.timeout_deadline_s(st.queue),
-                           dispatch_ready_[m]);
-        next_t = std::min(next_t, formable);
-      }
-      if (st.next_arrival < traces_[m].size())
-        next_t = std::min(next_t, traces_[m][st.next_arrival].arrival_s);
-    }
-    if (next_t == kInf) break;  // queues drained, traces exhausted
-    clock_ = std::max(clock_, next_t);
+    ModelState& st = models_[static_cast<std::size_t>(m)];
+    const std::int64_t take =
+        std::min({st.queue.size(), st.former.policy().max_batch,
+                  registry_.engine(m).mapping().global_batch()});
+    BatchEvent ev =
+        st.dispatcher.run_formed_batch(st.queue, st.former, st.tracker, clock_, take);
+    clock_ = ev.finish_s;
+    ++work_since_resize_;
+    ev.model = label(m);
+    batches_.push_back(ev);
+    // Admit the service window's arrivals before recording depth and
+    // deciding elasticity, so a burst's pressure registers the batch it
+    // builds up in, not one batch later.
+    admit_up_to_clock();
+    batches_.back().queue_depth_after = st.queue.size();
+    finalize_span_depth();
+    resize_if_needed(/*combined_inflight=*/0);
   }
 }
 

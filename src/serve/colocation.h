@@ -20,8 +20,12 @@
 //        v
 //   share-weighted deadline arbiter ── shared elastic budget (sched/elastic.h)
 //
-// Arbiter rule (the determinism contract's core): whenever slots are
-// free, dispatchable slices are claimed in ascending
+// One dispatch rule serves both batching modes; they differ only in their
+// unit of work — one VN slice in a free slot (continuous) or a formed
+// batch on the whole device set (batch-boundary). A model's queue head
+// can dispatch from its dispatch stamp on (see dispatch_stamp()), and
+// among the models whose stamp has come the arbiter (the determinism
+// contract's core) claims work in ascending
 //
 //     (deadline key + share debt, model id, VN id)
 //
@@ -30,14 +34,16 @@
 // device time normalized by its configured weight (ModelConfig::share).
 // Under contention the debt term dominates — a model that has consumed
 // more than its weighted share of device time accumulates debt faster and
-// yields the next slot — which is what fixes the small-batch starvation
-// the deadline-only arbiter had: a small-batch model's cheap slices let
-// an aggressive co-tenant's deadline keys always look more urgent, and
-// the small model fell arbitrarily far below any intended split. With
+// yields the next slot — which is what fixes the small-batch starvation a
+// deadline-only arbiter has: a small-batch model's cheap slices let an
+// aggressive co-tenant's deadline keys always look more urgent, and the
+// small model falls arbitrarily far below any intended split. With
 // balanced consumption the debts advance in lockstep and the rule reduces
-// to the old earliest-deadline order. An idle model's debt snaps up to
-// the system's virtual time when it re-activates, so idling never banks
-// credit (standard start-time fair queueing hygiene).
+// to earliest-deadline order. An idle model's debt snaps up to the
+// system's virtual time when it re-activates, so idling never banks
+// credit (standard start-time fair queueing hygiene). Batch-boundary mode
+// charges no share ledger, so there the key is the bare deadline key and
+// the VN term is absent.
 //
 // Completions are processed in (completion time, model id, VN id) order,
 // arrivals admitted in model-id order at equal stamps. Every decision is
@@ -191,10 +197,9 @@ struct ColocationConfig {
   ElasticPolicy elastic;
   /// Continuous (per-VN slot) batching — co-location's native mode: slots
   /// of every model compete for devices at slice granularity. False
-  /// serializes whole formed batches (each on the full device set) in
-  /// deadline order — the batch-boundary baseline (deadline-only: the
-  /// share-weighted arbiter and token streams are continuous-mode
-  /// features).
+  /// serializes whole formed batches (each on the full device set) through
+  /// the same arbiter — the batch-boundary baseline, which charges no
+  /// share ledger and serves no token streams.
   bool continuous = true;
   /// Token-stream scheduling (prefill/decode disaggregation), applied
   /// per model in continuous mode.
@@ -341,6 +346,23 @@ class ColocatedServer : public sched::DeviceLease {
   void open(std::span<const std::vector<InferRequest>> traces);
   void replay_batch_boundary();
 
+  /// The readiness rule of both modes: the earliest virtual stamp at which
+  /// model m's queue head can dispatch. +inf for an empty queue, and in
+  /// continuous mode also when no slot is free. A full head — a stream
+  /// head or a full slice for the lowest free VN in continuous mode,
+  /// max_batch queued requests in batch-boundary mode — dispatches at the
+  /// model's cutover stamp; any other head at the later of its oldest
+  /// request's timeout (BatchFormer::timeout_deadline_s) and that stamp.
+  double dispatch_stamp(std::int32_t m) const;
+  /// The share-weighted deadline arbiter of both modes: the model whose
+  /// dispatch stamp has come with the least (deadline key + share debt),
+  /// lowest id on ties; -1 when none can dispatch at the clock.
+  std::int32_t next_dispatch() const;
+  /// Next event over all models: the earliest in-flight completion,
+  /// arrival, gated chain or parked-stream cutover stamp, dispatch stamp
+  /// or fault event. The next stamp the loop jumps to in both modes.
+  double next_event_internal() const;
+
   // Continuous-mode transitions (one pump iteration = admit, complete,
   // faults, elastic decision, dispatch phases; see pump()).
   void finalize_span_depth();
@@ -349,7 +371,6 @@ class ColocatedServer : public sched::DeviceLease {
   void try_dispatch();
   void try_resumes();
   void process_faults_due();
-  double next_event_internal() const;
 
   /// Admits every model's arrivals up to the clock, in model-id order,
   /// then sheds each shedding model's expired head. Re-activation snaps an
@@ -362,8 +383,14 @@ class ColocatedServer : public sched::DeviceLease {
   /// to `cap`, stopping at the first stream (FIFO order never lets a
   /// classify slice jump over a queued stream).
   std::int64_t classify_prefix(const ModelState& st, std::int64_t cap) const;
-  /// Combined resize decision + lockstep execution (both modes).
+  /// Combined resize decision + lockstep execution (both modes), within
+  /// [min(min_devices, ceiling), ceiling] for ceiling = device_ceiling().
   void resize_if_needed(std::int64_t combined_inflight);
+  /// The elastic ceiling: max_devices, capped by the fault injector's
+  /// capacity_cap while killed devices await their recover — growth never
+  /// resurrects lost capacity, even when the cap falls below min_devices.
+  /// load() and resize_if_needed() both read it.
+  std::int64_t device_ceiling() const;
   /// Executes a decided resize (or grant) to `target` devices through
   /// cut_over, with its "resize" marker and grow/shrink counter.
   void perform_resize(std::int64_t target);

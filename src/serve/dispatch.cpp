@@ -146,7 +146,7 @@ BatchEvent SliceDispatcher::run_formed_batch(RequestQueue& queue,
                                              const BatchFormer& former,
                                              SloTracker& tracker,
                                              double start_s, std::int64_t take) {
-  const std::vector<InferRequest> batch = queue.pop(take);
+  std::vector<InferRequest> batch = queue.pop(take);
   const std::vector<VnPack> packs = former.pack(take, engine_.mapping());
 
   // Packs take FIFO positions contiguously in ascending VN order, so the
@@ -166,39 +166,26 @@ BatchEvent SliceDispatcher::run_formed_batch(RequestQueue& queue,
     request_pool_.gather(idx_scratch_, s.features, labels_scratch_);
   }
 
-  const InferStats stats = engine_.infer(slices_scratch_);
-  const double finish = start_s + stats.compute_s + stats.comm_s;
-
-  for (std::int64_t p = 0; p < take; ++p) {
-    const InferRequest& r = batch[static_cast<std::size_t>(p)];
-    RequestRecord rec;
-    rec.id = r.id;
-    rec.arrival_s = r.arrival_s;
-    rec.dispatch_s = start_s;
-    rec.queue_wait_s = start_s - r.arrival_s;
-    rec.compute_s = stats.compute_s;
-    rec.comm_s = stats.comm_s;
-    rec.finish_s = finish;
-    rec.prediction = stats.predictions[static_cast<std::size_t>(p)];
-    tracker.record_completion(std::move(rec));
-  }
-
-  BatchEvent ev;
-  ev.start_s = start_s;
-  ev.finish_s = finish;
-  ev.size = take;
-  ev.devices = static_cast<std::int64_t>(engine_.devices().size());
-  // queue_depth_after is finalized by the caller once the arrivals that
-  // landed during this batch's service window are admitted.
-  ev.queue_depth_after = queue.size();
+  InferStats stats = engine_.infer(slices_scratch_);
+  Slot done;
+  done.dispatch_s = start_s;
+  done.done_s = start_s + stats.compute_s + stats.comm_s;
+  done.devices = static_cast<std::int64_t>(engine_.devices().size());
+  done.compute_s = stats.compute_s;
+  done.comm_s = stats.comm_s;
   if (obs_.trace != nullptr) {
     // A formed batch runs to a barrier across the whole device set, so its
     // span lives on the control track (device -1), sized by the take.
-    ev.trace_span = obs_.trace->span("batch", start_s, finish, /*device=*/-1,
-                                     /*vn=*/-1, model_, take, /*warm=*/false);
+    done.trace_span = obs_.trace->span("batch", start_s, done.done_s, /*device=*/-1,
+                                       /*vn=*/-1, model_, take, /*warm=*/false);
   }
   if (batch_counter_ != nullptr) batch_counter_->add();
-  return ev;
+  done.requests = std::move(batch);
+  done.predictions = std::move(stats.predictions);
+  record_slice_requests(done, tracker);
+  // queue_depth_after is finalized by the caller once the arrivals that
+  // landed during this batch's service window are admitted.
+  return make_slice_event(done, /*vn=*/-1, queue.size());
 }
 
 }  // namespace vf::serve

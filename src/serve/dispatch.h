@@ -53,13 +53,13 @@ struct BatchEvent {
   std::int64_t trace_span = obs::TraceRecorder::kNoSpan;
 };
 
-/// Records the completions of one finished slice (per-request stamps all
-/// derive from the slot's schedule). Classify slices only — a stream's
-/// record is assembled token by token by the TokenStreamer.
+/// Records the completions of one finished classify slice or formed batch
+/// (per-request stamps all derive from the slot's schedule). A stream's
+/// record is assembled token by token by the TokenStreamer instead.
 void record_slice_requests(const Slot& done, SloTracker& tracker);
 
-/// The BatchEvent of one finished slice on VN `vn`. The caller finalizes
-/// `model` (co-located serving) if it has one.
+/// The BatchEvent of one finished slice on VN `vn` (-1 for a formed
+/// batch). The caller finalizes `model` (co-located serving) if it has one.
 BatchEvent make_slice_event(const Slot& done, std::int32_t vn,
                             std::int64_t queue_depth_after);
 

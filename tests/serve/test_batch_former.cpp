@@ -7,6 +7,7 @@
 // able to move a single request between batches.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "serve/arrival.h"
@@ -28,16 +29,41 @@ InferRequest req(std::int64_t id, double t) {
   return r;
 }
 
+/// (start stamp, size) of every batch a batch-boundary Server forms from
+/// `trace` on one device, elasticity off: the policy as served.
+std::vector<std::pair<double, std::int64_t>> formed_batches(
+    BatchPolicy policy, const std::vector<InferRequest>& trace) {
+  const std::uint64_t seed = 7;
+  ProxyTask task = make_task("mrpc-sim", seed);
+  Sequential model = make_proxy_model("mrpc-sim", seed);
+  TrainRecipe recipe = make_recipe("mrpc-sim");
+  EngineConfig cfg;
+  cfg.seed = seed;
+  cfg.enforce_memory = false;
+  VirtualFlowEngine engine(model, *recipe.optimizer, *recipe.schedule, *task.train,
+                           model_profile("bert-base"),
+                           make_devices(DeviceType::kV100, 1),
+                           VnMapping::even(4, 1, recipe.global_batch), cfg);
+  ServerConfig scfg;
+  scfg.batch = policy;
+  scfg.continuous = false;
+  scfg.elastic.enabled = false;
+  Server server(engine, *task.val, scfg);
+  server.replay(trace);
+  std::vector<std::pair<double, std::int64_t>> out;
+  for (const BatchEvent& b : server.batches()) out.emplace_back(b.start_s, b.size);
+  return out;
+}
+
 TEST(BatchFormer, SizeTriggerFiresAtMaxBatch) {
-  BatchFormer former({/*max_batch=*/3, /*max_wait_s=*/10.0});
-  RequestQueue q(16);
-  q.push(req(0, 0.0));
-  q.push(req(1, 0.1));
-  EXPECT_EQ(former.ready_count(q, 0.1), 0) << "below max_batch, within wait";
-  q.push(req(2, 0.2));
-  EXPECT_EQ(former.ready_count(q, 0.2), 3) << "max_batch reached";
-  q.push(req(3, 0.3));
-  EXPECT_EQ(former.ready_count(q, 0.3), 3) << "a batch never exceeds max_batch";
+  // Four simultaneous arrivals against max_batch 3: a batch of exactly 3
+  // forms at once (a batch never exceeds max_batch); the fourth, below
+  // max_batch, waits out its timeout.
+  const auto batches = formed_batches({/*max_batch=*/3, /*max_wait_s=*/0.5},
+                                      {req(0, 1.0), req(1, 1.0), req(2, 1.0), req(3, 1.0)});
+  ASSERT_EQ(batches.size(), 2u);
+  EXPECT_EQ(batches[0], std::make_pair(1.0, std::int64_t{3}));
+  EXPECT_EQ(batches[1], std::make_pair(1.5, std::int64_t{1}));
 }
 
 TEST(BatchFormer, TimeoutTriggerFlushesPartialBatch) {
@@ -45,9 +71,12 @@ TEST(BatchFormer, TimeoutTriggerFlushesPartialBatch) {
   RequestQueue q(16);
   q.push(req(0, 1.0));
   q.push(req(1, 1.2));
-  EXPECT_EQ(former.ready_count(q, 1.49), 0);
   EXPECT_DOUBLE_EQ(former.timeout_deadline_s(q), 1.5);
-  EXPECT_EQ(former.ready_count(q, 1.5), 2) << "oldest timed out: flush all queued";
+  // Served: nothing forms before the oldest request times out; then the
+  // partial batch flushes everything queued.
+  const auto batches = formed_batches(former.policy(), {req(0, 1.0), req(1, 1.2)});
+  ASSERT_EQ(batches.size(), 1u);
+  EXPECT_EQ(batches[0], std::make_pair(1.5, std::int64_t{2}));
 }
 
 TEST(BatchFormer, PackAssignsFifoPrefixAscendingVnOrder) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -156,33 +157,36 @@ TEST(Colocation, PerModelSloAccountingCoversEveryRequest) {
 TEST(Colocation, ArbiterServesTheTighterDeadlineFirst) {
   // Both models present identical, simultaneously-arrived backlogs; model
   // 1's deadline is 10x tighter, so the arbiter must dispatch it first
-  // even though model 0 has the lower id.
-  Rig rig_a = make_rig("mrpc-sim");
-  Rig rig_b = make_rig("cola-sim");
-  VirtualFlowEngine eng_a = make_engine(rig_a, 1, 0);
-  VirtualFlowEngine eng_b = make_engine(rig_b, 1, 0);
-  ModelRegistry registry;
-  registry.add(eng_a, *rig_a.task.val, model_config("lenient", 1.0));
-  registry.add(eng_b, *rig_b.task.val, model_config("strict", 0.1));
-  ColocationConfig cfg = colo_config(/*continuous=*/true);
-  cfg.elastic.enabled = false;
-  ColocatedServer server(registry, cfg);
+  // even though model 0 has the lower id — slice by slice, and batch by
+  // batch in batch-boundary mode.
+  for (const bool continuous : {true, false}) {
+    Rig rig_a = make_rig("mrpc-sim");
+    Rig rig_b = make_rig("cola-sim");
+    VirtualFlowEngine eng_a = make_engine(rig_a, 1, 0);
+    VirtualFlowEngine eng_b = make_engine(rig_b, 1, 0);
+    ModelRegistry registry;
+    registry.add(eng_a, *rig_a.task.val, model_config("lenient", 1.0));
+    registry.add(eng_b, *rig_b.task.val, model_config("strict", 0.1));
+    ColocationConfig cfg = colo_config(continuous);
+    cfg.elastic.enabled = false;
+    ColocatedServer server(registry, cfg);
 
-  std::vector<std::vector<InferRequest>> traces(2);
-  for (std::int64_t m = 0; m < 2; ++m) {
-    for (std::int64_t i = 0; i < 64; ++i)
-      traces[static_cast<std::size_t>(m)].push_back(
-          InferRequest{/*id=*/i, /*arrival_s=*/0.0, /*example_index=*/i});
+    std::vector<std::vector<InferRequest>> traces(2);
+    for (std::int64_t m = 0; m < 2; ++m) {
+      for (std::int64_t i = 0; i < 64; ++i)
+        traces[static_cast<std::size_t>(m)].push_back(
+            InferRequest{/*id=*/i, /*arrival_s=*/0.0, /*example_index=*/i});
+    }
+    server.replay(traces);
+
+    // Equal dispatch stamps, but the strict model's work must be placed
+    // on the shared device first — its first completion precedes model 0's.
+    const double first_strict = server.slo(1).records().front().finish_s;
+    const double first_lenient = server.slo(0).records().front().finish_s;
+    EXPECT_LT(first_strict, first_lenient)
+        << "(earliest-deadline, model id, VN id) order must favour the "
+           "tighter SLO (continuous=" << continuous << ")";
   }
-  server.replay(traces);
-
-  // Equal dispatch stamps, but the strict model's slices must be placed
-  // on the shared device first — its first completion precedes model 0's.
-  const double first_strict = server.slo(1).records().front().finish_s;
-  const double first_lenient = server.slo(0).records().front().finish_s;
-  EXPECT_LT(first_strict, first_lenient)
-      << "(earliest-deadline, model id, VN id) order must favour the "
-         "tighter SLO";
 }
 
 TEST(Colocation, OneModelsBurstGrowsTheSharedSetAndDrainShrinksIt) {
@@ -244,6 +248,60 @@ TEST(Colocation, EnginesStayInLockstepThroughResizes) {
     }
   }
   EXPECT_TRUE(straddled) << "seamless resize must not quiesce in-flight slices";
+}
+
+/// Checks, from the trace's markers, that no formed batch of a model starts
+/// between a resize decision (the "resize" marker's stamp) and that
+/// model's cutover stamp (its "cutover" marker, emitted just before the
+/// resize marker it belongs to). Returns the number of resize markers.
+std::size_t expect_batches_wait_for_cutover(const obs::TraceRecorder& rec,
+                                            const std::vector<BatchEvent>& batches) {
+  std::size_t resizes = 0;
+  std::vector<std::pair<std::int32_t, double>> cutovers;  // (model, stamp)
+  for (const obs::TraceEvent& e : rec.events()) {
+    if (!e.instant) continue;
+    const std::string name = e.name;
+    if (name == "cutover") cutovers.emplace_back(e.model, e.ts_s);
+    if (name != "resize") continue;
+    ++resizes;
+    for (const auto& [model, cutover] : cutovers) {
+      EXPECT_GT(cutover, e.ts_s) << "a migration takes time";
+      for (const BatchEvent& b : batches) {
+        if (b.model != model) continue;
+        EXPECT_FALSE(b.start_s >= e.ts_s && b.start_s < cutover)
+            << "model " << model << " formed a batch at " << b.start_s
+            << ", inside its migration [" << e.ts_s << ", " << cutover << ")";
+      }
+    }
+    cutovers.clear();
+  }
+  return resizes;
+}
+
+TEST(Colocation, BatchBoundaryBatchesWaitForTheirCutover) {
+  // Batch-boundary mode gates dispatch on the same cutover stamps as
+  // continuous mode, for one model and for two: the clock keeps running
+  // through a migration, and each model's batches wait for its own stamp.
+  for (const std::size_t models : {1u, 2u}) {
+    Rig rig_a = make_rig("mrpc-sim");
+    Rig rig_b = make_rig("cola-sim");
+    VirtualFlowEngine eng_a = make_engine(rig_a, 1, 0);
+    VirtualFlowEngine eng_b = make_engine(rig_b, 1, 0);
+    ModelRegistry registry;
+    registry.add(eng_a, *rig_a.task.val, model_config("mrpc"));
+    if (models == 2) registry.add(eng_b, *rig_b.task.val, model_config("cola"));
+    ColocatedServer server(registry, colo_config(/*continuous=*/false));
+    obs::TraceRecorder rec;
+    server.set_observability({&rec, nullptr});
+    auto traces = staggered_traces(*rig_a.task.val, *rig_b.task.val);
+    traces.resize(models);
+    server.replay(traces);
+
+    ASSERT_GE(server.resizes().size(), 1u) << "the burst must force a resize";
+    EXPECT_EQ(expect_batches_wait_for_cutover(rec, server.batches()),
+              server.resizes().size())
+        << models << " model(s)";
+  }
 }
 
 // ---- The share-weighted arbiter (the small-batch starvation fix).

@@ -248,6 +248,44 @@ TEST(FaultRecovery, CapacityCapHoldsTheSetDownUntilRecovery) {
   EXPECT_LE(static_cast<std::int64_t>(engine.devices().size()), 2);
 }
 
+TEST(FaultRecovery, CapacityCapBelowTheElasticFloorStillHoldsUntilRecovery) {
+  // min = max = 3: two kills cap the budget at one device, below the
+  // elastic floor. The floor must yield to the cap — growth may not
+  // resurrect a killed device before a recover.
+  Rig rig = make_rig("qnli-sim");
+  VirtualFlowEngine engine = make_engine(rig, /*devices=*/3, /*workers=*/0);
+  ServerConfig cfg = fault_config();
+  cfg.elastic.min_devices = 3;
+  cfg.elastic.max_devices = 3;
+  Server server(engine, *rig.task.val, cfg);
+
+  fault::FaultPlan plan;
+  plan.kill(0.30, 0).kill(0.35, 0).recover(2.5).recover(2.6);
+  fault::FaultInjector injector(std::move(plan));
+  server.set_fault_injector(&injector);
+  const auto trace = phased_poisson_trace(
+      kSeed, {{300.0, 0.3}, {3000.0, 1.5}, {150.0, 1.5}}, rig.task.val->size());
+  server.replay(trace);
+
+  expect_zero_loss(server.slo(), trace.size());
+  ASSERT_EQ(server.faults().size(), 4u);
+  EXPECT_FALSE(server.faults()[0].skipped);
+  EXPECT_FALSE(server.faults()[1].skipped);
+  ASSERT_EQ(server.faults()[2].kind, fault::FaultKind::kRecover);
+  const double first_recover = server.faults()[2].time_s;
+  bool regrew = false;
+  for (const ResizeEvent& e : server.resizes()) {
+    if (e.to_devices <= e.from_devices) continue;
+    // One model: the migration starts at the decision stamp, so the
+    // decision is time_s - migration_s (compared without cancellation).
+    EXPECT_GE(e.time_s, first_recover + e.migration_s)
+        << "grew " << e.from_devices << " -> " << e.to_devices
+        << " while both kills were outstanding";
+    regrew = true;
+  }
+  EXPECT_TRUE(regrew) << "the recovers must lift the cap again";
+}
+
 /// Head shedding's two guarantees for a model with deadline `deadline_s`:
 /// every served request dispatched by arrival + deadline, and every shed
 /// record stamped past it (a capacity bounce is stamped at its arrival).

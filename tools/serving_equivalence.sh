@@ -1,0 +1,89 @@
+#!/usr/bin/env bash
+# Serving-equivalence check: a serving-loop change that claims to keep
+# behaviour must print the same bench stdout as the commit it started from.
+#
+# Builds the five serving benches twice — at <ref> (exported with
+# `git archive` into a temporary directory) and in the working tree's
+# build/ — runs the six serving invocations in both, and diffs their
+# stdout. Only bench_serving's "replay wall" line (host time) is dropped
+# before the diff. Prints one verdict line per invocation.
+#
+# Usage: tools/serving_equivalence.sh <ref> [--full]
+#   default: every bench runs with --smoke=1; --full runs default sizes.
+#   JOBS=<n> sets the build parallelism (default: nproc).
+# Exit: 0 when every run exits 0 and every stdout matches, 1 otherwise,
+# 2 on a usage error.
+set -euo pipefail
+
+usage() {
+  echo "usage: $0 <ref> [--full]" >&2
+  exit 2
+}
+[[ $# -ge 1 && $# -le 2 ]] || usage
+ref=$1
+size=(--smoke=1)
+if [[ $# -eq 2 ]]; then
+  [[ $2 == --full ]] || usage
+  size=()
+fi
+
+repo=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
+git -C "$repo" rev-parse --verify --quiet "$ref^{commit}" > /dev/null || {
+  echo "unknown ref: $ref" >&2
+  exit 2
+}
+benches=(bench_serving bench_colocation bench_streaming bench_faults bench_cosched)
+invocations=("bench_serving --continuous=0" "bench_serving --continuous=1"
+             bench_colocation bench_streaming bench_faults bench_cosched)
+jobs=${JOBS:-$(nproc)}
+
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/src" "$work/run"
+git -C "$repo" archive "$ref" | tar x -C "$work/src"
+
+build() {  # <source dir> <build dir> <log>
+  if ! { cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=RelWithDebInfo &&
+         cmake --build "$2" -j "$jobs" --target "${benches[@]}"; } > "$3" 2>&1; then
+    echo "build failed in $2; last lines of $3:" >&2
+    tail -n 20 "$3" >&2
+    exit 1
+  fi
+}
+echo "building $ref ..."
+build "$work/src" "$work/build" "$work/build-ref.log"
+echo "building the working tree in build/ ..."
+build "$repo" "$repo/build" "$work/build-new.log"
+
+# run <bin dir> <out file> <argv...>: stdout minus host-time lines; the
+# exit code is returned. Runs in a temporary directory so no output file can
+# land in either tree.
+run() {
+  local bin=$1 out=$2
+  shift 2
+  local rc=0
+  (cd "$work/run" && "$bin/$1" "${@:2}" "${size[@]}") > "$out.raw" 2> "$out.err" || rc=$?
+  grep -v "replay wall" "$out.raw" > "$out" || true
+  return "$rc"
+}
+
+status=0
+for i in "${!invocations[@]}"; do
+  read -r -a argv <<< "${invocations[$i]}"
+  label="${invocations[$i]} ${size[*]}"
+  ref_rc=0
+  new_rc=0
+  run "$work/build/bench" "$work/ref.$i" "${argv[@]}" || ref_rc=$?
+  run "$repo/build/bench" "$work/new.$i" "${argv[@]}" || new_rc=$?
+  if [[ $ref_rc -ne 0 || $new_rc -ne 0 ]]; then
+    echo "FAIL       $label (exit: ref $ref_rc, working tree $new_rc)"
+    status=1
+  elif cmp -s "$work/ref.$i" "$work/new.$i"; then
+    echo "identical  $label"
+  else
+    echo "DIFFERS    $label"
+    diff "$work/ref.$i" "$work/new.$i" | head -n 20 || true
+    status=1
+  fi
+done
+exit "$status"
