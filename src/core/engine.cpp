@@ -563,13 +563,14 @@ InferStats VirtualFlowEngine::infer(const std::vector<InferSlice>& slices) {
           "infer slice features must be a non-empty [count x dim] matrix");
   }
 
-  // Group slices by hosting device; a device runs its slices sequentially
-  // (same execution shape as training VNs) while devices run concurrently
-  // on the pool. Each slice writes only its own VN's prediction/byte
-  // slots, so scheduling cannot change the result. All the loop's scratch
-  // — grouping lists, per-VN prediction vectors, the averaged eval state —
-  // is engine-member storage keyed by VN: a serving loop issuing thousands
-  // of dispatches reuses it call after call instead of reallocating.
+  // Group slices by hosting device; devices run in ascending order, each
+  // its slices in call order (same execution shape as training VNs), all
+  // on the calling thread: handing devices to the pool measured slower
+  // than this loop on every serving workload (README, "Concurrency
+  // model"). All the loop's scratch — grouping lists, per-VN prediction
+  // vectors, the averaged eval state — is engine-member storage keyed by
+  // VN: a serving loop issuing thousands of dispatches reuses it call
+  // after call instead of reallocating.
   const std::int64_t n_dev = mapping_.num_devices();
   infer_by_device_.resize(static_cast<std::size_t>(n_dev));
   for (auto& list : infer_by_device_) list.clear();
@@ -580,9 +581,8 @@ InferStats VirtualFlowEngine::infer(const std::vector<InferSlice>& slices) {
   VnState& eval_state = shared_eval_state();  // read-only under training=false
   VnState* const eval_state_ptr = eval_state.empty() ? nullptr : &eval_state;
 
-  ws_.begin_region();  // worker -> device assignment may differ per call
-  for_each_device([&](std::int64_t d) {
-    if (infer_by_device_[static_cast<std::size_t>(d)].empty()) return;
+  ws_.begin_region();  // this thread takes over the VNs' slots from the last region
+  for (std::int64_t d = 0; d < n_dev; ++d) {
     Sequential& model = replicas_[static_cast<std::size_t>(d)].model;
     for (const std::size_t i : infer_by_device_[static_cast<std::size_t>(d)]) {
       const InferSlice& s = slices[i];
@@ -594,14 +594,14 @@ InferStats VirtualFlowEngine::infer(const std::vector<InferSlice>& slices) {
       ctx.training = false;
       ctx.state = eval_state_ptr;
       // Slices name distinct VNs, so the per-VN slots of the training
-      // workspace are free for serving reuse (and race-free on the pool).
+      // workspace are free for serving reuse.
       ctx.ws = &ws_;
       Tensor& logits = ws_.acquire(s.vn, kTagLogits);
       model.forward_into(s.features, logits, ctx);
       logits.row_argmax_into(vn_infer_preds_[v]);
       vn_infer_bytes_[v] = static_cast<double>(logits.size()) * 4.0;
     }
-  });
+  }
 
   // Simulated timing: barrier at the slowest participating device, plus
   // the slowest logits return to the frontend. Both are pure functions of

@@ -229,10 +229,11 @@ class VirtualFlowEngine {
   /// Forward-only execution of inference micro-batches on a subset of
   /// virtual nodes (the serving entry point, src/serve/). Each slice runs
   /// on the device hosting its VN, with a private copy of the averaged
-  /// eval-time VN state; devices run concurrently on the pool when
-  /// configured. Does NOT advance the engine's simulated clock — callers
-  /// (the serving loop) own their own timeline and consume the returned
-  /// simulated costs. Slices must name distinct, valid VNs.
+  /// eval-time VN state; devices run one after another on the calling
+  /// thread, whatever num_threads is. Does NOT advance the engine's
+  /// simulated clock — callers (the serving loop) own their own timeline
+  /// and consume the returned simulated costs. Slices must name distinct,
+  /// valid VNs.
   InferStats infer(const std::vector<InferSlice>& slices);
 
   // ---- Introspection (tests, benches) ----

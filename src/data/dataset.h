@@ -2,12 +2,18 @@
 //
 // The paper trains on ImageNet and GLUE; neither is available offline, so
 // we substitute deterministic synthetic classification tasks (see
-// docs/architecture.md, "Layer map"). Each dataset is a pure function of its seed: example i is
-// generated on demand and is identical across processes, devices, and
+// docs/architecture.md, "Layer map"). Each dataset is a pure function of
+// its seed: example i is identical across processes, devices, and
 // virtual-node mappings — the property the reproducibility experiments
-// need from the data pipeline.
+// need from the data pipeline. A row is drawn on its first touch and then
+// copied from the dataset's row store (SyntheticDataset), so a row
+// gathered again costs a copy, not a redraw. The generator stands in for
+// an input pipeline: the store removes the generator's cost and says
+// nothing about the cost of decoding real data.
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -41,9 +47,8 @@ class Dataset {
   /// Writes example `i`'s features into `out_features` (exactly
   /// feature_dim() floats) and returns its label. The hot-path form of
   /// example(): the per-VN gather loop calls it once per row without
-  /// materializing an Example. The default wraps example(); concrete
-  /// datasets override it to generate in place.
-  virtual std::int64_t example_into(std::int64_t i, std::span<float> out_features) const;
+  /// materializing an Example.
+  virtual std::int64_t example_into(std::int64_t i, std::span<float> out_features) const = 0;
 
   /// Materializes examples into a feature matrix and label vector.
   /// `indices` maps batch position -> dataset index. Both outputs are
@@ -53,11 +58,65 @@ class Dataset {
               std::vector<std::int64_t>& labels) const;
 };
 
+/// Base of the synthetic generators: owns their geometry and a row store.
+/// Row i is drawn once, on its first example_into(), through the
+/// subclass's generate_into() and published into the store; every later
+/// call copies it out. Rows are pure functions of (seed, i), so a copy has
+/// the bits of a fresh draw.
+///
+/// The store keeps one atomic state word per row, zeroed at construction,
+/// and one anonymous mapping of features and labels, left untouched so
+/// only drawn rows become resident. Slots fill in first-draw order, so a
+/// step's new rows share pages. Publication is lock-free and no caller waits: the first
+/// drawer claims the row (state 0 -> 1), copies its draw into the next
+/// slot and publishes it with a release store (state = slot + 2); a caller
+/// racing on the same first touch returns its own, identical draw.
+class SyntheticDataset : public Dataset {
+ public:
+  ~SyntheticDataset() override;
+  // Owns the mapping.
+  SyntheticDataset(const SyntheticDataset&) = delete;
+  SyntheticDataset& operator=(const SyntheticDataset&) = delete;
+
+  std::int64_t size() const final { return n_; }
+  std::int64_t feature_dim() const final { return dim_; }
+  std::int64_t num_classes() const final { return classes_; }
+  std::string name() const final { return name_; }
+  Example example(std::int64_t i) const final;
+  std::int64_t example_into(std::int64_t i, std::span<float> out_features) const final;
+
+ protected:
+  /// Rejects a size beyond the slot index (2^32 - 2 rows) before it
+  /// allocates the store.
+  SyntheticDataset(std::string name, std::uint64_t seed, std::int64_t n, std::int64_t dim,
+                   std::int64_t classes);
+
+  std::uint64_t seed() const { return seed_; }
+
+ private:
+  /// Draws row `i` into `out` (exactly feature_dim() floats; i is in
+  /// range) and returns its label. Must be a pure function of (seed, i).
+  virtual std::int64_t generate_into(std::int64_t i, std::span<float> out) const = 0;
+
+  std::string name_;
+  std::uint64_t seed_;
+  std::int64_t n_, dim_, classes_;
+  mutable std::atomic<std::uint32_t> next_slot_{0};
+  // Row i's state: 0 = absent, 1 = being stored, k >= 2 = stored in slot k - 2.
+  std::unique_ptr<std::atomic<std::uint32_t>[]> state_;
+  // The mapping holds slot k's feature row at features_ + k * dim_, then
+  // every slot's label.
+  void* map_ = nullptr;
+  std::size_t map_bytes_ = 0;
+  float* features_ = nullptr;
+  std::int32_t* labels_ = nullptr;
+};
+
 /// Mixture of Gaussians: class c is an isotropic Gaussian around a random
 /// class center; `noise` controls overlap and hence the achievable (Bayes)
 /// accuracy. Used as the "imagenet-sim" stand-in where the headline is a
 /// target accuracy reached only with well-tuned optimization.
-class GaussianMixtureDataset : public Dataset {
+class GaussianMixtureDataset : public SyntheticDataset {
  public:
   /// `index_offset` shifts the per-example random streams, letting a
   /// validation split share the class centers (same seed) while drawing
@@ -66,17 +125,9 @@ class GaussianMixtureDataset : public Dataset {
                          std::int64_t dim, std::int64_t classes, float noise,
                          std::int64_t index_offset = 0);
 
-  std::int64_t size() const override { return n_; }
-  std::int64_t feature_dim() const override { return dim_; }
-  std::int64_t num_classes() const override { return classes_; }
-  std::string name() const override { return name_; }
-  Example example(std::int64_t i) const override;
-  std::int64_t example_into(std::int64_t i, std::span<float> out_features) const override;
-
  private:
-  std::string name_;
-  std::uint64_t seed_;
-  std::int64_t n_, dim_, classes_;
+  std::int64_t generate_into(std::int64_t i, std::span<float> out) const override;
+
   float noise_;
   std::int64_t index_offset_ = 0;
   std::vector<std::vector<float>> centers_;
@@ -87,7 +138,7 @@ class GaussianMixtureDataset : public Dataset {
 /// resampled uniformly. The Bayes accuracy is therefore approximately
 /// 1 - label_noise * (1 - 1/classes), which lets each synthetic GLUE task
 /// be calibrated to its paper target accuracy.
-class TeacherDataset : public Dataset {
+class TeacherDataset : public SyntheticDataset {
  public:
   /// `index_offset` as in GaussianMixtureDataset: validation splits share
   /// the teacher weights but draw disjoint examples.
@@ -95,17 +146,10 @@ class TeacherDataset : public Dataset {
                  std::int64_t dim, std::int64_t classes, std::int64_t hidden,
                  float label_noise, std::int64_t index_offset = 0);
 
-  std::int64_t size() const override { return n_; }
-  std::int64_t feature_dim() const override { return dim_; }
-  std::int64_t num_classes() const override { return classes_; }
-  std::string name() const override { return name_; }
-  Example example(std::int64_t i) const override;
-  std::int64_t example_into(std::int64_t i, std::span<float> out_features) const override;
-
  private:
-  std::string name_;
-  std::uint64_t seed_;
-  std::int64_t n_, dim_, classes_, hidden_;
+  std::int64_t generate_into(std::int64_t i, std::span<float> out) const override;
+
+  std::int64_t hidden_;
   float label_noise_;
   std::int64_t index_offset_ = 0;
   // Teacher weights: dim x hidden and hidden x classes, row-major.
@@ -115,21 +159,13 @@ class TeacherDataset : public Dataset {
 /// Two-interleaved-spirals binary task; small and hard enough that batch
 /// size visibly changes the convergence trajectory (used by the batch-size
 /// exploration experiments, Fig 9).
-class SpiralsDataset : public Dataset {
+class SpiralsDataset : public SyntheticDataset {
  public:
   SpiralsDataset(std::string name, std::uint64_t seed, std::int64_t n, float noise);
 
-  std::int64_t size() const override { return n_; }
-  std::int64_t feature_dim() const override { return 2; }
-  std::int64_t num_classes() const override { return 2; }
-  std::string name() const override { return name_; }
-  Example example(std::int64_t i) const override;
-  std::int64_t example_into(std::int64_t i, std::span<float> out_features) const override;
-
  private:
-  std::string name_;
-  std::uint64_t seed_;
-  std::int64_t n_;
+  std::int64_t generate_into(std::int64_t i, std::span<float> out) const override;
+
   float noise_;
 };
 
