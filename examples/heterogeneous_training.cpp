@@ -21,7 +21,7 @@ int main() {
   std::map<DeviceType, OfflineProfile> profiles;
   for (const DeviceType t : {DeviceType::kV100, DeviceType::kP100}) {
     double cost_s = 0.0;
-    profiles.emplace(t, profile_workload(t, profile, {}, &cost_s));
+    profiles.emplace(t, profile_workload(t, profile, &cost_s));
     std::printf("  %-6s frontier batch %lld, profiling cost %.0f simulated s\n",
                 device_type_name(t),
                 static_cast<long long>(profiles.at(t).max_batch()), cost_s);

@@ -21,14 +21,6 @@ double ring_allgather_time_s(double bytes, std::int64_t world, const LinkSpec& l
   return (n - 1.0) * (link.latency_s + bytes / link.bandwidth_bytes);
 }
 
-double broadcast_time_s(double bytes, std::int64_t world, const LinkSpec& link) {
-  check(world >= 1, "world size must be positive");
-  if (world == 1) return 0.0;
-  // Pipelined binomial-tree broadcast approximation.
-  const double hops = static_cast<double>(world - 1);
-  return link.latency_s * hops + bytes / link.bandwidth_bytes;
-}
-
 double send_time_s(double bytes, const LinkSpec& link) {
   check(bytes >= 0, "send bytes must be non-negative");
   return link.latency_s + bytes / link.bandwidth_bytes;

@@ -34,9 +34,6 @@ double ring_allreduce_time_s(double bytes, std::int64_t world, const LinkSpec& l
 /// contributes `bytes` (total traffic (world-1) x bytes per node).
 double ring_allgather_time_s(double bytes, std::int64_t world, const LinkSpec& link);
 
-/// Time for a broadcast of `bytes` from one root to `world - 1` receivers.
-double broadcast_time_s(double bytes, std::int64_t world, const LinkSpec& link);
-
 /// Time for a point-to-point send of `bytes` over one link (α + bytes / β).
 /// The serving path charges this for returning each device's logits slice
 /// to the frontend; devices send over independent links, so the batch-level

@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/common.h"
 
@@ -10,6 +11,9 @@ namespace {
 // Engine-level workspace tags (negative: layer tags are >= 0).
 constexpr std::int32_t kTagLogits = -1;    // forward output per VN
 constexpr std::int32_t kTagTopGrad = -2;   // model-input gradient (discarded)
+// Seconds charged for a checkpoint-restart resize (`seamless` false),
+// modelling the restart-based baselines [38].
+constexpr double kRestartPenaltyS = 45.0;
 }  // namespace
 
 VirtualFlowEngine::VirtualFlowEngine(const Sequential& model, const Optimizer& optimizer,
@@ -65,12 +69,6 @@ void VirtualFlowEngine::set_device_slowdown(std::int64_t device, double multipli
 double VirtualFlowEngine::device_slowdown(std::int64_t device) const {
   check_index(device, static_cast<std::int64_t>(slowdowns_.size()), "device");
   return slowdowns_[static_cast<std::size_t>(device)];
-}
-
-std::int64_t VirtualFlowEngine::workspace_allocs() const {
-  std::int64_t total = ws_.heap_allocs();
-  for (const Workspace& w : eval_ws_) total += w.heap_allocs();
-  return total;
 }
 
 void VirtualFlowEngine::for_each_device(const std::function<void(std::int64_t)>& fn) {
@@ -352,7 +350,7 @@ void VirtualFlowEngine::reconfigure(std::vector<Device> new_devices,
     migration_s = ring_allgather_time_s(state_bytes / static_cast<double>(world),
                                         world, config_.link);
   } else {
-    migration_s = config_.restart_penalty_s;
+    migration_s = kRestartPenaltyS;
   }
   if (obs_.trace != nullptr) {
     // Reconfiguration marker on the control track: device-count change
@@ -477,79 +475,6 @@ VnState& VirtualFlowEngine::shared_eval_state() {
   return eval_state_cache_;
 }
 
-void VirtualFlowEngine::for_each_eval_chunk(
-    const Dataset& eval, std::int64_t n,
-    const std::function<void(std::int64_t, const Tensor&,
-                             const std::vector<std::int64_t>&)>& fn) {
-  // One shared averaged state for every worker: eval-mode forwards only
-  // ever read it (batch-norm consumes the moving stats), so the workers
-  // need no private copies — concurrent reads are race-free.
-  VnState& eval_state = shared_eval_state();
-  VnState* const eval_state_ptr = eval_state.empty() ? nullptr : &eval_state;
-  const std::int64_t n_chunks = ceil_div(n, kEvalChunk);
-
-  // Eval parallelism is decoupled from the replica count: chunks stripe
-  // over every pool worker, not just one per device, so an eval-heavy
-  // workload on a small mapping still uses the whole host. Worker w within
-  // the replica count borrows replica w's model (distinct objects, one
-  // worker each — no copies, no races); workers beyond it get private deep
-  // copies, made serially up front because copying inside the parallel
-  // region would race with worker w's forward-cache writes on the source
-  // replica. Each worker writes only its own chunks' slots and callers
-  // reduce in ascending chunk order, so the result is bit-identical for
-  // any worker count.
-  const std::int64_t n_dev = num_replicas();
-  const std::int64_t workers =
-      pool_ ? std::min<std::int64_t>(config_.num_threads, n_chunks) : 1;
-  std::vector<Sequential> extra_models;
-  for (std::int64_t w = n_dev; w < workers; ++w)
-    extra_models.push_back(replicas_.front().model);
-  // One private arena per worker (persisted across eval calls): chunks of
-  // one worker reuse the same gather/forward buffers, and workers never
-  // share a slot — the eval twin of the per-VN confinement in train_step.
-  if (static_cast<std::int64_t>(eval_ws_.size()) < workers)
-    eval_ws_.resize(static_cast<std::size_t>(workers));
-  for (Workspace& w : eval_ws_) {
-    w.ensure_vns(1);
-    // Each arena belongs to one worker index, but the pool thread running
-    // that index changes call to call — open a fresh ownership region.
-    w.begin_region();
-  }
-
-  const auto worker_body = [&](std::int64_t w) {
-    Sequential& model = w < n_dev
-                            ? replicas_[static_cast<std::size_t>(w)].model
-                            : extra_models[static_cast<std::size_t>(w - n_dev)];
-    Workspace& wws = eval_ws_[static_cast<std::size_t>(w)];
-    std::vector<std::int64_t> idx;
-    Tensor features;
-    std::vector<std::int64_t> labels;
-    for (std::int64_t c = w; c < n_chunks; c += workers) {
-      const std::int64_t start = c * kEvalChunk;
-      const std::int64_t count = std::min(kEvalChunk, n - start);
-      idx.resize(static_cast<std::size_t>(count));
-      for (std::int64_t i = 0; i < count; ++i) idx[static_cast<std::size_t>(i)] = start + i;
-      eval.gather(idx, features, labels);
-
-      ExecContext ctx;
-      ctx.seed = config_.seed;
-      ctx.step = step_;
-      ctx.training = false;
-      ctx.state = eval_state_ptr;
-      ctx.ws = &wws;
-      Tensor& logits = wws.acquire(0, kTagLogits);
-      model.forward_into(features, logits, ctx);
-      fn(c, logits, labels);
-    }
-  };
-
-  if (pool_) {
-    pool_->parallel_for(workers, worker_body);
-  } else {
-    worker_body(0);
-  }
-}
-
 InferStats VirtualFlowEngine::infer(const std::vector<InferSlice>& slices) {
   check(!slices.empty(), "infer needs at least one slice");
   infer_seen_.assign(static_cast<std::size_t>(mapping_.total_vns()), false);
@@ -652,21 +577,18 @@ InferStats VirtualFlowEngine::infer(const std::vector<InferSlice>& slices) {
 double VirtualFlowEngine::evaluate(const Dataset& eval, std::int64_t limit) {
   const std::int64_t n = limit < 0 ? eval.size() : std::min(limit, eval.size());
   check(n > 0, "evaluate on empty dataset");
-  std::vector<std::int64_t> chunk_correct(
-      static_cast<std::size_t>(ceil_div(n, kEvalChunk)), 0);
-
-  for_each_eval_chunk(eval, n,
-                      [&](std::int64_t c, const Tensor& logits,
-                          const std::vector<std::int64_t>& labels) {
-                        const auto preds = logits.row_argmax();
-                        std::int64_t correct = 0;
-                        for (std::size_t i = 0; i < labels.size(); ++i)
-                          if (preds[i] == labels[i]) ++correct;
-                        chunk_correct[static_cast<std::size_t>(c)] = correct;
-                      });
-
+  std::vector<InferSlice> chunk(1);  // VN 0
+  std::vector<std::int64_t> idx;
+  std::vector<std::int64_t> labels;
   std::int64_t correct = 0;
-  for (const std::int64_t c : chunk_correct) correct += c;
+  for (std::int64_t start = 0; start < n; start += kEvalChunk) {
+    idx.resize(static_cast<std::size_t>(std::min(kEvalChunk, n - start)));
+    std::iota(idx.begin(), idx.end(), start);
+    eval.gather(idx, chunk[0].features, labels);
+    const std::vector<std::int64_t> preds = infer(chunk).predictions;
+    for (std::size_t i = 0; i < labels.size(); ++i)
+      if (preds[i] == labels[i]) ++correct;
+  }
   const double acc = static_cast<double>(correct) / static_cast<double>(n);
   // Evaluation does not advance the simulated clock, so it gets an
   // instant marker (stamped at the current clock) rather than a span.
@@ -678,24 +600,6 @@ double VirtualFlowEngine::evaluate(const Dataset& eval, std::int64_t limit) {
     obs_.metrics->gauge("train.eval_accuracy").set(acc, clock_s_);
   }
   return acc;
-}
-
-double VirtualFlowEngine::evaluate_loss(const Dataset& eval, std::int64_t limit) {
-  const std::int64_t n = limit < 0 ? eval.size() : std::min(limit, eval.size());
-  check(n > 0, "evaluate_loss on empty dataset");
-  std::vector<double> chunk_loss(static_cast<std::size_t>(ceil_div(n, kEvalChunk)),
-                                 0.0);
-
-  for_each_eval_chunk(eval, n,
-                      [&](std::int64_t c, const Tensor& logits,
-                          const std::vector<std::int64_t>& labels) {
-                        chunk_loss[static_cast<std::size_t>(c)] =
-                            softmax_cross_entropy(logits, labels).loss_sum;
-                      });
-
-  double loss_sum = 0.0;
-  for (const double l : chunk_loss) loss_sum += l;
-  return loss_sum / static_cast<double>(n);
 }
 
 }  // namespace vf

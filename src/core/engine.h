@@ -62,12 +62,10 @@ struct EngineConfig {
   /// If false, skip the simulated-memory fit check (used by unit tests
   /// that run tiny models under mappings the real profile would OOM).
   bool enforce_memory = true;
-  /// Seconds charged for a checkpoint-restart resize; used when
-  /// `Resize::seamless` is false to model restart-based baselines [38].
-  double restart_penalty_s = 45.0;
   ReductionMode reduction = ReductionMode::kStrictVnOrder;
-  /// Host worker threads running the per-device step loop. 0 = serial
-  /// (the reference path). Any value yields bit-identical results: each
+  /// Host worker threads running train_step's per-device loop and
+  /// optimizer apply, the only work the pool runs. 0 = serial (the
+  /// reference path). Any value yields bit-identical results: each
   /// device writes only its own VNs' gradient sums and the reduction in
   /// sync_and_update is ordered by VN id, not by completion.
   std::int64_t num_threads = 0;
@@ -220,16 +218,17 @@ class VirtualFlowEngine {
                    const ResizeOptions& opts = {});
 
   /// Top-1 accuracy on `eval` (full dataset, or first `limit` examples).
-  /// Uses batch-norm moving statistics averaged over VNs in id order.
+  /// Evaluation is serving's forward pass: kEvalChunk-row slices on VN 0,
+  /// each run through infer() on the calling thread. Predictions are
+  /// computed row by row, so the accuracy has the same bits for any chunk
+  /// size, mapping and worker count. Does not advance the clock.
   double evaluate(const Dataset& eval, std::int64_t limit = -1);
 
-  /// Mean loss on `eval` without updating anything.
-  double evaluate_loss(const Dataset& eval, std::int64_t limit = -1);
-
   /// Forward-only execution of inference micro-batches on a subset of
-  /// virtual nodes (the serving entry point, src/serve/). Each slice runs
-  /// on the device hosting its VN, with a private copy of the averaged
-  /// eval-time VN state; devices run one after another on the calling
+  /// virtual nodes (the serving entry point, src/serve/, and evaluate's).
+  /// Each slice runs on the device hosting its VN and reads the shared
+  /// averaged eval-time VN state (batch-norm moving statistics averaged
+  /// over VNs in id order); devices run one after another on the calling
   /// thread, whatever num_threads is. Does NOT advance the engine's
   /// simulated clock — callers (the serving loop) own their own timeline
   /// and consume the returned simulated costs. Slices must name distinct,
@@ -258,7 +257,7 @@ class VirtualFlowEngine {
   /// Heap allocations observed across the engine's workspaces so far.
   /// After warm-up a steady-state train_step must not move this (the
   /// zero-allocation contract; see tests/core/test_zero_alloc.cpp).
-  std::int64_t workspace_allocs() const;
+  std::int64_t workspace_allocs() const { return ws_.heap_allocs(); }
   /// Virtual-node slot rows currently held by the hot-path workspace.
   /// Tracks the live mapping exactly: reconfigure evicts slots (and infer
   /// scratch) of departed VNs rather than letting them pin buffers.
@@ -281,20 +280,11 @@ class VirtualFlowEngine {
   /// otherwise. fn must only write state owned by device d (its replica,
   /// its VNs' slots).
   void for_each_device(const std::function<void(std::int64_t)>& fn);
-  /// Shared harness for evaluate/evaluate_loss: forwards the first `n`
-  /// examples of `eval` in fixed kEvalChunk-sized chunks, chunk c on
-  /// replica (c mod D) with a private copy of the averaged eval state,
-  /// and calls fn(c, logits, labels) per chunk. fn must only write its
-  /// chunk's slot; callers reduce in ascending chunk order, making the
-  /// result bit-identical to a serial single-replica sweep.
-  void for_each_eval_chunk(
-      const Dataset& eval, std::int64_t n,
-      const std::function<void(std::int64_t, const Tensor&,
-                               const std::vector<std::int64_t>&)>& fn);
   /// Averaged eval-time VN state, recomputed lazily (train_step, restore,
   /// and reconfigure invalidate it). Eval-mode forwards only read state,
-  /// so eval/infer workers share this one copy instead of deep-copying it
-  /// per call per device — the infer hot path allocates nothing for it.
+  /// so every infer() call (evaluate's included) reads this one copy
+  /// instead of deep-copying it per call per device — the infer hot path
+  /// allocates nothing for it.
   VnState& shared_eval_state();
 
   static constexpr std::int64_t kEvalChunk = 1024;
@@ -322,7 +312,6 @@ class VirtualFlowEngine {
   std::vector<double> vn_loss_sums_;
   Tensor global_grad_;                              // reduction scratch
   std::vector<Tensor> device_sums_;                 // hierarchical-mode scratch
-  std::vector<Workspace> eval_ws_;                  // per-eval-worker arenas
 
   // ---- Per-model infer scratch (this engine IS the model: co-located
   // serving runs one engine per model, so everything here is keyed by

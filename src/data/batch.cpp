@@ -64,25 +64,9 @@ MicroBatch EpochBatcher::micro_batch(std::int64_t epoch, std::int64_t batch_in_e
 void gather_micro_batch_into(const Dataset& dataset,
                              const std::vector<std::int64_t>& indices,
                              MicroBatch& out) {
-  check(!indices.empty(), "gather_micro_batch needs at least one index");
+  check(!indices.empty(), "gather_micro_batch_into needs at least one index");
   for (const std::int64_t i : indices) check_index(i, dataset.size(), "example");
   dataset.gather(indices, out.features, out.labels);
-}
-
-MicroBatch gather_micro_batch(const Dataset& dataset,
-                              const std::vector<std::int64_t>& indices) {
-  MicroBatch mb;
-  gather_micro_batch_into(dataset, indices, mb);
-  return mb;
-}
-
-MicroBatch materialize_all(const Dataset& dataset, std::int64_t limit) {
-  const std::int64_t n = limit < 0 ? dataset.size() : std::min(limit, dataset.size());
-  std::vector<std::int64_t> idx(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) idx[static_cast<std::size_t>(i)] = i;
-  MicroBatch mb;
-  dataset.gather(idx, mb.features, mb.labels);
-  return mb;
 }
 
 }  // namespace vf

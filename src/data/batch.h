@@ -72,19 +72,11 @@ class EpochBatcher {
   std::vector<std::int64_t> perm_;
 };
 
-/// Materializes an entire dataset (or its first `limit` examples) for
-/// evaluation passes.
-MicroBatch materialize_all(const Dataset& dataset, std::int64_t limit = -1);
-
-/// Materializes a micro-batch from explicit dataset indices. This is the
-/// serving path (src/serve/): the indices come from request payloads, not
-/// from epoch slices, so no permutation or slice layout is involved.
-MicroBatch gather_micro_batch(const Dataset& dataset,
-                              const std::vector<std::int64_t>& indices);
-
-/// gather_micro_batch() into a reusable caller-owned MicroBatch (the
-/// serving path keeps per-slot scratch so repeated dispatches reuse
-/// buffers instead of reallocating).
+/// Materializes a micro-batch from explicit dataset indices into a
+/// reusable caller-owned MicroBatch. This is the serving path
+/// (src/serve/): the indices come from request payloads, not from epoch
+/// slices, so no permutation or slice layout is involved, and per-slot
+/// scratch lets repeated dispatches reuse buffers instead of reallocating.
 void gather_micro_batch_into(const Dataset& dataset,
                              const std::vector<std::int64_t>& indices,
                              MicroBatch& out);

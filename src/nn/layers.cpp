@@ -41,10 +41,10 @@ Dense::Dense(std::int64_t in_dim, std::int64_t out_dim, CounterRng& rng)
 
 void Dense::forward_into(const Tensor& x, Tensor& y, const ExecContext& ctx) {
   check(x.rank() == 2 && x.cols() == w_.rows(), "Dense: input shape mismatch");
-  // The backward stash tracks the *training* forward it serves (eval
-  // forwards between a training forward and its backward — the engine's
-  // eval stripes borrow training replicas — must not redirect backward's
-  // scratch into another arena).
+  // The backward stash tracks the *training* forward it serves (an eval
+  // forward between a training forward and its backward — evaluate() and
+  // infer() run on the training replicas — must not redirect backward's
+  // scratch to another VN's slots).
   if (ctx.training) {
     cached_input_ = x;
     bw_ws_ = ctx.ws;

@@ -41,7 +41,6 @@ class Sequential : public Layer {
   /// that dropout streams and batch-norm state keys never collide.
   void set_layer_index(std::int32_t idx) override;
 
-  std::size_t num_layers() const { return layers_.size(); }
   Layer& layer(std::size_t i);
 
   /// Copies all parameters into one contiguous vector (used to model the

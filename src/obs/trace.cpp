@@ -67,12 +67,6 @@ void TraceRecorder::set_queue_depth(std::int64_t idx, std::int64_t depth) {
   events_[static_cast<std::size_t>(idx)].queue_depth = depth;
 }
 
-void TraceRecorder::set_model(std::int64_t idx, std::int32_t model) {
-  if (idx == kNoSpan) return;
-  check_index(idx, static_cast<std::int64_t>(events_.size()), "trace span");
-  events_[static_cast<std::size_t>(idx)].model = model;
-}
-
 std::string TraceRecorder::to_json() const {
   // Thread-name metadata first, one per distinct track, ascending tid —
   // derived from the events, so the header is as deterministic as they are.

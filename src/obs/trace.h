@@ -63,11 +63,10 @@ class TraceRecorder {
                std::int32_t vn, std::int32_t model, std::int64_t arg0 = 0,
                std::int64_t arg1 = 0, double arg_s = 0.0);
 
-  /// Late finalizations for span `idx` (no-ops when idx == kNoSpan): the
-  /// servers learn the post-admission queue depth and the owning model
-  /// after the dispatcher has already stamped the span.
+  /// Late finalization of span `idx` (a no-op when idx == kNoSpan): the
+  /// servers learn the post-admission queue depth after the dispatcher
+  /// has already stamped the span.
   void set_queue_depth(std::int64_t idx, std::int64_t depth);
-  void set_model(std::int64_t idx, std::int32_t model);
 
   std::size_t size() const { return events_.size(); }
   const std::vector<TraceEvent>& events() const { return events_; }

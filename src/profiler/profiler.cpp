@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "comm/comm.h"
 #include "util/common.h"
 #include "util/rng.h"
 
@@ -44,10 +45,9 @@ double OfflineProfile::step_time(std::int64_t batch) const {
 }
 
 OfflineProfile profile_workload(DeviceType type, const ModelProfile& model,
-                                const ProfilerOptions& opts,
                                 double* out_profiling_time_s) {
+  constexpr double kStepsPerPoint = 20.0;
   const DeviceSpec& spec = device_spec(type);
-  check(opts.steps_per_point > 0, "steps_per_point must be positive");
 
   std::vector<ProfilePoint> points;
   double profiling_time = 0.0;
@@ -56,7 +56,7 @@ OfflineProfile profile_workload(DeviceType type, const ModelProfile& model,
                           " at any batch size");
 
   for (const std::int64_t b : pow2_like_batches(frontier)) {
-    // "Run" steps_per_point steps: in simulation every step takes the
+    // "Run" kStepsPerPoint steps: in simulation every step takes the
     // model-predicted time, so the average equals one step's cost; the
     // simulated profiling clock still pays for all of them, plus the
     // first-step graph-optimization overhead per batch size. A small
@@ -70,14 +70,13 @@ OfflineProfile profile_workload(DeviceType type, const ModelProfile& model,
     const double unit = 2.0 * (static_cast<double>(h >> 11) * 0x1.0p-53) - 1.0;
     const double one = exact * (1.0 + 0.015 * unit);
     points.push_back({b, one, static_cast<double>(b) / one});
-    profiling_time +=
-        spec.first_step_extra_s + exact * static_cast<double>(opts.steps_per_point);
+    profiling_time += spec.first_step_extra_s + exact * kStepsPerPoint;
   }
 
   // §5.1.2: estimate comm overhead as distributed-minus-single-node step
   // time at local batch 1 — which the ring all-reduce model gives directly
   // for a minimal 2-node ring.
-  const double comm = ring_allreduce_time_s(model.param_bytes(), 2, opts.link);
+  const double comm = ring_allreduce_time_s(model.param_bytes(), 2, LinkSpec{});
 
   if (out_profiling_time_s != nullptr) *out_profiling_time_s = profiling_time;
   return OfflineProfile(type, model.name, std::move(points), comm);

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "comm/comm.h"
 #include "device/cost_model.h"
 #include "device/memory_model.h"
 #include "device/model_profile.h"
@@ -59,18 +58,12 @@ class OfflineProfile {
   double comm_overhead_ = 0.0;
 };
 
-/// Profiling knobs.
-struct ProfilerOptions {
-  std::int64_t steps_per_point = 20;  ///< paper's "a few steps (e.g., 20)"
-  LinkSpec link;                      ///< used for the comm-overhead estimate
-};
-
 /// Profiles `model` on a device of type `type` across all power-of-2-like
-/// batch sizes that fit. Also returns the simulated profiling cost
-/// (the paper: "typically takes no longer than 10 minutes") via
-/// `out_profiling_time_s` when non-null.
+/// batch sizes that fit, 20 steps per batch size (the paper's "a few
+/// steps (e.g., 20)"), and estimates comm overhead over the default link.
+/// Also returns the simulated profiling cost (the paper: "typically takes
+/// no longer than 10 minutes") via `out_profiling_time_s` when non-null.
 OfflineProfile profile_workload(DeviceType type, const ModelProfile& model,
-                                const ProfilerOptions& opts = {},
                                 double* out_profiling_time_s = nullptr);
 
 }  // namespace vf

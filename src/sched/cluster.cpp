@@ -427,6 +427,8 @@ EngineTrainLease::EngineTrainLease(VirtualFlowEngine& engine,
                                    std::int64_t total_steps, DeviceType pool_type)
     : engine_(engine), total_steps_(total_steps), pool_type_(pool_type) {
   check(total_steps_ > 0, "EngineTrainLease needs total_steps > 0");
+  for (const Device& d : engine_.devices())
+    check(d.type == pool_type_, "EngineTrainLease: the engine must run on pool_type devices");
 }
 
 double EngineTrainLease::clock_now() const {

@@ -176,8 +176,9 @@ class StaticPartitionScheduler : public Scheduler {
 /// a positive re-grant (which also re-bases the clock offset).
 class EngineTrainLease : public sched::DeviceLease {
  public:
-  /// The engine must outlive the lease. `pool_type` is the device type
-  /// grants are filled with; `total_steps` the training work to run.
+  /// The engine must outlive the lease and run on `pool_type` devices,
+  /// the type grants are filled with; `total_steps` is the training work
+  /// to run.
   EngineTrainLease(VirtualFlowEngine& engine, std::int64_t total_steps,
                    DeviceType pool_type);
 

@@ -6,6 +6,7 @@
 #include <tuple>
 #include <utility>
 
+#include "device/spec.h"
 #include "sched/elastic.h"
 #include "util/common.h"
 
@@ -68,10 +69,15 @@ ColocatedServer::ColocatedServer(ModelRegistry& registry, ColocationConfig confi
   check(registry_.size() >= 1, "co-location needs at least one registered model");
 
   const auto shared = static_cast<std::int64_t>(registry_.engine(0).devices().size());
+  const DeviceType type = registry_.engine(0).devices().front().type;
   for (std::int32_t m = 0; m < registry_.size(); ++m) {
-    check(static_cast<std::int64_t>(registry_.engine(m).devices().size()) == shared,
+    const std::vector<Device>& devices = registry_.engine(m).devices();
+    check(static_cast<std::int64_t>(devices.size()) == shared,
           "co-located engines must start on identical device counts (model " +
               std::to_string(m) + " differs); they share one device set");
+    for (const Device& d : devices)
+      check(d.type == type, "co-located engines must all run one device type (model " +
+                                std::to_string(m) + " differs); a resize keeps it");
   }
 
   if (config_.elastic.enabled) validate_elastic_policy(config_.elastic, min_vns());
@@ -422,7 +428,7 @@ double ColocatedServer::cut_over(std::int64_t to_devices, std::int64_t dead,
     if (dead >= 0) {
       eng.fail_device(dead);
     } else {
-      eng.resize(make_devices(config_.elastic.device, to_devices));
+      eng.resize(make_devices(eng.devices().front().type, to_devices));
     }
     migration += eng.sim_time_s() - before;
     dispatch_ready_[static_cast<std::size_t>(m)] = base + migration;
@@ -735,8 +741,8 @@ double ColocatedServer::next_event_internal() const {
     // Earliest in-flight completion, excluding slots already absorbed
     // into a deferred decode chain (pending_chain): their done_s is
     // stale — at or before the clock — and their real next event is the
-    // cutover stamp added below. Reading them through earliest_done_s()
-    // would pin the horizon at the clock and livelock the loop.
+    // cutover stamp added below. Counting them would pin the horizon at
+    // the clock and livelock the loop.
     for (std::int32_t vn = 0; vn < st.ledger.total_slots(); ++vn) {
       const Slot& s = st.ledger.slot(vn);
       if (s.busy && !st.pending_chain[static_cast<std::size_t>(vn)])

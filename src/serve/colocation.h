@@ -94,7 +94,6 @@
 
 #include "core/engine.h"
 #include "data/dataset.h"
-#include "device/spec.h"
 #include "fault/fault.h"
 #include "sched/lease.h"
 #include "serve/batch_former.h"
@@ -111,14 +110,13 @@ namespace vf::serve {
 /// depth falls to `low_watermark`, never within `cooldown_batches` units
 /// of work (formed batches, or completed slices in continuous mode) of the
 /// previous resize. high > low keeps the loop from oscillating on a
-/// steady queue.
+/// steady queue. A resize keeps the engines' device type.
 struct ElasticPolicy {
   bool enabled = true;
   std::int64_t high_watermark = 64;
   std::int64_t low_watermark = 4;
   std::int64_t min_devices = 1;
   std::int64_t max_devices = 8;  ///< must not exceed the mapping's VN count
-  DeviceType device = DeviceType::kV100;
   std::int64_t cooldown_batches = 4;
 };
 
@@ -210,9 +208,10 @@ struct ColocationConfig {
 /// or one (Server's case; see the file comment). One replay per server.
 class ColocatedServer : public sched::DeviceLease {
  public:
-  /// All engines must start on identical device counts (they stay in
-  /// lockstep through shared resizes). Engines, pools, and the registry
-  /// must outlive the server.
+  /// All engines must start on identical device counts and run one
+  /// device type (they stay in lockstep through shared resizes, which
+  /// keep that type). Engines, pools, and the registry must outlive the
+  /// server.
   ColocatedServer(ModelRegistry& registry, ColocationConfig config);
 
   ColocatedServer(const ColocatedServer&) = delete;

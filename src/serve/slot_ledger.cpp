@@ -1,7 +1,6 @@
 #include "serve/slot_ledger.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "util/common.h"
@@ -17,13 +16,6 @@ std::int32_t SlotLedger::lowest_free() const {
   for (std::size_t vn = 0; vn < slots_.size(); ++vn)
     if (!slots_[vn].busy) return static_cast<std::int32_t>(vn);
   return -1;
-}
-
-double SlotLedger::earliest_done_s() const {
-  double t = std::numeric_limits<double>::infinity();
-  for (const Slot& s : slots_)
-    if (s.busy) t = std::min(t, s.done_s);
-  return t;
 }
 
 void SlotLedger::admit(std::int32_t vn, Slot slot) {

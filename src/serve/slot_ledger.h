@@ -93,9 +93,6 @@ class SlotLedger {
   /// the lowest VN id first is part of the determinism contract.
   std::int32_t lowest_free() const;
 
-  /// Earliest scheduled completion over busy slots; +infinity when idle.
-  double earliest_done_s() const;
-
   /// Admit transition: occupy slot `vn` with a slice dispatched at
   /// `slot.dispatch_s` and completing at `slot.done_s`. The slot must be
   /// free, hold at least one request, and respect dispatch_s <= done_s.

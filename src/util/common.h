@@ -62,14 +62,6 @@ inline void check_index(std::int64_t i, std::int64_t n, std::string_view what,
   }
 }
 
-/// Integer ceil-divide for positive operands.
-constexpr std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
-  return (a + b - 1) / b;
-}
-
-/// True when `x` is a positive power of two.
-constexpr bool is_pow2(std::int64_t x) { return x > 0 && (x & (x - 1)) == 0; }
-
 // Byte-size literals used throughout the device memory model.
 constexpr double kKiB = 1024.0;
 constexpr double kMiB = 1024.0 * 1024.0;

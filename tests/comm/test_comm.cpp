@@ -50,11 +50,6 @@ TEST(StateMigration, SubSecondLikePaper) {
   EXPECT_LT(ring_allgather_time_s(state_bytes, 16, link), 1.0);
 }
 
-TEST(Broadcast, ZeroForSingle) {
-  EXPECT_DOUBLE_EQ(broadcast_time_s(1e6, 1, {}), 0.0);
-  EXPECT_GT(broadcast_time_s(1e6, 4, {}), 0.0);
-}
-
 TEST(WeightedSum, MatchesManualComputation) {
   Tensor a = Tensor::from_values({3}, {1, 2, 3});
   Tensor b = Tensor::from_values({3}, {10, 20, 30});

@@ -101,14 +101,6 @@ TEST(Engine, EvaluateReflectsTraining) {
   EXPECT_GT(after, 0.8);
 }
 
-TEST(Engine, EvaluateLossFiniteAndImproves) {
-  Rig rig;
-  auto eng = rig.engine(8, 1);
-  const double before = eng.evaluate_loss(*rig.task.val, 512);
-  for (int i = 0; i < 100; ++i) eng.train_step();
-  EXPECT_LT(eng.evaluate_loss(*rig.task.val, 512), before);
-}
-
 TEST(Engine, EpochAccounting) {
   Rig rig;
   auto eng = rig.engine(8, 1);

@@ -51,9 +51,11 @@ std::vector<InferSlice> make_slices(const Dataset& val, std::int64_t n,
   for (std::int64_t s = 0; s < n_slices; ++s) {
     std::vector<std::int64_t> idx;
     for (std::int64_t k = s * per; k < (s + 1) * per; ++k) idx.push_back(k);
+    MicroBatch mb;
+    gather_micro_batch_into(val, idx, mb);
     InferSlice slice;
     slice.vn = static_cast<std::int32_t>(s);
-    slice.features = gather_micro_batch(val, idx).features;
+    slice.features = std::move(mb.features);
     slices.push_back(std::move(slice));
   }
   return slices;

@@ -71,16 +71,5 @@ TEST(EpochBatcher, OutOfRangeBatchThrows) {
   EXPECT_THROW(batcher.indices(0, 0, slices, 1), VfError);  // only VN 0 exists
 }
 
-TEST(MaterializeAll, FullAndLimited) {
-  const auto ds = make_ds();
-  const MicroBatch all = materialize_all(ds);
-  EXPECT_EQ(all.features.rows(), 64);
-  const MicroBatch ten = materialize_all(ds, 10);
-  EXPECT_EQ(ten.features.rows(), 10);
-  // Limited view is a prefix of the full view.
-  for (std::int64_t j = 0; j < ds.feature_dim(); ++j)
-    EXPECT_EQ(ten.features.at(9, j), all.features.at(9, j));
-}
-
 }  // namespace
 }  // namespace vf

@@ -31,13 +31,10 @@ TEST(Trace, SpanAndInstantRecording) {
   EXPECT_EQ(span.queue_depth, -1) << "unfinalized until set_queue_depth";
 
   rec.set_queue_depth(s0, 7);
-  rec.set_model(s0, 2);
   EXPECT_EQ(rec.events()[0].queue_depth, 7);
-  EXPECT_EQ(rec.events()[0].model, 2);
 
   // kNoSpan finalizations are no-ops, so call sites need no branching.
   rec.set_queue_depth(TraceRecorder::kNoSpan, 99);
-  rec.set_model(TraceRecorder::kNoSpan, 99);
   EXPECT_EQ(rec.size(), 2u);
 
   const TraceEvent& mark = rec.events()[1];

@@ -60,7 +60,7 @@ TEST(Profiler, ProfilingTimeUnderTenMinutes) {
   // §5.1.1: "the entire process typically takes no longer than 10 minutes"
   // — per device type, for the batch grid at ~20 steps per point.
   double time_s = 0.0;
-  profile_workload(DeviceType::kV100, model_profile("resnet50"), {}, &time_s);
+  profile_workload(DeviceType::kV100, model_profile("resnet50"), &time_s);
   EXPECT_GT(time_s, 0.0);
   EXPECT_LT(time_s, 600.0);
 }

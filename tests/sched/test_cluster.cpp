@@ -377,6 +377,8 @@ TEST(ClusterController, FaultKillForcesRegrantWithZeroLoss) {
 TEST(EngineTrainLease, RunsGrantedEngineToCompletion) {
   Rig rig = make_rig();
   VirtualFlowEngine engine = make_engine(rig, /*devices=*/2, /*workers=*/0);
+  EXPECT_THROW(EngineTrainLease(engine, 25, DeviceType::kP100), VfError)
+      << "grants are filled with pool_type devices, so the engine must start on them";
   EngineTrainLease lease(engine, /*total_steps=*/25, DeviceType::kV100);
 
   JobSpec spec = train_spec(0, 0.0, 25, 2);

@@ -33,14 +33,14 @@ Rig make_rig(const std::string& task) {
 }
 
 VirtualFlowEngine make_engine(Rig& rig, std::int64_t devices, std::int64_t workers,
-                              std::int64_t vns = 8) {
+                              std::int64_t vns = 8, DeviceType type = DeviceType::kV100) {
   EngineConfig cfg;
   cfg.seed = kSeed;
   cfg.enforce_memory = false;
   cfg.num_threads = workers;
   return VirtualFlowEngine(rig.model, *rig.recipe.optimizer, *rig.recipe.schedule,
                            *rig.task.train, model_profile("bert-base"),
-                           make_devices(DeviceType::kV100, devices),
+                           make_devices(type, devices),
                            VnMapping::even(vns, devices, rig.recipe.global_batch), cfg);
 }
 
@@ -462,6 +462,15 @@ TEST(Colocation, ValidatesConstruction) {
     EXPECT_THROW(ColocatedServer(registry, colo_config(true)), VfError);
   }
   {
+    // Mismatched device types: one shared set runs one type.
+    VirtualFlowEngine eng_a = make_engine(rig_a, 1, 0);
+    VirtualFlowEngine eng_b = make_engine(rig_b, 1, 0, /*vns=*/8, DeviceType::kP100);
+    ModelRegistry registry;
+    registry.add(eng_a, *rig_a.task.val, model_config("a"));
+    registry.add(eng_b, *rig_b.task.val, model_config("b"));
+    EXPECT_THROW(ColocatedServer(registry, colo_config(true)), VfError);
+  }
+  {
     // A model with fewer VNs than the elastic ceiling could never use the
     // grown set.
     VirtualFlowEngine eng_a = make_engine(rig_a, 1, 0);
@@ -490,6 +499,37 @@ TEST(Colocation, ValidatesConstruction) {
                                               rig_a.task.val->size())}),
                  VfError);
   }
+}
+
+TEST(Colocation, GrantsKeepTheEnginesDeviceType) {
+  // A cluster grant sizes the shared set; the hardware stays the engines'
+  // own, whatever the controller's pool holds.
+  Rig rig_a = make_rig("mrpc-sim");
+  Rig rig_b = make_rig("cola-sim");
+  VirtualFlowEngine eng_a = make_engine(rig_a, 1, 0, /*vns=*/8, DeviceType::kP100);
+  VirtualFlowEngine eng_b = make_engine(rig_b, 1, 0, /*vns=*/8, DeviceType::kP100);
+  ModelRegistry registry;
+  registry.add(eng_a, *rig_a.task.val, model_config("a"));
+  registry.add(eng_b, *rig_b.task.val, model_config("b"));
+  ColocatedServer server(registry, colo_config(true));
+  server.set_cluster_governed();
+  const auto traces = staggered_traces(*rig_a.task.val, *rig_b.task.val);
+  server.begin(traces);
+
+  double t = 0.3;
+  for (const std::int64_t grant : {4, 2}) {
+    server.pump(t);
+    ASSERT_GT(server.apply_grant(grant), 0.0);
+    t = server.resizes().back().time_s + 0.1;  // past the rolling cutover
+    for (const VirtualFlowEngine* eng : {&eng_a, &eng_b}) {
+      ASSERT_EQ(static_cast<std::int64_t>(eng->devices().size()), grant);
+      for (const Device& d : eng->devices())
+        EXPECT_STREQ(device_type_name(d.type), "P100") << "grant " << grant;
+    }
+  }
+  server.pump(std::numeric_limits<double>::infinity());
+  server.finish();
+  EXPECT_TRUE(server.drained());
 }
 
 TEST(Colocation, RejectsRegistryGrowthAfterConstruction) {

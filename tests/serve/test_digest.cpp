@@ -126,7 +126,8 @@ TEST_F(RunDigestTest, EachStreamMovesAloneAndIsNamed) {
     warm = !warm;
   });
   expect_only("faults", [&] { faults_.front().requeued_requests += 1; });
-  expect_only("trace", [&] { trace_.set_model(0, trace_.events()[0].model + 1); });
+  expect_only("trace",
+              [&] { trace_.set_queue_depth(0, trace_.events()[0].queue_depth + 1); });
   ASSERT_NE(metrics_.find_counter("serve.preemptions"), nullptr);
   expect_only("metrics", [&] { metrics_.counter("serve.preemptions").add(1); });
   expect_only("lease", [&] { report_.grants.back().migration_s += 0.01; });

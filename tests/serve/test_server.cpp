@@ -32,14 +32,14 @@ Rig make_rig() {
 }
 
 VirtualFlowEngine make_engine(Rig& rig, std::int64_t devices, std::int64_t workers,
-                              std::int64_t vns = 8) {
+                              std::int64_t vns = 8, DeviceType type = DeviceType::kV100) {
   EngineConfig cfg;
   cfg.seed = kSeed;
   cfg.enforce_memory = false;
   cfg.num_threads = workers;
   return VirtualFlowEngine(rig.model, *rig.recipe.optimizer, *rig.recipe.schedule,
                            *rig.task.train, model_profile("bert-base"),
-                           make_devices(DeviceType::kV100, devices),
+                           make_devices(type, devices),
                            VnMapping::even(vns, devices, rig.recipe.global_batch), cfg);
 }
 
@@ -109,6 +109,26 @@ TEST(Server, QueueDepthTriggersGrowthThenDrainShrinks) {
   EXPECT_EQ(static_cast<std::int64_t>(engine.devices().size()),
             burst_config().elastic.min_devices)
       << "fully drained server ends at min_devices";
+}
+
+TEST(Server, ResizesKeepTheEnginesDeviceType) {
+  // An elastic set grows and shrinks on the hardware it started on: after
+  // a burst and its drain, the engine still runs P100s.
+  Rig rig = make_rig();
+  VirtualFlowEngine engine = make_engine(rig, /*devices=*/1, /*workers=*/0, /*vns=*/8,
+                                         DeviceType::kP100);
+  Server server(engine, *rig.task.val, burst_config());
+  server.replay(burst_trace(*rig.task.val));
+
+  bool grew = false;
+  bool shrank = false;
+  for (const ResizeEvent& e : server.resizes()) {
+    grew = grew || e.to_devices > e.from_devices;
+    shrank = shrank || e.to_devices < e.from_devices;
+  }
+  ASSERT_TRUE(grew && shrank) << "the burst must grow the set and the drain shrink it";
+  for (const Device& d : engine.devices())
+    EXPECT_STREQ(device_type_name(d.type), "P100") << "device " << d.id;
 }
 
 TEST(Server, SloSummaryIsCoherent) {

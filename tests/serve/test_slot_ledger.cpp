@@ -3,7 +3,6 @@
 // order, due completions processed in (done time, VN id) order.
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <vector>
 
 #include "serve/slot_ledger.h"
@@ -31,7 +30,6 @@ TEST(SlotLedger, AdmitCompleteLifecycle) {
   EXPECT_EQ(ledger.total_slots(), 3);
   EXPECT_TRUE(ledger.all_free());
   EXPECT_EQ(ledger.lowest_free(), 0);
-  EXPECT_EQ(ledger.earliest_done_s(), std::numeric_limits<double>::infinity());
 
   ledger.admit(0, slice(1.0, 2.0, {10, 11}));
   EXPECT_FALSE(ledger.all_free());
@@ -39,7 +37,6 @@ TEST(SlotLedger, AdmitCompleteLifecycle) {
   EXPECT_EQ(ledger.inflight_requests(), 2)
       << "in-flight load counts requests, not slots";
   EXPECT_EQ(ledger.lowest_free(), 1) << "slot 0 busy: next free is VN 1";
-  EXPECT_DOUBLE_EQ(ledger.earliest_done_s(), 2.0);
   EXPECT_TRUE(ledger.slot(0).busy);
   EXPECT_FALSE(ledger.slot(1).busy);
 
@@ -81,7 +78,6 @@ TEST(SlotLedger, DueOrdersByDoneTimeThenVnId) {
   ledger.complete(1);
   ledger.complete(3);
   EXPECT_EQ(ledger.due(2.5), (std::vector<std::int32_t>{2}));
-  EXPECT_DOUBLE_EQ(ledger.earliest_done_s(), 2.0);
 }
 
 TEST(SlotLedger, ReadmitChainsSlicesWithoutFreeingTheSlot) {

@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
-# Serving-equivalence check: a serving-loop change that claims to keep
-# behaviour must print the same bench stdout as the commit it started from.
+# Bench-equivalence check: a change that claims to keep behaviour must
+# print the same bench stdout as the commit it started from.
 #
-# Builds the five serving benches twice — at <ref> (exported with
-# `git archive` into a temporary directory) and in the working tree's
-# build/ — runs the six serving invocations in both, and diffs their
-# stdout. Only bench_serving's "replay wall" line (host time) is dropped
-# before the diff. Prints one verdict line per invocation.
+# Builds every bench whose stdout is deterministic twice — at <ref>
+# (exported with `git archive` into a temporary directory) and in the
+# working tree's build/ — runs the 23 invocations (the six serving ones,
+# the 14 figure benches, bench_ablation_reduction, bench_table1_fig8_repro
+# and bench_table2_glue) in both, and diffs their stdout. Only
+# bench_serving's "replay wall" line (host time) is dropped before the
+# diff. bench_hotpath, bench_pool_speedup and bench_microbench print host
+# timings and are not run. Prints one verdict line per invocation.
 #
-# Usage: tools/serving_equivalence.sh <ref> [--full]
+# Usage: tools/bench_equivalence.sh <ref> [--full]
 #   default: every bench runs with --smoke=1; --full runs default sizes.
 #   JOBS=<n> sets the build parallelism (default: nproc).
 # Exit: 0 when every run exits 0 and every stdout matches, 1 otherwise,
@@ -32,9 +35,15 @@ git -C "$repo" rev-parse --verify --quiet "$ref^{commit}" > /dev/null || {
   echo "unknown ref: $ref" >&2
   exit 2
 }
-benches=(bench_serving bench_colocation bench_streaming bench_faults bench_cosched)
+serving=(bench_serving bench_colocation bench_streaming bench_faults bench_cosched)
+others=(bench_ablation_reduction bench_fig2_rte bench_fig4_tradeoff bench_fig6_memory
+        bench_fig7_uneven bench_fig9_exploration bench_fig10_elastic3
+        bench_fig11_12_elastic20 bench_fig13_table4_hetero bench_fig14_solver_acc
+        bench_fig15_gavel bench_fig16_gavel_trace bench_fig17_micro bench_fig18_overhead
+        bench_fig19_pipeline bench_table1_fig8_repro bench_table2_glue)
+benches=("${serving[@]}" "${others[@]}")
 invocations=("bench_serving --continuous=0" "bench_serving --continuous=1"
-             bench_colocation bench_streaming bench_faults bench_cosched)
+             "${serving[@]:1}" "${others[@]}")
 jobs=${JOBS:-$(nproc)}
 
 work=$(mktemp -d)
