@@ -1,7 +1,6 @@
 #include "sched/cluster.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "sched/elastic.h"
@@ -193,7 +192,7 @@ double ClusterController::next_event(double now) const {
   }
   const double round = policy_.round_interval_s();
   if (round > 0.0) {
-    const double tick = (std::floor(now / round + 1e-9) + 1.0) * round;
+    const double tick = static_cast<double>(round_index(now, round) + 1) * round;
     t_next = std::min(t_next, tick);
   }
   return t_next;

@@ -1,7 +1,6 @@
 #include "sched/gavel.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/common.h"
 
@@ -49,7 +48,8 @@ std::map<std::int64_t, Allocation> GavelScheduler::schedule(
   // Between boundaries, return the cached decision restricted to
   // still-active jobs (a finished job's GPUs stay idle until the round
   // ends, exactly the slack the paper's elastic approaches exploit).
-  if (!serve_set_changed && now + 1e-9 < next_recompute_s_) {
+  const std::int64_t round = round_index(now, options_.round_s);
+  if (!serve_set_changed && round == round_) {
     std::map<std::int64_t, Allocation> out;
     ClusterInventory free = cluster;
     for (const JobState* j : train) {
@@ -72,8 +72,7 @@ std::map<std::int64_t, Allocation> GavelScheduler::schedule(
       return out;
     }
   }
-  next_recompute_s_ =
-      (std::floor(now / options_.round_s + 1e-9) + 1.0) * options_.round_s;
+  round_ = round;
   ClusterInventory train_pool = cluster;
   auto serve_out = carve_serving_grants(train_pool, jobs, kServePool);
   cached_ = compute_round(train_pool, train);

@@ -43,7 +43,8 @@ class GavelScheduler : public Scheduler {
       const ClusterInventory& cluster, const std::vector<const JobState*>& jobs) const;
 
   GavelOptions options_;
-  double next_recompute_s_ = 0.0;
+  /// round_index() of the last full recompute; cached_ holds its decision.
+  std::int64_t round_ = -1;
   std::map<std::int64_t, Allocation> cached_;
   /// Serving job ids seen at the last consult: a serving arrival or
   /// departure mid-round forces a full recompute (its minimum must be

@@ -11,6 +11,7 @@
 // penalty, matching the paper's comparison axis.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -26,6 +27,15 @@ struct ClusterInventory {
   std::map<DeviceType, std::int64_t> per_type;
   std::int64_t total() const;
 };
+
+/// Index of the policy round of `round_s` seconds that holds `now`. The
+/// 1e-9 slack, in units of rounds, puts a stamp within float noise below a
+/// boundary into the round that boundary opens. The controller's round
+/// ticks and GavelScheduler's recompute test both use this one rule, so
+/// they agree on where a round starts.
+inline std::int64_t round_index(double now, double round_s) {
+  return static_cast<std::int64_t>(std::floor(now / round_s + 1e-9));
+}
 
 /// Scheduling policy interface.
 class Scheduler {

@@ -86,6 +86,25 @@ TEST(Simulator, ArrivalJustAfterAnEventStartsImmediately) {
   EXPECT_EQ(j1.timeline[0].alloc.total(), 2);
 }
 
+TEST(Simulator, ArrivalJustBeforeARoundBoundaryStartsThatRound) {
+  // Gavel with 2 s rounds: job 0 fixes round 0's decision at t = 0, and
+  // job 1 lands a few ns before the 2 s boundary with room to spare. The
+  // controller ticks rounds and Gavel recomputes them by one rule
+  // (round_index), so job 1 starts by 2 s whichever side of the
+  // boundary's float slack it lands on; it must never wait for round 2.
+  for (const double early : {0.5e-9, 1.5e-9, 3e-9}) {
+    GavelOptions opt;
+    opt.round_s = 2.0;
+    GavelScheduler gavel(opt);
+    const auto res = simulate(
+        v100s(8), {basic_job(0, 0.0, 20000, 2), basic_job(1, 2.0 - early, 20000, 2)},
+        gavel);
+    const JobState& j1 = res.jobs[1];
+    EXPECT_GE(j1.first_start_s, j1.spec.arrival_s) << early;
+    EXPECT_LE(j1.first_start_s, 2.0) << "arrival " << early << " s before the boundary";
+  }
+}
+
 TEST(Simulator, UtilizationBetweenZeroAndOne) {
   PriorityScheduler policy;
   const auto res = simulate(
