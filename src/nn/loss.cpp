@@ -51,22 +51,4 @@ void softmax_cross_entropy_into(const Tensor& logits,
   }
 }
 
-LossResult softmax_cross_entropy(const Tensor& logits,
-                                 const std::vector<std::int64_t>& labels) {
-  LossResult out;
-  softmax_cross_entropy_into(logits, labels, out);
-  return out;
-}
-
-double accuracy(const Tensor& logits, const std::vector<std::int64_t>& labels) {
-  check(logits.rows() == static_cast<std::int64_t>(labels.size()),
-        "accuracy: label count mismatch");
-  check(logits.rows() > 0, "accuracy of empty batch");
-  const auto preds = logits.row_argmax();
-  std::int64_t correct = 0;
-  for (std::size_t i = 0; i < labels.size(); ++i)
-    if (preds[i] == labels[i]) ++correct;
-  return static_cast<double>(correct) / static_cast<double>(labels.size());
-}
-
 }  // namespace vf

@@ -17,22 +17,16 @@ struct LossResult {
 };
 
 /// Computes softmax cross-entropy over `logits` [n x classes] against
-/// `labels` (size n). Gradients are w.r.t. the *sum* of per-example losses;
-/// the caller divides by the relevant batch size. Keeping sums (rather than
-/// means) at this level is what makes the weighted heterogeneous gradient
-/// synchronization (§5.2) exact: sum(all) / B is independent of how
-/// examples were partitioned.
-LossResult softmax_cross_entropy(const Tensor& logits,
-                                 const std::vector<std::int64_t>& labels);
-
-/// Allocation-free form: scalars are reset and `out.grad_logits` is
-/// reshaped in place (reusing its buffer), so a per-VN LossResult slot can
-/// be recycled step after step. Identical arithmetic to the by-value form.
+/// `labels` (size n) into `out`. Gradients are w.r.t. the *sum* of
+/// per-example losses; the caller divides by the relevant batch size.
+/// Keeping sums (rather than means) at this level is what makes the
+/// weighted heterogeneous gradient synchronization (§5.2) exact:
+/// sum(all) / B is independent of how examples were partitioned.
+/// Allocation-free: scalars are reset and `out.grad_logits` is reshaped in
+/// place (reusing its buffer), so a per-VN LossResult slot can be recycled
+/// step after step.
 void softmax_cross_entropy_into(const Tensor& logits,
                                 const std::vector<std::int64_t>& labels,
                                 LossResult& out);
-
-/// Forward-only evaluation convenience: accuracy of logits vs labels.
-double accuracy(const Tensor& logits, const std::vector<std::int64_t>& labels);
 
 }  // namespace vf

@@ -21,6 +21,14 @@ std::int64_t clamp64(std::int64_t v, std::int64_t lo, std::int64_t hi) {
   return std::max(lo, std::min(hi, v));
 }
 
+// Per-type device counts of `a`, the form the consult key compares.
+std::array<std::int64_t, kNumDeviceTypes> type_counts(const Allocation& a) {
+  std::array<std::int64_t, kNumDeviceTypes> out{};
+  for (const auto& [type, count] : a.per_type)
+    out[static_cast<std::size_t>(type)] = count;
+  return out;
+}
+
 // The spec checks every training tenant passes, analytic or leased.
 void check_train_spec(const JobSpec& spec, const char* caller) {
   check(spec.kind == JobKind::kTrain,
@@ -41,7 +49,11 @@ ClusterController::ClusterController(ClusterInventory cluster, Scheduler& policy
   check(cluster_.total() > 0, "cluster inventory is empty");
 }
 
-void ClusterController::set_observability(obs::Observability obs) { obs_ = obs; }
+void ClusterController::set_observability(obs::Observability obs) {
+  obs_ = obs;
+  events_counter_ =
+      obs.metrics != nullptr ? &obs.metrics->counter("sched.events") : nullptr;
+}
 
 void ClusterController::add_tenant(JobSpec spec, sched::DeviceLease* lease) {
   check(!ran_, "cannot add jobs after run()");
@@ -268,12 +280,24 @@ void ClusterController::grant(Tenant& t, const Allocation& next, double now) {
 void ClusterController::consult_policy(double now) {
   active_jobs_.clear();
   active_tenants_.clear();
-  for (Tenant& t : tenants_) {
+  inputs_.clear();
+  for (std::size_t i = 0; i < tenants_.size(); ++i) {
+    Tenant& t = tenants_[i];
     if (t.state.finished() || t.retired || !t.state.arrived(now)) continue;
     active_jobs_.push_back(&t.state);
     active_tenants_.push_back(&t);
+    const JobState& js = t.state;
+    inputs_.push_back({i, type_counts(js.alloc), js.live_min_gpus,
+                       js.live_max_gpus, js.desired_gpus});
   }
   if (active_jobs_.empty()) return;
+  // The Scheduler contract: a policy reads nothing else that changes
+  // between events, and answers unchanged inputs as it did last time. The
+  // remembered inputs come from a consult that moved no allocation, so a
+  // skipped consult could only re-grant what every tenant already holds.
+  const double round_s = policy_.round_interval_s();
+  const std::int64_t round = round_s > 0.0 ? round_index(now, round_s) : 0;
+  if (round == last_round_ && inputs_ == last_inputs_) return;
   const std::map<std::int64_t, Allocation> allocs =
       policy_.schedule(cluster_, active_jobs_, now);
   // The defensive over-commit check: a buggy policy dies HERE, at the
@@ -295,6 +319,17 @@ void ClusterController::consult_policy(double now) {
     const std::int64_t n = t->state.alloc.total();
     if (t->state.is_serve()) serve_devices += n; else train_devices += n;
     if (n > 0) ++running;
+  }
+  // A consult that moved an allocation changed its own inputs, so the next
+  // event consults again; only a consult that moved nothing is remembered.
+  bool moved = false;
+  for (std::size_t k = 0; k < active_tenants_.size(); ++k)
+    moved |= type_counts(active_tenants_[k]->state.alloc) != inputs_[k].alloc;
+  if (moved) {
+    last_inputs_.clear();
+  } else {
+    last_inputs_.swap(inputs_);
+    last_round_ = round;
   }
   if (obs_.metrics != nullptr) {
     obs_.metrics->gauge("sched.devices.serve")
@@ -330,6 +365,7 @@ ClusterReport ClusterController::run() {
   while (unfinished()) {
     check(++events <= kMaxEvents,
           "cluster controller exceeded its event budget (policy/lease livelock?)");
+    if (events_counter_ != nullptr) events_counter_->add();
     const double t_next = next_event(now);
     check(t_next < kInf, [&] {
       return "cluster controller stalled: jobs remain but no future event (policy " +

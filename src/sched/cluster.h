@@ -15,7 +15,8 @@
 //   Scheduler policy (gavel, WFS, priority, static-partition decorator)
 //        |     sees serving device-sets as first-class JobState entries:
 //        |     desired/min/max derived from the lease's load signal, SLO
-//        |     deadline pressure as urgency
+//        |     deadline pressure folded into the desire; consulted only
+//        |     when a decision input changed
 //        v
 //   device GRANTS ── applied through DeviceLease::apply_grant (the same
 //                    seamless/rolling-migration resize paths underneath)
@@ -28,13 +29,14 @@
 //
 // Determinism contract: the controller is an event loop on the virtual
 // clock — leases are pumped in add-order at each event, the policy
-// consulted at arrivals/completions/round-ticks/lease events, grants
-// applied in job-id order. Every decision is a pure function of (job
-// specs, traces, policy, cost model), so a full cluster run — hundreds of
-// devices, mixed train+serve — replays bit-identically across host worker
-// counts.
+// consulted at an event only when one of its decision inputs changed,
+// grants applied in job-id order. Every decision is a pure function of
+// (job specs, traces, policy, cost model), so a full cluster run —
+// hundreds of devices, mixed train+serve — replays bit-identically across
+// host worker counts.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -66,21 +68,22 @@ struct ClusterReport {
 };
 
 /// Drives a mixed train+serve job set over a shared inventory, asking the
-/// policy for allocations at each event and issuing device grants through
-/// the DeviceLease interface. One run per controller.
+/// policy for allocations whenever its decision inputs change and issuing
+/// device grants through the DeviceLease interface. One run per controller.
 class ClusterController {
  public:
   /// `policy` must outlive the controller; `cluster` is the shared pool
   /// the policy allocates from (validated against on every consult). The
-  /// controller is purely event-driven: it consults the policy at
-  /// arrivals, completions, lease events and policy round ticks — serving
-  /// load changes only at lease events, so extra ticks would add cost
-  /// without information.
+  /// controller is purely event-driven: it wakes at arrivals, completions,
+  /// lease events and policy round ticks, and at each event consults the
+  /// policy only if a decision input changed since the last consult (the
+  /// active set, each active tenant's allocation, live band and desire,
+  /// and the round index; see Scheduler in sched/simulator.h).
   ClusterController(ClusterInventory cluster, Scheduler& policy);
 
   /// Attaches observability sinks before run(): "sched.*" counters/gauges
-  /// (policy_calls, grants, per-class device gauges) plus one "grant"
-  /// instant per issued grant on the control track.
+  /// (events, policy_calls, grants, per-class device gauges) plus one
+  /// "grant" instant per issued grant on the control track.
   void set_observability(obs::Observability obs);
 
   /// Adds an analytic training job (closed-form advancement: step times
@@ -123,6 +126,17 @@ class ClusterController {
     bool retired = false;                 ///< lease drained and released
   };
 
+  /// One active tenant's decision inputs: the per-tenant state a policy
+  /// may read that changes between events.
+  struct ConsultInput {
+    std::size_t tenant = 0;  ///< index into tenants_ (add order)
+    std::array<std::int64_t, kNumDeviceTypes> alloc{};
+    std::int64_t live_min_gpus = 0;
+    std::int64_t live_max_gpus = 0;
+    std::int64_t desired_gpus = 0;
+    bool operator==(const ConsultInput&) const = default;
+  };
+
   void add_tenant(JobSpec spec, sched::DeviceLease* lease);
   void advance_analytic(double now, double t_next);
   void refresh_from_leases(double now);
@@ -141,6 +155,12 @@ class ClusterController {
   // consult_policy() scratch, reused so a consult allocates nothing itself.
   std::vector<const JobState*> active_jobs_;
   std::vector<Tenant*> active_tenants_;
+  std::vector<ConsultInput> inputs_;
+  // The decision inputs of the last consult that moved no allocation; an
+  // event whose inputs equal them skips the policy.
+  std::vector<ConsultInput> last_inputs_;
+  std::int64_t last_round_ = -1;
+  obs::Counter* events_counter_ = nullptr;  ///< "sched.events", when attached
   bool ran_ = false;
 };
 

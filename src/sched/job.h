@@ -78,8 +78,9 @@ struct JobState {
   std::int64_t live_min_gpus = 0;
   std::int64_t live_max_gpus = 0;
   /// Fraction of the SLO budget the oldest queued request has burned
-  /// (0 when idle; > 1 means a deadline is already blown). Policies may
-  /// read it as urgency; the controller exports it as a gauge.
+  /// (0 when idle; > 1 means a deadline is already blown). The controller
+  /// escalates desired_gpus with it; policies see it only through
+  /// desired_gpus, so it is not a decision input of its own.
   double slo_pressure = 0.0;
 
   bool is_serve() const { return spec.kind == JobKind::kServe; }

@@ -5,9 +5,10 @@
 // ClusterController (sched/cluster.h) with no leases: time advances
 // between scheduling events (job arrivals, completions, and — for
 // round-based policies like Gavel — periodic round boundaries), and the
-// policy is asked for fresh allocations at each event. Allocation changes
-// cost time: a seamless VirtualFlow resize pauses the job for ~1 s (the
-// §4.1 all-gather), while restart-based baselines pay a checkpoint-restore
+// policy is asked for fresh allocations at each event whose decision
+// inputs changed (see Scheduler). Allocation changes cost time: a
+// seamless VirtualFlow resize pauses the job for ~1 s (the §4.1
+// all-gather), while restart-based baselines pay a checkpoint-restore
 // penalty, matching the paper's comparison axis.
 #pragma once
 
@@ -31,13 +32,29 @@ struct ClusterInventory {
 /// Index of the policy round of `round_s` seconds that holds `now`. The
 /// 1e-9 slack, in units of rounds, puts a stamp within float noise below a
 /// boundary into the round that boundary opens. The controller's round
-/// ticks and GavelScheduler's recompute test both use this one rule, so
-/// they agree on where a round starts.
+/// ticks and consult key and GavelScheduler's recompute test all use this
+/// one rule, so they agree on where a round starts.
 inline std::int64_t round_index(double now, double round_s) {
   return static_cast<std::int64_t>(std::floor(now / round_s + 1e-9));
 }
 
 /// Scheduling policy interface.
+///
+/// What a policy may read. The ClusterController calls schedule() only at
+/// an event whose decision inputs changed since its last call:
+///   * the active job set, in add order;
+///   * each active job's `alloc`, `live_min_gpus`, `live_max_gpus` and
+///     `desired_gpus`;
+///   * for a round-based policy, round_index(now, round_interval_s()).
+/// Anything else a policy reads must be fixed for the run (`cluster`, each
+/// job's `spec`) or count only when an input changed. `attained_service`
+/// moves at every event, so it counts only at a round boundary: Gavel
+/// ranks by it when a round is recomputed, and the event-based policies
+/// never read it. `slo_pressure` reaches a policy only through
+/// `desired_gpus`, which the controller escalates with it. A stateful
+/// policy must give the same answer, and keep the same state, when asked
+/// again with unchanged inputs: those are the calls the controller skips,
+/// and each could only have re-granted what every job already holds.
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
@@ -59,8 +76,9 @@ class Scheduler {
       const ClusterInventory& cluster, const std::vector<const JobState*>& jobs,
       double now) = 0;
 
-  /// > 0 for round-based policies (Gavel): the simulator inserts a
-  /// scheduling event every interval even without arrivals/completions.
+  /// > 0 for round-based policies (Gavel): the controller wakes at every
+  /// round boundary even without arrivals/completions, and the round
+  /// index is a decision input.
   virtual double round_interval_s() const { return 0.0; }
 
   /// Seconds a job is paused when its allocation changes. VirtualFlow's

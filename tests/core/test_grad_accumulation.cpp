@@ -51,7 +51,8 @@ TEST(GradAccumulation, EngineMatchesHandRolledLoop) {
       ctx.state = &states[static_cast<std::size_t>(v)];
       manual.zero_grad();
       const Tensor logits = manual.forward(mb.features, ctx);
-      const LossResult loss = softmax_cross_entropy(logits, mb.labels);
+      LossResult loss;
+      softmax_cross_entropy_into(logits, mb.labels, loss);
       manual.backward(loss.grad_logits);
       accum.add_(manual.flatten_grads());
     }

@@ -158,16 +158,20 @@ TEST(GradCheck, SoftmaxCrossEntropy) {
   CounterRng rng(9, 0);
   Tensor logits = Tensor::randn({5, 4}, rng);
   std::vector<std::int64_t> labels = {0, 3, 1, 2, 2};
-  const LossResult res = softmax_cross_entropy(logits, labels);
+  auto cross_entropy = [&labels](const Tensor& l) {
+    LossResult out;
+    softmax_cross_entropy_into(l, labels, out);
+    return out;
+  };
+  const LossResult res = cross_entropy(logits);
 
   const float eps = 1e-2F;
   for (std::int64_t i = 0; i < logits.size(); ++i) {
     Tensor lp = logits, lm = logits;
     lp.at(i) += eps;
     lm.at(i) -= eps;
-    const double num = (softmax_cross_entropy(lp, labels).loss_sum -
-                        softmax_cross_entropy(lm, labels).loss_sum) /
-                       (2.0 * eps);
+    const double num =
+        (cross_entropy(lp).loss_sum - cross_entropy(lm).loss_sum) / (2.0 * eps);
     EXPECT_NEAR(res.grad_logits.at(i), num, 1e-2) << "logit grad " << i;
   }
 }

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -59,33 +60,43 @@ JobSpec serve_spec(std::int64_t id, std::int64_t demand, std::int64_t min_gpus,
   return j;
 }
 
-/// Minimal scripted lease: reports a fixed backlog until `busy_until_s`,
-/// then drains. While busy it ticks every `tick_s`, the way a real lease
-/// reports its slice events, so the controller re-reads its load. Lets
-/// the contract tests run without a full serving rig.
+/// Minimal scripted lease: reports a fixed backlog from `burst_from_s`
+/// until `busy_until_s`, then drains. While busy it ticks every `tick_s`,
+/// the way a real lease reports its slice events, so the controller
+/// re-reads its load. An optional fault at `kill_at_s` (a tick stamp)
+/// lowers the ceiling to `max_after_kill` and, with `kill_sheds`, takes
+/// one held device. Lets the contract tests run without a full serving
+/// rig.
 struct FakeServeLease : sched::DeviceLease {
   double busy_until_s = 2.0;
   double tick_s = 0.25;
+  double burst_from_s = 0.0;
   std::int64_t queue_depth = 100;
   std::int64_t max_devices = 8;
+  double kill_at_s = std::numeric_limits<double>::infinity();
+  std::int64_t max_after_kill = 0;  ///< 0 = the kill leaves the ceiling
+  bool kill_sheds = false;
   double clock_ = 0.0;
   std::int64_t devices_ = 1;
   std::vector<std::int64_t> grants_seen;
 
+  bool killed() const { return clock_ >= kill_at_s; }
   double next_event_s() const override {
     if (clock_ >= busy_until_s) return std::numeric_limits<double>::infinity();
     return std::min(busy_until_s, (std::floor(clock_ / tick_s + 1e-9) + 1.0) * tick_s);
   }
   void pump(double horizon_s) override {
+    const bool was_killed = killed();
     if (horizon_s < std::numeric_limits<double>::infinity())
       clock_ = std::max(clock_, horizon_s);
+    if (!was_killed && killed() && kill_sheds) --devices_;
   }
   sched::LoadSignal load() const override {
     sched::LoadSignal s;
-    s.queue_depth = clock_ < busy_until_s ? queue_depth : 0;
+    s.queue_depth = clock_ >= burst_from_s && clock_ < busy_until_s ? queue_depth : 0;
     s.devices = devices_;
     s.min_devices = 1;
-    s.max_devices = max_devices;
+    s.max_devices = killed() && max_after_kill > 0 ? max_after_kill : max_devices;
     s.high_watermark = 8;
     s.low_watermark = 1;
     s.drained = clock_ >= busy_until_s;
@@ -216,6 +227,150 @@ TEST(ClusterController, StaticPartitionPinsServingAtProvisionedSize) {
   }
   EXPECT_EQ(lease.devices_, 4);
   EXPECT_TRUE(report.jobs[1].finished());
+}
+
+// ---------------------------------------------------------------------------
+// The consult rule: the controller skips the policy while its decision
+// inputs hold, so each input must, on its own, bring the policy back. One
+// case per input, each changing that input alone at a stamp where no other
+// one moves.
+// ---------------------------------------------------------------------------
+
+/// Stamp of the first resize of `job` at or after `from_s` in the
+/// direction `grow` (the initial placement from zero devices does not
+/// count); +inf when there is none.
+double first_grant_s(const ClusterReport& report, std::int64_t job, double from_s,
+                     bool grow) {
+  for (const GrantRecord& g : report.grants) {
+    if (g.job_id != job || g.time_s < from_s || g.from_devices == 0) continue;
+    if ((g.to_devices > g.from_devices) == grow) return g.time_s;
+  }
+  return std::numeric_limits<double>::infinity();
+}
+
+TEST(ClusterController, ConsultsWhenAnyDecisionInputChanges) {
+  GavelOptions slow_rounds;
+  slow_rounds.round_s = 10.0;
+  slow_rounds.restart_penalty_s = 0.2;
+  {
+    SCOPED_TRACE("desire: a backlog arriving mid-round is granted at its stamp");
+    GavelScheduler gavel(slow_rounds);
+    ClusterController c(v100s(16), gavel);
+    FakeServeLease lease;
+    lease.burst_from_s = 3.0;
+    lease.busy_until_s = 6.0;
+    c.add_serve_job(serve_spec(0, 2, 1, 8), lease);
+    c.add_train_job(train_spec(1, 0.0, 20000, 4));
+    const ClusterReport report = c.run();
+    EXPECT_EQ(first_grant_s(report, 0, 0.0, /*grow=*/true), 3.0);
+  }
+  {
+    SCOPED_TRACE("live band: a kill lowers the ceiling below the held set");
+    // Static partition pins the lease at clamp(demand, live band) and
+    // ignores its desire, which an empty queue holds at 3 either side of
+    // the kill; the fake sheds nothing, so the band alone moves.
+    GavelScheduler gavel(slow_rounds);
+    StaticPartitionScheduler policy(gavel, DeviceType::kV100);
+    ClusterController c(v100s(16), policy);
+    FakeServeLease lease;
+    lease.queue_depth = 0;
+    lease.busy_until_s = 6.0;
+    lease.kill_at_s = 3.0;
+    lease.max_after_kill = 4;
+    c.add_serve_job(serve_spec(0, /*demand=*/6, 1, 8), lease);
+    c.add_train_job(train_spec(1, 0.0, 20000, 4));
+    const ClusterReport report = c.run();
+    EXPECT_EQ(first_grant_s(report, 0, 0.0, /*grow=*/false), 3.0);
+    EXPECT_EQ(lease.grants_seen, (std::vector<std::int64_t>{6, 4}));
+  }
+  {
+    SCOPED_TRACE("allocation: a kill takes one of the held devices");
+    // The lease's own ceiling (16) sits above the spec's (8) and the
+    // backlog keeps the desire at 8, so only the recorded allocation moves.
+    GavelScheduler gavel(slow_rounds);
+    ClusterController c(v100s(16), gavel);
+    FakeServeLease lease;
+    lease.busy_until_s = 6.0;
+    lease.max_devices = 16;
+    lease.kill_at_s = 3.0;
+    lease.kill_sheds = true;
+    c.add_serve_job(serve_spec(0, 2, 1, 8), lease);
+    c.add_train_job(train_spec(1, 0.0, 20000, 4));
+    const ClusterReport report = c.run();
+    const auto regrant =
+        std::find_if(report.grants.begin(), report.grants.end(),
+                     [](const GrantRecord& g) { return g.job_id == 0 && g.time_s >= 3.0; });
+    ASSERT_NE(regrant, report.grants.end());
+    EXPECT_EQ(regrant->time_s, 3.0);
+    EXPECT_EQ(regrant->from_devices, 7);
+    EXPECT_EQ(regrant->to_devices, 8);
+  }
+  {
+    SCOPED_TRACE("active set: an arrival between lease ticks under WFS");
+    ElasticWfsScheduler wfs;
+    ClusterController c(v100s(16), wfs);
+    FakeServeLease lease;
+    lease.queue_depth = 0;
+    lease.busy_until_s = 6.0;
+    c.add_serve_job(serve_spec(0, 2, 1, 8), lease);
+    c.add_train_job(train_spec(1, 0.0, 20000, 8));
+    c.add_train_job(train_spec(2, 1.3, 20000, 8));
+    const ClusterReport report = c.run();
+    EXPECT_EQ(report.jobs[2].first_start_s, 1.3);
+  }
+  {
+    SCOPED_TRACE("round: a bare tick re-ranks by attained service");
+    // Two jobs that each fill the training side: LAS hands it to the one
+    // with less attained service at every boundary, so job 2 takes over
+    // at the first tick. The idle lease's ticks before it change nothing.
+    GavelOptions opt;
+    opt.round_s = 2.0;
+    opt.restart_penalty_s = 0.2;
+    GavelScheduler gavel(opt);
+    ClusterController c(v100s(5), gavel);
+    FakeServeLease lease;
+    lease.queue_depth = 0;
+    lease.busy_until_s = 6.0;
+    c.add_serve_job(serve_spec(0, 1, 1, 8), lease);
+    c.add_train_job(train_spec(1, 0.0, 2000, 4));
+    c.add_train_job(train_spec(2, 0.0, 2000, 4));
+    const ClusterReport report = c.run();
+    EXPECT_EQ(report.jobs[1].first_start_s, 0.0);
+    EXPECT_EQ(report.jobs[2].first_start_s, 2.0);
+  }
+}
+
+TEST(ClusterController, ExportsEventAndConsultCounts) {
+  // "sched.events" counts loop iterations: the lease's 24 ticks up to 6 s
+  // and the training job's completion. "sched.policy_calls" counts
+  // consults: t = 0, the growth grants at 0.25 s and 0.5 s, the consult
+  // after the last grant that finds nothing to move, and the lease's
+  // retirement at 6 s. Every other tick skips the policy.
+  struct Counting : ElasticWfsScheduler {
+    std::int64_t calls = 0;
+    std::map<std::int64_t, Allocation> schedule(
+        const ClusterInventory& cluster, const std::vector<const JobState*>& jobs,
+        double now) override {
+      ++calls;
+      return ElasticWfsScheduler::schedule(cluster, jobs, now);
+    }
+  } policy;
+  obs::MetricsRegistry metrics;
+  ClusterController c(v100s(16), policy);
+  c.set_observability({nullptr, &metrics});
+  FakeServeLease lease;
+  lease.busy_until_s = 6.0;
+  c.add_serve_job(serve_spec(0, 2, 1, 8), lease);
+  c.add_train_job(train_spec(1, 0.0, 20000, 4));
+  c.run();
+  EXPECT_EQ(lease.grants_seen, (std::vector<std::int64_t>{2, 4, 8}));
+  const obs::Counter* events = metrics.find_counter("sched.events");
+  const obs::Counter* calls = metrics.find_counter("sched.policy_calls");
+  ASSERT_NE(events, nullptr);
+  ASSERT_NE(calls, nullptr);
+  EXPECT_EQ(events->value, 25);
+  EXPECT_EQ(calls->value, 5);
+  EXPECT_EQ(policy.calls, 5);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,18 +3,27 @@
 // must leave pure-training behavior exactly where it was — round
 // quantization, weighted fairness, resize-penalty accounting, and
 // bit-identical policy output across repeated runs of the same trace seed.
+// Every built-in policy must also answer the same inputs the same way
+// twice, which is what lets the controller skip unchanged consults.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "sched/cluster.h"
 #include "sched/gavel.h"
 #include "sched/simulator.h"
 #include "sched/trace.h"
 #include "sched/wfs.h"
+#include "serve/arrival.h"
+#include "serve/digest.h"
+#include "serve/server.h"
 #include "util/common.h"
 #include "workloads/profiles.h"
+#include "workloads/tasks.h"
 
 namespace vf {
 namespace {
@@ -165,6 +174,136 @@ TEST(PolicyRegression, PolicyOutputDeterministicAcrossRepeatedRuns) {
         EXPECT_TRUE(ja.timeline[s].alloc == jb.timeline[s].alloc);
       }
     }
+  }
+}
+
+/// Asks the inner policy twice per consult with the same inputs and
+/// expects the same answer both times. The controller's consult skipping
+/// rests on this: a policy whose answer or state moved on a repeat would
+/// need every consult the controller skips.
+class AskTwice : public Scheduler {
+ public:
+  explicit AskTwice(Scheduler& inner) : inner_(inner) {}
+
+  std::map<std::int64_t, Allocation> schedule(
+      const ClusterInventory& cluster, const std::vector<const JobState*>& jobs,
+      double now) override {
+    const std::map<std::int64_t, Allocation> first = inner_.schedule(cluster, jobs, now);
+    std::map<std::int64_t, Allocation> second = inner_.schedule(cluster, jobs, now);
+    EXPECT_TRUE(first == second) << inner_.name() << " changed its answer at t=" << now;
+    ++consults;
+    return second;
+  }
+  double round_interval_s() const override { return inner_.round_interval_s(); }
+  double resize_penalty_s() const override { return inner_.resize_penalty_s(); }
+  std::string name() const override { return inner_.name(); }
+
+  std::int64_t consults = 0;
+
+ private:
+  Scheduler& inner_;
+};
+
+enum class Policy { kGavel, kWfs, kPriority, kStaticGavel };
+
+/// One mixed run: a Server lease under a burst, an EngineTrainLease and
+/// four analytic jobs arriving mid-round (Gavel rounds are 0.5 s), on
+/// `devices` V100s, reduced to its report digest. With `ask_twice`, the
+/// policy sits behind AskTwice.
+std::uint64_t mixed_run(Policy which, std::int64_t devices, bool ask_twice) {
+  constexpr std::uint64_t kSeed = 42;
+  const TrainRecipe serve_recipe = make_recipe("mrpc-sim");
+  ProxyTask serve_task = make_task("mrpc-sim", kSeed);
+  Sequential serve_model = make_proxy_model("mrpc-sim", kSeed);
+  ProxyTask train_task = make_task("mrpc-sim", kSeed);
+  Sequential train_model = make_proxy_model("mrpc-sim", kSeed);
+  const TrainRecipe train_recipe = make_recipe("mrpc-sim");
+  EngineConfig ecfg;
+  ecfg.seed = kSeed;
+  ecfg.enforce_memory = false;
+  VirtualFlowEngine serve_engine(
+      serve_model, *serve_recipe.optimizer, *serve_recipe.schedule, *serve_task.train,
+      model_profile("bert-base"), make_devices(DeviceType::kV100, 1),
+      VnMapping::even(8, 1, serve_recipe.global_batch), ecfg);
+  VirtualFlowEngine train_engine(
+      train_model, *train_recipe.optimizer, *train_recipe.schedule, *train_task.train,
+      model_profile("bert-base"), make_devices(DeviceType::kV100, 2),
+      VnMapping::even(8, 2, train_recipe.global_batch), ecfg);
+
+  serve::ServerConfig scfg;
+  scfg.continuous = true;
+  scfg.queue_capacity = 4096;
+  scfg.batch = {/*max_batch=*/64, /*max_wait_s=*/0.01};
+  scfg.deadline_s = 0.5;
+  scfg.elastic.enabled = true;
+  scfg.elastic.high_watermark = 48;
+  scfg.elastic.low_watermark = 4;
+  scfg.elastic.min_devices = 1;
+  scfg.elastic.max_devices = 8;
+  scfg.elastic.cooldown_batches = 1;
+  serve::Server server(serve_engine, *serve_task.val, scfg);
+  server.set_cluster_governed();
+  const auto trace = serve::phased_poisson_trace(
+      kSeed, {{300.0, 0.5}, {2500.0, 1.0}, {150.0, 2.0}}, serve_task.val->size());
+  server.begin(trace);
+  EngineTrainLease lease(train_engine, /*total_steps=*/30, DeviceType::kV100);
+
+  GavelOptions gopt;
+  gopt.round_s = 0.5;
+  gopt.restart_penalty_s = 0.2;
+  GavelScheduler gavel(gopt);
+  ElasticWfsScheduler wfs;
+  PriorityScheduler priority;
+  StaticPartitionScheduler static_gavel(gavel, DeviceType::kV100);
+  Scheduler* inner = &gavel;
+  if (which == Policy::kWfs) inner = &wfs;
+  if (which == Policy::kPriority) inner = &priority;
+  if (which == Policy::kStaticGavel) inner = &static_gavel;
+  AskTwice twice(*inner);
+
+  ClusterController c(v100s(devices), ask_twice ? twice : *inner);
+  JobSpec serve_spec;
+  serve_spec.id = 0;
+  serve_spec.kind = JobKind::kServe;
+  serve_spec.priority = 10.0;
+  serve_spec.demand_gpus = 4;
+  serve_spec.min_gpus = 1;
+  serve_spec.max_gpus = 8;
+  c.add_serve_job(serve_spec, server);
+  JobSpec lease_spec = train_job(1, 0.0, 30, 2);
+  lease_spec.workload = "bert-base";
+  lease_spec.profile = model_profile("bert-base");
+  lease_spec.global_batch = train_recipe.global_batch;
+  c.add_train_lease(lease_spec, lease);
+  for (std::int64_t i = 0; i < 4; ++i)
+    c.add_train_job(train_job(10 + i, 0.1 + 0.35 * static_cast<double>(i),
+                              400 + 150 * i, 2 + 2 * (i % 2)));
+  const ClusterReport report = c.run();
+  server.finish();
+  EXPECT_TRUE(server.drained());
+  for (const JobState& j : report.jobs) EXPECT_TRUE(j.finished()) << j.spec.id;
+  if (ask_twice) {
+    EXPECT_GT(twice.consults, 0);
+  }
+  return serve::report_digest(report);
+}
+
+TEST(PolicyRegression, BuiltInPoliciesAreIdempotent) {
+  // Priority keeps every running job at its full demand however far the
+  // serving carve grows, so its cluster holds the serving ceiling (8) and
+  // every training demand (2 + 2 + 4 + 2 + 4) at once.
+  const struct {
+    const char* name;
+    Policy policy;
+    std::int64_t devices;
+  } cases[] = {{"gavel", Policy::kGavel, 12},
+               {"elastic-wfs", Policy::kWfs, 12},
+               {"priority-static", Policy::kPriority, 22},
+               {"static(gavel)", Policy::kStaticGavel, 12}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(hex(mixed_run(c.policy, c.devices, /*ask_twice=*/true)),
+              hex(mixed_run(c.policy, c.devices, /*ask_twice=*/false)));
   }
 }
 
