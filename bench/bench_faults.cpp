@@ -175,38 +175,6 @@ bool streams_intact(const RunOutcome& o, const std::vector<InferRequest>& trace)
   return true;
 }
 
-/// Drives training steps against an injector-scheduled plan on the
-/// engine's virtual clock — the training half of the recovery story.
-void train_with_faults(VirtualFlowEngine& eng, fault::FaultInjector& inj,
-                       std::int64_t steps) {
-  for (std::int64_t i = 0; i < steps; ++i) {
-    for (const fault::FaultEvent& ev : inj.due(eng.sim_time_s())) {
-      switch (ev.kind) {
-        case fault::FaultKind::kKill: {
-          const auto ndev = static_cast<std::int64_t>(eng.devices().size());
-          if (ndev <= 1) {
-            inj.kill_skipped();
-            break;
-          }
-          eng.fail_device(ev.device % ndev);
-          inj.apply_slowdowns(eng);
-          break;
-        }
-        case fault::FaultKind::kStragglerStart:
-        case fault::FaultKind::kStragglerEnd:
-          inj.apply_slowdowns(eng);
-          break;
-        case fault::FaultKind::kCommFault:
-          if (inj.take_comm_fault()) eng.inject_comm_retry();
-          break;
-        case fault::FaultKind::kRecover:
-          break;
-      }
-    }
-    eng.train_step();
-  }
-}
-
 struct TrainOutcome {
   bool workers_exact = false;    ///< chaos run bit-exact across {0, 2, 8}
   bool survivors_exact = false;  ///< post-kill == from-scratch surviving set
@@ -230,7 +198,7 @@ TrainOutcome run_training(const BenchParams& p) {
     const TaskBox box(task_name, p.seed);
     VirtualFlowEngine eng = box.engine(p.profile, p.vns, p.devices, workers, 42);
     fault::FaultInjector inj(fault::FaultPlan::chaos(p.fault_seed, cfg));
-    train_with_faults(eng, inj, p.train_steps);
+    inj.train_steps(eng, p.train_steps);
     params.push_back(eng.parameters());
     times.push_back(eng.sim_time_s());
   }
@@ -246,7 +214,7 @@ TrainOutcome run_training(const BenchParams& p) {
   fault::FaultPlan plan;
   plan.kill(faulted.sim_time_s(), p.devices - 1);
   fault::FaultInjector inj(std::move(plan));
-  train_with_faults(faulted, inj, p.train_steps);
+  inj.train_steps(faulted, p.train_steps);
   for (std::int64_t i = 0; i < p.train_steps; ++i) survivors.train_step();
   out.survivors_exact = faulted.parameters().equals(survivors.parameters());
   out.clean_time_s = survivors.sim_time_s();

@@ -1,5 +1,5 @@
-// Hot-path harness: the kernel tiers and the zero-allocation workspace
-// A/B, gating the wins this repo claims for its innermost loops.
+// Hot-path harness: the kernel tiers and the zero-allocation training
+// step, gating the wins this repo claims for its innermost loops.
 //
 //   1. Per-kernel throughput: GFLOP/s of matmul / matmul_transpose_lhs /
 //      matmul_transpose_rhs on the workload-profile shapes the proxy
@@ -15,24 +15,32 @@
 //      beat the median blocked time by --min-simd-speedup (default
 //      1.5x, smoke 1.2x) whenever the vector ISA is live; hosts without
 //      AVX2 skip the gate and report the fallback tier honestly.
-//   2. End-to-end step time: the same training job run three times —
-//      "reference" arm: reference kernels + allocate-per-use workspaces
-//      (VF_WORKSPACE_REUSE=0 semantics), i.e. the pre-optimization hot
-//      path; "blocked" and "simd" arms: that tier + buffer reuse. All
-//      arms must produce bit-identical parameters and losses, the
-//      optimized arms' timed steps must perform ZERO tensor heap
-//      allocations, and blocked-over-reference must clear --min-speedup
-//      (default 1.5x full, 1.15x smoke). simd-over-reference is reported
-//      and recorded; it is not gated end-to-end because the step budget
-//      is dominated by the simulated device clock, not GEMM wall time.
+//   2. End-to-end step time: the same training job run three times, once
+//      per kernel tier ("reference", "blocked", "simd"), every arm on the
+//      engine's reused workspaces, so the arms differ in the kernels
+//      only. Each arm keeps its own engine; the timed steps run in
+//      kE2eRounds interleaved rounds and each arm's step time is the
+//      median of its per-round means, as in the kernel table. All arms
+//      must produce bit-identical parameters and losses, every arm's
+//      timed steps must perform ZERO tensor heap allocations, and
+//      blocked-over-reference must clear --min-speedup (default 1.5x
+//      full, 1.15x smoke). simd-over-reference is reported and recorded;
+//      it is not gated end-to-end because the step budget is dominated by
+//      the simulated device clock, not GEMM wall time.
+//   3. Observability: a fourth arm runs the blocked tier with a trace
+//      recorder and a metrics registry attached, in the same rounds; it
+//      must keep the trajectory and zero allocations and stay within
+//      1.5x of the blocked arm's step time.
 //
 // Exit 1 when any claim fails (speedups are informational under
 // overridden workload knobs, like bench_serving's custom-load rule).
 // --json=<path> emits the machine-readable perf trajectory records.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bench_util.h"
@@ -84,34 +92,55 @@ double time_kernel(const KernelCase& c, KernelMode mode, const Tensor& a,
   return (now_s() - t0) / static_cast<double>(reps);
 }
 
-struct ArmResult {
-  double step_s = 0.0;          // mean timed step wall-clock
-  std::vector<double> losses;   // per-step loss trajectory
-  Tensor params;                // final parameters
-  std::int64_t tensor_allocs = 0;  // allocations during the timed steps
-  std::int64_t ws_allocs = 0;      // workspace-audited allocations
+/// Interleaved timing rounds for the end-to-end arms: every round times
+/// a share of the steps on each arm in turn.
+constexpr int kE2eRounds = 5;
+
+/// One end-to-end arm: its own engine, stepped under one kernel mode.
+struct Arm {
+  Arm(KernelMode m, bench::EngineSetup s) : mode(m), setup(std::move(s)) {}
+
+  KernelMode mode;
+  bench::EngineSetup setup;
+  std::vector<double> round_step_s;  // mean step wall-clock per round
+  std::vector<double> losses;        // per-step loss trajectory
+  std::int64_t tensor_allocs = 0;    // allocations during the timed steps
+  std::int64_t ws_allocs = 0;        // workspace-audited allocations
+
+  /// Median over rounds, so a burst of host load skews one round, not
+  /// one arm.
+  double step_s() const { return median(round_step_s); }
 };
 
-ArmResult run_arm(const std::string& task, const std::string& profile,
-                  std::int64_t vns, std::int64_t devices, std::uint64_t seed,
-                  std::int64_t warmup, std::int64_t steps, KernelMode mode,
-                  bool reuse, obs::Observability obs = {}) {
+/// Builds an arm and runs its untimed warm-up steps.
+Arm make_arm(const std::string& task, const std::string& profile, std::int64_t vns,
+             std::int64_t devices, std::uint64_t seed, std::int64_t warmup,
+             KernelMode mode, obs::Observability obs = {}) {
   TensorConfig::set_kernel_mode(mode);
-  TensorConfig::set_workspace_reuse(reuse);
-  bench::EngineSetup setup =
-      bench::make_setup(task, profile, vns, devices, DeviceType::kV100, seed);
-  setup.engine.set_observability(obs);
-  ArmResult out;
-  for (std::int64_t s = 0; s < warmup; ++s) out.losses.push_back(setup.engine.train_step().loss);
+  Arm arm(mode, bench::make_setup(task, profile, vns, devices, DeviceType::kV100, seed));
+  arm.setup.engine.set_observability(obs);
+  for (std::int64_t s = 0; s < warmup; ++s)
+    arm.losses.push_back(arm.setup.engine.train_step().loss);
+  return arm;
+}
+
+/// Times `steps` train steps of `arm` under its mode as one round.
+void time_round(Arm& arm, std::int64_t steps) {
+  TensorConfig::set_kernel_mode(arm.mode);
+  VirtualFlowEngine& engine = arm.setup.engine;
   const std::int64_t allocs0 = tensor_alloc_count();
-  const std::int64_t ws0 = setup.engine.workspace_allocs();
+  const std::int64_t ws0 = engine.workspace_allocs();
   const double t0 = now_s();
-  for (std::int64_t s = 0; s < steps; ++s) out.losses.push_back(setup.engine.train_step().loss);
-  out.step_s = (now_s() - t0) / static_cast<double>(steps);
-  out.tensor_allocs = tensor_alloc_count() - allocs0;
-  out.ws_allocs = setup.engine.workspace_allocs() - ws0;
-  out.params = setup.engine.parameters();
-  return out;
+  for (std::int64_t s = 0; s < steps; ++s) arm.losses.push_back(engine.train_step().loss);
+  arm.round_step_s.push_back((now_s() - t0) / static_cast<double>(steps));
+  arm.tensor_allocs += tensor_alloc_count() - allocs0;
+  arm.ws_allocs += engine.workspace_allocs() - ws0;
+}
+
+/// Same losses at every step and the same final parameters.
+bool same_trajectory(const Arm& a, const Arm& b) {
+  return a.losses == b.losses &&
+         a.setup.engine.parameters().equals(b.setup.engine.parameters());
 }
 
 }  // namespace
@@ -124,15 +153,15 @@ int main(int argc, char** argv) {
                {"devices", "devices; VNs fold onto them serially (default 1)"},
                {"steps", "timed steps per arm (default 30; smoke 8)"},
                {"warmup", "untimed warm-up steps per arm (default 5; smoke 2)"},
-               {"min-speedup", "required end-to-end speedup, blocked+reuse vs "
-                               "reference+alloc (default 1.5; smoke 1.15)"},
+               {"min-speedup", "required end-to-end speedup, blocked vs reference "
+                               "kernels (default 1.5; smoke 1.15)"},
                {"min-simd-speedup", "required per-kernel simd-over-blocked speedup "
                                     "on >=8 MFLOP shapes when the vector ISA is "
                                     "live (default 1.5; smoke 1.2)"},
                {"seed", "experiment seed (default 42)"}});
   if (flags.help_requested()) {
     flags.print_help(
-        "Hot-path kernels + zero-allocation workspaces: per-kernel GFLOP/s and the "
+        "Hot-path kernels + zero-allocation train step: per-kernel GFLOP/s and the "
         "end-to-end train-step A/B gate");
     return 0;
   }
@@ -149,11 +178,10 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
 
   const KernelMode saved_mode = TensorConfig::kernel_mode();
-  const bool saved_reuse = TensorConfig::workspace_reuse();
   JsonReport report("bench_hotpath");
   bool ok = true;
 
-  print_banner(std::cout, "hot path — kernel tiers (reference/blocked/simd) + reusable workspaces");
+  print_banner(std::cout, "hot path — kernel tiers (reference/blocked/simd) + zero-allocation step");
 
   // Overridden workload knobs make the speedup claims informational (the
   // default configuration is what the acceptance numbers are calibrated
@@ -276,68 +304,52 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- 2. End-to-end train-step A/B.
+  // ---- 2. End-to-end train-step A/B and 3. the observability arm
+  // (recording touches no tensors, so it must stay allocation-free and
+  // leave the trajectory alone), timed in the same interleaved rounds.
+  const std::int64_t rounds = std::clamp<std::int64_t>(steps, 1, kE2eRounds);
   std::printf("\n  end-to-end train step (%s on %s, %lld VNs on %lld device(s), "
-              "%lld warmup + %lld timed):\n",
+              "%lld warmup + %lld timed in %lld interleaved rounds):\n",
               task.c_str(), profile.c_str(), static_cast<long long>(vns),
               static_cast<long long>(devices), static_cast<long long>(warmup),
-              static_cast<long long>(steps));
-  const ArmResult ref = run_arm(task, profile, vns, devices, seed, warmup, steps,
-                                KernelMode::kReference, /*reuse=*/false);
-  const ArmResult blk = run_arm(task, profile, vns, devices, seed, warmup, steps,
-                                KernelMode::kBlocked, /*reuse=*/true);
-  const ArmResult simd = run_arm(task, profile, vns, devices, seed, warmup, steps,
-                                 KernelMode::kSimd, /*reuse=*/true);
-  // ---- 3. Observability A/B on the same blocked hot path: with a
-  // TraceRecorder + MetricsRegistry attached, the step loop must stay at
-  // zero tensor heap allocations (recording touches no tensors), the
-  // trajectory must not move a bit, and the step time must stay within
-  // the stated budget of the unobserved arm.
+              static_cast<long long>(steps), static_cast<long long>(rounds));
   obs::TraceRecorder obs_trace;
   obs::MetricsRegistry obs_metrics;
-  const ArmResult obs_on =
-      run_arm(task, profile, vns, devices, seed, warmup, steps,
-              KernelMode::kBlocked, /*reuse=*/true, {&obs_trace, &obs_metrics});
+  Arm ref = make_arm(task, profile, vns, devices, seed, warmup, KernelMode::kReference);
+  Arm blk = make_arm(task, profile, vns, devices, seed, warmup, KernelMode::kBlocked);
+  Arm simd = make_arm(task, profile, vns, devices, seed, warmup, KernelMode::kSimd);
+  Arm obs_on = make_arm(task, profile, vns, devices, seed, warmup, KernelMode::kBlocked,
+                        {&obs_trace, &obs_metrics});
+  for (std::int64_t r = 0; r < rounds; ++r) {
+    // Round r's share of the timed steps (shares differ by at most one).
+    const std::int64_t share = steps * (r + 1) / rounds - steps * r / rounds;
+    for (Arm* arm : {&ref, &blk, &simd, &obs_on}) time_round(*arm, share);
+  }
   TensorConfig::set_kernel_mode(saved_mode);
-  TensorConfig::set_workspace_reuse(saved_reuse);
 
-  const double speedup = blk.step_s > 0.0 ? ref.step_s / blk.step_s : 0.0;
-  const double simd_e2e = simd.step_s > 0.0 ? ref.step_s / simd.step_s : 0.0;
+  const double ref_s = ref.step_s(), blk_s = blk.step_s(), simd_s = simd.step_s();
+  const double speedup = blk_s > 0.0 ? ref_s / blk_s : 0.0;
+  const double simd_e2e = simd_s > 0.0 ? ref_s / simd_s : 0.0;
   Table e2e({"arm", "step (ms)", "speedup", "tensor allocs/step", "ws allocs"});
-  e2e.row()
-      .cell(std::string("reference + alloc-per-use"))
-      .cell(ref.step_s * 1e3, 3)
-      .cell(1.0, 2)
-      .cell(static_cast<double>(ref.tensor_allocs) / static_cast<double>(steps), 1)
-      .cell(ref.ws_allocs);
-  e2e.row()
-      .cell(std::string("blocked + workspace reuse"))
-      .cell(blk.step_s * 1e3, 3)
-      .cell(speedup, 2)
-      .cell(static_cast<double>(blk.tensor_allocs) / static_cast<double>(steps), 1)
-      .cell(blk.ws_allocs);
-  e2e.row()
-      .cell(std::string("simd + workspace reuse"))
-      .cell(simd.step_s * 1e3, 3)
-      .cell(simd_e2e, 2)
-      .cell(static_cast<double>(simd.tensor_allocs) / static_cast<double>(steps), 1)
-      .cell(simd.ws_allocs);
+  for (const auto& [name, arm] : {std::pair<const char*, const Arm*>{"reference", &ref},
+                                  {"blocked", &blk},
+                                  {"simd", &simd}}) {
+    const double step_s = arm->step_s();
+    e2e.row()
+        .cell(std::string(name))
+        .cell(step_s * 1e3, 3)
+        .cell(ref_s / step_s, 2)
+        .cell(static_cast<double>(arm->tensor_allocs) / static_cast<double>(steps), 1)
+        .cell(arm->ws_allocs);
+  }
   e2e.print(std::cout);
 
-  const auto arm_identical = [&ref](const ArmResult& other) {
-    bool same =
-        ref.params.equals(other.params) && ref.losses.size() == other.losses.size();
-    if (same) {
-      for (std::size_t i = 0; i < ref.losses.size(); ++i)
-        same &= ref.losses[i] == other.losses[i];
-    }
-    return same;
-  };
-  const bool identical = arm_identical(blk) && arm_identical(simd);
+  const bool identical = same_trajectory(ref, blk) && same_trajectory(ref, simd);
 
   const char* miss = custom ? "no (informational: custom workload)" : "NO — BUG";
 
-  const bool zero_alloc = blk.tensor_allocs == 0 && blk.ws_allocs == 0 &&
+  const bool zero_alloc = ref.tensor_allocs == 0 && ref.ws_allocs == 0 &&
+                          blk.tensor_allocs == 0 && blk.ws_allocs == 0 &&
                           simd.tensor_allocs == 0 && simd.ws_allocs == 0;
   const bool fast_enough = speedup >= min_speedup;
 
@@ -346,20 +358,17 @@ int main(int argc, char** argv) {
   // recorder's cost is a POD vector push per device per step (measured
   // ~0.8x-1.0x), so the headroom is all for wall noise on smoke-sized
   // steps under loaded CI hosts.
-  bool obs_identical =
-      blk.params.equals(obs_on.params) && blk.losses.size() == obs_on.losses.size();
-  if (obs_identical) {
-    for (std::size_t i = 0; i < blk.losses.size(); ++i)
-      obs_identical &= blk.losses[i] == obs_on.losses[i];
-  }
+  const bool obs_identical = same_trajectory(blk, obs_on);
   const bool obs_zero_alloc = obs_on.tensor_allocs == 0 && obs_on.ws_allocs == 0;
-  const double obs_ratio = blk.step_s > 0.0 ? obs_on.step_s / blk.step_s : 0.0;
+  const double obs_s = obs_on.step_s();
+  const double obs_ratio = blk_s > 0.0 ? obs_s / blk_s : 0.0;
   const bool obs_cheap = obs_ratio <= 1.5;
 
   std::printf("\n  trajectories bit-identical across all three kernel modes: %s\n",
               identical ? "yes" : "NO — BUG");
-  std::printf("  optimized arms steady-state tensor heap allocations: %lld + %lld "
+  std::printf("  steady-state tensor heap allocations per arm: %lld + %lld + %lld "
               "(want 0)\n",
+              static_cast<long long>(ref.tensor_allocs),
               static_cast<long long>(blk.tensor_allocs),
               static_cast<long long>(simd.tensor_allocs));
   std::printf("  end-to-end speedup %.2fx blocked / %.2fx simd (gate on blocked: "
@@ -367,7 +376,7 @@ int main(int argc, char** argv) {
               speedup, simd_e2e, min_speedup, fast_enough ? "yes" : miss);
   std::printf("  recording on: %zu trace events, step %.3f ms vs %.3f ms off "
               "(%.2fx, budget 1.5x): %s\n",
-              obs_trace.size(), obs_on.step_s * 1e3, blk.step_s * 1e3, obs_ratio,
+              obs_trace.size(), obs_s * 1e3, blk_s * 1e3, obs_ratio,
               obs_cheap ? "yes" : miss);
   std::printf("  recording does not perturb the trajectory, zero tensor allocs: %s\n",
               (obs_identical && obs_zero_alloc) ? "yes" : "NO — BUG");
@@ -375,15 +384,15 @@ int main(int argc, char** argv) {
   if (!obs_identical || !obs_zero_alloc) ok = false;
   if (!custom && (!fast_enough || !obs_cheap)) ok = false;
 
-  report.add("e2e.reference.step_ms", ref.step_s * 1e3, "ms");
-  report.add("e2e.blocked.step_ms", blk.step_s * 1e3, "ms");
-  report.add("e2e.simd.step_ms", simd.step_s * 1e3, "ms");
+  report.add("e2e.reference.step_ms", ref_s * 1e3, "ms");
+  report.add("e2e.blocked.step_ms", blk_s * 1e3, "ms");
+  report.add("e2e.simd.step_ms", simd_s * 1e3, "ms");
   report.add("e2e.speedup", speedup, "x");
   report.add("e2e.simd_speedup", simd_e2e, "x");
   report.add("e2e.blocked.tensor_allocs_per_step",
              static_cast<double>(blk.tensor_allocs) / static_cast<double>(steps),
              "allocs");
-  report.add("e2e.obs_on.step_ms", obs_on.step_s * 1e3, "ms");
+  report.add("e2e.obs_on.step_ms", obs_s * 1e3, "ms");
   report.add("e2e.obs_on.overhead_x", obs_ratio, "x");
   report.add("e2e.obs_on.trace_events", static_cast<double>(obs_trace.size()),
              "events");

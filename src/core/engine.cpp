@@ -11,9 +11,6 @@ namespace {
 // Engine-level workspace tags (negative: layer tags are >= 0).
 constexpr std::int32_t kTagLogits = -1;    // forward output per VN
 constexpr std::int32_t kTagTopGrad = -2;   // model-input gradient (discarded)
-// Seconds charged for a checkpoint-restart resize (`seamless` false),
-// modelling the restart-based baselines [38].
-constexpr double kRestartPenaltyS = 45.0;
 }  // namespace
 
 VirtualFlowEngine::VirtualFlowEngine(const Sequential& model, const Optimizer& optimizer,
@@ -316,15 +313,15 @@ double VirtualFlowEngine::sync_and_update(const std::vector<Tensor>& vn_grad_sum
                                        mapping_.num_devices(), config_.link);
 }
 
-void VirtualFlowEngine::resize(std::vector<Device> new_devices, const ResizeOptions& opts) {
+void VirtualFlowEngine::resize(std::vector<Device> new_devices) {
   check(!new_devices.empty(), "cannot resize to zero devices");
   const VnMapping new_mapping =
       mapping_.redistributed(static_cast<std::int64_t>(new_devices.size()));
-  reconfigure(std::move(new_devices), new_mapping, opts);
+  reconfigure(std::move(new_devices), new_mapping);
 }
 
 void VirtualFlowEngine::reconfigure(std::vector<Device> new_devices,
-                                    VnMapping new_mapping, const ResizeOptions& opts) {
+                                    VnMapping new_mapping) {
   check(static_cast<std::int64_t>(new_devices.size()) == new_mapping.num_devices(),
         "reconfigure: device count mismatch");
   check(new_mapping.global_batch() == mapping_.global_batch(),
@@ -335,23 +332,19 @@ void VirtualFlowEngine::reconfigure(std::vector<Device> new_devices,
   // Migration cost (§4.1): one all-gather carrying model parameters,
   // optimizer slots, and per-VN stateful-kernel tensors to bootstrap the
   // new workers. Typically well under a second — vs. minutes for the
-  // checkpoint-restart baseline.
-  double migration_s = 0.0;
-  if (opts.seamless) {
-    double state_bytes = profile_.param_bytes();
-    state_bytes += static_cast<double>(replicas_.at(0).optimizer->slot_bytes());
-    for (const VnState& st : vn_states_) state_bytes += static_cast<double>(st.total_bytes());
-    // The state is sharded across participants for the all-gather, so the
-    // wire cost is ~one full copy of the state, not world x state. Both
-    // the departing and the joining workers take part, so the ring spans
-    // the larger of the two memberships.
-    const auto world = std::max<std::int64_t>(
-        static_cast<std::int64_t>(new_devices.size()), mapping_.num_devices());
-    migration_s = ring_allgather_time_s(state_bytes / static_cast<double>(world),
-                                        world, config_.link);
-  } else {
-    migration_s = kRestartPenaltyS;
-  }
+  // checkpoint-restart baselines, which the cluster policies charge
+  // through resize_penalty_s.
+  double state_bytes = profile_.param_bytes();
+  state_bytes += static_cast<double>(replicas_.at(0).optimizer->slot_bytes());
+  for (const VnState& st : vn_states_) state_bytes += static_cast<double>(st.total_bytes());
+  // The state is sharded across participants for the all-gather, so the
+  // wire cost is ~one full copy of the state, not world x state. Both
+  // the departing and the joining workers take part, so the ring spans
+  // the larger of the two memberships.
+  const auto world = std::max<std::int64_t>(
+      static_cast<std::int64_t>(new_devices.size()), mapping_.num_devices());
+  const double migration_s = ring_allgather_time_s(
+      state_bytes / static_cast<double>(world), world, config_.link);
   if (obs_.trace != nullptr) {
     // Reconfiguration marker on the control track: device-count change
     // plus the migration charge (arg_s), stamped when the decision lands.
@@ -363,12 +356,6 @@ void VirtualFlowEngine::reconfigure(std::vector<Device> new_devices,
   if (obs_.metrics != nullptr)
     obs_.metrics->counter("train.reconfigures").add();
   clock_s_ += migration_s;
-
-  if (!opts.migrate_state) {
-    // Naive bootstrap: stateful kernels (batch-norm moving statistics)
-    // are reset on the new workers — the §4.1 failure mode.
-    for (VnState& st : vn_states_) st.clear();
-  }
 
   // VN states are keyed by VN id. A semantics-preserving resize keeps the
   // VN count; a general reconfiguration (heterogeneous) may change it, in
@@ -385,7 +372,7 @@ void VirtualFlowEngine::reconfigure(std::vector<Device> new_devices,
   if (config_.enforce_memory) check_memory();
 }
 
-void VirtualFlowEngine::fail_device(std::int64_t device_index, const ResizeOptions& opts) {
+void VirtualFlowEngine::fail_device(std::int64_t device_index) {
   check_index(device_index, static_cast<std::int64_t>(devices_.size()), "device");
   check(devices_.size() > 1, "cannot lose the last device");
   std::vector<Device> survivors;
@@ -395,7 +382,7 @@ void VirtualFlowEngine::fail_device(std::int64_t device_index, const ResizeOptio
   // The failed device's replica is gone, but every survivor holds the
   // full model, and VN state lives with the (logical) virtual nodes —
   // redistribute and continue.
-  resize(std::move(survivors), opts);
+  resize(std::move(survivors));
 }
 
 Checkpoint VirtualFlowEngine::capture() const {

@@ -143,17 +143,6 @@ struct InferStats {
   std::vector<SliceCost> slice_costs;
 };
 
-/// Options controlling a resize (§4.1).
-struct ResizeOptions {
-  /// Migrate VN state (batch-norm moving stats) and optimizer slots via
-  /// all-gather. Setting false models the naive bootstrap that resets
-  /// stateful kernels — the failure mode §4.1 warns about.
-  bool migrate_state = true;
-  /// Seamless VirtualFlow resize (sub-second all-gather) vs stop-and-
-  /// restart-from-checkpoint (the paper's baseline schedulers).
-  bool seamless = true;
-};
-
 /// Data-parallel synchronous training engine with virtual-node processing.
 class VirtualFlowEngine {
  public:
@@ -178,22 +167,26 @@ class VirtualFlowEngine {
   StepStats train_step();
 
   /// Elastic resize: redistribute the existing virtual nodes across a new
-  /// device set (§4.1). Keeps VN count/batches, hence semantics. This is
-  /// the execution path for every sizing decision made ABOVE the engine —
-  /// the self-governed elastic rule and cluster-policy device grants
+  /// device set (§4.1). Keeps VN count/batches, hence semantics. Every
+  /// resize charges one all-gather of the training state to the clock and
+  /// carries the VN state to the new workers; the paper's checkpoint-
+  /// restart baselines are modelled above the engine, by each cluster
+  /// policy's resize_penalty_s (sched/simulator.h). This is the execution
+  /// path for every sizing decision made ABOVE the engine — the
+  /// self-governed elastic rule and cluster-policy device grants
   /// (sched::DeviceLease / EngineTrainLease) both land here, so a grant
   /// can never produce a trajectory a standalone resize could not.
-  void resize(std::vector<Device> new_devices, const ResizeOptions& opts = {});
+  void resize(std::vector<Device> new_devices);
 
   /// Fault tolerance (§7): drop the device at `device_index` and
   /// redistribute its virtual nodes over the survivors, reusing the
   /// elastic migration machinery. Training continues uninterrupted from
   /// the application's perspective; a later resize() re-adds replacements.
   /// Throws if it would leave zero devices.
-  void fail_device(std::int64_t device_index, const ResizeOptions& opts = {});
+  void fail_device(std::int64_t device_index);
 
-  /// Snapshot / restore of full training state (the substrate behind the
-  /// checkpoint-restart baselines and the fault-tolerance story).
+  /// Snapshot / restore of full training state; core/checkpoint.h writes
+  /// and reads a snapshot as a file.
   Checkpoint capture() const;
   void restore(const Checkpoint& snapshot);
 
@@ -214,8 +207,7 @@ class VirtualFlowEngine {
   /// General reconfiguration to an arbitrary mapping (used by
   /// heterogeneous training, §5). The new mapping must preserve the
   /// global batch size.
-  void reconfigure(std::vector<Device> new_devices, VnMapping new_mapping,
-                   const ResizeOptions& opts = {});
+  void reconfigure(std::vector<Device> new_devices, VnMapping new_mapping);
 
   /// Top-1 accuracy on `eval` (full dataset, or first `limit` examples).
   /// Evaluation is serving's forward pass: kEvalChunk-row slices on VN 0,

@@ -22,9 +22,9 @@ TrainResult train(VirtualFlowEngine& engine, const Dataset& val, std::int64_t ep
              events[next_event].at_step == engine.step()) {
         const ReconfigEvent& ev = events[next_event];
         if (ev.mapping.has_value()) {
-          engine.reconfigure(ev.devices, *ev.mapping, ev.options);
+          engine.reconfigure(ev.devices, *ev.mapping);
         } else {
-          engine.resize(ev.devices, ev.options);
+          engine.resize(ev.devices);
         }
         ++next_event;
       }

@@ -26,7 +26,6 @@ struct ReconfigEvent {
   std::int64_t at_step = 0;
   std::vector<Device> devices;
   std::optional<VnMapping> mapping;
-  ResizeOptions options;
 };
 
 /// Result of a full training run.

@@ -154,6 +154,35 @@ void FaultInjector::apply_slowdowns(VirtualFlowEngine& engine) const {
   }
 }
 
+void FaultInjector::train_steps(VirtualFlowEngine& engine, std::int64_t steps) {
+  for (std::int64_t i = 0; i < steps; ++i) {
+    for (const FaultEvent& ev : due(engine.sim_time_s())) {
+      switch (ev.kind) {
+        case FaultKind::kKill: {
+          const auto n_dev = static_cast<std::int64_t>(engine.devices().size());
+          if (n_dev <= 1) {
+            kill_skipped();
+            break;
+          }
+          engine.fail_device(ev.device % n_dev);
+          apply_slowdowns(engine);
+          break;
+        }
+        case FaultKind::kStragglerStart:
+        case FaultKind::kStragglerEnd:
+          apply_slowdowns(engine);
+          break;
+        case FaultKind::kCommFault:
+          if (take_comm_fault()) engine.inject_comm_retry();
+          break;
+        case FaultKind::kRecover:
+          break;
+      }
+    }
+    engine.train_step();
+  }
+}
+
 bool FaultInjector::take_comm_fault() {
   const bool pending = comm_pending_;
   comm_pending_ = false;

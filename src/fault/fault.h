@@ -89,7 +89,7 @@ class FaultPlan {
 };
 
 /// Replays a FaultPlan against the virtual clock. The owner (a server loop,
-/// a training driver, a test) polls `due(now)` at its event-loop stamps and
+/// `train_steps`, a test) polls `due(now)` at its event-loop stamps and
 /// reacts to the returned events; the injector tracks the derived state:
 ///   * `capacity_cap(max)` — elastic budget after kills minus recovers,
 ///   * `apply_slowdowns(engine)` — active straggler multipliers, re-applied
@@ -125,6 +125,14 @@ class FaultInjector {
   /// one slot keep the largest multiplier). Call after every reconfigure —
   /// resizes reset per-device slowdowns to 1.
   void apply_slowdowns(VirtualFlowEngine& engine) const;
+
+  /// The training driver: runs `steps` train steps on `engine`, polling
+  /// due() at the engine's virtual clock before each step and acting on
+  /// what fired. A kill fails its slot (taken modulo the live size) —
+  /// or is skipped (kill_skipped) when one device is left — and re-applies
+  /// the stragglers; a straggler start or end re-applies them; a comm
+  /// fault arms the engine's one-shot all-reduce retry.
+  void train_steps(VirtualFlowEngine& engine, std::int64_t steps);
 
   /// One-shot: true exactly once per fired comm fault.
   bool take_comm_fault();

@@ -227,8 +227,8 @@ void BatchNorm1d::forward_into(const Tensor& x, Tensor& y, const ExecContext& ct
       }
     }
   } else {
-    // Inference: use the VN's moving statistics (mean 0 / var 1 if absent,
-    // which models the "reset state" failure mode of unmigrated workers).
+    // Inference: use the VN's moving statistics (mean 0 / var 1 if absent:
+    // a VN that has not trained yet, such as a new id after a reconfigure).
     for (std::int64_t j = 0; j < d; ++j) {
       mean[j] = 0.0F;
       var[j] = 1.0F;

@@ -44,10 +44,6 @@ class VnState {
   /// Total bytes held (for migration-cost accounting).
   std::int64_t total_bytes() const;
 
-  /// Erases everything; models the paper's "resetting internal state"
-  /// failure mode when new workers are bootstrapped without migration.
-  void clear() { slots_.clear(); }
-
   bool empty() const { return slots_.empty(); }
 
  private:

@@ -149,14 +149,9 @@ std::map<std::int64_t, Allocation> PriorityScheduler::schedule(
   const auto it = cluster.per_type.find(pool_type_);
   check(it != cluster.per_type.end(), "cluster has no GPUs of the pool type");
 
-  // Serving tenants carve first (they are elastic even under a static
-  // training baseline — the training side is what "static" refers to).
-  ClusterInventory rest = cluster;
-  std::map<std::int64_t, Allocation> out =
-      carve_serving_grants(rest, jobs, pool_type_);
-  std::int64_t free = rest.per_type[pool_type_];
-
   // Running jobs keep their full demand (no resizing, no preemption).
+  std::map<std::int64_t, Allocation> out;
+  std::int64_t free = it->second;
   std::vector<const JobState*> queued;
   for (const JobState* j : jobs) {
     if (j->is_serve()) continue;
@@ -168,6 +163,16 @@ std::map<std::int64_t, Allocation> PriorityScheduler::schedule(
     }
   }
   check(free >= 0, "priority scheduler invariant violated");
+
+  // Serving tenants carve from what the running jobs leave (they are
+  // elastic even under a static training baseline — the training side is
+  // what "static" refers to), so serving growth never reaches into a
+  // running job's devices. If the serving minimums do not fit, the carve
+  // says so.
+  ClusterInventory rest = cluster;
+  rest.per_type[pool_type_] = free;
+  out.merge(carve_serving_grants(rest, jobs, pool_type_));
+  free = rest.per_type[pool_type_];
 
   std::sort(queued.begin(), queued.end(), [](const JobState* a, const JobState* b) {
     if (a->spec.priority != b->spec.priority) return a->spec.priority > b->spec.priority;

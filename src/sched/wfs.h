@@ -50,6 +50,8 @@ class ElasticWfsScheduler : public Scheduler {
 
 /// Static priority scheduler: starts the highest-priority queued job when
 /// its *full* demand fits in the free pool; never resizes or preempts.
+/// Serving jobs carve their grants (carve_serving_grants) from the devices
+/// the running jobs leave free, before any queued job is admitted.
 class PriorityScheduler : public Scheduler {
  public:
   explicit PriorityScheduler(DeviceType pool_type = DeviceType::kV100);

@@ -37,8 +37,6 @@ const char* kernel_op_name(KernelOp op) {
     case KernelOp::kMatmul: return "matmul";
     case KernelOp::kMatmulTransposeLhs: return "tl";
     case KernelOp::kMatmulTransposeRhs: return "tr";
-    case KernelOp::kTranspose: return "transpose";
-    case KernelOp::kAdd: return "add";
     case KernelOp::kMul: return "mul";
     case KernelOp::kColumnSums: return "column_sums";
   }
@@ -85,31 +83,19 @@ bool BackendFactory::simd_disabled() const {
   return g_simd_disabled.load(std::memory_order_relaxed);
 }
 
-Dispatch BackendFactory::select(KernelOp op, std::int64_t /*m*/, std::int64_t /*k*/,
-                                std::int64_t n) const {
-  // Rule order is the contract (backend.h): ISA, then the static per-op
-  // entries, then the vector kernel. Today's rules read only the lane
-  // axis; m and k stay in the signature for rules that need the shape.
+Dispatch BackendFactory::select(KernelOp /*op*/, std::int64_t /*m*/,
+                                std::int64_t /*k*/, std::int64_t n) const {
+  // Rule order is the contract (backend.h): ISA, then the static rules,
+  // then the vector kernel. Today's one static rule reads only the lane
+  // axis, the same way for every op; op, m and k stay in the signature
+  // for rules that need the op or the whole shape.
   if (!simd_available()) return {KernelMode::kBlocked, "isa"};
-  switch (op) {
-    case KernelOp::kTranspose:
-      // Pure data movement: the blocked tiles already run at load/store
-      // port speed; a shuffle-based vector transpose is a follow-on.
-      return {KernelMode::kBlocked, "no-simd-transpose"};
-    case KernelOp::kMatmul:
-    case KernelOp::kMatmulTransposeLhs:
-    case KernelOp::kMatmulTransposeRhs:
-    case KernelOp::kAdd:
-    case KernelOp::kMul:
-    case KernelOp::kColumnSums:
-      // n is the lane axis for every op (see KernelOp): with fewer
-      // elements than one vector register there is nothing to win, so
-      // the blocked tier serves — it is bit-identical, so this is a
-      // speed decision, not a contract one.
-      if (n < 8) return {KernelMode::kBlocked, "narrow-n"};
-      return {KernelMode::kSimd, "vector"};
-  }
-  return {KernelMode::kBlocked, "isa"};
+  // n is the lane axis for every op (see KernelOp): with fewer elements
+  // than one vector register there is nothing to win, so the blocked tier
+  // serves — it is bit-identical, so this is a speed decision, not a
+  // contract one.
+  if (n < 8) return {KernelMode::kBlocked, "narrow-n"};
+  return {KernelMode::kSimd, "vector"};
 }
 
 }  // namespace vf::backend

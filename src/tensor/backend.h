@@ -14,10 +14,8 @@
 //   1. "isa"       — the SIMD tier was not compiled in, the CPU lacks the
 //                    ISA, or a test force-disabled it: serve with blocked
 //                    (bit-identical, the fastest scalar tier).
-//   2. static per-op entries — e.g. "narrow-n" (the vectorized axis is
-//                    shorter than one vector register: nothing to win) or
-//                    "no-simd-transpose" (pure data movement; the blocked
-//                    tiles already saturate the load/store ports).
+//   2. static rules — today only "narrow-n" (the vectorized axis is
+//                    shorter than one vector register: nothing to win).
 //   3. "vector"    — the SIMD kernel serves the call.
 //
 // The AVX2 backend never splits an accumulation chain — its vector lanes
@@ -40,19 +38,17 @@ namespace vf::backend {
 /// Ops the factory dispatches. For every op, `n` in `select()` is the
 /// extent of the vectorized axis (independent output lanes): the output
 /// columns for the matmul family and column_sums, the element count for
-/// the elementwise ops, the output columns for transpose.
+/// mul.
 enum class KernelOp : std::uint8_t {
   kMatmul,
   kMatmulTransposeLhs,
   kMatmulTransposeRhs,
-  kTranspose,
-  kAdd,
   kMul,
   kColumnSums,
 };
 
-/// Short op name for logs/benches ("matmul", "tl", "tr", "transpose",
-/// "add", "mul", "column_sums").
+/// Short op name for logs/benches ("matmul", "tl", "tr", "mul",
+/// "column_sums").
 const char* kernel_op_name(KernelOp op);
 
 /// Raw CPU-feature probe (independent of what was compiled in or any
@@ -97,8 +93,8 @@ class BackendFactory {
 
   /// Resolves the tier that will serve `op` at this shape when the
   /// configured kernel mode is kSimd. Shape extents follow the op (see
-  /// KernelOp): gemm ops pass (m, k, n); transpose (rows, cols, cols);
-  /// elementwise (0, 0, count); column_sums (rows, 0, cols).
+  /// KernelOp): gemm ops pass (m, k, n); mul (0, 0, count); column_sums
+  /// (rows, 0, cols).
   Dispatch select(KernelOp op, std::int64_t m, std::int64_t k,
                   std::int64_t n) const;
 

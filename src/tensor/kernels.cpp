@@ -36,22 +36,8 @@ KernelMode mode_from_env() {
                   v + "'");
 }
 
-bool reuse_from_env() {
-  const char* env = std::getenv("VF_WORKSPACE_REUSE");
-  if (env == nullptr) return true;
-  const std::string v(env);
-  if (v == "0") return false;
-  if (v == "1" || v.empty()) return true;
-  env_usage_error("VF_WORKSPACE_REUSE must be '0' or '1', got: '" + v + "'");
-}
-
 std::atomic<KernelMode>& mode_flag() {
   static std::atomic<KernelMode> flag{mode_from_env()};
-  return flag;
-}
-
-std::atomic<bool>& reuse_flag() {
-  static std::atomic<bool> flag{reuse_from_env()};
   return flag;
 }
 
@@ -72,15 +58,8 @@ KernelMode TensorConfig::kernel_mode() {
 void TensorConfig::set_kernel_mode(KernelMode mode) {
   mode_flag().store(mode, std::memory_order_relaxed);
 }
-bool TensorConfig::workspace_reuse() {
-  return reuse_flag().load(std::memory_order_relaxed);
-}
-void TensorConfig::set_workspace_reuse(bool reuse) {
-  reuse_flag().store(reuse, std::memory_order_relaxed);
-}
 void TensorConfig::reload_from_env() {
   mode_flag().store(mode_from_env(), std::memory_order_relaxed);
-  reuse_flag().store(reuse_from_env(), std::memory_order_relaxed);
 }
 
 namespace kernels {
@@ -137,18 +116,8 @@ void matmul_tr_reference(const float* a, const float* b, float* out,
   }
 }
 
-void transpose_reference(const float* in, float* out, std::int64_t rows,
-                         std::int64_t cols) {
-  for (std::int64_t i = 0; i < rows; ++i)
-    for (std::int64_t j = 0; j < cols; ++j) out[j * rows + i] = in[i * cols + j];
-}
-
 // The scalar elementwise/column-sum loops serve BOTH the reference and
 // blocked tiers (there is nothing to tile); only simd differs.
-
-void add_scalar(const float* a, const float* b, float* out, std::int64_t count) {
-  for (std::int64_t i = 0; i < count; ++i) out[i] = a[i] + b[i];
-}
 
 void mul_scalar(const float* a, const float* b, float* out, std::int64_t count) {
   for (std::int64_t i = 0; i < count; ++i) out[i] = a[i] * b[i];
@@ -209,25 +178,6 @@ void matmul_transpose_rhs(const float* a, const float* b, float* out,
     case KernelMode::kReference: break;
   }
   matmul_tr_reference(a, b, out, m, k, n);
-}
-
-void transpose(const float* in, float* out, std::int64_t rows,
-               std::int64_t cols, KernelMode mode) {
-  switch (resolve(backend::KernelOp::kTranspose, rows, cols, cols, mode)) {
-    case KernelMode::kSimd:  // factory never selects it today; keep total
-    case KernelMode::kBlocked: detail::transpose_blocked(in, out, rows, cols); return;
-    case KernelMode::kReference: break;
-  }
-  transpose_reference(in, out, rows, cols);
-}
-
-void add(const float* a, const float* b, float* out, std::int64_t count,
-         KernelMode mode) {
-  if (resolve(backend::KernelOp::kAdd, 0, 0, count, mode) == KernelMode::kSimd) {
-    detail::add_simd(a, b, out, count);
-    return;
-  }
-  add_scalar(a, b, out, count);
 }
 
 void mul(const float* a, const float* b, float* out, std::int64_t count,

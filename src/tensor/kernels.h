@@ -1,4 +1,4 @@
-// Dense-kernel layer: the matmul/transpose/elementwise inner loops behind
+// Dense-kernel layer: the matmul/elementwise/column-sum inner loops behind
 // Tensor.
 //
 // VirtualFlow replays many virtual nodes serially on each physical device,
@@ -53,31 +53,26 @@ enum class KernelMode : std::uint8_t {
 /// Short name for logs/benches: "reference", "blocked", or "simd".
 const char* kernel_mode_name(KernelMode mode);
 
-/// Process-wide tensor-runtime configuration. Defaults come from the
-/// environment on first use and can be overridden programmatically (the
-/// benches A/B all knobs):
+/// Process-wide tensor-runtime configuration. The kernel mode comes from
+/// the environment on first use and can be overridden programmatically
+/// (the benches A/B the tiers):
 ///
 ///   VF_KERNELS=reference|blocked|simd  kernel implementation (default
 ///                                      simd, also when empty: the
 ///                                      backend factory serves blocked
 ///                                      per shape when the CPU or the
 ///                                      shape cannot carry it)
-///   VF_WORKSPACE_REUSE=0|1             workspace buffer reuse (default 1;
-///                                      0 is the allocate-per-use baseline)
 ///
-/// Unknown values are rejected loudly: a one-line diagnosis on stderr and
+/// An unknown value is rejected loudly: a one-line diagnosis on stderr and
 /// exit code 2, the same usage-error policy as the bench flag parser — a
-/// typo must never silently run the default configuration. Neither knob
-/// can change a single bit of any computed result — kernels are
-/// bit-identical by contract and workspaces only recycle storage — so
-/// flipping them mid-run is safe; they trade speed only.
+/// typo must never silently run the default configuration. The mode cannot
+/// change a single bit of any computed result — kernels are bit-identical
+/// by contract — so flipping it mid-run is safe; it trades speed only.
 struct TensorConfig {
   static KernelMode kernel_mode();
   static void set_kernel_mode(KernelMode mode);
-  static bool workspace_reuse();
-  static void set_workspace_reuse(bool reuse);
-  /// Re-reads both knobs from the environment (they are otherwise latched
-  /// on first use). Test hook; applies the same reject-loudly policy.
+  /// Re-reads the mode from the environment (it is otherwise latched on
+  /// first use). Test hook; applies the same reject-loudly policy.
   static void reload_from_env();
 };
 
@@ -89,8 +84,7 @@ namespace kernels {
 //   matmul:               out[m x n]  = a[m x k] @ b[k x n]
 //   matmul_transpose_lhs: out[m x n]  = a[k x m]^T @ b[k x n]
 //   matmul_transpose_rhs: out[m x n]  = a[m x k] @ b[n x k]^T
-//   transpose:            out[c x r]  = in[r x c]^T
-//   add / mul:            out[i]      = a[i] + b[i] / a[i] * b[i]
+//   mul:                  out[i]      = a[i] * b[i]
 //   column_sums:          out[n]      = sum over rows of in[r x n]
 //
 // Each overwrites `out` entirely (no accumulation into prior contents).
@@ -106,15 +100,9 @@ void matmul_transpose_rhs(const float* a, const float* b, float* out,
                           std::int64_t m, std::int64_t k, std::int64_t n,
                           KernelMode mode);
 
-void transpose(const float* in, float* out, std::int64_t rows,
-               std::int64_t cols, KernelMode mode);
-
 // Elementwise / reduction kernels. reference and blocked share one scalar
 // loop (there is nothing to tile); simd vectorizes the independent lanes
 // (elements / columns) and keeps every per-element chain in order.
-
-void add(const float* a, const float* b, float* out, std::int64_t count,
-         KernelMode mode);
 
 void mul(const float* a, const float* b, float* out, std::int64_t count,
          KernelMode mode);

@@ -8,7 +8,7 @@
 //
 // Determinism scheme (the whole trick): a vector lane is always ONE
 // output element, never a slice of one. The j axis — output columns for
-// the matmul family and column_sums, the element index for add/mul — is
+// the matmul family and column_sums, the element index for mul — is
 // the lane axis, because its elements' accumulation chains are mutually
 // independent; the k chain is never split across lanes or reordered, so
 // each out[i, j] is built by the same ascending-k multiply-then-add
@@ -278,14 +278,6 @@ void matmul_tr_simd(const float* a, const float* b, float* out, std::int64_t m,
   matmul_core_avx2(a, scratch.data(), out, m, k, n);
 }
 
-void add_simd(const float* a, const float* b, float* out, std::int64_t count) {
-  std::int64_t i = 0;
-  for (; i + 8 <= count; i += 8)
-    _mm256_storeu_ps(out + i,
-                     _mm256_add_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
-  for (; i < count; ++i) out[i] = a[i] + b[i];
-}
-
 void mul_simd(const float* a, const float* b, float* out, std::int64_t count) {
   std::int64_t i = 0;
   for (; i + 8 <= count; i += 8)
@@ -341,10 +333,6 @@ void matmul_tl_simd(const float* a, const float* b, float* out, std::int64_t m,
 void matmul_tr_simd(const float* a, const float* b, float* out, std::int64_t m,
                     std::int64_t k, std::int64_t n) {
   matmul_tr_blocked(a, b, out, m, k, n);
-}
-
-void add_simd(const float* a, const float* b, float* out, std::int64_t count) {
-  for (std::int64_t i = 0; i < count; ++i) out[i] = a[i] + b[i];
 }
 
 void mul_simd(const float* a, const float* b, float* out, std::int64_t count) {

@@ -20,7 +20,6 @@ void matmul_tl_simd(const float* a, const float* b, float* out, std::int64_t m,
                     std::int64_t k, std::int64_t n);
 void matmul_tr_simd(const float* a, const float* b, float* out, std::int64_t m,
                     std::int64_t k, std::int64_t n);
-void add_simd(const float* a, const float* b, float* out, std::int64_t count);
 void mul_simd(const float* a, const float* b, float* out, std::int64_t count);
 void column_sums_simd(const float* in, float* out, std::int64_t rows,
                       std::int64_t cols);

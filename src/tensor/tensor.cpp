@@ -193,15 +193,6 @@ Tensor Tensor::sub(const Tensor& other) const { return Tensor(*this).sub_(other)
 Tensor Tensor::mul(const Tensor& other) const { return Tensor(*this).mul_(other); }
 Tensor Tensor::scaled(float s) const { return Tensor(*this).scale_(s); }
 
-void Tensor::add_into(const Tensor& other, Tensor& out) const {
-  check_same_shape(*this, other, "add_into");
-  check_no_alias(out, *this, "add_into");
-  check_no_alias(out, other, "add_into");
-  out.ensure_shape(shape_);
-  kernels::add(data_.data(), other.data_.data(), out.data_.data(), size(),
-               TensorConfig::kernel_mode());
-}
-
 void Tensor::mul_into(const Tensor& other, Tensor& out) const {
   check_same_shape(*this, other, "mul_into");
   check_no_alias(out, *this, "mul_into");
@@ -265,17 +256,14 @@ Tensor Tensor::matmul_transpose_rhs(const Tensor& rhs) const {
   return out;
 }
 
-void Tensor::transpose_into(Tensor& out) const {
-  check(rank() == 2, "transpose_into requires a rank-2 tensor");
-  check_no_alias(out, *this, "transpose_into");
-  out.ensure_shape({cols(), rows()});
-  kernels::transpose(data_.data(), out.data_.data(), rows(), cols(),
-                     TensorConfig::kernel_mode());
-}
-
 Tensor Tensor::transposed() const {
-  Tensor out;
-  transpose_into(out);
+  check(rank() == 2, "transposed requires a rank-2 tensor");
+  const std::int64_t r = rows(), c = cols();
+  Tensor out({c, r});
+  const float* in = data_.data();
+  float* o = out.data_.data();
+  for (std::int64_t i = 0; i < r; ++i)
+    for (std::int64_t j = 0; j < c; ++j) o[j * r + i] = in[i * c + j];
   return out;
 }
 
@@ -316,12 +304,6 @@ void Tensor::column_sums_into(Tensor& out) const {
 Tensor Tensor::column_sums() const {
   Tensor out;
   column_sums_into(out);
-  return out;
-}
-
-std::vector<std::int64_t> Tensor::row_argmax() const {
-  std::vector<std::int64_t> out;
-  row_argmax_into(out);
   return out;
 }
 

@@ -5,11 +5,10 @@
 // elementwise/matmul/reduction ops the nn layers need, and nothing more.
 // Determinism comes first — every op is sequential and order-stable so
 // that training trajectories are bit-reproducible — but the hot-path ops
-// (matmul family, transpose, elementwise add/mul, column_sums) dispatch
-// to the kernel layer in tensor/kernels.h, whose blocked and simd tiers
-// are bit-identical to the reference loops by construction (the simd
-// tier resolves per shape through the backend factory in
-// tensor/backend.h).
+// (matmul family, elementwise mul, column_sums) dispatch to the kernel
+// layer in tensor/kernels.h, whose blocked and simd tiers are
+// bit-identical to the reference loops by construction (the simd tier
+// resolves per shape through the backend factory in tensor/backend.h).
 //
 // Allocation discipline: the `_into` variants write into caller-owned
 // tensors via ensure_shape(), which recycles the existing heap buffer
@@ -110,11 +109,10 @@ class Tensor {
   void matmul_into(const Tensor& rhs, Tensor& out) const;
   void matmul_transpose_lhs_into(const Tensor& rhs, Tensor& out) const;
   void matmul_transpose_rhs_into(const Tensor& rhs, Tensor& out) const;
-  void add_into(const Tensor& other, Tensor& out) const;
   void mul_into(const Tensor& other, Tensor& out) const;
-  void transpose_into(Tensor& out) const;
   void column_sums_into(Tensor& out) const;
 
+  /// Rank-2 transpose (a plain loop; no hot path transposes a Tensor).
   Tensor transposed() const;
 
   // ---- Reductions ----
@@ -124,10 +122,10 @@ class Tensor {
   float squared_norm() const;
   /// Per-column sums of a rank-2 tensor -> rank-1 of length cols().
   Tensor column_sums() const;
-  /// Row-wise argmax of a rank-2 tensor -> vector of column indices.
-  std::vector<std::int64_t> row_argmax() const;
-  /// row_argmax writing into a caller-owned vector (capacity reused across
-  /// calls — the serving hot path's per-VN prediction scratch).
+  /// Row-wise argmax of a rank-2 tensor: out[i] is row i's column index
+  /// of its first maximum. Writes into a caller-owned vector (capacity
+  /// reused across calls — the serving hot path's per-VN prediction
+  /// scratch).
   void row_argmax_into(std::vector<std::int64_t>& out) const;
 
   /// Copies `count` rows starting at `start_row` into a new tensor.

@@ -5,7 +5,6 @@
 #include <thread>
 #endif
 
-#include "tensor/kernels.h"
 #include "util/common.h"
 
 namespace vf {
@@ -90,13 +89,6 @@ Tensor& Workspace::acquire(std::int32_t vn, std::int32_t tag) {
 #endif
   Slot& s = vns_[static_cast<std::size_t>(vn)][tag];
   audit(s);
-  if (!TensorConfig::workspace_reuse()) {
-    // Allocate-per-use baseline: drop the buffer so the caller's
-    // ensure_shape pays a fresh heap allocation, like the pre-workspace
-    // code did for every intermediate.
-    s.t = Tensor();
-    s.audited_capacity = 0;
-  }
   return s.t;
 }
 

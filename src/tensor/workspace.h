@@ -16,11 +16,6 @@
 // for *different* VNs; each VN's slot map is an independent object, so
 // that is safe. A single VN is always driven by one worker at a time.)
 //
-// The A/B baseline: when TensorConfig::workspace_reuse() is false (env
-// VF_WORKSPACE_REUSE=0), every acquisition drops the slot's buffer first,
-// faithfully reproducing the allocate-per-intermediate behaviour the
-// workspace replaced — bench_hotpath uses this as the "before" arm.
-//
 // Confinement tripwire (debug builds): the one-worker-per-VN contract
 // above is load-bearing but was previously unchecked — a future caller
 // letting two pool workers drive the same VN would corrupt buffers

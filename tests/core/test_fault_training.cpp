@@ -32,39 +32,6 @@ VirtualFlowEngine make_engine(const ProxyTask& task, const Sequential& model,
                            test_cfg(num_threads));
 }
 
-/// Drives `steps` training steps against an injector-scheduled fault plan:
-/// the virtual clock is the engine's sim time, polled before every step —
-/// exactly how a training driver would consume vf::fault.
-void train_with_faults(VirtualFlowEngine& eng, fault::FaultInjector& inj,
-                       int steps) {
-  for (int i = 0; i < steps; ++i) {
-    for (const fault::FaultEvent& ev : inj.due(eng.sim_time_s())) {
-      switch (ev.kind) {
-        case fault::FaultKind::kKill: {
-          const auto ndev = static_cast<std::int64_t>(eng.devices().size());
-          if (ndev <= 1) {
-            inj.kill_skipped();
-            break;
-          }
-          eng.fail_device(ev.device % ndev);
-          inj.apply_slowdowns(eng);
-          break;
-        }
-        case fault::FaultKind::kStragglerStart:
-        case fault::FaultKind::kStragglerEnd:
-          inj.apply_slowdowns(eng);
-          break;
-        case fault::FaultKind::kCommFault:
-          if (inj.take_comm_fault()) eng.inject_comm_retry();
-          break;
-        case fault::FaultKind::kRecover:
-          break;
-      }
-    }
-    eng.train_step();
-  }
-}
-
 TEST(FaultTraining, InjectedKillIsBitExactAcrossWorkerCounts) {
   ProxyTask task = make_task("qnli-sim", 42);
   Sequential model = make_proxy_model("qnli-sim", 42);
@@ -83,7 +50,7 @@ TEST(FaultTraining, InjectedKillIsBitExactAcrossWorkerCounts) {
     cfg.comm_faults = 1;
     cfg.max_device = 3;
     fault::FaultInjector inj(fault::FaultPlan::chaos(7, cfg));
-    train_with_faults(eng, inj, 12);
+    inj.train_steps(eng, 12);
     params.push_back(eng.parameters());
     sim_times.push_back(eng.sim_time_s());
   }
@@ -109,7 +76,7 @@ TEST(FaultTraining, PostKillTrajectoryMatchesSurvivingSetFromScratch) {
   fault::FaultPlan plan;
   plan.kill(faulted.sim_time_s(), 2);  // dies before the first step
   fault::FaultInjector inj(std::move(plan));
-  train_with_faults(faulted, inj, 10);
+  inj.train_steps(faulted, 10);
   for (int i = 0; i < 10; ++i) survivors.train_step();
 
   EXPECT_EQ(faulted.mapping().num_devices(), 3);

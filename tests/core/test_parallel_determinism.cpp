@@ -140,17 +140,15 @@ TEST(ParallelDeterminism, UnevenMappingBitIdenticalUnderPool) {
   EXPECT_TRUE(serial.parameters().equals(pooled.parameters()));
 }
 
-TEST(ParallelDeterminism, KernelModeAndWorkspacePolicyCannotChangeBits) {
+TEST(ParallelDeterminism, KernelModeAndWorkerCountCannotChangeBits) {
   // The kernel layer's contract composed with the pool's: reference vs
-  // blocked vs simd kernels, buffer reuse vs allocate-per-use, serial vs
-  // pooled — every combination must land on the same bits
-  // (tensor/kernels.h). The simd arms run everywhere: on hosts without
-  // the vector ISA the backend factory serves them with the blocked tier.
+  // blocked vs simd kernels, serial vs pooled — every combination must
+  // land on the same bits (tensor/kernels.h). The simd arms run
+  // everywhere: on hosts without the vector ISA the backend factory
+  // serves them with the blocked tier.
   const KernelMode saved_mode = TensorConfig::kernel_mode();
-  const bool saved_reuse = TensorConfig::workspace_reuse();
 
   TensorConfig::set_kernel_mode(KernelMode::kReference);
-  TensorConfig::set_workspace_reuse(true);
   const RunResult reference = run(8, 4, 0);
 
   TensorConfig::set_kernel_mode(KernelMode::kBlocked);
@@ -162,23 +160,13 @@ TEST(ParallelDeterminism, KernelModeAndWorkspacePolicyCannotChangeBits) {
   const RunResult simd_pooled = run(8, 4, 8);
   const RunResult simd_wide = run(8, 4, 2);
 
-  TensorConfig::set_kernel_mode(KernelMode::kBlocked);
-  TensorConfig::set_workspace_reuse(false);
-  const RunResult blocked_churn = run(8, 4, 2);
-
-  TensorConfig::set_kernel_mode(KernelMode::kSimd);
-  const RunResult simd_churn = run(8, 4, 2);
-
   TensorConfig::set_kernel_mode(saved_mode);
-  TensorConfig::set_workspace_reuse(saved_reuse);
 
   expect_identical(reference, blocked);
   expect_identical(blocked, blocked_pooled);
-  expect_identical(blocked, blocked_churn);
   expect_identical(reference, simd);
   expect_identical(simd, simd_pooled);
   expect_identical(simd, simd_wide);
-  expect_identical(simd, simd_churn);
 }
 
 TEST(ParallelDeterminism, PooledEngineEvaluatesLikeSerial) {

@@ -17,11 +17,7 @@ namespace {
 
 struct ConfigGuard {
   KernelMode mode = TensorConfig::kernel_mode();
-  bool reuse = TensorConfig::workspace_reuse();
-  ~ConfigGuard() {
-    TensorConfig::set_kernel_mode(mode);
-    TensorConfig::set_workspace_reuse(reuse);
-  }
+  ~ConfigGuard() { TensorConfig::set_kernel_mode(mode); }
 };
 
 /// qnli-sim exercises the full layer zoo on the hot path: Dense, BatchNorm
@@ -45,7 +41,6 @@ class ZeroAllocSteadyState : public ::testing::TestWithParam<std::int64_t> {};
 TEST_P(ZeroAllocSteadyState, WarmTrainStepNeverTouchesTheHeap) {
   ConfigGuard guard;
   TensorConfig::set_kernel_mode(KernelMode::kBlocked);
-  TensorConfig::set_workspace_reuse(true);
 
   const std::int64_t workers = GetParam();
   ProxyTask task = make_task("qnli-sim", 42);
@@ -76,7 +71,6 @@ INSTANTIATE_TEST_SUITE_P(SerialAndPooled, ZeroAllocSteadyState,
 TEST(ZeroAllocSteadyState, ResizeRewarmsThenGoesQuietAgain) {
   ConfigGuard guard;
   TensorConfig::set_kernel_mode(KernelMode::kBlocked);
-  TensorConfig::set_workspace_reuse(true);
 
   ProxyTask task = make_task("qnli-sim", 42);
   TrainRecipe recipe = make_recipe("qnli-sim");
@@ -97,7 +91,6 @@ TEST(ZeroAllocSteadyState, ResizeRewarmsThenGoesQuietAgain) {
 TEST(ZeroAllocSteadyState, GrowShrinkGrowCycleEvictsStaleVnSlotsAndRewarms) {
   ConfigGuard guard;
   TensorConfig::set_kernel_mode(KernelMode::kBlocked);
-  TensorConfig::set_workspace_reuse(true);
 
   ProxyTask task = make_task("qnli-sim", 42);
   TrainRecipe recipe = make_recipe("qnli-sim");
@@ -132,23 +125,6 @@ TEST(ZeroAllocSteadyState, GrowShrinkGrowCycleEvictsStaleVnSlotsAndRewarms) {
   for (int i = 0; i < 4; ++i) eng.train_step();
   EXPECT_EQ(tensor_alloc_count() - regrown0, 0)
       << "steady state must return after the grow re-warm";
-}
-
-TEST(ZeroAllocSteadyState, NoReuseBaselineChurnsEveryStep) {
-  ConfigGuard guard;
-  TensorConfig::set_kernel_mode(KernelMode::kReference);
-  TensorConfig::set_workspace_reuse(false);
-
-  ProxyTask task = make_task("qnli-sim", 42);
-  TrainRecipe recipe = make_recipe("qnli-sim");
-  VirtualFlowEngine eng = make_engine(8, 2, 0, task, recipe);
-  for (int i = 0; i < 2; ++i) eng.train_step();
-
-  // The A/B baseline really does allocate per use — the bench's
-  // "before" arm measures what it claims to measure.
-  const std::int64_t tensor0 = tensor_alloc_count();
-  eng.train_step();
-  EXPECT_GT(tensor_alloc_count() - tensor0, 0);
 }
 
 }  // namespace

@@ -46,14 +46,13 @@ TEST(VnState, KeysSortedDeterministically) {
   EXPECT_EQ(s.keys(), (std::vector<std::string>{"a", "b", "c"}));
 }
 
-TEST(VnState, TotalBytesAndClear) {
+TEST(VnState, TotalBytes) {
   VnState s;
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.total_bytes(), 0);
   s.slot("a", {10});
   s.slot("b", {6});
   EXPECT_EQ(s.total_bytes(), 64);  // 16 floats
-  s.clear();
-  EXPECT_TRUE(s.empty());
-  EXPECT_EQ(s.total_bytes(), 0);
 }
 
 }  // namespace

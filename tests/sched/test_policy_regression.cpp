@@ -208,9 +208,9 @@ enum class Policy { kGavel, kWfs, kPriority, kStaticGavel };
 
 /// One mixed run: a Server lease under a burst, an EngineTrainLease and
 /// four analytic jobs arriving mid-round (Gavel rounds are 0.5 s), on
-/// `devices` V100s, reduced to its report digest. With `ask_twice`, the
+/// 12 V100s, reduced to its report digest. With `ask_twice`, the
 /// policy sits behind AskTwice.
-std::uint64_t mixed_run(Policy which, std::int64_t devices, bool ask_twice) {
+std::uint64_t mixed_run(Policy which, bool ask_twice) {
   constexpr std::uint64_t kSeed = 42;
   const TrainRecipe serve_recipe = make_recipe("mrpc-sim");
   ProxyTask serve_task = make_task("mrpc-sim", kSeed);
@@ -261,7 +261,7 @@ std::uint64_t mixed_run(Policy which, std::int64_t devices, bool ask_twice) {
   if (which == Policy::kStaticGavel) inner = &static_gavel;
   AskTwice twice(*inner);
 
-  ClusterController c(v100s(devices), ask_twice ? twice : *inner);
+  ClusterController c(v100s(12), ask_twice ? twice : *inner);
   JobSpec serve_spec;
   serve_spec.id = 0;
   serve_spec.kind = JobKind::kServe;
@@ -289,21 +289,17 @@ std::uint64_t mixed_run(Policy which, std::int64_t devices, bool ask_twice) {
 }
 
 TEST(PolicyRegression, BuiltInPoliciesAreIdempotent) {
-  // Priority keeps every running job at its full demand however far the
-  // serving carve grows, so its cluster holds the serving ceiling (8) and
-  // every training demand (2 + 2 + 4 + 2 + 4) at once.
   const struct {
     const char* name;
     Policy policy;
-    std::int64_t devices;
-  } cases[] = {{"gavel", Policy::kGavel, 12},
-               {"elastic-wfs", Policy::kWfs, 12},
-               {"priority-static", Policy::kPriority, 22},
-               {"static(gavel)", Policy::kStaticGavel, 12}};
+  } cases[] = {{"gavel", Policy::kGavel},
+               {"elastic-wfs", Policy::kWfs},
+               {"priority-static", Policy::kPriority},
+               {"static(gavel)", Policy::kStaticGavel}};
   for (const auto& c : cases) {
     SCOPED_TRACE(c.name);
-    EXPECT_EQ(hex(mixed_run(c.policy, c.devices, /*ask_twice=*/true)),
-              hex(mixed_run(c.policy, c.devices, /*ask_twice=*/false)));
+    EXPECT_EQ(hex(mixed_run(c.policy, /*ask_twice=*/true)),
+              hex(mixed_run(c.policy, /*ask_twice=*/false)));
   }
 }
 

@@ -159,6 +159,25 @@ TEST(PriorityStatic, NoBackfillBehindBlockedHighPriorityJob) {
   EXPECT_GE(res.jobs[2].first_start_s, res.jobs[1].completion_s - 1e-6);
 }
 
+TEST(PriorityStatic, ServingGrowsOnlyIntoDevicesRunningJobsLeaveIdle) {
+  // A training job holds 4 of 6 devices while serving wants 8: the job
+  // keeps its full demand and serving grows from its minimum into the 2
+  // idle devices only, instead of carving the whole pool first and
+  // leaving the running job's demand over-committed.
+  PriorityScheduler prio;
+  JobState train = state_of(job(0, 0.0, 100, 4, 1.0));
+  train.alloc = Allocation::of(DeviceType::kV100, 4);
+  JobSpec serve_spec = job(1, 0.0, 1, 1, 10.0);
+  serve_spec.kind = JobKind::kServe;
+  JobState serve = state_of(serve_spec);
+  serve.live_min_gpus = 1;
+  serve.live_max_gpus = 8;
+  serve.desired_gpus = 8;
+  const auto out = prio.schedule(v100s(6), {&train, &serve}, 0.0);
+  EXPECT_EQ(out.at(0).total(), 4);
+  EXPECT_EQ(out.at(1).total(), 2);
+}
+
 TEST(PriorityStatic, NeverResizes) {
   PriorityScheduler prio;
   auto res = simulate(v100s(4),

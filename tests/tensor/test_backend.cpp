@@ -98,14 +98,9 @@ TEST(BackendFactory, PerShapeIntrospectionNamesTheDecidingRule) {
   EXPECT_EQ(d.tier, KernelMode::kBlocked);
   EXPECT_STREQ(d.rule, "narrow-n");
 
-  // Transpose is pure data movement; the blocked tiles serve it.
-  d = f.select(KernelOp::kTranspose, 64, 64, 64);
-  EXPECT_EQ(d.tier, KernelMode::kBlocked);
-  EXPECT_STREQ(d.rule, "no-simd-transpose");
-
   // Elementwise ops vectorize from one full register up.
-  EXPECT_EQ(f.select(KernelOp::kAdd, 0, 0, 8).tier, KernelMode::kSimd);
-  EXPECT_EQ(f.select(KernelOp::kAdd, 0, 0, 7).tier, KernelMode::kBlocked);
+  EXPECT_EQ(f.select(KernelOp::kMul, 0, 0, 8).tier, KernelMode::kSimd);
+  EXPECT_EQ(f.select(KernelOp::kMul, 0, 0, 7).tier, KernelMode::kBlocked);
   EXPECT_EQ(f.select(KernelOp::kColumnSums, 40, 0, 11).tier, KernelMode::kSimd);
 }
 
@@ -113,8 +108,6 @@ TEST(BackendFactory, KernelOpNamesRoundTrip) {
   EXPECT_STREQ(backend::kernel_op_name(KernelOp::kMatmul), "matmul");
   EXPECT_STREQ(backend::kernel_op_name(KernelOp::kMatmulTransposeLhs), "tl");
   EXPECT_STREQ(backend::kernel_op_name(KernelOp::kMatmulTransposeRhs), "tr");
-  EXPECT_STREQ(backend::kernel_op_name(KernelOp::kTranspose), "transpose");
-  EXPECT_STREQ(backend::kernel_op_name(KernelOp::kAdd), "add");
   EXPECT_STREQ(backend::kernel_op_name(KernelOp::kMul), "mul");
   EXPECT_STREQ(backend::kernel_op_name(KernelOp::kColumnSums), "column_sums");
 }
@@ -184,17 +177,17 @@ TEST(SimdBitIdentity, NegativeZeroSurvivesEveryTier) {
   for (std::int64_t i = 1; i < b.size(); i += 4) b.at(i) = -0.0F;
   expect_matmul_family_bits_equal(a, b, s);
 
-  // Elementwise: a lane is one element; signed-zero sums must match.
+  // Elementwise: a lane is one element; signed-zero products must match.
   Tensor ref, simd;
   Tensor zpos = Tensor::full({4, 8}, 0.0F);
   Tensor zneg = Tensor::full({4, 8}, -0.0F);
   TensorConfig::set_kernel_mode(KernelMode::kReference);
-  zneg.add_into(zneg, ref);
+  zneg.mul_into(zpos, ref);
   TensorConfig::set_kernel_mode(KernelMode::kSimd);
-  zneg.add_into(zneg, simd);
+  zneg.mul_into(zpos, simd);
   TensorConfig::set_kernel_mode(KernelMode::kBlocked);
   EXPECT_TRUE(bits_equal(ref, simd));
-  EXPECT_EQ(std::signbit(simd.at(0)), true);  // (-0) + (-0) = -0
+  EXPECT_EQ(std::signbit(simd.at(0)), true);  // (-0) * (+0) = -0
 }
 
 TEST(SimdBitIdentity, NanAndInfPassThroughIdentically) {
@@ -226,11 +219,6 @@ TEST(SimdBitIdentity, ElementwiseAndColumnSumsMatchAcrossCounts) {
     const Tensor a = Tensor::randn({count}, rng);
     const Tensor b = Tensor::randn({count}, rng);
     Tensor r1({count}), r2({count});
-    kernels::add(a.data().data(), b.data().data(), r1.data().data(), count,
-                 KernelMode::kReference);
-    kernels::add(a.data().data(), b.data().data(), r2.data().data(), count,
-                 KernelMode::kSimd);
-    EXPECT_TRUE(bits_equal(r1, r2)) << "add " << count;
     kernels::mul(a.data().data(), b.data().data(), r1.data().data(), count,
                  KernelMode::kReference);
     kernels::mul(a.data().data(), b.data().data(), r2.data().data(), count,

@@ -1,26 +1,15 @@
-// vf::Workspace: per-VN slot reuse, the allocation audit, the
-// allocate-per-use baseline mode, slot eviction on shrink, and the debug
-// one-worker-per-VN confinement tripwire.
+// vf::Workspace: per-VN slot reuse, the allocation audit, slot eviction
+// on shrink, and the debug one-worker-per-VN confinement tripwire.
 #include <gtest/gtest.h>
 
 #include <exception>
 #include <thread>
 
-#include "tensor/kernels.h"
 #include "tensor/workspace.h"
 #include "util/common.h"
 
 namespace vf {
 namespace {
-
-struct ConfigGuard {
-  KernelMode mode = TensorConfig::kernel_mode();
-  bool reuse = TensorConfig::workspace_reuse();
-  ~ConfigGuard() {
-    TensorConfig::set_kernel_mode(mode);
-    TensorConfig::set_workspace_reuse(reuse);
-  }
-};
 
 TEST(Workspace, SlotsAreStableAndKeyedByVnAndTag) {
   Workspace ws(3);
@@ -48,8 +37,6 @@ TEST(Workspace, OutOfRangeVnThrows) {
 }
 
 TEST(Workspace, AuditCountsGrowthOnceThenGoesQuiet) {
-  ConfigGuard guard;
-  TensorConfig::set_workspace_reuse(true);
   Workspace ws(1);
   EXPECT_EQ(ws.heap_allocs(), 0);
 
@@ -66,23 +53,6 @@ TEST(Workspace, AuditCountsGrowthOnceThenGoesQuiet) {
   EXPECT_EQ(ws.heap_allocs(), 2);
 }
 
-TEST(Workspace, NoReuseModeReallocatesEveryAcquisition) {
-  ConfigGuard guard;
-  TensorConfig::set_workspace_reuse(false);
-  Workspace ws(1);
-  const std::int64_t t0 = tensor_alloc_count();
-  for (int i = 0; i < 5; ++i) ws.acquire(0, 1, {16, 16});
-  // Every acquisition dropped the buffer and re-allocated: 5 tensor heap
-  // allocations, faithfully reproducing the pre-workspace churn.
-  EXPECT_EQ(tensor_alloc_count() - t0, 5);
-
-  TensorConfig::set_workspace_reuse(true);
-  ws.acquire(0, 1, {16, 16});  // warm
-  const std::int64_t t1 = tensor_alloc_count();
-  for (int i = 0; i < 5; ++i) ws.acquire(0, 1, {16, 16});
-  EXPECT_EQ(tensor_alloc_count() - t1, 0);
-}
-
 TEST(Workspace, ClearDropsEverything) {
   Workspace ws(2);
   ws.acquire(1, 3, {8});
@@ -92,8 +62,6 @@ TEST(Workspace, ClearDropsEverything) {
 }
 
 TEST(Workspace, ShrinkEvictsSlotsBeyondTheNewVnCount) {
-  ConfigGuard guard;
-  TensorConfig::set_workspace_reuse(true);
   Workspace ws(4);
   ws.acquire(0, 1, {16, 16}).fill(1.0F);
   ws.acquire(3, 1, {16, 16}).fill(4.0F);

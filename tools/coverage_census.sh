@@ -1,0 +1,148 @@
+#!/usr/bin/env bash
+# Coverage census: which library functions does no program reach?
+#
+# A path that only tests call is a path no user of the repo runs. This
+# script builds the library with gcc's --coverage at -O0 -DNDEBUG twice —
+# the top-level project with tests off (build-census/: every bench and
+# example) and the benchmark project (build-census-bench/: vfbench) — and
+# runs every program:
+#   * every bench with --smoke=1 (bench_microbench with
+#     --benchmark_min_time=0.01, its own flag grammar);
+#   * every example;
+#   * vfbench on all four workloads with --smoke=1, plain and --traced=1.
+# It then merges `gcov -j` output from both trees (python3) and prints
+# every src/ function that ran zero times (`file:line name`), followed by
+# each src/ file's count of never-run lines.
+#
+# Usage: tools/coverage_census.sh
+#   JOBS=<n> sets the build parallelism (default: nproc).
+#   CXX=<g++> picks the compiler (default: c++); gcov must match it.
+# Exit: 0 when every program exits 0, 1 when any program fails (the
+# census is still printed), 2 when the toolchain is not gcc/gcov.
+# vfbench's traced runs gate on host-time shares (|unattributed| <= 5%),
+# so run the census on a quiet host: a concurrent build can fail them.
+set -euo pipefail
+
+die_toolchain() {
+  echo "coverage_census: $1 (the census needs gcc and its gcov with -j)" >&2
+  exit 2
+}
+
+cxx=${CXX:-c++}
+command -v "$cxx" > /dev/null || die_toolchain "no compiler '$cxx'"
+macros=$("$cxx" -dM -E -x c++ /dev/null 2> /dev/null) ||
+  die_toolchain "'$cxx' cannot preprocess"
+grep -q '__GNUC__' <<< "$macros" || die_toolchain "'$cxx' is not gcc"
+if grep -q '__clang__' <<< "$macros"; then die_toolchain "'$cxx' is clang, not gcc"; fi
+command -v gcov > /dev/null || die_toolchain "no gcov on PATH"
+gcov --help 2> /dev/null | grep -q -- '--json-format' ||
+  die_toolchain "gcov lacks --json-format"
+command -v python3 > /dev/null || die_toolchain "no python3 to merge gcov output"
+
+repo=$(cd "$(dirname "$0")/.." && pwd)
+jobs=${JOBS:-$(nproc)}
+top="$repo/build-census"
+bench="$repo/build-census-bench"
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+configure_and_build() {  # <source dir> <build dir> <log> [cmake args...]
+  local src=$1 dir=$2 log=$3
+  shift 3
+  if ! { cmake -S "$src" -B "$dir" -DCMAKE_BUILD_TYPE=Census \
+           -DCMAKE_CXX_COMPILER="$cxx" \
+           -DCMAKE_CXX_FLAGS="-O0 --coverage -DNDEBUG" \
+           -DCMAKE_EXE_LINKER_FLAGS=--coverage "$@" &&
+         cmake --build "$dir" -j "$jobs"; } > "$log" 2>&1; then
+    echo "build failed in $dir; last lines of $log:" >&2
+    tail -n 20 "$log" >&2
+    exit 1
+  fi
+}
+echo "building $top ..."
+configure_and_build "$repo" "$top" "$work/build-top.log" -DVF_BUILD_TESTS=OFF
+echo "building $bench ..."
+configure_and_build "$repo/benchmark" "$bench" "$work/build-bench.log"
+
+# Counters accumulate across runs; start from zero so the census covers
+# exactly this script's programs.
+find "$top" "$bench" -name '*.gcda' -delete
+
+failed=()
+# run <label> <argv...>: runs in a scratch directory so no output file
+# lands in the tree; records a failure instead of stopping.
+run() {
+  local label=$1
+  shift
+  echo "  run $label"
+  if ! (cd "$work/run" && "$@") > "$work/last.out" 2>&1; then
+    failed+=("$label")
+    { grep -B1 -E '"ok": false|NO — BUG' "$work/last.out" || tail -n 5 "$work/last.out"; } |
+      head -n 10 | sed 's/^/    | /' >&2
+  fi
+}
+mkdir "$work/run"
+echo "running benches, examples and vfbench ..."
+for bin in "$top"/bench/bench_*; do
+  [[ -x $bin && -f $bin ]] || continue
+  name=$(basename "$bin")
+  if [[ $name == bench_microbench ]]; then
+    run "$name" "$bin" --benchmark_min_time=0.01
+  else
+    run "$name" "$bin" --smoke=1
+  fi
+done
+for bin in "$top"/examples/example_*; do
+  [[ -x $bin && -f $bin ]] || continue
+  run "$(basename "$bin")" "$bin"
+done
+for workload in train-large-batch train-many-vn serve-stream cluster-960; do
+  for traced in 0 1; do
+    run "vfbench $workload traced=$traced" "$bench/vfbench" --workload="$workload" \
+      --smoke=1 --traced="$traced"
+  done
+done
+
+echo "collecting gcov output ..."
+mkdir "$work/gcov"
+find "$top" "$bench" -name '*.gcno' -print0 |
+  (cd "$work/gcov" && xargs -0 -n 16 gcov -j -m -p > /dev/null 2>&1 || true)
+
+python3 - "$repo/src" "$work/gcov" << 'EOF'
+import collections, glob, gzip, json, os, sys
+
+src = os.path.realpath(sys.argv[1]) + os.sep
+root = os.path.dirname(os.path.dirname(src))
+funcs = collections.defaultdict(int)  # (file, line, name) -> calls
+lines = collections.defaultdict(lambda: collections.defaultdict(int))
+for path in glob.glob(os.path.join(sys.argv[2], "*.gcov.json.gz")):
+    with gzip.open(path, "rt") as f:
+        doc = json.load(f)
+    cwd = doc.get("current_working_directory", "")
+    for rec in doc["files"]:
+        name = os.path.realpath(os.path.join(cwd, rec["file"]))
+        if not name.startswith(src):
+            continue
+        rel = os.path.relpath(name, root)
+        for fn in rec["functions"]:
+            key = (rel, fn["start_line"], fn.get("demangled_name", fn["name"]))
+            funcs[key] += fn["execution_count"]
+        for ln in rec["lines"]:
+            lines[rel][ln["line_number"]] += ln["count"]
+
+print("functions no program ran (file:line name):")
+for (rel, line, name), count in sorted(funcs.items()):
+    if count == 0:
+        print(f"  {rel}:{line} {name}")
+print("never-run lines per file:")
+for rel in sorted(lines):
+    never = sum(1 for c in lines[rel].values() if c == 0)
+    if never:
+        print(f"  {rel}: {never} of {len(lines[rel])}")
+EOF
+
+if ((${#failed[@]})); then
+  echo "FAILED programs (${#failed[@]}): ${failed[*]}" >&2
+  exit 1
+fi
+echo "every program exited 0"
