@@ -39,9 +39,4 @@ Tensor weighted_sum(const std::vector<const Tensor*>& bufs,
   return out;
 }
 
-Tensor average(const std::vector<const Tensor*>& bufs) {
-  const std::vector<double> w(bufs.size(), 1.0 / static_cast<double>(bufs.size()));
-  return weighted_sum(bufs, w);
-}
-
 }  // namespace vf

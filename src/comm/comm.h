@@ -50,7 +50,4 @@ double send_time_s(double bytes, const LinkSpec& link);
 Tensor weighted_sum(const std::vector<const Tensor*>& bufs,
                     const std::vector<double>& weights);
 
-/// Convenience: uniform average in ascending index order.
-Tensor average(const std::vector<const Tensor*>& bufs);
-
 }  // namespace vf

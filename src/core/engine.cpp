@@ -538,8 +538,7 @@ InferStats VirtualFlowEngine::infer(const std::vector<InferSlice>& slices) {
       // Decode slices price against the memory-bandwidth floor (full
       // parameter read per token step); everything else is the standard
       // forward pass. The device barrier below sums the same per-slice
-      // pass times, so for non-decode batches it equals the old
-      // device_infer_time_s(batches) bit-for-bit.
+      // pass times.
       c.pass_s = slices[i].decode
                      ? decode_pass_time_s(spec, profile_, slices[i].features.rows())
                      : infer_pass_time_s(spec, profile_, slices[i].features.rows());

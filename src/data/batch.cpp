@@ -33,32 +33,12 @@ void EpochBatcher::indices_into(std::int64_t epoch, std::int64_t batch_in_epoch,
     out[static_cast<std::size_t>(k)] = perm_[static_cast<std::size_t>(base + k)];
 }
 
-std::vector<std::int64_t> EpochBatcher::indices(std::int64_t epoch,
-                                                std::int64_t batch_in_epoch,
-                                                const std::vector<BatchSlice>& slices,
-                                                std::int64_t vn) {
-  std::vector<std::int64_t> out;
-  indices_into(epoch, batch_in_epoch, slices, vn, out);
-  return out;
-}
-
 void EpochBatcher::micro_batch_into(std::int64_t epoch, std::int64_t batch_in_epoch,
                                     const std::vector<BatchSlice>& slices,
                                     std::int64_t vn, MicroBatch& mb,
                                     std::vector<std::int64_t>& idx_scratch) {
   indices_into(epoch, batch_in_epoch, slices, vn, idx_scratch);
   dataset_.gather(idx_scratch, mb.features, mb.labels);
-}
-
-MicroBatch EpochBatcher::micro_batch(std::int64_t epoch, std::int64_t batch_in_epoch,
-                                     const std::vector<BatchSlice>& slices,
-                                     std::int64_t vn) {
-  // The by-value form still materializes straight into the returned
-  // buffers (reserve happens inside gather; the return is a move).
-  MicroBatch mb;
-  std::vector<std::int64_t> idx;
-  micro_batch_into(epoch, batch_in_epoch, slices, vn, mb, idx);
-  return mb;
 }
 
 void gather_micro_batch_into(const Dataset& dataset,

@@ -31,32 +31,26 @@ class EpochBatcher {
   std::int64_t batches_per_epoch() const { return n_batches_; }
   std::int64_t global_batch() const { return global_batch_; }
 
-  /// Dataset indices for VN `vn` of global batch `batch_in_epoch` in
-  /// `epoch`, given the current slice layout.
-  std::vector<std::int64_t> indices(std::int64_t epoch, std::int64_t batch_in_epoch,
-                                    const std::vector<BatchSlice>& slices,
-                                    std::int64_t vn);
-
-  /// indices() into a reusable caller-owned vector (hot-path form).
+  /// Writes the dataset indices for VN `vn` of global batch
+  /// `batch_in_epoch` in `epoch`, given the current slice layout, into
+  /// `out` (resized in place, so a reused vector does not reallocate).
   void indices_into(std::int64_t epoch, std::int64_t batch_in_epoch,
                     const std::vector<BatchSlice>& slices, std::int64_t vn,
                     std::vector<std::int64_t>& out);
 
-  /// Materialized micro-batch for VN `vn`.
-  MicroBatch micro_batch(std::int64_t epoch, std::int64_t batch_in_epoch,
-                         const std::vector<BatchSlice>& slices, std::int64_t vn);
-
-  /// micro_batch() into reusable caller-owned buffers: `mb`'s feature
-  /// matrix and label vector are reshaped in place and `idx_scratch`
-  /// holds the index list — the engine keeps one (mb, scratch) pair per
-  /// VN, making steady-state batch materialization allocation-free.
+  /// Materializes VN `vn`'s micro-batch into reusable caller-owned
+  /// buffers: `mb`'s feature matrix and label vector are reshaped in
+  /// place and `idx_scratch` holds the index list — the engine keeps one
+  /// (mb, scratch) pair per VN, making steady-state batch materialization
+  /// allocation-free.
   void micro_batch_into(std::int64_t epoch, std::int64_t batch_in_epoch,
                         const std::vector<BatchSlice>& slices, std::int64_t vn,
                         MicroBatch& mb, std::vector<std::int64_t>& idx_scratch);
 
   /// Warms the epoch-permutation cache. Call once before pulling this
-  /// epoch's micro-batches from multiple threads: afterwards indices()/
-  /// micro_batch() for that epoch only read shared state.
+  /// epoch's micro-batches from multiple threads: afterwards
+  /// indices_into()/micro_batch_into() for that epoch only read shared
+  /// state.
   void prepare_epoch(std::int64_t epoch) { ensure_epoch(epoch); }
 
   const Dataset& dataset() const { return dataset_; }

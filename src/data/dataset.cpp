@@ -183,23 +183,4 @@ std::int64_t TeacherDataset::generate_into(std::int64_t i, std::span<float> out)
   return label;
 }
 
-// --------------------------------------------------------- SpiralsDataset
-
-SpiralsDataset::SpiralsDataset(std::string name, std::uint64_t seed, std::int64_t n,
-                               float noise)
-    : SyntheticDataset(std::move(name), seed, n, /*dim=*/2, /*classes=*/2), noise_(noise) {
-  check(noise >= 0.0F, "noise must be non-negative");
-}
-
-std::int64_t SpiralsDataset::generate_into(std::int64_t i, std::span<float> out) const {
-  CounterRng rng(seed(), 0x59124ULL + static_cast<std::uint64_t>(i));
-  const auto label = static_cast<std::int64_t>(i % 2);
-  const float t = 0.25F + 3.5F * static_cast<float>(rng.next_double());  // angle parameter
-  const float r = t / 4.0F;
-  const float phase = label == 0 ? 0.0F : 3.14159265F;
-  out[0] = r * std::cos(t * 3.0F + phase) + noise_ * rng.normal();
-  out[1] = r * std::sin(t * 3.0F + phase) + noise_ * rng.normal();
-  return label;
-}
-
 }  // namespace vf

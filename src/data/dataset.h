@@ -156,17 +156,4 @@ class TeacherDataset : public SyntheticDataset {
   std::vector<float> w1_, w2_;
 };
 
-/// Two-interleaved-spirals binary task; small and hard enough that batch
-/// size visibly changes the convergence trajectory (used by the batch-size
-/// exploration experiments, Fig 9).
-class SpiralsDataset : public SyntheticDataset {
- public:
-  SpiralsDataset(std::string name, std::uint64_t seed, std::int64_t n, float noise);
-
- private:
-  std::int64_t generate_into(std::int64_t i, std::span<float> out) const override;
-
-  float noise_;
-};
-
 }  // namespace vf

@@ -70,14 +70,6 @@ double decode_pass_time_s(const DeviceSpec& spec, const ModelProfile& model,
   return spec.kernel_launch_s + std::max(compute_s, memory_s);
 }
 
-double device_infer_time_s(const DeviceSpec& spec, const ModelProfile& model,
-                           const std::vector<std::int64_t>& vn_batches) {
-  check(!vn_batches.empty(), "device must run at least one virtual node");
-  double t = 0.0;
-  for (auto b : vn_batches) t += infer_pass_time_s(spec, model, b);
-  return t + spec.step_fixed_s;
-}
-
 double slice_infer_time_s(const DeviceSpec& spec, const ModelProfile& model,
                           std::int64_t batch) {
   return infer_pass_time_s(spec, model, batch) + spec.step_fixed_s;

@@ -48,12 +48,6 @@ double device_throughput(const DeviceSpec& spec, const ModelProfile& model,
 double infer_pass_time_s(const DeviceSpec& spec, const ModelProfile& model,
                          std::int64_t batch);
 
-/// Full forward-only time for one device running its VN batches
-/// sequentially. No parameter update is charged (inference never updates);
-/// the per-step framework overhead is charged once per formed batch.
-double device_infer_time_s(const DeviceSpec& spec, const ModelProfile& model,
-                           const std::vector<std::int64_t>& vn_batches);
-
 /// Forward time of one autoregressive DECODE pass over `batch` in-flight
 /// token streams: each stream contributes one token of compute, but the
 /// pass still reads the FULL parameter set from device memory. That full
@@ -71,15 +65,17 @@ double decode_pass_time_s(const DeviceSpec& spec, const ModelProfile& model,
 
 /// Forward-only time of ONE independently dispatched slice onto an IDLE
 /// device: the cold-dispatch price of continuous batching's scheduling
-/// unit (src/serve/). Unlike device_infer_time_s, which amortizes the
-/// per-dispatch framework overhead across every VN of a co-scheduled
-/// batch, a cold continuously batched slice pays the full overhead.
+/// unit (src/serve/). Unlike the device barrier of
+/// VirtualFlowEngine::infer(), which charges the per-dispatch framework
+/// overhead once per device for all the VN slices it co-schedules there,
+/// a cold continuously batched slice pays the full overhead.
 /// A warm dispatch — the slice pipelines behind a pass already running on
 /// its device — amortizes the overhead away and costs just
 /// infer_pass_time_s; the serving scheduler picks the price from the
-/// device's virtual-clock state. Invariant:
-///   device_infer_time_s(batches) <= Σ_b slice_infer_time_s(b)
-/// with equality only for single-slice batches.
+/// device's virtual-clock state. Invariant, for slices b co-scheduled on
+/// one device by one infer() call:
+///   Σ_b infer_pass_time_s(b) + step_fixed_s <= Σ_b slice_infer_time_s(b)
+/// with equality only for a single slice.
 double slice_infer_time_s(const DeviceSpec& spec, const ModelProfile& model,
                           std::int64_t batch);
 

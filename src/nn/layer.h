@@ -9,7 +9,7 @@
 // into a caller-owned tensor, which the engine draws from a per-VN
 // Workspace so a warmed-up training step performs zero tensor heap
 // allocations. The by-value forward()/backward() are thin convenience
-// wrappers used by tests and examples.
+// wrappers that only tests call.
 #pragma once
 
 #include <cstdint>
@@ -82,19 +82,15 @@ class Layer {
   std::int64_t param_count() const;
 
   /// Set by Sequential when the layer is added; gives stateful/random
-  /// layers a stable identity within the model. Composite layers override
-  /// this to re-key their children into a disjoint index range.
+  /// layers a stable identity within the model. Sequential overrides this
+  /// to re-key its children into a disjoint index range.
   virtual void set_layer_index(std::int32_t idx) { layer_index_ = idx; }
   std::int32_t layer_index() const { return layer_index_; }
 
  protected:
   /// Workspace tag for this layer's scratch slot `purpose` (0..3). Tag
   /// ranges are disjoint because layer indices are unique across a model
-  /// tree — with ONE exception: a composite wrapper shares its index with
-  /// the subtree it wraps (ResidualBlock and its inner Sequential), so
-  /// wrappers must not use ws tags of their own. Re-keying them apart is
-  /// not an option: layer_index feeds dropout streams and batch-norm
-  /// state keys, so it is frozen by the bit-compatibility contract.
+  /// tree.
   std::int32_t ws_tag(std::int32_t purpose) const { return (layer_index_ + 1) * 4 + purpose; }
 
   std::int32_t layer_index_ = -1;

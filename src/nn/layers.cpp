@@ -101,29 +101,6 @@ void Relu::backward_into(const Tensor& grad_out, Tensor& grad_in) {
   }
 }
 
-// ----------------------------------------------------------------- Tanh
-
-void Tanh::forward_into(const Tensor& x, Tensor& y, const ExecContext& ctx) {
-  check(&y != &x, "Tanh: y must not alias x");
-  y.ensure_shape(x.shape());
-  const float* in = x.data().data();
-  float* out = y.data().data();
-  const std::size_t n = x.data().size();
-  for (std::size_t i = 0; i < n; ++i) out[i] = std::tanh(in[i]);
-  if (ctx.training) cached_output_ = y;
-}
-
-void Tanh::backward_into(const Tensor& grad_out, Tensor& grad_in) {
-  check(!cached_output_.empty(), "Tanh::backward before forward");
-  check(&grad_in != &grad_out, "Tanh: grad_in must not alias grad_out");
-  grad_in.ensure_shape(grad_out.shape());
-  const float* out = cached_output_.data().data();
-  const float* g = grad_out.data().data();
-  float* gx = grad_in.data().data();
-  const std::size_t n = grad_out.data().size();
-  for (std::size_t i = 0; i < n; ++i) gx[i] = g[i] * (1.0F - out[i] * out[i]);
-}
-
 // -------------------------------------------------------------- Dropout
 
 Dropout::Dropout(float rate) : rate_(rate) {
@@ -246,10 +223,16 @@ void BatchNorm1d::forward_into(const Tensor& x, Tensor& y, const ExecContext& ct
   }
 
   y.ensure_shape({n, d});
-  cached_inv_std_.assign(static_cast<std::size_t>(d), 0.0F);
-  for (std::int64_t j = 0; j < d; ++j)
-    cached_inv_std_[static_cast<std::size_t>(j)] = 1.0F / std::sqrt(var[j] + eps_);
-  const float* inv_std = cached_inv_std_.data();
+  // Only a training forward writes backward's cache. An eval forward
+  // overwrites its own variances in place (dead after this), so an eval
+  // pass between a training forward and its backward leaves the cache as
+  // that backward expects it.
+  float* inv_std = var;
+  if (ctx.training) {
+    cached_inv_std_.assign(static_cast<std::size_t>(d), 0.0F);
+    inv_std = cached_inv_std_.data();
+  }
+  for (std::int64_t j = 0; j < d; ++j) inv_std[j] = 1.0F / std::sqrt(var[j] + eps_);
   if (ctx.training) cached_xhat_.ensure_shape({n, d});
   const float* gp = gamma_.data().data();
   const float* bp = beta_.data().data();
@@ -307,83 +290,6 @@ void BatchNorm1d::backward_into(const Tensor& grad_out, Tensor& grad_in) {
     for (std::int64_t j = 0; j < d; ++j) {
       gx[j] = gp[j] * inv_std[j] *
               (gr[j] - inv_n * sum_g[j] - xr[j] * inv_n * sum_gx[j]);
-    }
-  }
-}
-
-// ------------------------------------------------------------ LayerNorm
-
-LayerNorm::LayerNorm(std::int64_t dim, float eps)
-    : eps_(eps),
-      gamma_(Tensor({dim})),
-      beta_(Tensor({dim})),
-      dgamma_(Tensor({dim})),
-      dbeta_(Tensor({dim})) {
-  check(dim > 0, "LayerNorm dim must be positive");
-  gamma_.fill(1.0F);
-}
-
-void LayerNorm::forward_into(const Tensor& x, Tensor& y, const ExecContext& ctx) {
-  check(&y != &x, "LayerNorm: y must not alias x");
-  const std::int64_t n = x.rows(), d = x.cols();
-  check(d == dim(), "LayerNorm: feature dim mismatch");
-  y.ensure_shape({n, d});
-  if (ctx.training) {
-    cached_xhat_.ensure_shape({n, d});
-    cached_inv_std_.assign(static_cast<std::size_t>(n), 0.0F);
-  }
-  const float* gp = gamma_.data().data();
-  const float* bp = beta_.data().data();
-  const float* p = x.data().data();
-  float* yp = y.data().data();
-  float* xh = ctx.training ? cached_xhat_.data().data() : nullptr;
-  for (std::int64_t i = 0; i < n; ++i, p += d, yp += d) {
-    float mean = 0.0F;
-    for (std::int64_t j = 0; j < d; ++j) mean += p[j];
-    mean /= static_cast<float>(d);
-    float var = 0.0F;
-    for (std::int64_t j = 0; j < d; ++j) {
-      const float c = p[j] - mean;
-      var += c * c;
-    }
-    var /= static_cast<float>(d);
-    const float inv_std = 1.0F / std::sqrt(var + eps_);
-    if (ctx.training) cached_inv_std_[static_cast<std::size_t>(i)] = inv_std;
-    for (std::int64_t j = 0; j < d; ++j) {
-      const float xhat = (p[j] - mean) * inv_std;
-      if (xh != nullptr) xh[i * d + j] = xhat;
-      yp[j] = gp[j] * xhat + bp[j];
-    }
-  }
-}
-
-void LayerNorm::backward_into(const Tensor& grad_out, Tensor& grad_in) {
-  check(!cached_xhat_.empty(), "LayerNorm::backward before training forward");
-  const std::int64_t n = grad_out.rows(), d = grad_out.cols();
-  check_same_shape(grad_out, cached_xhat_, "LayerNorm::backward");
-  check(&grad_in != &grad_out, "LayerNorm: grad_in must not alias grad_out");
-
-  grad_in.ensure_shape({n, d});
-  const float inv_d = 1.0F / static_cast<float>(d);
-  const float* gp = gamma_.data().data();
-  float* dgp = dgamma_.data().data();
-  float* dbp = dbeta_.data().data();
-  const float* gr = grad_out.data().data();
-  const float* xr = cached_xhat_.data().data();
-  float* gx = grad_in.data().data();
-  for (std::int64_t i = 0; i < n; ++i, gr += d, xr += d, gx += d) {
-    float sum_g = 0.0F, sum_gx = 0.0F;
-    for (std::int64_t j = 0; j < d; ++j) {
-      const float gy = gr[j] * gp[j];
-      sum_g += gy;
-      sum_gx += gy * xr[j];
-    }
-    const float inv_std = cached_inv_std_[static_cast<std::size_t>(i)];
-    for (std::int64_t j = 0; j < d; ++j) {
-      const float gy = gr[j] * gp[j];
-      gx[j] = inv_std * (gy - inv_d * sum_g - xr[j] * inv_d * sum_gx);
-      dgp[j] += gr[j] * xr[j];
-      dbp[j] += gr[j];
     }
   }
 }

@@ -1,4 +1,4 @@
-// Concrete layers: Dense, ReLU, Tanh, Dropout, BatchNorm1d, LayerNorm.
+// Concrete layers: Dense, ReLU, Dropout, BatchNorm1d.
 #pragma once
 
 #include <cstdint>
@@ -47,18 +47,6 @@ class Relu : public Layer {
 
  private:
   Tensor cached_input_;
-};
-
-/// Hyperbolic tangent activation.
-class Tanh : public Layer {
- public:
-  void forward_into(const Tensor& x, Tensor& y, const ExecContext& ctx) override;
-  void backward_into(const Tensor& grad_out, Tensor& grad_in) override;
-  std::unique_ptr<Layer> clone() const override { return std::make_unique<Tanh>(*this); }
-  std::string name() const override { return "tanh"; }
-
- private:
-  Tensor cached_output_;
 };
 
 /// Inverted dropout. The mask for a given (step, vn_id) pair is a pure
@@ -115,33 +103,6 @@ class BatchNorm1d : public Layer {
   Tensor cached_xhat_;
   std::vector<float> cached_inv_std_;
   std::vector<float> mean_scratch_, var_scratch_;
-};
-
-/// Layer normalization over the feature dimension (per example).
-///
-/// Unlike batch normalization, layer norm has no dependence on the batch
-/// composition and no moving statistics — a transformer-style model built
-/// on LayerNorm is mapping-invariant even under uneven heterogeneous
-/// splits, without the per-VN-state machinery BN needs.
-class LayerNorm : public Layer {
- public:
-  explicit LayerNorm(std::int64_t dim, float eps = 1e-5F);
-
-  void forward_into(const Tensor& x, Tensor& y, const ExecContext& ctx) override;
-  void backward_into(const Tensor& grad_out, Tensor& grad_in) override;
-  std::vector<Tensor*> params() override { return {&gamma_, &beta_}; }
-  std::vector<const Tensor*> params() const override { return {&gamma_, &beta_}; }
-  std::vector<Tensor*> grads() override { return {&dgamma_, &dbeta_}; }
-  std::unique_ptr<Layer> clone() const override { return std::make_unique<LayerNorm>(*this); }
-  std::string name() const override { return "layer_norm"; }
-
-  std::int64_t dim() const { return gamma_.size(); }
-
- private:
-  float eps_;
-  Tensor gamma_, beta_, dgamma_, dbeta_;
-  Tensor cached_xhat_;
-  std::vector<float> cached_inv_std_;
 };
 
 }  // namespace vf

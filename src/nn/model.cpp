@@ -13,7 +13,6 @@ Sequential& Sequential::operator=(const Sequential& other) {
   layers_.clear();
   layers_.reserve(other.layers_.size());
   for (const auto& l : other.layers_) layers_.push_back(l->clone());
-  next_index_ = other.next_index_;
   layer_index_ = other.layer_index_;
   return *this;
 }
@@ -138,12 +137,6 @@ void Sequential::unflatten_params(const Tensor& flat) {
   check(off == flat.size(), "unflatten_params: flat tensor size mismatch");
 }
 
-Tensor Sequential::flatten_grads() const {
-  Tensor flat;
-  flatten_grads_into(flat);
-  return flat;
-}
-
 void Sequential::flatten_grads_into(Tensor& flat) const {
   auto* self = const_cast<Sequential*>(this);
   const auto grads = self->grads();
@@ -174,30 +167,6 @@ std::string Sequential::describe() const {
     s += layers_[i]->name();
   }
   return s;
-}
-
-// -------------------------------------------------------- ResidualBlock
-
-ResidualBlock::ResidualBlock(Sequential inner) : inner_(std::move(inner)) {}
-
-void ResidualBlock::set_layer_index(std::int32_t idx) {
-  layer_index_ = idx;
-  inner_.set_layer_index(idx);
-}
-
-void ResidualBlock::forward_into(const Tensor& x, Tensor& y, const ExecContext& ctx) {
-  inner_.forward_into(x, y, ctx);
-  check_same_shape(x, y, "ResidualBlock (inner must preserve shape)");
-  y.add_(x);
-}
-
-void ResidualBlock::backward_into(const Tensor& grad_out, Tensor& grad_in) {
-  inner_.backward_into(grad_out, grad_in);
-  grad_in.add_(grad_out);
-}
-
-std::unique_ptr<Layer> ResidualBlock::clone() const {
-  return std::make_unique<ResidualBlock>(*this);
 }
 
 }  // namespace vf

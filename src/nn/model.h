@@ -1,4 +1,4 @@
-// Sequential model container, residual blocks, and parameter flattening.
+// Sequential model container and parameter flattening.
 #pragma once
 
 #include <cstdint>
@@ -48,13 +48,13 @@ class Sequential : public Layer {
   Tensor flatten_params() const;
   /// Loads parameters back from a flat vector produced by flatten_params().
   void unflatten_params(const Tensor& flat);
-  /// Same for accumulated gradients. The `_into` form reuses `flat`'s
-  /// buffer (the engine's per-VN gradient-sum slots).
-  Tensor flatten_grads() const;
+  /// Copies accumulated gradients into `flat`, reshaped in place so its
+  /// buffer is reused (the engine's per-VN gradient-sum slots).
   void flatten_grads_into(Tensor& flat) const;
+  /// Loads gradients back from a flat vector in flatten_grads_into() order.
   void load_grads(const Tensor& flat);
 
-  /// Structural description, e.g. "dense(64x128)-relu-bn-dense(128x16)".
+  /// Structural description: layer names in order, e.g. "dense-relu-dense".
   std::string describe() const;
 
  private:
@@ -64,31 +64,12 @@ class Sequential : public Layer {
   Tensor& pass_buf(Workspace* ws, std::int32_t vn, std::int32_t which);
 
   std::vector<std::unique_ptr<Layer>> layers_;
-  std::int32_t next_index_ = 0;
   // Workspace stash from the last forward (backward_into has no ctx).
   Workspace* bw_ws_ = nullptr;
   std::int32_t bw_vn_ = 0;
   // Fallback scratch for ws-less callers (tests, examples). Not copied by
   // the copy operations — scratch contents are never meaningful.
   Tensor scratch_[4];
-};
-
-/// Residual wrapper: y = x + inner(x). Input and output dims must agree.
-class ResidualBlock : public Layer {
- public:
-  explicit ResidualBlock(Sequential inner);
-
-  void forward_into(const Tensor& x, Tensor& y, const ExecContext& ctx) override;
-  void backward_into(const Tensor& grad_out, Tensor& grad_in) override;
-  std::vector<Tensor*> params() override { return inner_.params(); }
-  std::vector<const Tensor*> params() const override { return inner_.params(); }
-  std::vector<Tensor*> grads() override { return inner_.grads(); }
-  std::unique_ptr<Layer> clone() const override;
-  std::string name() const override { return "residual"; }
-  void set_layer_index(std::int32_t idx) override;
-
- private:
-  Sequential inner_;
 };
 
 }  // namespace vf

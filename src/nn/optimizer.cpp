@@ -63,57 +63,6 @@ void Sgd::apply(Sequential& model, float lr) {
   }
 }
 
-// ----------------------------------------------------------------- Lamb
-
-Lamb::Lamb(float beta1, float beta2, float eps, float weight_decay)
-    : beta1_(beta1), beta2_(beta2), eps_(eps), weight_decay_(weight_decay) {
-  check(beta1 > 0.0F && beta1 < 1.0F, "beta1 must be in (0, 1)");
-  check(beta2 > 0.0F && beta2 < 1.0F, "beta2 must be in (0, 1)");
-  check(weight_decay >= 0.0F, "weight decay must be non-negative");
-}
-
-void Lamb::apply(Sequential& model, float lr) {
-  const auto params = model.params();
-  const auto grads = model.grads();
-  check(params.size() == grads.size(), "params/grads mismatch");
-
-  ensure_slots(model, 2);  // first half: m, second half: v
-  ++t_;
-  const float bc1 = 1.0F - std::pow(beta1_, static_cast<float>(t_));
-  const float bc2 = 1.0F - std::pow(beta2_, static_cast<float>(t_));
-
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    float* p = params[i]->data().data();
-    const float* g = grads[i]->data().data();
-    float* m = slots_[i].data().data();
-    float* v = slots_[params.size() + i].data().data();
-    const std::int64_t n = params[i]->size();
-
-    // Adam moments, then the LAMB per-tensor trust ratio: scale the update
-    // so its norm is proportional to the parameter norm.
-    double w_norm2 = 0.0, u_norm2 = 0.0;
-    update_.resize(static_cast<std::size_t>(n));
-    float* update = update_.data();
-    for (std::int64_t k = 0; k < n; ++k) {
-      m[k] = beta1_ * m[k] + (1.0F - beta1_) * g[k];
-      v[k] = beta2_ * v[k] + (1.0F - beta2_) * g[k] * g[k];
-      const float mhat = m[k] / bc1;
-      const float vhat = v[k] / bc2;
-      const float u = mhat / (std::sqrt(vhat) + eps_) + weight_decay_ * p[k];
-      update[k] = u;
-      w_norm2 += static_cast<double>(p[k]) * p[k];
-      u_norm2 += static_cast<double>(u) * u;
-    }
-    const double w_norm = std::sqrt(w_norm2);
-    const double u_norm = std::sqrt(u_norm2);
-    // Trust ratio: ||w|| / ||u||, defaulting to 1 for zero norms.
-    const float trust = (w_norm > 0.0 && u_norm > 0.0)
-                            ? static_cast<float>(w_norm / u_norm)
-                            : 1.0F;
-    for (std::int64_t k = 0; k < n; ++k) p[k] -= lr * trust * update[k];
-  }
-}
-
 // ----------------------------------------------------------------- Adam
 
 Adam::Adam(float beta1, float beta2, float eps, float weight_decay)

@@ -62,29 +62,6 @@ class Sgd : public Optimizer {
   float momentum_, weight_decay_;
 };
 
-/// LAMB (You et al.) — layer-wise adaptive rates on top of Adam moments.
-/// This is the optimizer the paper's large-batch BERT references [57] use;
-/// its per-layer trust-ratio computation is also why transformer parameter
-/// updates are expensive (the Fig 17 throughput lever).
-class Lamb : public Optimizer {
- public:
-  explicit Lamb(float beta1 = 0.9F, float beta2 = 0.999F, float eps = 1e-6F,
-                float weight_decay = 0.01F);
-
-  void apply(Sequential& model, float lr) override;
-  std::unique_ptr<Optimizer> clone() const override { return std::make_unique<Lamb>(*this); }
-  std::string name() const override { return "lamb"; }
-  std::int64_t counter() const override { return t_; }
-  void set_counter(std::int64_t value) override { t_ = value; }
-
- private:
-  float beta1_, beta2_, eps_, weight_decay_;
-  std::int64_t t_ = 0;
-  /// Per-apply update scratch, reused across steps (hot-path allocation
-  /// discipline; the trust ratio needs the whole update before scaling).
-  std::vector<float> update_;
-};
-
 /// Adam (Kingma & Ba) with bias correction.
 class Adam : public Optimizer {
  public:

@@ -153,9 +153,4 @@ void TokenStreamer::mark_retry(std::int32_t vn) {
   ++seq_[static_cast<std::size_t>(vn)].request.retries;
 }
 
-bool TokenStreamer::active(std::int32_t vn) const {
-  check_index(vn, static_cast<std::int64_t>(seq_.size()), "virtual-node slot");
-  return live_[static_cast<std::size_t>(vn)] != 0;
-}
-
 }  // namespace vf::serve

@@ -116,9 +116,6 @@ class TokenStreamer {
   /// decode chain whose in-flight slice was evicted.
   void mark_retry(std::int32_t vn);
 
-  /// Whether slot `vn` currently hosts a live (un-paused) stream.
-  bool active(std::int32_t vn) const;
-
  private:
   /// Deterministic feature schedule of the next decode step: a fixed hash
   /// of (request payload, position, last sampled token) into the request

@@ -92,23 +92,10 @@ Tensor& Workspace::acquire(std::int32_t vn, std::int32_t tag) {
   return s.t;
 }
 
-Tensor& Workspace::acquire(std::int32_t vn, std::int32_t tag,
-                           std::initializer_list<std::int64_t> shape) {
-  Tensor& t = acquire(vn, tag);
-  t.ensure_shape(shape);
-  return t;
-}
-
 std::int64_t Workspace::heap_allocs() const {
   for (const auto& slots : vns_)
     for (const auto& kv : slots) audit(kv.second);
   return allocs_;
-}
-
-void Workspace::clear() {
-  vns_.clear();
-  owners_.clear();
-  allocs_ = 0;
 }
 
 }  // namespace vf

@@ -87,18 +87,11 @@ class Workspace {
   /// the previous acquisition are stale, never meaningful.
   Tensor& acquire(std::int32_t vn, std::int32_t tag);
 
-  /// acquire() + ensure_shape in one call, for fixed-shape scratch.
-  Tensor& acquire(std::int32_t vn, std::int32_t tag,
-                  std::initializer_list<std::int64_t> shape);
-
   /// Heap-buffer allocations observed across this workspace's slots so
   /// far (audited by capacity changes at acquisition time and on this
   /// call). After warm-up this must stop moving — the zero-allocation
   /// steady-state test asserts exactly that.
   std::int64_t heap_allocs() const;
-
-  /// Drops every slot (buffers included).
-  void clear();
 
  private:
   struct Slot {

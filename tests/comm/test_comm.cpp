@@ -92,13 +92,6 @@ TEST(WeightedSum, DeterministicOrder) {
   EXPECT_TRUE(r1.equals(r2));
 }
 
-TEST(Average, UniformWeights) {
-  Tensor a = Tensor::full({2}, 1.0F);
-  Tensor b = Tensor::full({2}, 3.0F);
-  Tensor avg = average({&a, &b});
-  EXPECT_FLOAT_EQ(avg.at(0), 2.0F);
-}
-
 TEST(WeightedSum, Validation) {
   Tensor a({2});
   Tensor b({3});

@@ -37,12 +37,15 @@ TEST(GradAccumulation, EngineMatchesHandRolledLoop) {
   const auto slices = split_batch(B, std::vector<std::int64_t>(vns, B / vns));
   std::vector<VnState> states(static_cast<std::size_t>(vns));
 
+  MicroBatch mb;
+  std::vector<std::int64_t> idx;
+  Tensor flat;
   for (std::int64_t s = 0; s < steps; ++s) {
     const std::int64_t epoch = s / batcher.batches_per_epoch();
     const std::int64_t bie = s % batcher.batches_per_epoch();
     Tensor accum({manual.param_count()});
     for (std::int64_t v = 0; v < vns; ++v) {
-      MicroBatch mb = batcher.micro_batch(epoch, bie, slices, v);
+      batcher.micro_batch_into(epoch, bie, slices, v, mb, idx);
       ExecContext ctx;
       ctx.seed = seed;
       ctx.step = s;
@@ -54,7 +57,8 @@ TEST(GradAccumulation, EngineMatchesHandRolledLoop) {
       LossResult loss;
       softmax_cross_entropy_into(logits, mb.labels, loss);
       manual.backward(loss.grad_logits);
-      accum.add_(manual.flatten_grads());
+      manual.flatten_grads_into(flat);
+      accum.add_(flat);
     }
     accum.scale_(1.0F / static_cast<float>(B));
     manual.load_grads(accum);

@@ -168,6 +168,31 @@ TEST(Infer, SliceCostsPriceEachSliceIndependently) {
   }
 }
 
+TEST(Infer, BatchDispatchAmortizesWhatSlicesPaySolo) {
+  // The device barrier charges the framework overhead once for the slices
+  // co-scheduled on one device; the same slices dispatched one by one
+  // (cold) pay it per slice. The gap is exactly (k - 1) x step_fixed.
+  Rig rig = make_rig();
+  VirtualFlowEngine engine = make_engine(rig, 4, 1, 0);
+  const DeviceSpec& spec = engine.devices()[0].spec();
+  const InferStats batch = engine.infer(make_slices(*rig.task.val, 32, 4));
+  ASSERT_EQ(batch.slice_costs.size(), 4u);
+  double passes = 0.0;
+  double solo = 0.0;
+  for (const SliceCost& c : batch.slice_costs) {
+    passes += c.pass_s;
+    solo += c.cold_total_s();
+  }
+  EXPECT_DOUBLE_EQ(batch.compute_s, passes + spec.step_fixed_s);
+  EXPECT_LT(batch.compute_s, solo);
+  EXPECT_NEAR(solo - batch.compute_s, 3.0 * spec.step_fixed_s, 1e-12);
+
+  // A single slice is the equality case.
+  const InferStats one = engine.infer(make_slices(*rig.task.val, 8, 1));
+  ASSERT_EQ(one.slice_costs.size(), 1u);
+  EXPECT_DOUBLE_EQ(one.compute_s, one.slice_costs[0].cold_total_s());
+}
+
 TEST(Infer, ReusesEngineScratchAcrossCalls) {
   // The serving loop issues thousands of infer dispatches; after the first
   // call warms the per-VN scratch (predictions, grouping lists, the cached

@@ -152,7 +152,7 @@ TEST(MappingInvariance, WeightedSyncEquivalentToFlatMeanUnevenSizes) {
   CounterRng rng(42, 0x30DE1);
   Sequential model;
   model.add(std::make_unique<Dense>(32, 24, rng));
-  model.add(std::make_unique<Tanh>());
+  model.add(std::make_unique<Relu>());
   model.add(std::make_unique<Dense>(24, 16, rng));
   Sgd opt;
   ConstantLr lr(0.3F);

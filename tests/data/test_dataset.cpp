@@ -114,16 +114,6 @@ TEST(Teacher, BothClassesPresent) {
   EXPECT_EQ(labels.size(), 2u);
 }
 
-TEST(Spirals, GeometryAndDeterminism) {
-  SpiralsDataset d("s", 42, 100, 0.0F);
-  EXPECT_EQ(d.feature_dim(), 2);
-  EXPECT_EQ(d.num_classes(), 2);
-  EXPECT_EQ(d.example(0).label, 0);
-  EXPECT_EQ(d.example(1).label, 1);
-  SpiralsDataset e("s", 42, 100, 0.0F);
-  EXPECT_EQ(d.example(13).features, e.example(13).features);
-}
-
 TEST(Dataset, GatherMaterializesSelectedRows) {
   GaussianMixtureDataset d("t", 9, 100, 4, 3, 0.3F);
   Tensor feats;
@@ -147,8 +137,8 @@ TEST(Dataset, ExampleIndexOutOfRangeThrows) {
 
 using MakeDataset = std::unique_ptr<Dataset> (*)();
 
-/// The three generators, each built fresh by its factory.
-const std::array<std::pair<const char*, MakeDataset>, 3> kGenerators = {{
+/// The two generators, each built fresh by its factory.
+const std::array<std::pair<const char*, MakeDataset>, 2> kGenerators = {{
     {"gaussian-mixture",
      []() -> std::unique_ptr<Dataset> {
        return std::make_unique<GaussianMixtureDataset>("g", 21, 512, 8, 4, 0.3F, 64);
@@ -156,10 +146,6 @@ const std::array<std::pair<const char*, MakeDataset>, 3> kGenerators = {{
     {"teacher",
      []() -> std::unique_ptr<Dataset> {
        return std::make_unique<TeacherDataset>("t", 22, 512, 8, 3, 6, 0.2F, 64);
-     }},
-    {"spirals",
-     []() -> std::unique_ptr<Dataset> {
-       return std::make_unique<SpiralsDataset>("s", 23, 512, 0.1F);
      }},
 }};
 
@@ -306,7 +292,6 @@ TEST(RowStore, SizeBeyondSlotIndexThrows) {
   constexpr std::int64_t kRows = std::int64_t{1} << 32;
   EXPECT_THROW(GaussianMixtureDataset("t", 1, kRows, 8, 4, 0.3F), VfError);
   EXPECT_THROW(TeacherDataset("t", 1, kRows, 8, 2, 4, 0.1F), VfError);
-  EXPECT_THROW(SpiralsDataset("s", 1, kRows, 0.1F), VfError);
 }
 
 }  // namespace

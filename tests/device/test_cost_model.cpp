@@ -114,22 +114,5 @@ TEST(SliceInferTime, ColdDispatchPaysPassPlusFixedOverhead) {
   }
 }
 
-TEST(SliceInferTime, BatchDispatchAmortizesWhatSlicesPaySolo) {
-  // device_infer_time_s charges the framework overhead once for a batch of
-  // co-scheduled VN slices; dispatching the same slices one by one (cold)
-  // pays it per slice. The gap is exactly (V - 1) x step_fixed.
-  const ModelProfile& m = model_profile("bert-base");
-  const std::vector<std::int64_t> batches = {8, 8, 8, 8};
-  double solo = 0.0;
-  for (const std::int64_t b : batches) solo += slice_infer_time_s(v100(), m, b);
-  const double together = device_infer_time_s(v100(), m, batches);
-  EXPECT_LT(together, solo);
-  EXPECT_NEAR(solo - together,
-              static_cast<double>(batches.size() - 1) * v100().step_fixed_s, 1e-12);
-  // Single-slice batches are the equality case.
-  EXPECT_DOUBLE_EQ(device_infer_time_s(v100(), m, {8}),
-                   slice_infer_time_s(v100(), m, 8));
-}
-
 }  // namespace
 }  // namespace vf

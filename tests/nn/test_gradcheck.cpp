@@ -96,13 +96,6 @@ TEST(GradCheck, Relu) {
   check_layer_gradients(layer, x, 1e-2F, 1e-2F);
 }
 
-TEST(GradCheck, Tanh) {
-  CounterRng rng(3, 0);
-  Tanh layer;
-  Tensor x = Tensor::randn({4, 5}, rng);
-  check_layer_gradients(layer, x, 1e-2F, 1e-2F);
-}
-
 TEST(GradCheck, Dropout) {
   CounterRng rng(4, 0);
   Dropout layer(0.4F);
@@ -138,20 +131,12 @@ TEST(GradCheck, SequentialStack) {
   CounterRng rng(7, 0);
   Sequential model;
   model.add(std::make_unique<Dense>(4, 8, rng));
-  model.add(std::make_unique<Tanh>());
+  // Batch norm is the smooth nonlinearity among the layers (ReLU's kink
+  // would break central differences at a hidden pre-activation near 0).
+  model.add(std::make_unique<BatchNorm1d>(8));
   model.add(std::make_unique<Dense>(8, 3, rng));
   Tensor x = Tensor::randn({3, 4}, rng);
   check_layer_gradients(model, x, 1e-2F, 3e-2F);
-}
-
-TEST(GradCheck, ResidualBlock) {
-  CounterRng rng(8, 0);
-  Sequential inner;
-  inner.add(std::make_unique<Dense>(5, 5, rng));
-  inner.add(std::make_unique<Tanh>());
-  ResidualBlock block(std::move(inner));
-  Tensor x = Tensor::randn({3, 5}, rng);
-  check_layer_gradients(block, x, 1e-2F, 3e-2F);
 }
 
 TEST(GradCheck, SoftmaxCrossEntropy) {

@@ -6,9 +6,12 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/layers.h"
+#include "nn/model.h"
 #include "util/common.h"
 
 namespace vf {
@@ -108,14 +111,6 @@ TEST(Relu, BackwardMasksBySign) {
   const Tensor gx = r.backward(Tensor::from_values({1, kN}, grad));
   ASSERT_EQ(gx.size(), kN);
   EXPECT_EQ(std::memcmp(gx.data().data(), want.data(), kN * sizeof(float)), 0);
-}
-
-TEST(Tanh, Saturates) {
-  Tanh t;
-  Tensor x = Tensor::from_values({1, 2}, {100.0F, -100.0F});
-  Tensor y = t.forward(x, make_ctx(true));
-  EXPECT_NEAR(y.at(0, 0), 1.0F, 1e-6F);
-  EXPECT_NEAR(y.at(0, 1), -1.0F, 1e-6F);
 }
 
 TEST(Dropout, EvalModeIsIdentity) {
@@ -233,6 +228,85 @@ TEST(Layers, CloneIsDeep) {
   auto* cd = dynamic_cast<Dense*>(c.get());
   ASSERT_NE(cd, nullptr);
   EXPECT_NE(cd->params()[0]->at(0), 9.0F);
+}
+
+// ------------------------------------ eval forward before a backward
+
+/// Input gradient and parameter gradients of one training forward and
+/// backward on a fresh clone of `proto`, with an eval-mode forward of
+/// `eval_x` in between when it is given.
+struct PassGrads {
+  Tensor grad_in;
+  std::vector<Tensor> params;
+};
+
+PassGrads train_pass(const Layer& proto, const Tensor& x, const Tensor* eval_x,
+                     Workspace* ws) {
+  const std::unique_ptr<Layer> layer = proto.clone();
+  VnState state;
+  ExecContext train = make_ctx(true, 3, 0, &state);
+  train.ws = ws;
+  Tensor y;
+  layer->forward_into(x, y, train);
+  if (eval_x != nullptr) {
+    // Same VN, state and workspace, as infer() on a training replica.
+    ExecContext eval = train;
+    eval.training = false;
+    Tensor y_eval;
+    layer->forward_into(*eval_x, y_eval, eval);
+  }
+  CounterRng grng(9, 1);
+  const Tensor g = Tensor::randn(y.shape(), grng);
+  layer->zero_grad();
+  PassGrads out;
+  layer->backward_into(g, out.grad_in);
+  for (Tensor* p : layer->grads()) out.params.push_back(*p);
+  return out;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(), a.data().size() * sizeof(float)) == 0;
+}
+
+TEST(Layers, EvalForwardBeforeBackwardKeepsEveryGradientBit) {
+  // Layer's contract: eval-mode forwards between a training forward and
+  // its backward neither cache nor re-stash. An 8-row training batch, a
+  // 3-row eval batch that reads the moving statistics the training pass
+  // just wrote, then backward: every gradient must match an uninterrupted
+  // pass bit for bit, with and without a workspace.
+  CounterRng rng(12, 0);
+  const Tensor x = Tensor::randn({8, 4}, rng);
+  const Tensor x_eval = Tensor::randn({3, 4}, rng);
+  Dense dense(4, 4, rng);
+  Relu relu;
+  Dropout dropout(0.5F);
+  dropout.set_layer_index(1);
+  BatchNorm1d bn(4);
+  bn.set_layer_index(2);
+  Sequential stack;
+  stack.add(std::make_unique<Dense>(4, 6, rng));
+  stack.add(std::make_unique<BatchNorm1d>(6));
+  stack.add(std::make_unique<Relu>());
+  stack.add(std::make_unique<Dropout>(0.25F));
+  stack.add(std::make_unique<Dense>(6, 3, rng));
+
+  const std::pair<const char*, const Layer*> cases[] = {
+      {"dense", &dense}, {"relu", &relu}, {"dropout", &dropout},
+      {"batch_norm", &bn}, {"sequential", &stack}};
+  for (const auto& [name, layer] : cases) {
+    for (const bool with_ws : {false, true}) {
+      SCOPED_TRACE(std::string(name) + (with_ws ? " on a workspace" : " without one"));
+      Workspace ws_a(1), ws_b(1);
+      const PassGrads plain = train_pass(*layer, x, nullptr, with_ws ? &ws_a : nullptr);
+      const PassGrads interleaved = train_pass(*layer, x, &x_eval, with_ws ? &ws_b : nullptr);
+      EXPECT_TRUE(same_bits(plain.grad_in, interleaved.grad_in))
+          << "grad_in max diff " << plain.grad_in.max_abs_diff(interleaved.grad_in);
+      ASSERT_EQ(plain.params.size(), interleaved.params.size());
+      for (std::size_t i = 0; i < plain.params.size(); ++i)
+        EXPECT_TRUE(same_bits(plain.params[i], interleaved.params[i])) << "param grad " << i;
+    }
+  }
 }
 
 }  // namespace

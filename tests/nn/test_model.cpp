@@ -78,7 +78,9 @@ TEST(Sequential, LoadGradsRoundTrips) {
   Tensor g({m.param_count()});
   for (std::int64_t i = 0; i < g.size(); ++i) g.at(i) = static_cast<float>(i);
   m.load_grads(g);
-  EXPECT_TRUE(m.flatten_grads().equals(g));
+  Tensor flat;
+  m.flatten_grads_into(flat);
+  EXPECT_TRUE(flat.equals(g));
 }
 
 TEST(Sequential, LayerIndicesAssignedInOrder) {
@@ -95,15 +97,19 @@ TEST(Sequential, NestedIndicesDisjointFromTopLevel) {
   inner.add(std::make_unique<BatchNorm1d>(4));
   Sequential outer;
   outer.add(std::make_unique<Dense>(4, 4, rng));
-  outer.add(std::make_unique<ResidualBlock>(std::move(inner)));
+  outer.add(std::make_unique<Sequential>(std::move(inner)));
   outer.add(std::make_unique<BatchNorm1d>(4));
 
-  // The top-level BN and the nested BN must use different state keys.
+  // The top-level BN and the nested BN must use different state keys: the
+  // nested stack at index 1 re-bases its children to (1 + 1) * 1000 + i.
   auto* top_bn = dynamic_cast<BatchNorm1d*>(&outer.layer(2));
+  auto* nested = dynamic_cast<Sequential*>(&outer.layer(1));
   ASSERT_NE(top_bn, nullptr);
-  // Nested BN key comes from its re-based index; just assert the top-level
-  // key is plain and different from any plausibly nested value.
+  ASSERT_NE(nested, nullptr);
+  auto* nested_bn = dynamic_cast<BatchNorm1d*>(&nested->layer(1));
+  ASSERT_NE(nested_bn, nullptr);
   EXPECT_EQ(top_bn->mean_key(), "bn2/moving_mean");
+  EXPECT_EQ(nested_bn->mean_key(), "bn2001/moving_mean");
 }
 
 TEST(Sequential, AddNullThrows) {
@@ -114,28 +120,6 @@ TEST(Sequential, AddNullThrows) {
 TEST(Sequential, DescribeListsLayers) {
   Sequential m = small_model();
   EXPECT_EQ(m.describe(), "dense-relu-dense");
-}
-
-TEST(ResidualBlock, AddsSkipConnection) {
-  CounterRng rng(5, 0);
-  Sequential inner;
-  auto dense = std::make_unique<Dense>(3, 3, rng);
-  dense->params()[0]->fill(0.0F);  // inner output = bias = 0
-  dense->params()[1]->fill(0.0F);
-  inner.add(std::move(dense));
-  ResidualBlock block(std::move(inner));
-  Tensor x = Tensor::from_values({1, 3}, {1, 2, 3});
-  Tensor y = block.forward(x, ctx_train());
-  EXPECT_TRUE(y.equals(x));  // 0 + x
-}
-
-TEST(ResidualBlock, ShapeMismatchThrows) {
-  CounterRng rng(6, 0);
-  Sequential inner;
-  inner.add(std::make_unique<Dense>(3, 4, rng));  // changes width: invalid
-  ResidualBlock block(std::move(inner));
-  Tensor x({2, 3});
-  EXPECT_THROW(block.forward(x, ctx_train()), VfError);
 }
 
 TEST(Sequential, EmptyModelIsIdentity) {

@@ -101,12 +101,19 @@ TEST(Adam, FirstStepMovesByLr) {
   EXPECT_NEAR(r.w(), 1.0F - 0.01F, 1e-4F);
 }
 
-TEST(Adam, SlotsAreTwoPerParam) {
+TEST(Adam, SlotsAndCounterCarryIntoClone) {
   Rig r;
   Adam opt;
   r.set_grads(1.0F, 1.0F);
   opt.apply(r.model, 0.01F);
+  opt.apply(r.model, 0.01F);
   EXPECT_EQ(opt.slots().size(), 4u);  // m and v per param tensor
+  EXPECT_EQ(opt.counter(), 2);
+  const auto c = opt.clone();
+  EXPECT_EQ(c->counter(), 2);
+  EXPECT_EQ(c->slots().size(), opt.slots().size());
+  opt.set_counter(7);
+  EXPECT_EQ(opt.counter(), 7);
 }
 
 TEST(Adam, ConvergesOnQuadratic) {

@@ -13,11 +13,11 @@ namespace {
 
 TEST(Workspace, SlotsAreStableAndKeyedByVnAndTag) {
   Workspace ws(3);
-  Tensor& a = ws.acquire(0, 7, {4, 4});
+  Tensor& a = ws.acquire(0, 7).ensure_shape({4, 4});
   a.fill(1.0F);
-  Tensor& b = ws.acquire(1, 7, {4, 4});
+  Tensor& b = ws.acquire(1, 7).ensure_shape({4, 4});
   b.fill(2.0F);
-  Tensor& c = ws.acquire(0, 8, {2});
+  Tensor& c = ws.acquire(0, 8).ensure_shape({2});
   c.fill(3.0F);
 
   // Same key returns the same tensor object with contents intact (stale
@@ -40,31 +40,23 @@ TEST(Workspace, AuditCountsGrowthOnceThenGoesQuiet) {
   Workspace ws(1);
   EXPECT_EQ(ws.heap_allocs(), 0);
 
-  ws.acquire(0, 1, {64, 64});
+  ws.acquire(0, 1).ensure_shape({64, 64});
   EXPECT_EQ(ws.heap_allocs(), 1);
 
   // Steady state: same shape, or any shape within capacity — no charge.
-  for (int i = 0; i < 10; ++i) ws.acquire(0, 1, {64, 64});
-  ws.acquire(0, 1, {8, 8});
+  for (int i = 0; i < 10; ++i) ws.acquire(0, 1).ensure_shape({64, 64});
+  ws.acquire(0, 1).ensure_shape({8, 8});
   EXPECT_EQ(ws.heap_allocs(), 1);
 
   // Genuine growth is charged again.
-  ws.acquire(0, 1, {128, 128});
+  ws.acquire(0, 1).ensure_shape({128, 128});
   EXPECT_EQ(ws.heap_allocs(), 2);
-}
-
-TEST(Workspace, ClearDropsEverything) {
-  Workspace ws(2);
-  ws.acquire(1, 3, {8});
-  ws.clear();
-  EXPECT_EQ(ws.num_vns(), 0);
-  EXPECT_EQ(ws.heap_allocs(), 0);
 }
 
 TEST(Workspace, ShrinkEvictsSlotsBeyondTheNewVnCount) {
   Workspace ws(4);
-  ws.acquire(0, 1, {16, 16}).fill(1.0F);
-  ws.acquire(3, 1, {16, 16}).fill(4.0F);
+  ws.acquire(0, 1).ensure_shape({16, 16}).fill(1.0F);
+  ws.acquire(3, 1).ensure_shape({16, 16}).fill(4.0F);
 
   // Shrink drops VNs 2-3 (slots, buffers, the lot); surviving slots keep
   // their contents.
@@ -77,7 +69,7 @@ TEST(Workspace, ShrinkEvictsSlotsBeyondTheNewVnCount) {
   // so the re-acquisition pays a new allocation.
   const std::int64_t allocs_before = ws.heap_allocs();
   ws.ensure_vns(4);
-  ws.acquire(3, 1, {16, 16});
+  ws.acquire(3, 1).ensure_shape({16, 16});
   EXPECT_EQ(ws.heap_allocs(), allocs_before + 1);
 
   // Shrinking to the current (or larger) count is a no-op.
@@ -95,7 +87,7 @@ TEST(Workspace, ShrinkEvictsSlotsBeyondTheNewVnCount) {
 TEST(Workspace, SecondThreadOnOneVnWithinRegionThrows) {
   Workspace ws(2);
   ws.begin_region();
-  ws.acquire(0, 1, {4});  // this thread now owns VN 0 for the region
+  ws.acquire(0, 1).ensure_shape({4});  // this thread now owns VN 0 for the region
 
   std::exception_ptr thrown;
   std::thread intruder([&] {
@@ -110,7 +102,7 @@ TEST(Workspace, SecondThreadOnOneVnWithinRegionThrows) {
   EXPECT_THROW(std::rethrow_exception(thrown), VfError);
 
   // A different VN is fair game for another thread within the region.
-  std::thread neighbour([&] { ws.acquire(1, 1, {4}); });
+  std::thread neighbour([&] { ws.acquire(1, 1).ensure_shape({4}); });
   neighbour.join();
 
   // A new region releases ownership: the same VN may move to another

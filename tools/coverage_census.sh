@@ -7,12 +7,17 @@
 # example) and the benchmark project (build-census-bench/: vfbench) — and
 # runs every program:
 #   * every bench with --smoke=1 (bench_microbench with
-#     --benchmark_min_time=0.01, its own flag grammar);
+#     --benchmark_min_time=0.01, its own flag grammar), and bench_faults
+#     once more at its default size: only there does a kill evict a
+#     prefill, which runs the fault handler's requeue branch
+#     (RequestQueue::push_front, TokenStreamer::cancel). Running every
+#     bench at default size reaches nothing else;
 #   * every example;
 #   * vfbench on all four workloads with --smoke=1, plain and --traced=1.
 # It then merges `gcov -j` output from both trees (python3) and prints
 # every src/ function that ran zero times (`file:line name`), followed by
-# each src/ file's count of never-run lines.
+# each src/ file's count of never-run lines and a `total:` line with both
+# counts.
 #
 # Usage: tools/coverage_census.sh
 #   JOBS=<n> sets the build parallelism (default: nproc).
@@ -92,6 +97,7 @@ for bin in "$top"/bench/bench_*; do
     run "$name" "$bin" --smoke=1
   fi
 done
+run "bench_faults (default size)" "$top/bench/bench_faults"
 for bin in "$top"/examples/example_*; do
   [[ -x $bin && -f $bin ]] || continue
   run "$(basename "$bin")" "$bin"
@@ -130,15 +136,18 @@ for path in glob.glob(os.path.join(sys.argv[2], "*.gcov.json.gz")):
         for ln in rec["lines"]:
             lines[rel][ln["line_number"]] += ln["count"]
 
+unrun = sorted(key for key, count in funcs.items() if count == 0)
 print("functions no program ran (file:line name):")
-for (rel, line, name), count in sorted(funcs.items()):
-    if count == 0:
-        print(f"  {rel}:{line} {name}")
+for rel, line, name in unrun:
+    print(f"  {rel}:{line} {name}")
 print("never-run lines per file:")
+total = 0
 for rel in sorted(lines):
     never = sum(1 for c in lines[rel].values() if c == 0)
+    total += never
     if never:
         print(f"  {rel}: {never} of {len(lines[rel])}")
+print(f"total: {len(unrun)} functions, {total} never-run lines")
 EOF
 
 if ((${#failed[@]})); then
