@@ -14,7 +14,12 @@
 //      one tier. On large shapes (>= 8 MFLOP) the median simd time must
 //      beat the median blocked time by --min-simd-speedup (default
 //      1.5x, smoke 1.2x) whenever the vector ISA is live; hosts without
-//      AVX2 skip the gate and report the fallback tier honestly.
+//      AVX2 skip the gate and report the fallback tier honestly. The
+//      backward pass must also keep pace with the forward one: the simd
+//      dW GEMM (tl 64x1024x64) must reach 0.75x (smoke 0.6x) of the simd
+//      forward GEMM of the same flop count (matmul 1024x64x64). Three
+//      ungated rows show the 8-row micro-batch shapes of vfbench's
+//      train-many-vn workload.
 //   2. End-to-end step time: the same training job run three times, once
 //      per kernel tier ("reference", "blocked", "simd"), every arm on the
 //      engine's reused workspaces, so the arms differ in the kernels
@@ -66,6 +71,10 @@ double now_s() {
 /// Interleaved timing rounds per kernel shape (reference, blocked, simd
 /// in turn each round).
 constexpr int kKernelRounds = 5;
+
+/// Required simd dW-over-forward GFLOP/s ratio (full run, smoke run).
+constexpr double kMinDwRatio = 0.75;
+constexpr double kMinDwRatioSmoke = 0.6;
 
 struct KernelCase {
   const char* op;  // "matmul", "tl", "tr"
@@ -209,6 +218,8 @@ int main(int argc, char** argv) {
     const std::int64_t dim = probe.task.train->feature_dim();
     const std::int64_t hidden = 64;  // proxy-model width (workloads/tasks.cpp)
     const std::int64_t classes = probe.task.train->num_classes();
+    // train-many-vn's micro-batch: batch 128 as 16 VNs of 8 rows.
+    constexpr std::int64_t kManyVnRows = 8;
     const std::vector<KernelCase> cases = {
         {"matmul", rows, dim, hidden},     // layer-1 forward
         {"matmul", rows, hidden, hidden},  // layer-2 forward
@@ -217,7 +228,15 @@ int main(int argc, char** argv) {
         {"tr", rows, hidden, hidden},      // layer-2 dx = g @ W^T
         {"tr", rows, classes, hidden},     // head dx
         {"matmul", 256, 256, 256},         // beyond-L1 square
+        {"matmul", kManyVnRows, hidden, hidden},  // 8-row forward
+        {"tl", hidden, kManyVnRows, hidden},      // 8-row dW
+        {"tr", kManyVnRows, hidden, hidden},      // 8-row dx
     };
+    // The dW gate compares these two rows: the same flops, one read as
+    // the backward pass reads its operands.
+    constexpr std::size_t kFwdRow = 1, kDwRow = 3;
+    std::vector<double> simd_gfs;
+    std::vector<bool> simd_served;
 
     std::printf("  per-kernel throughput (GFLOP/s, median of %d interleaved rounds), "
                 "reference vs blocked vs simd:\n",
@@ -287,6 +306,8 @@ int main(int argc, char** argv) {
       report.add("kernel." + op + "." + shape + ".reference", ref_gf, "GFLOP/s");
       report.add("kernel." + op + "." + shape + ".blocked", blk_gf, "GFLOP/s");
       report.add("kernel." + op + "." + shape + ".simd", simd_gf, "GFLOP/s");
+      simd_gfs.push_back(simd_gf);
+      simd_served.push_back(dispatch.tier == KernelMode::kSimd);
     }
     table.print(std::cout);
     std::printf("  (tier = backend-factory rule serving the default simd mode for "
@@ -301,6 +322,26 @@ int main(int argc, char** argv) {
     } else {
       std::printf("  simd-over-blocked gate skipped: vector ISA not live on this "
                   "host (simd serves via blocked fallback)\n");
+    }
+    const KernelCase& fwd = cases[kFwdRow];
+    const KernelCase& dw = cases[kDwRow];
+    const double dw_ratio = simd_gfs[kDwRow] / simd_gfs[kFwdRow];
+    const double min_dw_ratio = flags.smoke() ? kMinDwRatioSmoke : kMinDwRatio;
+    report.add("kernel.dw_over_fwd.simd", dw_ratio, "x");
+    if (simd_served[kFwdRow] && simd_served[kDwRow]) {
+      const bool dw_ok = dw_ratio >= min_dw_ratio;
+      std::printf("  simd dW (tl %lldx%lldx%lld) at %.2fx the simd forward (matmul "
+                  "%lldx%lldx%lld), gate >= %.2fx: %s\n",
+                  static_cast<long long>(dw.m), static_cast<long long>(dw.k),
+                  static_cast<long long>(dw.n), dw_ratio, static_cast<long long>(fwd.m),
+                  static_cast<long long>(fwd.k), static_cast<long long>(fwd.n),
+                  min_dw_ratio,
+                  dw_ok ? "yes"
+                        : (custom ? "no (informational: custom workload)" : "NO — BUG"));
+      if (!custom && !dw_ok) ok = false;
+    } else {
+      std::printf("  simd dW-over-forward gate skipped: the vector kernel does not "
+                  "serve both rows on this host\n");
     }
   }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "tensor/kernels.h"
 #include "util/common.h"
 
 namespace vf {
@@ -164,28 +165,33 @@ void BatchNorm1d::forward_into(const Tensor& x, Tensor& y, const ExecContext& ct
   const std::int64_t n = x.rows(), d = x.cols();
   check(d == dim(), "BatchNorm1d: feature dim mismatch");
 
-  mean_scratch_.assign(static_cast<std::size_t>(d), 0.0F);
-  var_scratch_.assign(static_cast<std::size_t>(d), 0.0F);
+  mean_scratch_.resize(static_cast<std::size_t>(d));
+  var_scratch_.resize(static_cast<std::size_t>(d));
   float* mean = mean_scratch_.data();
   float* var = var_scratch_.data();
   const float* xp = x.data().data();
+  y.ensure_shape({n, d});
+  if (ctx.training) cached_xhat_.ensure_shape({n, d});
 
   if (ctx.training) {
     check(n > 0, "BatchNorm1d training forward needs a non-empty batch");
-    // Row-major two-pass moments; each column still accumulates over rows
-    // in ascending order, so the sums match the per-column loops bit for
-    // bit.
+    // Two-pass moments through the kernel layer: kernels::column_sums
+    // builds each column's sum over rows in ascending order from +0, and
+    // kernels::mul rounds each c * c to float before that sum adds it —
+    // the chains of the row-major loops `mean[j] += x[i][j]` and
+    // `var[j] += c * c` exactly, in every kernel tier. The centered
+    // values stage in y and their squares in the xhat cache; the
+    // normalize pass below overwrites both.
+    const KernelMode mode = TensorConfig::kernel_mode();
+    kernels::column_sums(xp, mean, n, d, mode);
+    for (std::int64_t j = 0; j < d; ++j) mean[j] /= static_cast<float>(n);
+    float* centered = y.data().data();
     const float* p = xp;
     for (std::int64_t i = 0; i < n; ++i, p += d)
-      for (std::int64_t j = 0; j < d; ++j) mean[j] += p[j];
-    for (std::int64_t j = 0; j < d; ++j) mean[j] /= static_cast<float>(n);
-    p = xp;
-    for (std::int64_t i = 0; i < n; ++i, p += d) {
-      for (std::int64_t j = 0; j < d; ++j) {
-        const float c = p[j] - mean[j];
-        var[j] += c * c;
-      }
-    }
+      for (std::int64_t j = 0; j < d; ++j) centered[i * d + j] = p[j] - mean[j];
+    float* squares = cached_xhat_.data().data();
+    kernels::mul(centered, centered, squares, n * d, mode);
+    kernels::column_sums(squares, var, n, d, mode);
     for (std::int64_t j = 0; j < d; ++j) var[j] /= static_cast<float>(n);
     if (ctx.state != nullptr) {
       // Moving stats live in the *virtual node's* state, initialized to
@@ -222,7 +228,6 @@ void BatchNorm1d::forward_into(const Tensor& x, Tensor& y, const ExecContext& ct
     }
   }
 
-  y.ensure_shape({n, d});
   // Only a training forward writes backward's cache. An eval forward
   // overwrites its own variances in place (dead after this), so an eval
   // pass between a training forward and its backward leaves the cache as
@@ -233,7 +238,6 @@ void BatchNorm1d::forward_into(const Tensor& x, Tensor& y, const ExecContext& ct
     inv_std = cached_inv_std_.data();
   }
   for (std::int64_t j = 0; j < d; ++j) inv_std[j] = 1.0F / std::sqrt(var[j] + eps_);
-  if (ctx.training) cached_xhat_.ensure_shape({n, d});
   const float* gp = gamma_.data().data();
   const float* bp = beta_.data().data();
   float* yp = y.data().data();
@@ -255,25 +259,23 @@ void BatchNorm1d::backward_into(const Tensor& grad_out, Tensor& grad_in) {
   check(&grad_in != &grad_out, "BatchNorm1d: grad_in must not alias grad_out");
 
   grad_in.ensure_shape({n, d});
-  // Per-column sums, accumulated row-major (ascending row order per
-  // column, as the per-column loops did). mean/var scratch is dead after
-  // forward, so reuse it for the two sum vectors.
-  mean_scratch_.assign(static_cast<std::size_t>(d), 0.0F);
-  var_scratch_.assign(static_cast<std::size_t>(d), 0.0F);
+  // Per-column sums of g and of g * xhat through the kernel layer:
+  // kernels::column_sums runs each column's chain over rows in ascending
+  // order from +0, and kernels::mul rounds each product to float before
+  // it is added — the chains of the row-major loops `sum_g[j] += g` and
+  // `sum_gx[j] += g * xhat` exactly, in every kernel tier. The products
+  // stage in grad_in, which the pass below overwrites; mean/var scratch
+  // is dead after forward, so it holds the two sum vectors.
+  mean_scratch_.resize(static_cast<std::size_t>(d));
+  var_scratch_.resize(static_cast<std::size_t>(d));
   float* sum_g = mean_scratch_.data();
   float* sum_gx = var_scratch_.data();
   const float* g = grad_out.data().data();
   const float* xh = cached_xhat_.data().data();
-  {
-    const float* gr = g;
-    const float* xr = xh;
-    for (std::int64_t i = 0; i < n; ++i, gr += d, xr += d) {
-      for (std::int64_t j = 0; j < d; ++j) {
-        sum_g[j] += gr[j];
-        sum_gx[j] += gr[j] * xr[j];
-      }
-    }
-  }
+  const KernelMode mode = TensorConfig::kernel_mode();
+  kernels::column_sums(g, sum_g, n, d, mode);
+  kernels::mul(g, xh, grad_in.data().data(), n * d, mode);
+  kernels::column_sums(grad_in.data().data(), sum_gx, n, d, mode);
   float* dbp = dbeta_.data().data();
   float* dgp = dgamma_.data().data();
   for (std::int64_t j = 0; j < d; ++j) {

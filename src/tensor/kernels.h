@@ -29,9 +29,11 @@
 //     A skipped term contributes a*b = +/-0, and adding a signed zero to
 //     a running sum that started at +0 can never change its bits — the
 //     modes diverge only in the 0 * inf / 0 * NaN corner.
-//   * The transpose-variant kernels transpose the transposed operand into
-//     scratch first and reuse the one core; the multiplication terms and
-//     their order per output element are unchanged.
+//   * The transpose-variant kernels reuse their tier's one core. blocked
+//     transposes the transposed operand of tl and tr into scratch first;
+//     simd transposes only tr's rhs and reads tl's [k x m] lhs in place
+//     through strides. The multiplication terms and their order per
+//     output element are unchanged either way.
 //
 // This is what lets the entire training/serving bit-reproducibility story
 // (mapping invariance, worker invariance) survive a kernel swap, and it is

@@ -12,6 +12,7 @@
 
 #include "nn/layers.h"
 #include "nn/model.h"
+#include "tensor/kernels.h"
 #include "util/common.h"
 
 namespace vf {
@@ -307,6 +308,50 @@ TEST(Layers, EvalForwardBeforeBackwardKeepsEveryGradientBit) {
         EXPECT_TRUE(same_bits(plain.params[i], interleaved.params[i])) << "param grad " << i;
     }
   }
+}
+
+TEST(BatchNorm, TrainingPassIsBitIdenticalInEveryKernelTier) {
+  // BatchNorm1d takes its moments and backward sums from
+  // kernels::column_sums and kernels::mul, so no kernel tier may move a
+  // bit of its training forward, moving statistics or backward: on the
+  // per-VN batches of both training workloads (256 and 8 rows of 64
+  // features), a ragged shape that reaches the kernels' masked column
+  // tail, and a one-row batch.
+  const KernelMode saved = TensorConfig::kernel_mode();
+  for (const auto& [rows, cols] : std::vector<std::pair<std::int64_t, std::int64_t>>{
+           {256, 64}, {8, 64}, {7, 33}, {1, 64}}) {
+    SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols));
+    CounterRng rng(21, static_cast<std::uint64_t>(rows * 100 + cols));
+    const Tensor x = Tensor::randn({rows, cols}, rng);
+    const Tensor g = Tensor::randn({rows, cols}, rng);
+    const Tensor gamma = Tensor::randn({cols}, rng);
+    const Tensor beta = Tensor::randn({cols}, rng);
+    // y, grad_in, moving mean, moving variance, dgamma, dbeta.
+    auto pass = [&](KernelMode mode) {
+      TensorConfig::set_kernel_mode(mode);
+      BatchNorm1d bn(cols);
+      bn.set_layer_index(1);
+      *bn.params()[0] = gamma;
+      *bn.params()[1] = beta;
+      VnState state;
+      std::vector<Tensor> out(2);
+      bn.forward_into(x, out[0], make_ctx(true, 0, 0, &state));
+      bn.backward_into(g, out[1]);
+      out.push_back(state.get(bn.mean_key()));
+      out.push_back(state.get(bn.var_key()));
+      for (Tensor* t : bn.grads()) out.push_back(*t);
+      return out;
+    };
+    const std::vector<Tensor> ref = pass(KernelMode::kReference);
+    for (const KernelMode mode : {KernelMode::kBlocked, KernelMode::kSimd}) {
+      const std::vector<Tensor> got = pass(mode);
+      ASSERT_EQ(got.size(), ref.size());
+      for (std::size_t i = 0; i < ref.size(); ++i)
+        EXPECT_TRUE(same_bits(ref[i], got[i]))
+            << kernel_mode_name(mode) << " output " << i;
+    }
+  }
+  TensorConfig::set_kernel_mode(saved);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "tensor/backend.h"
@@ -126,15 +127,36 @@ const std::vector<Shape> kEdgeShapes = {
     {2, 3, 8},  {7, 5, 31},  {9, 11, 32}, {33, 7, 40}, {5, 13, 72},
 };
 
+/// All three products of one [m x k] lhs and [k x n] rhs, simd against
+/// reference: matmul as given, tl on the lhs stored [k x m], tr on the
+/// rhs stored [n x k]. Every product builds out[i, j] from the same
+/// terms in the same order, so each must match its reference bit for
+/// bit.
 void expect_matmul_family_bits_equal(const Tensor& a_mm, const Tensor& b_mm,
                                      const Shape& s) {
+  const std::string shape = std::to_string(s.m) + "x" + std::to_string(s.k) +
+                            "x" + std::to_string(s.n);
+  const Tensor a_tl = a_mm.transposed();
+  const Tensor b_tr = b_mm.transposed();
   Tensor ref({s.m, s.n}), simd({s.m, s.n});
-  kernels::matmul(a_mm.data().data(), b_mm.data().data(), ref.data().data(),
-                  s.m, s.k, s.n, KernelMode::kReference);
-  kernels::matmul(a_mm.data().data(), b_mm.data().data(), simd.data().data(),
-                  s.m, s.k, s.n, KernelMode::kSimd);
-  EXPECT_TRUE(bits_equal(ref, simd))
-      << "matmul " << s.m << "x" << s.k << "x" << s.n;
+  for (const KernelMode mode : {KernelMode::kReference, KernelMode::kSimd}) {
+    Tensor& out = mode == KernelMode::kReference ? ref : simd;
+    kernels::matmul(a_mm.data().data(), b_mm.data().data(), out.data().data(),
+                    s.m, s.k, s.n, mode);
+  }
+  EXPECT_TRUE(bits_equal(ref, simd)) << "matmul " << shape;
+  for (const KernelMode mode : {KernelMode::kReference, KernelMode::kSimd}) {
+    Tensor& out = mode == KernelMode::kReference ? ref : simd;
+    kernels::matmul_transpose_lhs(a_tl.data().data(), b_mm.data().data(),
+                                  out.data().data(), s.m, s.k, s.n, mode);
+  }
+  EXPECT_TRUE(bits_equal(ref, simd)) << "tl " << shape;
+  for (const KernelMode mode : {KernelMode::kReference, KernelMode::kSimd}) {
+    Tensor& out = mode == KernelMode::kReference ? ref : simd;
+    kernels::matmul_transpose_rhs(a_mm.data().data(), b_tr.data().data(),
+                                  out.data().data(), s.m, s.k, s.n, mode);
+  }
+  EXPECT_TRUE(bits_equal(ref, simd)) << "tr " << shape;
 }
 
 TEST(SimdBitIdentity, EdgeShapesMatchReferenceBitForBit) {
@@ -143,25 +165,48 @@ TEST(SimdBitIdentity, EdgeShapesMatchReferenceBitForBit) {
     const Tensor a = Tensor::randn({s.m, s.k}, rng);
     const Tensor b = Tensor::randn({s.k, s.n}, rng);
     expect_matmul_family_bits_equal(a, b, s);
+  }
+}
 
-    const Tensor atl = Tensor::randn({s.k, s.m}, rng);
-    Tensor ref({s.m, s.n}), simd({s.m, s.n});
-    kernels::matmul_transpose_lhs(atl.data().data(), b.data().data(),
-                                  ref.data().data(), s.m, s.k, s.n,
-                                  KernelMode::kReference);
-    kernels::matmul_transpose_lhs(atl.data().data(), b.data().data(),
-                                  simd.data().data(), s.m, s.k, s.n,
-                                  KernelMode::kSimd);
-    EXPECT_TRUE(bits_equal(ref, simd)) << "tl " << s.m << "x" << s.k << "x" << s.n;
+TEST(SimdBitIdentity, TrainingWorkloadShapesMatchReferenceBitForBit) {
+  // The per-VN GEMMs of both training workloads: 256-row micro-batches
+  // (32 -> 64 -> 64 -> 16) and 8-row ones (32 -> 64 -> 64 -> 10). The
+  // matmul rows are the forwards, then (m, k, n) = (in, batch, out) for
+  // the dW GEMMs and (batch, out, in) for the input gradients. The lhs
+  // is ReLU-sparse, as a cached activation is, so the reference's
+  // zero-lhs skip fires.
+  const std::vector<Shape> shapes = {
+      {256, 32, 64}, {256, 64, 64}, {256, 64, 16}, {8, 32, 64},   {8, 64, 64},
+      {8, 64, 10},   {32, 256, 64}, {64, 256, 64}, {64, 256, 16}, {32, 8, 64},
+      {64, 8, 64},   {64, 8, 10},   {256, 16, 64}, {256, 64, 32}, {8, 10, 64},
+      {8, 64, 32},
+  };
+  CounterRng rng(61, 0x58);
+  for (const Shape& s : shapes) {
+    Tensor a = Tensor::randn({s.m, s.k}, rng);
+    for (float& v : a.data()) v = v < 0.0F ? 0.0F : v;
+    const Tensor b = Tensor::randn({s.k, s.n}, rng);
+    expect_matmul_family_bits_equal(a, b, s);
+  }
+}
 
-    const Tensor btr = Tensor::randn({s.n, s.k}, rng);
-    kernels::matmul_transpose_rhs(a.data().data(), btr.data().data(),
-                                  ref.data().data(), s.m, s.k, s.n,
-                                  KernelMode::kReference);
-    kernels::matmul_transpose_rhs(a.data().data(), btr.data().data(),
-                                  simd.data().data(), s.m, s.k, s.n,
-                                  KernelMode::kSimd);
-    EXPECT_TRUE(bits_equal(ref, simd)) << "tr " << s.m << "x" << s.k << "x" << s.n;
+TEST(SimdBitIdentity, PanelEdgesMatchReferenceBitForBit) {
+  // The simd core tiles k at max(16, 6144 / n) (kernels_simd.cpp): k one
+  // below, at and one above a tile edge. Then every row remainder of its
+  // 4-row panels (m = 1, 2, 3 mod 4) against every column strip: a
+  // masked tail alone (n < 16), a 16- or 8-wide strip plus tail (n <
+  // 32), and a 32-wide strip plus tail (n = 33..39).
+  std::vector<Shape> shapes;
+  for (const std::int64_t k : {95, 96, 97}) shapes.push_back({6, k, 64});
+  for (const std::int64_t k : {383, 384, 385}) shapes.push_back({5, k, 16});
+  for (const std::int64_t m : {5, 6, 7, 9, 10, 11})
+    for (const std::int64_t n : {8, 11, 15, 16, 23, 24, 31, 33, 36, 39})
+      shapes.push_back({m, 7, n});
+  CounterRng rng(67, 0x59);
+  for (const Shape& s : shapes) {
+    const Tensor a = Tensor::randn({s.m, s.k}, rng);
+    const Tensor b = Tensor::randn({s.k, s.n}, rng);
+    expect_matmul_family_bits_equal(a, b, s);
   }
 }
 
@@ -212,8 +257,10 @@ TEST(SimdBitIdentity, NanAndInfPassThroughIdentically) {
 }
 
 TEST(SimdBitIdentity, ElementwiseAndColumnSumsMatchAcrossCounts) {
-  // Sweep counts across the 8-lane boundary (tails 0..7) and odd column
-  // counts for the strided reduction.
+  // Sweep counts across the 8-lane boundary (tails 0..7), and column
+  // counts for the strided reduction that reach its four-block strips
+  // (32, 33, 64, 72), the one-block strips after them (31, 40, 72) and
+  // its masked tail (11, 31, 33).
   CounterRng rng(53, 0x56);
   for (std::int64_t count : {1, 7, 8, 9, 15, 16, 17, 40, 64, 100}) {
     const Tensor a = Tensor::randn({count}, rng);
@@ -227,7 +274,8 @@ TEST(SimdBitIdentity, ElementwiseAndColumnSumsMatchAcrossCounts) {
   }
   for (const auto& [rows, cols] :
        std::vector<std::pair<std::int64_t, std::int64_t>>{
-           {0, 9}, {1, 8}, {23, 11}, {40, 31}, {7, 64}}) {
+           {0, 9}, {1, 8}, {23, 11}, {40, 31}, {7, 64}, {9, 32}, {17, 33},
+           {5, 40}, {33, 72}}) {
     const Tensor m = Tensor::randn({rows, cols}, rng);
     Tensor r1({cols}), r2({cols});
     kernels::column_sums(m.data().data(), r1.data().data(), rows, cols,

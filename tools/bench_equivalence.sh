@@ -3,13 +3,19 @@
 # print the same bench stdout as the commit it started from.
 #
 # Builds every bench whose stdout is deterministic twice — at <ref>
-# (exported with `git archive` into a temporary directory) and in the
-# working tree's build/ — runs the 23 invocations (the six serving ones,
-# the 14 figure benches, bench_ablation_reduction, bench_table1_fig8_repro
-# and bench_table2_glue) in both, and diffs their stdout. Only
+# (exported with `git archive`) and in the working tree's build/ — runs
+# the 23 invocations (the six serving ones, the 14 figure benches,
+# bench_ablation_reduction, bench_table1_fig8_repro and
+# bench_table2_glue) in both, and diffs their stdout. Only
 # bench_serving's "replay wall" line (host time) is dropped before the
 # diff. bench_hotpath, bench_pool_speedup and bench_microbench print host
 # timings and are not run. Prints one verdict line per invocation.
+#
+# The export of <ref> and its build are kept in build-equiv/<commit sha>/
+# (gitignored, like every build-*/ tree) and reused by later calls for
+# the same commit, so the usual pair — a smoke run, then --full — builds
+# the ref once. A build that did not finish is redone from scratch;
+# delete the directory to force a fresh one.
 #
 # Usage: tools/bench_equivalence.sh <ref> [--full]
 #   default: every bench runs with --smoke=1; --full runs default sizes.
@@ -31,7 +37,7 @@ if [[ $# -eq 2 ]]; then
 fi
 
 repo=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
-git -C "$repo" rev-parse --verify --quiet "$ref^{commit}" > /dev/null || {
+sha=$(git -C "$repo" rev-parse --verify --quiet "$ref^{commit}") || {
   echo "unknown ref: $ref" >&2
   exit 2
 }
@@ -48,8 +54,8 @@ jobs=${JOBS:-$(nproc)}
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
-mkdir "$work/src" "$work/run"
-git -C "$repo" archive "$ref" | tar x -C "$work/src"
+mkdir "$work/run"
+cache=$repo/build-equiv/$sha
 
 build() {  # <source dir> <build dir> <log>
   if ! { cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=RelWithDebInfo &&
@@ -59,8 +65,17 @@ build() {  # <source dir> <build dir> <log>
     exit 1
   fi
 }
-echo "building $ref ..."
-build "$work/src" "$work/build" "$work/build-ref.log"
+# The stamp is written only after the ref's build succeeded.
+if [[ -f $cache/built ]]; then
+  echo "reusing the build of $ref ($sha) in $cache"
+else
+  echo "building $ref ($sha) in $cache ..."
+  rm -rf "$cache"
+  mkdir -p "$cache/src"
+  git -C "$repo" archive "$sha" | tar x -C "$cache/src"
+  build "$cache/src" "$cache/build" "$cache/build.log"
+  touch "$cache/built"
+fi
 echo "building the working tree in build/ ..."
 build "$repo" "$repo/build" "$work/build-new.log"
 
@@ -82,7 +97,7 @@ for i in "${!invocations[@]}"; do
   label="${invocations[$i]} ${size[*]}"
   ref_rc=0
   new_rc=0
-  run "$work/build/bench" "$work/ref.$i" "${argv[@]}" || ref_rc=$?
+  run "$cache/build/bench" "$work/ref.$i" "${argv[@]}" || ref_rc=$?
   run "$repo/build/bench" "$work/new.$i" "${argv[@]}" || new_rc=$?
   if [[ $ref_rc -ne 0 || $new_rc -ne 0 ]]; then
     echo "FAIL       $label (exit: ref $ref_rc, working tree $new_rc)"
