@@ -11,6 +11,14 @@ namespace {
 // Engine-level workspace tags (negative: layer tags are >= 0).
 constexpr std::int32_t kTagLogits = -1;    // forward output per VN
 constexpr std::int32_t kTagTopGrad = -2;   // model-input gradient (discarded)
+
+/// Copies `from`'s parameters into `to`, a copy of the same model. Copy
+/// assignment reuses each destination buffer, so this allocates nothing.
+void copy_params(const Sequential& from, Sequential& to) {
+  const std::vector<const Tensor*> src = from.params();
+  const std::vector<Tensor*> dst = to.params();
+  for (std::size_t i = 0; i < src.size(); ++i) *dst[i] = *src[i];
+}
 }  // namespace
 
 VirtualFlowEngine::VirtualFlowEngine(const Sequential& model, const Optimizer& optimizer,
@@ -22,13 +30,14 @@ VirtualFlowEngine::VirtualFlowEngine(const Sequential& model, const Optimizer& o
       mapping_(std::move(mapping)),
       config_(config),
       schedule_(schedule.clone()),
-      batcher_(train, config.seed, mapping_.global_batch()) {
+      batcher_(train, config.seed, mapping_.global_batch()),
+      lanes_(static_cast<std::size_t>(std::max<std::int64_t>(1, config.num_threads)), model),
+      optimizer_(optimizer.clone()) {
   check(static_cast<std::int64_t>(devices_.size()) == mapping_.num_devices(),
         "mapping device count (" + std::to_string(mapping_.num_devices()) +
             ") must match cluster size (" + std::to_string(devices_.size()) + ")");
   vn_states_.resize(static_cast<std::size_t>(mapping_.total_vns()));
   resize_vn_scratch();
-  build_replicas(model, optimizer);
   if (config_.enforce_memory) check_memory();
   if (config_.num_threads > 0)
     pool_ = std::make_unique<ThreadPool>(config_.num_threads);
@@ -66,28 +75,6 @@ void VirtualFlowEngine::set_device_slowdown(std::int64_t device, double multipli
 double VirtualFlowEngine::device_slowdown(std::int64_t device) const {
   check_index(device, static_cast<std::int64_t>(slowdowns_.size()), "device");
   return slowdowns_[static_cast<std::size_t>(device)];
-}
-
-void VirtualFlowEngine::for_each_device(const std::function<void(std::int64_t)>& fn) {
-  const std::int64_t n = mapping_.num_devices();
-  if (pool_) {
-    pool_->parallel_for(n, fn);
-  } else {
-    for (std::int64_t d = 0; d < n; ++d) fn(d);
-  }
-}
-
-void VirtualFlowEngine::build_replicas(const Sequential& proto,
-                                       const Optimizer& opt_proto) {
-  replicas_.clear();
-  replicas_.reserve(devices_.size());
-  for (const Device& dev : devices_) {
-    Replica r;
-    r.device = dev;
-    r.model = proto;  // deep copy
-    r.optimizer = opt_proto.clone();
-    replicas_.push_back(std::move(r));
-  }
 }
 
 bool VirtualFlowEngine::uses_grad_buffer(std::int64_t d) const {
@@ -133,42 +120,54 @@ StepStats VirtualFlowEngine::train_step() {
   const std::int64_t bie = step_ % bpe;
   const auto slices = mapping_.slices();
 
-  // --- Fig 5 steps 1-3: per-device sequential VN execution, with devices
-  // running concurrently on the host pool when configured (matching a real
-  // deployment). Device d mutates only its own replica, its VNs' states,
-  // and its VNs' slots of the scratch vectors/workspace, so the partition
-  // is race-free; the epoch permutation is warmed up front so the batcher
-  // is read-only inside the loop. Scheduling cannot change the result: the
-  // reduction order is fixed by VN id in sync_and_update. Every buffer the
-  // pass needs lives in a per-VN slot reused across steps — a warmed-up
-  // step performs zero tensor heap allocations.
+  // --- Fig 5 steps 1-3: per-device sequential VN execution. Lane w runs
+  // devices w, w+L, w+2L, ... (L = min(lanes, devices)) on its own model,
+  // the lanes concurrently on the host pool when configured. A lane
+  // mutates only its model, its devices' VN states and those VNs' slots of
+  // the scratch vectors/workspace, so the partition is race-free; the
+  // epoch permutation is warmed up front so the batcher is read-only
+  // inside the loop. Neither the lane nor the schedule can change the
+  // result: every lane holds the same parameters, every VN starts from
+  // zero_grad, and the reduction order is fixed by VN id in
+  // sync_and_update. Every buffer the pass needs lives in a per-VN slot
+  // reused across steps — a warmed-up step performs zero tensor heap
+  // allocations.
   batcher_.prepare_epoch(epoch);
-  ws_.begin_region();  // new ownership region: worker -> VN may have moved
-  for_each_device([&](std::int64_t d) {
-    Replica& rep = replicas_[static_cast<std::size_t>(d)];
-    for (const std::int32_t vn : mapping_.device_vns(d)) {
-      const auto v = static_cast<std::size_t>(vn);
-      MicroBatch& mb = vn_mb_[v];
-      batcher_.micro_batch_into(epoch, bie, slices, vn, mb, vn_idx_[v]);
-      ExecContext ctx;
-      ctx.seed = config_.seed;
-      ctx.step = step_;
-      ctx.vn_id = vn;
-      ctx.training = true;
-      ctx.state = &vn_states_[v];
-      ctx.ws = &ws_;
+  ws_.begin_region();  // new ownership region: lane -> VN may have moved
+  const std::int64_t n_dev = mapping_.num_devices();
+  const std::int64_t n_lanes = std::min(static_cast<std::int64_t>(lanes_.size()), n_dev);
+  const auto run_lane = [&](std::int64_t w) {
+    Sequential& model = lanes_[static_cast<std::size_t>(w)];
+    for (std::int64_t d = w; d < n_dev; d += n_lanes) {
+      for (const std::int32_t vn : mapping_.device_vns(d)) {
+        const auto v = static_cast<std::size_t>(vn);
+        MicroBatch& mb = vn_mb_[v];
+        batcher_.micro_batch_into(epoch, bie, slices, vn, mb, vn_idx_[v]);
+        ExecContext ctx;
+        ctx.seed = config_.seed;
+        ctx.step = step_;
+        ctx.vn_id = vn;
+        ctx.training = true;
+        ctx.state = &vn_states_[v];
+        ctx.ws = &ws_;
 
-      rep.model.zero_grad();
-      Tensor& logits = ws_.acquire(vn, kTagLogits);
-      rep.model.forward_into(mb.features, logits, ctx);
-      LossResult& loss = vn_loss_[v];
-      softmax_cross_entropy_into(logits, mb.labels, loss);
-      rep.model.backward_into(loss.grad_logits, ws_.acquire(vn, kTagTopGrad));
+        model.zero_grad();
+        Tensor& logits = ws_.acquire(vn, kTagLogits);
+        model.forward_into(mb.features, logits, ctx);
+        LossResult& loss = vn_loss_[v];
+        softmax_cross_entropy_into(logits, mb.labels, loss);
+        model.backward_into(loss.grad_logits, ws_.acquire(vn, kTagTopGrad));
 
-      rep.model.flatten_grads_into(vn_grad_sums_[v]);
-      vn_loss_sums_[v] = loss.loss_sum;
+        model.flatten_grads_into(vn_grad_sums_[v]);
+        vn_loss_sums_[v] = loss.loss_sum;
+      }
     }
-  });
+  };
+  if (pool_) {
+    pool_->parallel_for(n_lanes, run_lane);
+  } else {
+    run_lane(0);
+  }
 
   // --- Fig 5 steps 4-5: synchronize and update.
   double loss = 0.0;
@@ -177,10 +176,11 @@ StepStats VirtualFlowEngine::train_step() {
   // --- Simulated timing: barrier at the slowest device, plus all-reduce.
   double compute_s = 0.0;
   double max_mem = 0.0;
-  for (std::int64_t d = 0; d < mapping_.num_devices(); ++d) {
+  for (std::int64_t d = 0; d < n_dev; ++d) {
     const DeviceSpec& spec = devices_[static_cast<std::size_t>(d)].spec();
     // A device hosting zero VNs this phase idles: it spends no compute
-    // and cannot be the step's barrier (its replica memory still counts).
+    // and cannot be the step's barrier (its simulated model memory still
+    // counts).
     if (!mapping_.device_vns(d).empty()) {
       // Injected straggler multipliers (src/fault/) stretch the device's
       // simulated window; the barrier picks up the slowest device either
@@ -297,12 +297,13 @@ double VirtualFlowEngine::sync_and_update(const std::vector<Tensor>& vn_grad_sum
   global_grad_.scale_(static_cast<float>(1.0 / b));
   *out_loss = loss_sum / b;
 
-  const float lr = schedule_->lr(step_);
-  for_each_device([&](std::int64_t d) {
-    Replica& rep = replicas_[static_cast<std::size_t>(d)];
-    rep.model.load_grads(global_grad_);
-    rep.optimizer->apply(rep.model, lr);
-  });
+  // One update of the one parameter set, then every other lane takes
+  // lane 0's parameters, so each lane starts the next step from the same
+  // bits (lanes idle this step included: a later grow may wake them).
+  Sequential& model = lanes_.front();
+  model.load_grads(global_grad_);
+  optimizer_->apply(model, schedule_->lr(step_));
+  for (std::size_t w = 1; w < lanes_.size(); ++w) copy_params(model, lanes_[w]);
 
   // An injected comm fault charges the all-reduce twice (one retry).
   // Consumed even on a single device, where no comm phase exists.
@@ -335,7 +336,7 @@ void VirtualFlowEngine::reconfigure(std::vector<Device> new_devices,
   // checkpoint-restart baselines, which the cluster policies charge
   // through resize_penalty_s.
   double state_bytes = profile_.param_bytes();
-  state_bytes += static_cast<double>(replicas_.at(0).optimizer->slot_bytes());
+  state_bytes += static_cast<double>(optimizer_->slot_bytes());
   for (const VnState& st : vn_states_) state_bytes += static_cast<double>(st.total_bytes());
   // The state is sharded across participants for the all-gather, so the
   // wire cost is ~one full copy of the state, not world x state. Both
@@ -361,14 +362,9 @@ void VirtualFlowEngine::reconfigure(std::vector<Device> new_devices,
   // VN count; a general reconfiguration (heterogeneous) may change it, in
   // which case surviving ids keep their state and new ids start fresh.
   vn_states_.resize(static_cast<std::size_t>(new_mapping.total_vns()));
-
-  const Sequential proto = replicas_.at(0).model;  // deep copy with current params
-  const std::unique_ptr<Optimizer> opt_proto = replicas_.at(0).optimizer->clone();
-
   devices_ = std::move(new_devices);
   mapping_ = std::move(new_mapping);
   resize_vn_scratch();
-  build_replicas(proto, *opt_proto);
   if (config_.enforce_memory) check_memory();
 }
 
@@ -379,45 +375,14 @@ void VirtualFlowEngine::fail_device(std::int64_t device_index) {
   for (std::size_t d = 0; d < devices_.size(); ++d) {
     if (static_cast<std::int64_t>(d) != device_index) survivors.push_back(devices_[d]);
   }
-  // The failed device's replica is gone, but every survivor holds the
-  // full model, and VN state lives with the (logical) virtual nodes —
+  // The failed device held nothing the engine needs: the model lives in
+  // the engine's lanes and VN state with the (logical) virtual nodes —
   // redistribute and continue.
   resize(std::move(survivors));
 }
 
-Checkpoint VirtualFlowEngine::capture() const {
-  Checkpoint snap;
-  snap.parameters = replicas_.at(0).model.flatten_params();
-  snap.optimizer_slots = replicas_.at(0).optimizer->slots();
-  snap.optimizer_counter = replicas_.at(0).optimizer->counter();
-  snap.vn_states = vn_states_;
-  snap.step = step_;
-  snap.sim_time_s = clock_s_;
-  return snap;
-}
-
-void VirtualFlowEngine::restore(const Checkpoint& snapshot) {
-  check(snapshot.vn_states.size() == vn_states_.size(),
-        "checkpoint virtual-node count (" + std::to_string(snapshot.vn_states.size()) +
-            ") does not match the engine (" + std::to_string(vn_states_.size()) + ")");
-  for (Replica& rep : replicas_) {
-    rep.model.unflatten_params(snapshot.parameters);
-    rep.optimizer->slots() = snapshot.optimizer_slots;
-    rep.optimizer->set_counter(snapshot.optimizer_counter);
-  }
-  vn_states_ = snapshot.vn_states;
-  step_ = snapshot.step;
-  clock_s_ = snapshot.sim_time_s;
-  eval_state_dirty_ = true;
-}
-
-const Sequential& VirtualFlowEngine::replica_model(std::int64_t d) const {
-  check_index(d, num_replicas(), "replica");
-  return replicas_[static_cast<std::size_t>(d)].model;
-}
-
 Tensor VirtualFlowEngine::parameters() const {
-  return replicas_.at(0).model.flatten_params();
+  return lanes_.front().flatten_params();
 }
 
 const VnState& VirtualFlowEngine::vn_state(std::int32_t vn) const {
@@ -477,7 +442,7 @@ InferStats VirtualFlowEngine::infer(const std::vector<InferSlice>& slices) {
 
   // Group slices by hosting device; devices run in ascending order, each
   // its slices in call order (same execution shape as training VNs), all
-  // on the calling thread: handing devices to the pool measured slower
+  // on lane 0's model and the calling thread: handing devices to the pool measured slower
   // than this loop on every serving workload (README, "Concurrency
   // model"). All the loop's scratch — grouping lists, per-VN prediction
   // vectors, the averaged eval state — is engine-member storage keyed by
@@ -494,8 +459,8 @@ InferStats VirtualFlowEngine::infer(const std::vector<InferSlice>& slices) {
   VnState* const eval_state_ptr = eval_state.empty() ? nullptr : &eval_state;
 
   ws_.begin_region();  // this thread takes over the VNs' slots from the last region
+  Sequential& model = lanes_.front();
   for (std::int64_t d = 0; d < n_dev; ++d) {
-    Sequential& model = replicas_[static_cast<std::size_t>(d)].model;
     for (const std::size_t i : infer_by_device_[static_cast<std::size_t>(d)]) {
       const InferSlice& s = slices[i];
       const auto v = static_cast<std::size_t>(s.vn);

@@ -9,7 +9,12 @@
 //   2. synchronize gradients across devices with a *weighted* all-reduce
 //      (§5.2) so that every example contributes equally no matter how the
 //      batch was partitioned;
-//   3. every device applies the same averaged gradient to its replica.
+//   3. the optimizer applies the averaged gradient once, to the engine's
+//      one parameter set. The model names virtual nodes, never devices, so
+//      the engine holds one model per host lane, not one per device: a
+//      serial engine runs every device's VNs on lane 0's model, and a
+//      pooled engine gives each pool worker a lane whose model receives
+//      lane 0's parameters after every update.
 //
 // Math is real (actual SGD on actual gradients); device/step timing comes
 // from the analytic cost model and a virtual clock (docs/architecture.md,
@@ -63,24 +68,15 @@ struct EngineConfig {
   /// that run tiny models under mappings the real profile would OOM).
   bool enforce_memory = true;
   ReductionMode reduction = ReductionMode::kStrictVnOrder;
-  /// Host worker threads running train_step's per-device loop and
-  /// optimizer apply, the only work the pool runs. 0 = serial (the
-  /// reference path). Any value yields bit-identical results: each
-  /// device writes only its own VNs' gradient sums and the reduction in
+  /// Host worker threads running train_step's device loop, the only work
+  /// the pool runs; the optimizer applies once, on the calling thread.
+  /// 0 = serial (the reference path). Each worker owns one lane: a model
+  /// copy plus the VN slots of the devices w, w+L, w+2L, ... (L = min(
+  /// workers, devices)). Any value yields bit-identical results: every
+  /// lane holds the same parameters when a step starts, each device
+  /// writes only its own VNs' gradient sums, and the reduction in
   /// sync_and_update is ordered by VN id, not by completion.
   std::int64_t num_threads = 0;
-};
-
-/// A point-in-time snapshot of everything a training job needs to resume:
-/// model parameters, optimizer slots and counters, per-VN stateful-kernel
-/// tensors, and progress counters. See core/checkpoint.h for file I/O.
-struct Checkpoint {
-  Tensor parameters;
-  std::vector<Tensor> optimizer_slots;
-  std::int64_t optimizer_counter = 0;
-  std::vector<VnState> vn_states;
-  std::int64_t step = 0;
-  double sim_time_s = 0.0;
 };
 
 /// Telemetry for one training step.
@@ -146,8 +142,9 @@ struct InferStats {
 /// Data-parallel synchronous training engine with virtual-node processing.
 class VirtualFlowEngine {
  public:
-  /// The engine clones `model` onto every device (replica per device) and
-  /// `optimizer` likewise. `profile` drives simulated timing/memory.
+  /// The engine copies `model` once per host lane (one lane serially, one
+  /// per pool worker) and `optimizer` once; neither is copied again, by a
+  /// resize or otherwise. `profile` drives simulated timing/memory.
   VirtualFlowEngine(const Sequential& model, const Optimizer& optimizer,
                     const LrSchedule& schedule, const Dataset& train,
                     ModelProfile profile, std::vector<Device> devices,
@@ -185,11 +182,6 @@ class VirtualFlowEngine {
   /// Throws if it would leave zero devices.
   void fail_device(std::int64_t device_index);
 
-  /// Snapshot / restore of full training state; core/checkpoint.h writes
-  /// and reads a snapshot as a file.
-  Checkpoint capture() const;
-  void restore(const Checkpoint& snapshot);
-
   /// Straggler injection (src/fault/): scales device d's simulated compute
   /// time by `multiplier` (>= 1) in both train_step and infer. Timing
   /// only — the numerical trajectory is untouched, so bit-exactness across
@@ -218,13 +210,13 @@ class VirtualFlowEngine {
 
   /// Forward-only execution of inference micro-batches on a subset of
   /// virtual nodes (the serving entry point, src/serve/, and evaluate's).
-  /// Each slice runs on the device hosting its VN and reads the shared
-  /// averaged eval-time VN state (batch-norm moving statistics averaged
-  /// over VNs in id order); devices run one after another on the calling
-  /// thread, whatever num_threads is. Does NOT advance the engine's
-  /// simulated clock — callers (the serving loop) own their own timeline
-  /// and consume the returned simulated costs. Slices must name distinct,
-  /// valid VNs.
+  /// Each slice is priced on the device hosting its VN, runs on lane 0's
+  /// model and reads the shared averaged eval-time VN state (batch-norm
+  /// moving statistics averaged over VNs in id order); devices run one
+  /// after another on the calling thread, whatever num_threads is. Does
+  /// NOT advance the engine's simulated clock — callers (the serving
+  /// loop) own their own timeline and consume the returned simulated
+  /// costs. Slices must name distinct, valid VNs.
   InferStats infer(const std::vector<InferSlice>& slices);
 
   // ---- Introspection (tests, benches) ----
@@ -235,10 +227,8 @@ class VirtualFlowEngine {
   const VnMapping& mapping() const { return mapping_; }
   const std::vector<Device>& devices() const { return devices_; }
   const ModelProfile& profile() const { return profile_; }
-  std::int64_t num_replicas() const { return static_cast<std::int64_t>(replicas_.size()); }
-  /// Replica d's model (replicas are asserted identical in tests).
-  const Sequential& replica_model(std::int64_t d) const;
-  /// Flat parameter vector of replica 0 (the canonical copy).
+  /// Flat parameter vector of lane 0's model (the one the optimizer
+  /// updates).
   Tensor parameters() const;
   /// Per-VN stateful-kernel storage (batch-norm moving stats).
   const VnState& vn_state(std::int32_t vn) const;
@@ -256,24 +246,13 @@ class VirtualFlowEngine {
   std::int64_t workspace_vns() const { return ws_.num_vns(); }
 
  private:
-  struct Replica {
-    Device device;
-    Sequential model;
-    std::unique_ptr<Optimizer> optimizer;
-  };
-
-  void build_replicas(const Sequential& proto, const Optimizer& opt_proto);
   void check_memory() const;
   /// (Re)sizes the per-VN hot-path scratch to the current mapping.
   void resize_vn_scratch();
   double sync_and_update(const std::vector<Tensor>& vn_grad_sums,
                          const std::vector<double>& vn_loss_sums, double* out_loss);
-  /// Runs fn(d) for every device, on the pool when configured, serially
-  /// otherwise. fn must only write state owned by device d (its replica,
-  /// its VNs' slots).
-  void for_each_device(const std::function<void(std::int64_t)>& fn);
-  /// Averaged eval-time VN state, recomputed lazily (train_step, restore,
-  /// and reconfigure invalidate it). Eval-mode forwards only read state,
+  /// Averaged eval-time VN state, recomputed lazily (train_step and
+  /// reconfigure invalidate it). Eval-mode forwards only read state,
   /// so every infer() call (evaluate's included) reads this one copy
   /// instead of deep-copying it per call per device — the infer hot path
   /// allocates nothing for it.
@@ -288,13 +267,17 @@ class VirtualFlowEngine {
   std::unique_ptr<LrSchedule> schedule_;
   EpochBatcher batcher_;
 
-  std::vector<Replica> replicas_;
+  // One model per host lane (lane w runs devices w, w+L, ... of a step),
+  // built in the constructor and never rebuilt; lane 0's is the one the
+  // optimizer updates and infer() runs.
+  std::vector<Sequential> lanes_;
+  std::unique_ptr<Optimizer> optimizer_;
   std::vector<VnState> vn_states_;  // indexed by VN id; survives resizes
   std::unique_ptr<ThreadPool> pool_;  // null when config_.num_threads == 0
 
   // ---- Reusable hot-path scratch (zero tensor allocations once warm).
   // Everything is keyed by VN id, so under any mapping and worker count
-  // the worker driving device d touches exactly its VNs' slots — the same
+  // the lane driving device d touches exactly its VNs' slots — the same
   // confinement argument that makes the gradient slots race-free.
   Workspace ws_;                                    // activations, kernel temps
   std::vector<MicroBatch> vn_mb_;                   // micro-batch buffers

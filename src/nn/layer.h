@@ -73,7 +73,8 @@ class Layer {
   /// Zeroes accumulated parameter gradients.
   void zero_grad();
 
-  /// Deep copy (used to build per-device model replicas).
+  /// Deep copy (Sequential's copy uses it; the engine copies its model
+  /// once per host lane).
   virtual std::unique_ptr<Layer> clone() const = 0;
 
   virtual std::string name() const = 0;

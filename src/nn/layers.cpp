@@ -44,8 +44,8 @@ void Dense::forward_into(const Tensor& x, Tensor& y, const ExecContext& ctx) {
   check(x.rank() == 2 && x.cols() == w_.rows(), "Dense: input shape mismatch");
   // The backward stash tracks the *training* forward it serves (an eval
   // forward between a training forward and its backward — evaluate() and
-  // infer() run on the training replicas — must not redirect backward's
-  // scratch to another VN's slots).
+  // infer() run on lane 0's model, which also trains — must not redirect
+  // backward's scratch to another VN's slots).
   if (ctx.training) {
     cached_input_ = x;
     bw_ws_ = ctx.ws;

@@ -127,16 +127,6 @@ Tensor Sequential::flatten_params() const {
   return flat;
 }
 
-void Sequential::unflatten_params(const Tensor& flat) {
-  std::int64_t off = 0;
-  for (Tensor* p : params()) {
-    check(off + p->size() <= flat.size(), "unflatten_params: flat tensor too small");
-    std::copy_n(flat.data().begin() + off, p->size(), p->data().begin());
-    off += p->size();
-  }
-  check(off == flat.size(), "unflatten_params: flat tensor size mismatch");
-}
-
 void Sequential::flatten_grads_into(Tensor& flat) const {
   auto* self = const_cast<Sequential*>(this);
   const auto grads = self->grads();

@@ -46,8 +46,6 @@ class Sequential : public Layer {
   /// Copies all parameters into one contiguous vector (used to model the
   /// flat gradient buffer and for all-gather state migration).
   Tensor flatten_params() const;
-  /// Loads parameters back from a flat vector produced by flatten_params().
-  void unflatten_params(const Tensor& flat);
   /// Copies accumulated gradients into `flat`, reshaped in place so its
   /// buffer is reused (the engine's per-VN gradient-sum slots).
   void flatten_grads_into(Tensor& flat) const;

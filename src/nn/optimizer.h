@@ -29,16 +29,10 @@ class Optimizer {
   virtual std::string name() const = 0;
 
   /// Flattened view of all optimizer slots (for state migration).
-  virtual std::vector<Tensor>& slots() { return slots_; }
-  virtual const std::vector<Tensor>& slots() const { return slots_; }
+  const std::vector<Tensor>& slots() const { return slots_; }
 
   /// Total slot bytes (migration-cost accounting).
   std::int64_t slot_bytes() const;
-
-  /// Step counter for optimizers with time-dependent state (Adam's bias
-  /// correction). Checkpoint/restore round-trips it; plain SGD ignores it.
-  virtual std::int64_t counter() const { return 0; }
-  virtual void set_counter(std::int64_t /*value*/) {}
 
  protected:
   /// Lazily sizes `slots_` to match the model's parameter list.
@@ -71,8 +65,6 @@ class Adam : public Optimizer {
   void apply(Sequential& model, float lr) override;
   std::unique_ptr<Optimizer> clone() const override { return std::make_unique<Adam>(*this); }
   std::string name() const override { return "adam"; }
-  std::int64_t counter() const override { return t_; }
-  void set_counter(std::int64_t value) override { t_ = value; }
 
  private:
   float beta1_, beta2_, eps_, weight_decay_;

@@ -89,7 +89,7 @@ struct ServerConfig {
 
 class Server : public sched::DeviceLease {
  public:
-  /// `engine` supplies the model replicas, mapping, and resize machinery;
+  /// `engine` supplies the model, mapping, and resize machinery;
   /// `request_pool` generates request payload features on demand. Both
   /// must outlive the server.
   Server(VirtualFlowEngine& engine, const Dataset& request_pool, ServerConfig config);

@@ -1,13 +1,15 @@
-// Fixed-size worker pool used to run per-device engine work concurrently.
+// Fixed-size worker pool used to run the engine's training lanes
+// concurrently.
 //
 // Determinism contract: parallel_for(n, fn) runs fn(0..n-1) exactly once
 // each, with completion of all invocations guaranteed on return. Which
 // worker runs which index (and in what order) is unspecified — callers
 // must write results into per-index slots and reduce them in a fixed
-// order afterwards. The engine follows exactly that pattern: each device
-// writes only its own VNs' gradient sums, and sync_and_update combines
-// them in ascending VN-id order, so kStrictVnOrder stays bit-exact by
-// construction no matter how the pool schedules the work.
+// order afterwards. The engine follows exactly that pattern: index w is
+// a lane (its own model copy and the devices w, w+L, w+2L, ...), each
+// device writes only its own VNs' gradient sums, and sync_and_update
+// combines them in ascending VN-id order, so kStrictVnOrder stays
+// bit-exact by construction no matter how the pool schedules the work.
 #pragma once
 
 #include <condition_variable>

@@ -45,7 +45,6 @@
 #include "comm/comm.h"
 
 // Core virtual-node engine.
-#include "core/checkpoint.h"
 #include "core/engine.h"
 #include "core/mapping.h"
 #include "core/pipeline.h"

@@ -66,7 +66,6 @@ TEST(Elastic, ResizePreservesVnCountAndBatch) {
   EXPECT_EQ(eng.mapping().total_vns(), 8);
   EXPECT_EQ(eng.mapping().global_batch(), 64);
   EXPECT_EQ(eng.mapping().num_devices(), 2);
-  EXPECT_EQ(eng.num_replicas(), 2);
 }
 
 TEST(Elastic, SeamlessResizeCostsUnderASecond) {

@@ -1,5 +1,5 @@
-// VirtualFlowEngine behaviour: step mechanics, replica consistency, the
-// simulated clock, evaluation, and memory enforcement.
+// VirtualFlowEngine behaviour: step mechanics, the simulated clock,
+// evaluation, and memory enforcement.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -57,17 +57,6 @@ TEST(Engine, LossDecreasesOverTraining) {
   for (int i = 0; i < 60; ++i) eng.train_step();
   const double later = eng.train_step().loss;
   EXPECT_LT(later, first);
-}
-
-TEST(Engine, ReplicasStayBitIdentical) {
-  Rig rig;
-  auto eng = rig.engine(8, 4);
-  for (int i = 0; i < 5; ++i) eng.train_step();
-  const Tensor p0 = eng.replica_model(0).flatten_params();
-  for (std::int64_t d = 1; d < eng.num_replicas(); ++d) {
-    EXPECT_TRUE(p0.equals(eng.replica_model(d).flatten_params()))
-        << "replica " << d << " diverged";
-  }
 }
 
 TEST(Engine, MoreDevicesShortenSimulatedStep) {

@@ -1,6 +1,7 @@
-// Injector-driven training faults: VN remap on kill keeps the trajectory
-// bit-exact (across worker counts AND against a from-scratch run on the
-// surviving device set), stragglers and comm retries are timing-only.
+// Training faults: VN remap on kill keeps the trajectory bit-exact
+// (across worker counts, against a from-scratch run on the surviving
+// device set, and through a fail_device + regrow), stragglers and comm
+// retries are timing-only.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -124,6 +125,62 @@ TEST(FaultTraining, CommRetryChargesOneExtraAllReduce) {
   const StepStats after = faulted.train_step();
   EXPECT_DOUBLE_EQ(after.comm_time_s, baseline.train_step().comm_time_s);
   EXPECT_TRUE(baseline.parameters().equals(faulted.parameters()));
+}
+
+TEST(FaultTolerance, DeviceFailureContinuesBitExactly) {
+  // §7: when a worker dies, its virtual nodes migrate to survivors and
+  // training continues as if nothing happened (vs. checkpoint-restart).
+  ProxyTask task = make_task("qnli-sim", 42);
+  Sequential model = make_proxy_model("qnli-sim", 42);
+  TrainRecipe r1 = make_recipe("qnli-sim");
+  TrainRecipe r2 = make_recipe("qnli-sim");
+
+  auto healthy = make_engine(task, model, r1, 4);
+  auto faulty = make_engine(task, model, r2, 4);
+  for (int i = 0; i < 6; ++i) {
+    healthy.train_step();
+    faulty.train_step();
+  }
+  faulty.fail_device(2);  // device 2 dies
+  EXPECT_EQ(faulty.mapping().num_devices(), 3);
+  EXPECT_EQ(faulty.mapping().total_vns(), 8);
+  for (int i = 0; i < 6; ++i) {
+    healthy.train_step();
+    faulty.train_step();
+  }
+  // Replacement arrives: scale back up.
+  faulty.resize(make_devices(DeviceType::kV100, 4));
+  for (int i = 0; i < 6; ++i) {
+    healthy.train_step();
+    faulty.train_step();
+  }
+  EXPECT_TRUE(healthy.parameters().equals(faulty.parameters()));
+}
+
+TEST(FaultTolerance, CannotLoseLastDevice) {
+  ProxyTask task = make_task("qnli-sim", 42);
+  Sequential model = make_proxy_model("qnli-sim", 42);
+  TrainRecipe recipe = make_recipe("qnli-sim");
+  auto eng = make_engine(task, model, recipe, 1);
+  EXPECT_THROW(eng.fail_device(0), VfError);
+  auto eng2 = make_engine(task, model, recipe, 2);
+  EXPECT_THROW(eng2.fail_device(5), VfError);  // bad index
+}
+
+TEST(FaultTolerance, RepeatedFailuresDownToOneDevice) {
+  ProxyTask task = make_task("qnli-sim", 42);
+  Sequential model = make_proxy_model("qnli-sim", 42);
+  TrainRecipe recipe = make_recipe("qnli-sim");
+  auto eng = make_engine(task, model, recipe, 4);
+  eng.train_step();
+  eng.fail_device(0);
+  eng.train_step();
+  eng.fail_device(0);
+  eng.train_step();
+  eng.fail_device(1);
+  EXPECT_EQ(eng.mapping().num_devices(), 1);
+  const StepStats s = eng.train_step();
+  EXPECT_GT(s.throughput, 0.0);
 }
 
 }  // namespace

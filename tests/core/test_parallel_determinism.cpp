@@ -171,7 +171,7 @@ TEST(ParallelDeterminism, KernelModeAndWorkerCountCannotChangeBits) {
 
 TEST(ParallelDeterminism, PooledEngineEvaluatesLikeSerial) {
   // Evaluation runs on the calling thread whatever the worker count: a
-  // 1-device mapping with 8 pool workers (more workers than replicas)
+  // 1-device mapping with 8 pool workers (more workers than devices)
   // must still match the serial reference bit for bit.
   const RunResult serial = run(8, 1, /*workers=*/0);
   const RunResult pooled = run(8, 1, /*workers=*/8);
@@ -180,7 +180,9 @@ TEST(ParallelDeterminism, PooledEngineEvaluatesLikeSerial) {
 
 TEST(ParallelDeterminism, PoolSurvivesResize) {
   // Elastic resize with a live pool: the device count changes under the
-  // pool's feet and the trajectory still matches the serial engine.
+  // pool's feet and the trajectory still matches the serial engine. The
+  // 4 -> 1 -> 4 leg leaves lanes 1..7 idle for a phase; they must rejoin
+  // holding the current parameters, not those of the step they last ran.
   ProxyTask task = make_task("qnli-sim", 42);
   Sequential model = make_proxy_model("qnli-sim", 42);
   TrainRecipe r1 = make_recipe("qnli-sim");
@@ -203,13 +205,15 @@ TEST(ParallelDeterminism, PoolSurvivesResize) {
     serial.train_step();
     pooled.train_step();
   }
-  serial.resize(make_devices(DeviceType::kV100, 2));
-  pooled.resize(make_devices(DeviceType::kV100, 2));
-  for (int i = 0; i < 5; ++i) {
-    serial.train_step();
-    pooled.train_step();
+  for (const std::int64_t devices : {2, 4, 1, 4}) {
+    serial.resize(make_devices(DeviceType::kV100, devices));
+    pooled.resize(make_devices(DeviceType::kV100, devices));
+    for (int i = 0; i < 5; ++i)
+      EXPECT_EQ(serial.train_step().loss, pooled.train_step().loss)
+          << "step " << i << " on " << devices << " devices";
+    EXPECT_TRUE(serial.parameters().equals(pooled.parameters()))
+        << "after the resize to " << devices << " devices";
   }
-  EXPECT_TRUE(serial.parameters().equals(pooled.parameters()));
 }
 
 }  // namespace

@@ -74,18 +74,29 @@ TEST(ZeroAllocSteadyState, ResizeRewarmsThenGoesQuietAgain) {
 
   ProxyTask task = make_task("qnli-sim", 42);
   TrainRecipe recipe = make_recipe("qnli-sim");
-  VirtualFlowEngine eng = make_engine(8, 4, 0, task, recipe);
-  for (int i = 0; i < 3; ++i) eng.train_step();
+  for (const std::int64_t workers : {0, 2}) {
+    SCOPED_TRACE(workers == 0 ? "serial" : "2 workers");
+    VirtualFlowEngine eng = make_engine(8, 4, workers, task, recipe);
+    for (int i = 0; i < 3; ++i) eng.train_step();
 
-  // An elastic resize rebuilds replicas — the next steps may allocate
-  // (fresh model scratch) but the workspace slots survive by VN id and
-  // the step must go allocation-quiet again.
-  eng.resize(make_devices(DeviceType::kV100, 2));
-  for (int i = 0; i < 3; ++i) eng.train_step();
+    // An elastic resize copies no model and no optimizer (both belong to
+    // the engine, one model per host lane, not per device) and the
+    // workspace slots survive by VN id: a shrink and a grow allocate no
+    // tensor themselves, and the steps after them go allocation-quiet
+    // again.
+    for (const std::int64_t devices : {2, 4}) {
+      const std::int64_t resize0 = tensor_alloc_count();
+      eng.resize(make_devices(DeviceType::kV100, devices));
+      EXPECT_EQ(tensor_alloc_count() - resize0, 0)
+          << "the resize to " << devices << " devices allocated tensors";
+      for (int i = 0; i < 3; ++i) eng.train_step();
 
-  const std::int64_t tensor0 = tensor_alloc_count();
-  for (int i = 0; i < 4; ++i) eng.train_step();
-  EXPECT_EQ(tensor_alloc_count() - tensor0, 0);
+      const std::int64_t tensor0 = tensor_alloc_count();
+      for (int i = 0; i < 4; ++i) eng.train_step();
+      EXPECT_EQ(tensor_alloc_count() - tensor0, 0)
+          << "steady state must return on " << devices << " devices";
+    }
+  }
 }
 
 TEST(ZeroAllocSteadyState, GrowShrinkGrowCycleEvictsStaleVnSlotsAndRewarms) {

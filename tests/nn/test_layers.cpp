@@ -250,7 +250,7 @@ PassGrads train_pass(const Layer& proto, const Tensor& x, const Tensor* eval_x,
   Tensor y;
   layer->forward_into(x, y, train);
   if (eval_x != nullptr) {
-    // Same VN, state and workspace, as infer() on a training replica.
+    // Same VN, state and workspace, as infer() on lane 0's model.
     ExecContext eval = train;
     eval.training = false;
     Tensor y_eval;

@@ -57,20 +57,15 @@ TEST(Sequential, CloneEqualsOriginalFunctionally) {
   EXPECT_TRUE(m.forward(x, ctx_train()).equals(cm->forward(x, ctx_train())));
 }
 
-TEST(Sequential, FlattenUnflattenRoundTrips) {
+TEST(Sequential, FlattenParamsConcatenatesEveryParameter) {
   Sequential m = small_model();
   Tensor flat = m.flatten_params();
   EXPECT_EQ(flat.size(), m.param_count());
+  std::int64_t off = 0;
+  for (const Tensor* p : m.params())
+    for (std::int64_t i = 0; i < p->size(); ++i) EXPECT_EQ(flat.at(off++), p->at(i));
   Sequential other = small_model(99);  // different init
   EXPECT_FALSE(other.flatten_params().equals(flat));
-  other.unflatten_params(flat);
-  EXPECT_TRUE(other.flatten_params().equals(flat));
-}
-
-TEST(Sequential, UnflattenSizeMismatchThrows) {
-  Sequential m = small_model();
-  Tensor wrong({m.param_count() + 1});
-  EXPECT_THROW(m.unflatten_params(wrong), VfError);
 }
 
 TEST(Sequential, LoadGradsRoundTrips) {

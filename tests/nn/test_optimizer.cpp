@@ -108,12 +108,24 @@ TEST(Adam, SlotsAndCounterCarryIntoClone) {
   opt.apply(r.model, 0.01F);
   opt.apply(r.model, 0.01F);
   EXPECT_EQ(opt.slots().size(), 4u);  // m and v per param tensor
-  EXPECT_EQ(opt.counter(), 2);
   const auto c = opt.clone();
-  EXPECT_EQ(c->counter(), 2);
   EXPECT_EQ(c->slots().size(), opt.slots().size());
-  opt.set_counter(7);
-  EXPECT_EQ(opt.counter(), 7);
+  // The moments and the bias-correction step counter carry into the
+  // clone: one more step on equal models lands on equal parameters, and
+  // both differ from a fresh Adam's first step (which moves by ~lr).
+  Rig r2;
+  r2.w() = r.w();
+  r2.b() = r.b();
+  Rig fresh;
+  fresh.w() = r.w();
+  fresh.b() = r.b();
+  for (Rig* rig : {&r, &r2, &fresh}) rig->set_grads(0.5F, -0.25F);
+  opt.apply(r.model, 0.01F);
+  c->apply(r2.model, 0.01F);
+  Adam().apply(fresh.model, 0.01F);
+  EXPECT_EQ(r.w(), r2.w());
+  EXPECT_EQ(r.b(), r2.b());
+  EXPECT_NE(r.w(), fresh.w());
 }
 
 TEST(Adam, ConvergesOnQuadratic) {

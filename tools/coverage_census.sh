@@ -12,6 +12,9 @@
 #     prefill, which runs the fault handler's requeue branch
 #     (RequestQueue::push_front, TokenStreamer::cancel). Running every
 #     bench at default size reaches nothing else;
+#   * bench_serving once more with --json, --trace and --metrics, so the
+#     export paths users run (JsonReport, TraceRecorder and
+#     MetricsRegistry saves) count as reached;
 #   * every example;
 #   * vfbench on all four workloads with --smoke=1, plain and --traced=1.
 # It then merges `gcov -j` output from both trees (python3) and prints
@@ -19,14 +22,35 @@
 # each src/ file's count of never-run lines and a `total:` line with both
 # counts.
 #
-# Usage: tools/coverage_census.sh
+# The ratchet: tools/census_functions.txt holds the committed list
+# (`file name`, no line numbers). --check fails when a function joins it,
+# so new surface that only tests reach needs an explicit edit of that
+# file, as a golden pin does.
+#
+# Usage: tools/coverage_census.sh [--check | --update]
+#   --check   compare with tools/census_functions.txt: name each function
+#             missing from it (exit 1) and each listed one that left it
+#             (now run by a program, or deleted; informational).
+#   --update  rewrite tools/census_functions.txt from this run.
 #   JOBS=<n> sets the build parallelism (default: nproc).
 #   CXX=<g++> picks the compiler (default: c++); gcov must match it.
-# Exit: 0 when every program exits 0, 1 when any program fails (the
-# census is still printed), 2 when the toolchain is not gcc/gcov.
+# Exit: 0 when every program exits 0 (and, with --check, no function
+# joined the list), 1 when any program fails or a function joined (the
+# census is still printed), 2 when the toolchain is not gcc/gcov or the
+# arguments are wrong.
 # vfbench's traced runs gate on host-time shares (|unattributed| <= 5%),
 # so run the census on a quiet host: a concurrent build can fail them.
 set -euo pipefail
+
+mode=
+case ${1-} in
+  '') ;;
+  --check | --update) mode=${1#--} ;;
+  *)
+    echo "usage: tools/coverage_census.sh [--check | --update]" >&2
+    exit 2
+    ;;
+esac
 
 die_toolchain() {
   echo "coverage_census: $1 (the census needs gcc and its gcov with -j)" >&2
@@ -98,6 +122,9 @@ for bin in "$top"/bench/bench_*; do
   fi
 done
 run "bench_faults (default size)" "$top/bench/bench_faults"
+run "bench_serving (exports)" "$top/bench/bench_serving" --smoke=1 \
+  --json="$work/run/serving.json" --trace="$work/run/serving.trace.json" \
+  --metrics="$work/run/serving.metrics.json"
 for bin in "$top"/examples/example_*; do
   [[ -x $bin && -f $bin ]] || continue
   run "$(basename "$bin")" "$bin"
@@ -114,7 +141,8 @@ mkdir "$work/gcov"
 find "$top" "$bench" -name '*.gcno' -print0 |
   (cd "$work/gcov" && xargs -0 -n 16 gcov -j -m -p > /dev/null 2>&1 || true)
 
-python3 - "$repo/src" "$work/gcov" << 'EOF'
+joined=0
+python3 - "$repo/src" "$work/gcov" "$mode" "$repo/tools/census_functions.txt" << 'EOF' ||
 import collections, glob, gzip, json, os, sys
 
 src = os.path.realpath(sys.argv[1]) + os.sep
@@ -127,7 +155,9 @@ for path in glob.glob(os.path.join(sys.argv[2], "*.gcov.json.gz")):
     cwd = doc.get("current_working_directory", "")
     for rec in doc["files"]:
         name = os.path.realpath(os.path.join(cwd, rec["file"]))
-        if not name.startswith(src):
+        # A source deleted since the census trees were last built leaves
+        # its .gcno behind; it is not part of the library any more.
+        if not name.startswith(src) or not os.path.exists(name):
             continue
         rel = os.path.relpath(name, root)
         for fn in rec["functions"]:
@@ -148,10 +178,36 @@ for rel in sorted(lines):
     if never:
         print(f"  {rel}: {never} of {len(lines[rel])}")
 print(f"total: {len(unrun)} functions, {total} never-run lines")
+
+mode, list_path = sys.argv[3], sys.argv[4]
+names = sorted({f"{rel} {name}" for rel, _, name in unrun})
+if mode == "update":
+    with open(list_path, "w") as f:
+        f.write("# src/ functions no bench, example or vfbench workload runs, as\n"
+                "# `file name`. tools/coverage_census.sh --check fails when one\n"
+                "# joins; --update rewrites this file.\n")
+        f.writelines(n + "\n" for n in names)
+    print(f"wrote {len(names)} functions to {os.path.relpath(list_path, root)}")
+elif mode == "check":
+    with open(list_path) as f:
+        listed = {ln.rstrip("\n") for ln in f if ln.strip() and not ln.startswith("#")}
+    left = sorted(listed.difference(names))
+    new = sorted(set(names).difference(listed))
+    for n in left:
+        print(f"left the list (now run, or deleted): {n}")
+    for n in new:
+        print(f"JOINED the list (no program runs it): {n}")
+    print(f"check: {len(new)} joined, {len(left)} left")
+    sys.exit(1 if new else 0)
 EOF
+  joined=1
 
 if ((${#failed[@]})); then
   echo "FAILED programs (${#failed[@]}): ${failed[*]}" >&2
   exit 1
 fi
 echo "every program exited 0"
+if ((joined)); then
+  echo "census check failed: functions joined tools/census_functions.txt" >&2
+  exit 1
+fi
