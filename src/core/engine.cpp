@@ -11,14 +11,6 @@ namespace {
 // Engine-level workspace tags (negative: layer tags are >= 0).
 constexpr std::int32_t kTagLogits = -1;    // forward output per VN
 constexpr std::int32_t kTagTopGrad = -2;   // model-input gradient (discarded)
-
-/// Copies `from`'s parameters into `to`, a copy of the same model. Copy
-/// assignment reuses each destination buffer, so this allocates nothing.
-void copy_params(const Sequential& from, Sequential& to) {
-  const std::vector<const Tensor*> src = from.params();
-  const std::vector<Tensor*> dst = to.params();
-  for (std::size_t i = 0; i < src.size(); ++i) *dst[i] = *src[i];
-}
 }  // namespace
 
 VirtualFlowEngine::VirtualFlowEngine(const Sequential& model, const Optimizer& optimizer,
@@ -36,6 +28,8 @@ VirtualFlowEngine::VirtualFlowEngine(const Sequential& model, const Optimizer& o
   check(static_cast<std::int64_t>(devices_.size()) == mapping_.num_devices(),
         "mapping device count (" + std::to_string(mapping_.num_devices()) +
             ") must match cluster size (" + std::to_string(devices_.size()) + ")");
+  for (Sequential& lane : lanes_) lane_params_.push_back(lane.params());
+  synced_lanes_ = lanes_.size();  // every lane starts as a copy of `model`
   vn_states_.resize(static_cast<std::size_t>(mapping_.total_vns()));
   resize_vn_scratch();
   if (config_.enforce_memory) check_memory();
@@ -136,6 +130,7 @@ StepStats VirtualFlowEngine::train_step() {
   ws_.begin_region();  // new ownership region: lane -> VN may have moved
   const std::int64_t n_dev = mapping_.num_devices();
   const std::int64_t n_lanes = std::min(static_cast<std::int64_t>(lanes_.size()), n_dev);
+  sync_lanes(static_cast<std::size_t>(n_lanes));
   const auto run_lane = [&](std::int64_t w) {
     Sequential& model = lanes_[static_cast<std::size_t>(w)];
     for (std::int64_t d = w; d < n_dev; d += n_lanes) {
@@ -297,13 +292,12 @@ double VirtualFlowEngine::sync_and_update(const std::vector<Tensor>& vn_grad_sum
   global_grad_.scale_(static_cast<float>(1.0 / b));
   *out_loss = loss_sum / b;
 
-  // One update of the one parameter set, then every other lane takes
-  // lane 0's parameters, so each lane starts the next step from the same
-  // bits (lanes idle this step included: a later grow may wake them).
+  // One update of the one parameter set; every other lane is stale until
+  // a step that runs it refreshes it (sync_lanes).
   Sequential& model = lanes_.front();
   model.load_grads(global_grad_);
   optimizer_->apply(model, schedule_->lr(step_));
-  for (std::size_t w = 1; w < lanes_.size(); ++w) copy_params(model, lanes_[w]);
+  synced_lanes_ = 1;
 
   // An injected comm fault charges the all-reduce twice (one retry).
   // Consumed even on a single device, where no comm phase exists.
@@ -312,6 +306,15 @@ double VirtualFlowEngine::sync_and_update(const std::vector<Tensor>& vn_grad_sum
   if (mapping_.num_devices() <= 1) return 0.0;
   return retry * ring_allreduce_time_s(profile_.param_bytes(),
                                        mapping_.num_devices(), config_.link);
+}
+
+void VirtualFlowEngine::sync_lanes(std::size_t lanes) {
+  // Copy assignment reuses each destination buffer: no allocation.
+  const std::vector<Tensor*>& src = lane_params_.front();
+  for (; synced_lanes_ < lanes; ++synced_lanes_) {
+    const std::vector<Tensor*>& dst = lane_params_[synced_lanes_];
+    for (std::size_t i = 0; i < src.size(); ++i) *dst[i] = *src[i];
+  }
 }
 
 void VirtualFlowEngine::resize(std::vector<Device> new_devices) {

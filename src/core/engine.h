@@ -13,8 +13,8 @@
 //      one parameter set. The model names virtual nodes, never devices, so
 //      the engine holds one model per host lane, not one per device: a
 //      serial engine runs every device's VNs on lane 0's model, and a
-//      pooled engine gives each pool worker a lane whose model receives
-//      lane 0's parameters after every update.
+//      pooled engine gives each pool worker a lane whose model takes
+//      lane 0's parameters when a step runs it after an update.
 //
 // Math is real (actual SGD on actual gradients); device/step timing comes
 // from the analytic cost model and a virtual clock (docs/architecture.md,
@@ -251,6 +251,8 @@ class VirtualFlowEngine {
   void resize_vn_scratch();
   double sync_and_update(const std::vector<Tensor>& vn_grad_sums,
                          const std::vector<double>& vn_loss_sums, double* out_loss);
+  /// Copies lane 0's parameters into every stale lane below `lanes`.
+  void sync_lanes(std::size_t lanes);
   /// Averaged eval-time VN state, recomputed lazily (train_step and
   /// reconfigure invalidate it). Eval-mode forwards only read state,
   /// so every infer() call (evaluate's included) reads this one copy
@@ -271,6 +273,12 @@ class VirtualFlowEngine {
   // built in the constructor and never rebuilt; lane 0's is the one the
   // optimizer updates and infer() runs.
   std::vector<Sequential> lanes_;
+  /// Each lane's parameter tensors, listed once: the lanes never rebuild.
+  std::vector<std::vector<Tensor*>> lane_params_;
+  /// Lanes [0, synced_lanes_) hold lane 0's current parameters. A step
+  /// refreshes the other lanes it runs first, so an update copies into no
+  /// lane and a lane idle since a shrink catches up when a grow wakes it.
+  std::size_t synced_lanes_ = 0;
   std::unique_ptr<Optimizer> optimizer_;
   std::vector<VnState> vn_states_;  // indexed by VN id; survives resizes
   std::unique_ptr<ThreadPool> pool_;  // null when config_.num_threads == 0

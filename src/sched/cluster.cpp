@@ -21,14 +21,6 @@ std::int64_t clamp64(std::int64_t v, std::int64_t lo, std::int64_t hi) {
   return std::max(lo, std::min(hi, v));
 }
 
-// Per-type device counts of `a`, the form the consult key compares.
-std::array<std::int64_t, kNumDeviceTypes> type_counts(const Allocation& a) {
-  std::array<std::int64_t, kNumDeviceTypes> out{};
-  for (const auto& [type, count] : a.per_type)
-    out[static_cast<std::size_t>(type)] = count;
-  return out;
-}
-
 // The spec checks every training tenant passes, analytic or leased.
 void check_train_spec(const JobSpec& spec, const char* caller) {
   check(spec.kind == JobKind::kTrain,
@@ -53,6 +45,18 @@ void ClusterController::set_observability(obs::Observability obs) {
   obs_ = obs;
   events_counter_ =
       obs.metrics != nullptr ? &obs.metrics->counter("sched.events") : nullptr;
+  idle_pumps_counter_ =
+      obs.metrics != nullptr ? &obs.metrics->counter("sched.idle_pumps") : nullptr;
+}
+
+void ClusterController::Tenant::set_alloc(Allocation a) {
+  counts = {};
+  devices = 0;
+  for (const auto& [type, count] : a.per_type) {
+    counts[static_cast<std::size_t>(type)] = count;
+    devices += count;
+  }
+  state.alloc = std::move(a);
 }
 
 void ClusterController::add_tenant(JobSpec spec, sched::DeviceLease* lease) {
@@ -98,7 +102,7 @@ void ClusterController::advance_analytic(double now, double t_next) {
   for (Tenant& t : tenants_) {
     if (t.lease != nullptr) continue;
     JobState& js = t.state;
-    if (js.finished() || js.alloc.empty()) continue;
+    if (js.finished() || t.devices == 0) continue;
     const double start = std::max(now, js.pause_until_s);
     const double dt = t_next - start;
     if (dt <= 0.0) continue;
@@ -111,14 +115,14 @@ void ClusterController::advance_analytic(double now, double t_next) {
       js.remaining_steps = 0.0;
       js.completion_s = t_next;
       close_segment(t, t_next);
-      js.alloc = Allocation{};
+      t.set_alloc({});
       t.step_time_s = kInf;
     }
   }
 }
 
 void ClusterController::close_segment(Tenant& t, double now) {
-  if (t.open_since_s >= 0.0 && now > t.open_since_s && !t.state.alloc.empty()) {
+  if (t.open_since_s >= 0.0 && now > t.open_since_s && t.devices > 0) {
     t.state.timeline.push_back({t.open_since_s, now, t.state.alloc});
   }
   t.open_since_s = -1.0;
@@ -174,18 +178,18 @@ void ClusterController::refresh_from_leases(double now) {
     js.desired_gpus = clamp64(desired, js.live_min_gpus, js.live_max_gpus);
     // Reconcile the recorded allocation with the lease's actual device
     // count — a fault kill shrinks the set without any grant being issued.
-    if (sig.devices != js.alloc.total() && !js.alloc.empty()) {
+    if (sig.devices != t.devices && t.devices > 0) {
       const DeviceType pool = js.alloc.per_type.begin()->first;
       close_segment(t, now);
-      js.alloc = Allocation::of(pool, sig.devices);
+      t.set_alloc(Allocation::of(pool, sig.devices));
       t.open_since_s = now;
     }
   }
 }
 
-double ClusterController::next_event(double now) const {
+double ClusterController::next_event(double now) {
   double t_next = kInf;
-  for (const Tenant& t : tenants_) {
+  for (Tenant& t : tenants_) {
     const JobState& js = t.state;
     if (js.finished() || t.retired) continue;
     if (!js.arrived(now)) {
@@ -193,11 +197,11 @@ double ClusterController::next_event(double now) const {
       continue;
     }
     if (t.lease != nullptr) {
-      const double e = t.lease->next_event_s();
-      if (e < kInf) t_next = std::min(t_next, std::max(e, now));
+      t.lease_next_s = t.lease->next_event_s();
+      if (t.lease_next_s < kInf) t_next = std::min(t_next, std::max(t.lease_next_s, now));
       continue;
     }
-    if (!js.alloc.empty() && t.step_time_s < kInf) {
+    if (t.devices > 0 && t.step_time_s < kInf) {
       const double start = std::max(now, js.pause_until_s);
       t_next = std::min(t_next, start + js.remaining_steps * t.step_time_s);
     }
@@ -216,7 +220,7 @@ void ClusterController::apply_train_alloc(Tenant& t, const Allocation& next,
   if (next == js.alloc) return;
   close_segment(t, now);
   const bool had_run = js.first_start_s >= 0.0;
-  js.alloc = next;
+  t.set_alloc(next);
   if (!next.empty()) {
     if (!had_run) {
       js.first_start_s = now;
@@ -236,7 +240,7 @@ void ClusterController::apply_train_alloc(Tenant& t, const Allocation& next,
 
 void ClusterController::grant(Tenant& t, const Allocation& next, double now) {
   JobState& js = t.state;
-  const std::int64_t cur = js.alloc.total();
+  const std::int64_t cur = t.devices;
   const std::int64_t want = next.total();
   if (js.is_serve()) {
     check(want >= js.live_min_gpus && want <= js.live_max_gpus, [&] {
@@ -256,8 +260,8 @@ void ClusterController::grant(Tenant& t, const Allocation& next, double now) {
   if (js.first_start_s < 0.0 && want > 0) js.first_start_s = now;
   ++js.resizes;
   close_segment(t, now);
-  js.alloc = next;
-  if (!next.empty()) t.open_since_s = now;
+  t.set_alloc(next);
+  if (want > 0) t.open_since_s = now;
   if (!js.is_serve() && !next.empty()) {
     // Refresh the cost-model step time so attained service stays
     // comparable with analytic jobs after a resize.
@@ -278,19 +282,14 @@ void ClusterController::grant(Tenant& t, const Allocation& next, double now) {
 }
 
 void ClusterController::consult_policy(double now) {
-  active_jobs_.clear();
-  active_tenants_.clear();
   inputs_.clear();
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    Tenant& t = tenants_[i];
+    const Tenant& t = tenants_[i];
     if (t.state.finished() || t.retired || !t.state.arrived(now)) continue;
-    active_jobs_.push_back(&t.state);
-    active_tenants_.push_back(&t);
     const JobState& js = t.state;
-    inputs_.push_back({i, type_counts(js.alloc), js.live_min_gpus,
-                       js.live_max_gpus, js.desired_gpus});
+    inputs_.push_back({i, t.counts, js.live_min_gpus, js.live_max_gpus, js.desired_gpus});
   }
-  if (active_jobs_.empty()) return;
+  if (inputs_.empty()) return;
   // The Scheduler contract: a policy reads nothing else that changes
   // between events, and answers unchanged inputs as it did last time. The
   // remembered inputs come from a consult that moved no allocation, so a
@@ -298,6 +297,12 @@ void ClusterController::consult_policy(double now) {
   const double round_s = policy_.round_interval_s();
   const std::int64_t round = round_s > 0.0 ? round_index(now, round_s) : 0;
   if (round == last_round_ && inputs_ == last_inputs_) return;
+  active_jobs_.clear();
+  active_tenants_.clear();
+  for (const ConsultInput& in : inputs_) {
+    active_jobs_.push_back(&tenants_[in.tenant].state);
+    active_tenants_.push_back(&tenants_[in.tenant]);
+  }
   const std::map<std::int64_t, Allocation> allocs =
       policy_.schedule(cluster_, active_jobs_, now);
   // The defensive over-commit check: a buggy policy dies HERE, at the
@@ -316,15 +321,14 @@ void ClusterController::consult_policy(double now) {
     } else {
       apply_train_alloc(*t, next, now);
     }
-    const std::int64_t n = t->state.alloc.total();
-    if (t->state.is_serve()) serve_devices += n; else train_devices += n;
-    if (n > 0) ++running;
+    if (t->state.is_serve()) serve_devices += t->devices; else train_devices += t->devices;
+    if (t->devices > 0) ++running;
   }
   // A consult that moved an allocation changed its own inputs, so the next
   // event consults again; only a consult that moved nothing is remembered.
   bool moved = false;
   for (std::size_t k = 0; k < active_tenants_.size(); ++k)
-    moved |= type_counts(active_tenants_[k]->state.alloc) != inputs_[k].alloc;
+    moved |= active_tenants_[k]->counts != inputs_[k].alloc;
   if (moved) {
     last_inputs_.clear();
   } else {
@@ -373,10 +377,12 @@ ClusterReport ClusterController::run() {
     });
     advance_analytic(now, std::max(now, t_next));
     now = std::max(now, t_next);
-    // Pump live holders up to the new stamp, in add order.
+    // Pump live holders up to the new stamp, in add order. A pump before
+    // the lease's next event (as next_event() read it) finds nothing due.
     for (Tenant& t : tenants_) {
       if (t.lease == nullptr || t.retired || t.state.finished()) continue;
       if (!t.state.arrived(now)) continue;
+      if (idle_pumps_counter_ != nullptr && t.lease_next_s > now) idle_pumps_counter_->add();
       t.lease->pump(now);
     }
     // Retire drained leases: devices return to the pool at this stamp. A
@@ -395,7 +401,7 @@ ClusterReport ClusterController::run() {
         t.state.completion_s = now;
       }
       close_segment(t, now);
-      t.state.alloc = {};
+      t.set_alloc({});
       t.retired = true;
     }
     refresh_from_leases(now);

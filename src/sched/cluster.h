@@ -38,6 +38,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -82,8 +83,8 @@ class ClusterController {
   ClusterController(ClusterInventory cluster, Scheduler& policy);
 
   /// Attaches observability sinks before run(): "sched.*" counters/gauges
-  /// (events, policy_calls, grants, per-class device gauges) plus one
-  /// "grant" instant per issued grant on the control track.
+  /// (events, policy_calls, grants, idle_pumps, per-class device gauges)
+  /// plus one "grant" instant per issued grant on the control track.
   void set_observability(obs::Observability obs);
 
   /// Adds an analytic training job (closed-form advancement: step times
@@ -124,6 +125,16 @@ class ClusterController {
     double reference_tput = 0.0;
     double open_since_s = -1.0;           ///< open timeline segment start
     bool retired = false;                 ///< lease drained and released
+    /// state.alloc's per-type device counts and total, kept by set_alloc()
+    /// so the event loop never walks the allocation's map.
+    std::array<std::int64_t, kNumDeviceTypes> counts{};
+    std::int64_t devices = 0;
+    /// The lease's next_event_s() as next_event() last read it; -inf until
+    /// then (a lease that has not been read counts as due).
+    double lease_next_s = -std::numeric_limits<double>::infinity();
+
+    /// The one way state.alloc changes: keeps `counts` and `devices`.
+    void set_alloc(Allocation a);
   };
 
   /// One active tenant's decision inputs: the per-tenant state a policy
@@ -140,7 +151,9 @@ class ClusterController {
   void add_tenant(JobSpec spec, sched::DeviceLease* lease);
   void advance_analytic(double now, double t_next);
   void refresh_from_leases(double now);
-  double next_event(double now) const;
+  /// The next event stamp after `now`; records each arrived lease's
+  /// next_event_s() in its tenant (lease_next_s).
+  double next_event(double now);
   void consult_policy(double now);
   void apply_train_alloc(Tenant& t, const Allocation& next, double now);
   void grant(Tenant& t, const Allocation& next, double now);
@@ -161,6 +174,7 @@ class ClusterController {
   std::vector<ConsultInput> last_inputs_;
   std::int64_t last_round_ = -1;
   obs::Counter* events_counter_ = nullptr;  ///< "sched.events", when attached
+  obs::Counter* idle_pumps_counter_ = nullptr;  ///< "sched.idle_pumps", when attached
   bool ran_ = false;
 };
 

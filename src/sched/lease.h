@@ -58,13 +58,17 @@ class DeviceLease {
 
   /// Virtual stamp of the holder's next internal event (slice completion,
   /// arrival, fault, timeout). +inf when the holder needs nothing until
-  /// the next grant or is drained.
+  /// the next grant or is drained. Between a pump and the next grant it
+  /// does not move, whatever clock a pump before it left.
   virtual double next_event_s() const = 0;
 
   /// Processes every internal event due at or before `horizon_s` and
   /// advances the holder's clock to `horizon_s` (so a grant applied right
   /// after is stamped at controller time). `horizon_s` may be +inf to run
-  /// to completion (self-driving replay).
+  /// to completion (self-driving replay); a serving holder takes a finite
+  /// horizon only under cluster governance. A pump before next_event_s()
+  /// finds nothing due, so it only moves the clock: the holder's records
+  /// cannot depend on how often it is pumped between its events.
   virtual void pump(double horizon_s) = 0;
 
   /// Raw load signal at the holder's current clock.

@@ -232,7 +232,18 @@ void ColocatedServer::finish() {
 }
 
 double ColocatedServer::next_event_s() const {
-  return traces_.empty() ? kInf : next_event_internal();
+  if (traces_.empty()) return kInf;
+  if (!kept_next_) return next_event_internal();
+  const double next = with_faults(*kept_next_);
+#ifndef NDEBUG
+  // Stale-stamp tripwire: the kept stamp must equal a full scan, or the
+  // pump's skip would jump over an event.
+  check(next == next_event_internal(), [&] {
+    return "kept next-event stamp " + std::to_string(next) + " differs from the scan's " +
+           std::to_string(next_event_internal()) + " at clock " + std::to_string(clock_);
+  });
+#endif
+  return next;
 }
 
 bool ColocatedServer::drained() const {
@@ -437,6 +448,7 @@ double ColocatedServer::cut_over(std::int64_t to_devices, std::int64_t dead,
   }
   device_free_.assign(static_cast<std::size_t>(shared_devices()), clock_);
   work_since_resize_ = 0;
+  kept_next_.reset();  // the cutover moved stamps the kept one was taken from
 
   ResizeEvent ev;
   ev.time_s = base + migration;  // shared set fully live
@@ -734,7 +746,7 @@ void ColocatedServer::process_faults_due() {
 // Called after the dispatch phases, every term lies ahead of the clock:
 // a stamp at or before it would have been consumed, so the loop always
 // advances.
-double ColocatedServer::next_event_internal() const {
+double ColocatedServer::next_model_event() const {
   double next_t = kInf;
   for (std::size_t m = 0; m < models_.size(); ++m) {
     const ModelState& st = models_[m];
@@ -756,12 +768,37 @@ double ColocatedServer::next_event_internal() const {
       next_t = std::min(next_t, ready);
     next_t = std::min(next_t, dispatch_stamp(static_cast<std::int32_t>(m)));
   }
-  if (injector_ != nullptr) next_t = std::min(next_t, injector_->next_event_s());
   return next_t;
+}
+
+double ColocatedServer::with_faults(double t) const {
+  return injector_ == nullptr ? t : std::min(t, injector_->next_event_s());
+}
+
+bool ColocatedServer::sheds_at_clock() const {
+  for (std::size_t m = 0; m < models_.size(); ++m)
+    if (registry_.config(static_cast<std::int32_t>(m)).shed_expired &&
+        !models_[m].queue.empty())
+      return true;
+  return false;
 }
 
 void ColocatedServer::pump(double horizon_s) {
   check(!traces_.empty(), "begin() traces before pump()");
+  check(horizon_s == kInf || cluster_governed_,
+        "a finite pump horizon requires cluster governance (set_cluster_governed): "
+        "the self-driven elastic rule reads the clock between events");
+  if (kept_next_ && !sheds_at_clock()) {
+    // Nothing moved since the last pump's final iteration, so an iteration
+    // at the clock would find nothing due: start at the kept stamp, or
+    // only move the clock when the stamp lies past the horizon.
+    const double next_t = next_event_s();
+    if (next_t == kInf || next_t > horizon_s) {
+      if (horizon_s < kInf) clock_ = std::max(clock_, horizon_s);
+      return;
+    }
+    clock_ = std::max(clock_, next_t);
+  }
   while (true) {
     admit_up_to_clock();
     complete_due();
@@ -783,7 +820,8 @@ void ColocatedServer::pump(double horizon_s) {
       // faults: nothing pauses streams otherwise).
       try_resumes();
     }
-    const double next_t = next_event_internal();
+    kept_next_ = next_model_event();
+    const double next_t = with_faults(*kept_next_);
     if (next_t == kInf) break;  // ledgers idle, queues drained, traces done
     if (next_t > horizon_s) break;  // next event beyond this pump's horizon
     clock_ = std::max(clock_, next_t);

@@ -88,6 +88,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -259,6 +260,14 @@ class ColocatedServer : public sched::DeviceLease {
   // arrives, through the same cutover the self-driving loop uses. A
   // co-located deployment is ONE lease: the controller sizes the shared
   // set as a unit and the arbiter keeps splitting it between the tenants.
+  //
+  // The controller pumps every lease at every cluster event, and most of
+  // those land before the lease's own next event. Such a pump costs a
+  // clock move: the loop keeps the next-event stamp its last iteration
+  // computed (every term of it is a stamp of the replay state, which only
+  // an iteration or a cutover changes), and a pump starts iterating only
+  // once the stamp is due. tests/serve/test_pump.cpp pins that the records
+  // do not depend on where the pumps land.
 
   /// Switches to cluster governance (before begin()): disables the shared
   /// internal elastic loop and enables apply_grant(). Requires continuous
@@ -273,8 +282,18 @@ class ColocatedServer : public sched::DeviceLease {
   /// Processes every internal event due at or before `horizon_s` (slice
   /// completions, arrivals, faults, timeouts, cutovers) and, when work
   /// remains, advances the clock to `horizon_s` so a grant applied next is
-  /// stamped at controller time. `horizon_s = +inf` runs to the drain.
+  /// stamped at controller time. `horizon_s = +inf` runs to the drain; a
+  /// finite horizon requires cluster governance (the self-driven elastic
+  /// rule reads the clock between events). A pump before next_event_s()
+  /// only moves the clock: it starts no loop iteration unless a grant
+  /// arrived since the last pump or a shedding model has queued requests
+  /// (its shedding reads the clock). A pump past the stamp starts its loop
+  /// there.
   void pump(double horizon_s) override;
+  /// The stamp the last pump's final iteration computed, with the fault
+  /// injector's next event folded in live; a full scan before the first
+  /// pump and after a grant. Builds without NDEBUG re-run the scan and
+  /// check it against the kept stamp.
   double next_event_s() const override;
   /// Combined signal: sum of queues and in-flight; the model under the
   /// worst relative deadline pressure supplies the reported SLO terms.
@@ -358,9 +377,19 @@ class ColocatedServer : public sched::DeviceLease {
   /// lowest id on ties; -1 when none can dispatch at the clock.
   std::int32_t next_dispatch() const;
   /// Next event over all models: the earliest in-flight completion,
-  /// arrival, gated chain or parked-stream cutover stamp, dispatch stamp
-  /// or fault event. The next stamp the loop jumps to in both modes.
-  double next_event_internal() const;
+  /// arrival, gated chain or parked-stream cutover stamp, or dispatch
+  /// stamp. Between pumps it does not move: each term is a stamp of the
+  /// replay state, and a cutover term counts only while it lies ahead of
+  /// the clock, which a pump moves no further than the stamp.
+  double next_model_event() const;
+  /// `t` with the fault injector's next event folded in.
+  double with_faults(double t) const;
+  /// next_model_event() with the faults folded in: the next stamp the
+  /// loop jumps to in both modes.
+  double next_event_internal() const { return with_faults(next_model_event()); }
+  /// True when a shedding model has queued requests: an iteration at a
+  /// later clock may shed them, so the loop cannot skip to its stamp.
+  bool sheds_at_clock() const;
 
   // Continuous-mode transitions (one pump iteration = admit, complete,
   // faults, elastic decision, dispatch phases; see pump()).
@@ -426,6 +455,10 @@ class ColocatedServer : public sched::DeviceLease {
   std::vector<std::span<const InferRequest>> traces_;
 
   double clock_ = 0.0;
+  /// next_model_event() as the last pump iteration computed it; empty
+  /// before the first pump and after a cutover, which moves the stamps it
+  /// scans.
+  std::optional<double> kept_next_;
   /// Per-device busy horizon on the shared set; devices serialize slices
   /// of ALL models (continuous mode). Rebuilt after every resize.
   std::vector<double> device_free_;

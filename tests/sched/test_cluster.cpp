@@ -601,6 +601,85 @@ TEST(EngineTrainLease, FullPreemptionPausesAndResumes) {
   EXPECT_TRUE(resumed) << "lease must be re-granted after the job completes";
 }
 
+/// Counts every lease call the controller makes, and the pumps it issues
+/// below the stamp its latest next_event_s() read returned.
+struct CountingLease : sched::DeviceLease {
+  explicit CountingLease(sched::DeviceLease& inner) : inner(inner) {}
+  sched::DeviceLease& inner;
+  mutable std::int64_t calls = 0;
+  mutable double last_next_s = -std::numeric_limits<double>::infinity();
+  std::int64_t pumps = 0;
+  std::int64_t idle = 0;
+
+  double next_event_s() const override {
+    ++calls;
+    return last_next_s = inner.next_event_s();
+  }
+  void pump(double horizon_s) override {
+    ++calls;
+    ++pumps;
+    if (last_next_s > horizon_s) ++idle;
+    inner.pump(horizon_s);
+  }
+  sched::LoadSignal load() const override {
+    ++calls;
+    return inner.load();
+  }
+  double apply_grant(std::int64_t devices) override {
+    ++calls;
+    return inner.apply_grant(devices);
+  }
+  bool drained() const override {
+    ++calls;
+    return inner.drained();
+  }
+};
+
+TEST(ClusterController, CountsIdlePumpsWithoutExtraLeaseCalls) {
+  // "sched.idle_pumps" counts the pumps issued to a lease whose next
+  // event, as the event's own next_event_s() read returned it, lies past
+  // the horizon. It takes that stamp from the read the loop already made,
+  // so attaching metrics adds no lease call and moves no decision.
+  struct Counts {
+    std::int64_t calls = 0, pumps = 0, idle = 0, counted = -1;
+    std::uint64_t report = 0;
+  };
+  const auto run = [](bool attach) {
+    Rig rig = make_rig();
+    VirtualFlowEngine engine = make_engine(rig, 1, /*workers=*/0);
+    serve::Server server(engine, *rig.task.val, serve_config());
+    server.set_cluster_governed();
+    const auto trace = burst_trace(*rig.task.val);
+    server.begin(trace);
+    CountingLease lease(server);
+    ElasticWfsScheduler wfs;
+    obs::MetricsRegistry metrics;
+    ClusterController c(v100s(16), wfs);
+    if (attach) c.set_observability({nullptr, &metrics});
+    c.add_serve_job(serve_spec(0, 4, 1, 8), lease);
+    // Jobs arriving mid-burst: their arrival events pump the lease between
+    // its own events.
+    for (std::int64_t i = 0; i < 3; ++i)
+      c.add_train_job(train_spec(1 + i, 0.35 * static_cast<double>(i), 500, 2));
+    const ClusterReport report = c.run();
+    EXPECT_TRUE(server.drained());
+    Counts out{lease.calls, lease.pumps, lease.idle};
+    if (const obs::Counter* idle = metrics.find_counter("sched.idle_pumps"))
+      out.counted = idle->value;
+    out.report = serve::report_digest(report);
+    return out;
+  };
+  const Counts on = run(true);
+  const Counts off = run(false);
+  EXPECT_GT(on.idle, 0);
+  EXPECT_LT(on.idle, on.pumps);
+  EXPECT_EQ(on.counted, on.idle);
+  EXPECT_EQ(off.counted, -1) << "no registry, no counter";
+  EXPECT_EQ(on.calls, off.calls) << "counting makes no lease call";
+  EXPECT_EQ(on.idle, off.idle);
+  EXPECT_EQ(on.report, off.report);
+}
+
 // ---------------------------------------------------------------------------
 // Golden pin: one mixed run — a real serving lease, a real EngineTrainLease
 // and analytic jobs under Gavel's LAS rounds — reduced to the report
