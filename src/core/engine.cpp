@@ -8,9 +8,9 @@
 namespace vf {
 
 namespace {
-// Engine-level workspace tags (negative: layer tags are >= 0).
-constexpr std::int32_t kTagLogits = -1;    // forward output per VN
-constexpr std::int32_t kTagTopGrad = -2;   // model-input gradient (discarded)
+// Workspace tags of a lane's row (row w belongs to lane w).
+constexpr std::int32_t kTagLogits = 0;    // forward output of the VN running
+constexpr std::int32_t kTagTopGrad = 1;   // model-input gradient (discarded)
 }  // namespace
 
 VirtualFlowEngine::VirtualFlowEngine(const Sequential& model, const Optimizer& optimizer,
@@ -23,12 +23,16 @@ VirtualFlowEngine::VirtualFlowEngine(const Sequential& model, const Optimizer& o
       config_(config),
       schedule_(schedule.clone()),
       batcher_(train, config.seed, mapping_.global_batch()),
-      lanes_(static_cast<std::size_t>(std::max<std::int64_t>(1, config.num_threads)), model),
-      optimizer_(optimizer.clone()) {
+      lanes_(static_cast<std::size_t>(std::max<std::int64_t>(1, config.num_threads))),
+      optimizer_(optimizer.clone()),
+      ws_(static_cast<std::int64_t>(lanes_.size())) {
   check(static_cast<std::int64_t>(devices_.size()) == mapping_.num_devices(),
         "mapping device count (" + std::to_string(mapping_.num_devices()) +
             ") must match cluster size (" + std::to_string(devices_.size()) + ")");
-  for (Sequential& lane : lanes_) lane_params_.push_back(lane.params());
+  for (Lane& lane : lanes_) {
+    lane.model = model;
+    lane.params = lane.model.params();
+  }
   synced_lanes_ = lanes_.size();  // every lane starts as a copy of `model`
   vn_states_.resize(static_cast<std::size_t>(mapping_.total_vns()));
   resize_vn_scratch();
@@ -39,16 +43,8 @@ VirtualFlowEngine::VirtualFlowEngine(const Sequential& model, const Optimizer& o
 
 void VirtualFlowEngine::resize_vn_scratch() {
   const auto n = static_cast<std::size_t>(mapping_.total_vns());
-  // Evict before growing: a reconfigure onto fewer VNs must not leave the
-  // departed VNs' workspace slots (or their infer scratch) pinning
-  // buffers behind the new mapping's back.
-  ws_.shrink_vns(mapping_.total_vns());
-  ws_.ensure_vns(mapping_.total_vns());
   // Shrinking these vectors destroys the departed VNs' elements, freeing
-  // their tensor buffers (the vector shells they leave behind are bytes).
-  vn_mb_.resize(n);
-  vn_idx_.resize(n);
-  vn_loss_.resize(n);
+  // their buffers, so none outlives the mapping.
   vn_grad_sums_.resize(n);
   vn_loss_sums_.assign(n, 0.0);
   vn_infer_preds_.resize(n);
@@ -117,44 +113,42 @@ StepStats VirtualFlowEngine::train_step() {
   // --- Fig 5 steps 1-3: per-device sequential VN execution. Lane w runs
   // devices w, w+L, w+2L, ... (L = min(lanes, devices)) on its own model,
   // the lanes concurrently on the host pool when configured. A lane
-  // mutates only its model, its devices' VN states and those VNs' slots of
-  // the scratch vectors/workspace, so the partition is race-free; the
-  // epoch permutation is warmed up front so the batcher is read-only
-  // inside the loop. Neither the lane nor the schedule can change the
-  // result: every lane holds the same parameters, every VN starts from
-  // zero_grad, and the reduction order is fixed by VN id in
-  // sync_and_update. Every buffer the pass needs lives in a per-VN slot
-  // reused across steps — a warmed-up step performs zero tensor heap
-  // allocations.
+  // mutates only its own scratch, its devices' VN states and those VNs'
+  // gradient and loss sums, so the partition is race-free; the epoch
+  // permutation is warmed up front so the batcher is read-only inside the
+  // loop. Neither the lane nor the schedule can change the result: every
+  // lane holds the same parameters, every VN starts from zero_grad, and
+  // the reduction order is fixed by VN id in sync_and_update. A lane runs
+  // its VNs one at a time, so one set of pass buffers per lane serves
+  // them all, reused across VNs and steps — a warmed-up step performs
+  // zero tensor heap allocations.
   batcher_.prepare_epoch(epoch);
-  ws_.begin_region();  // new ownership region: lane -> VN may have moved
+  ws_.begin_region();  // new ownership region: lane -> worker may have moved
   const std::int64_t n_dev = mapping_.num_devices();
   const std::int64_t n_lanes = std::min(static_cast<std::int64_t>(lanes_.size()), n_dev);
   sync_lanes(static_cast<std::size_t>(n_lanes));
   const auto run_lane = [&](std::int64_t w) {
-    Sequential& model = lanes_[static_cast<std::size_t>(w)];
+    Lane& lane = lanes_[static_cast<std::size_t>(w)];
+    const auto row = static_cast<std::int32_t>(w);
     for (std::int64_t d = w; d < n_dev; d += n_lanes) {
       for (const std::int32_t vn : mapping_.device_vns(d)) {
         const auto v = static_cast<std::size_t>(vn);
-        MicroBatch& mb = vn_mb_[v];
-        batcher_.micro_batch_into(epoch, bie, slices, vn, mb, vn_idx_[v]);
+        batcher_.micro_batch_into(epoch, bie, slices, vn, lane.mb, lane.idx);
         ExecContext ctx;
         ctx.seed = config_.seed;
         ctx.step = step_;
         ctx.vn_id = vn;
         ctx.training = true;
         ctx.state = &vn_states_[v];
-        ctx.ws = &ws_;
 
-        model.zero_grad();
-        Tensor& logits = ws_.acquire(vn, kTagLogits);
-        model.forward_into(mb.features, logits, ctx);
-        LossResult& loss = vn_loss_[v];
-        softmax_cross_entropy_into(logits, mb.labels, loss);
-        model.backward_into(loss.grad_logits, ws_.acquire(vn, kTagTopGrad));
+        lane.model.zero_grad();
+        Tensor& logits = ws_.acquire(row, kTagLogits);
+        lane.model.forward_into(lane.mb.features, logits, ctx);
+        softmax_cross_entropy_into(logits, lane.mb.labels, lane.loss);
+        lane.model.backward_into(lane.loss.grad_logits, ws_.acquire(row, kTagTopGrad));
 
-        model.flatten_grads_into(vn_grad_sums_[v]);
-        vn_loss_sums_[v] = loss.loss_sum;
+        lane.model.flatten_grads_into(vn_grad_sums_[v]);
+        vn_loss_sums_[v] = lane.loss.loss_sum;
       }
     }
   };
@@ -294,7 +288,7 @@ double VirtualFlowEngine::sync_and_update(const std::vector<Tensor>& vn_grad_sum
 
   // One update of the one parameter set; every other lane is stale until
   // a step that runs it refreshes it (sync_lanes).
-  Sequential& model = lanes_.front();
+  Sequential& model = lanes_.front().model;
   model.load_grads(global_grad_);
   optimizer_->apply(model, schedule_->lr(step_));
   synced_lanes_ = 1;
@@ -310,9 +304,9 @@ double VirtualFlowEngine::sync_and_update(const std::vector<Tensor>& vn_grad_sum
 
 void VirtualFlowEngine::sync_lanes(std::size_t lanes) {
   // Copy assignment reuses each destination buffer: no allocation.
-  const std::vector<Tensor*>& src = lane_params_.front();
+  const std::vector<Tensor*>& src = lanes_.front().params;
   for (; synced_lanes_ < lanes; ++synced_lanes_) {
-    const std::vector<Tensor*>& dst = lane_params_[synced_lanes_];
+    const std::vector<Tensor*>& dst = lanes_[synced_lanes_].params;
     for (std::size_t i = 0; i < src.size(); ++i) *dst[i] = *src[i];
   }
 }
@@ -385,7 +379,7 @@ void VirtualFlowEngine::fail_device(std::int64_t device_index) {
 }
 
 Tensor VirtualFlowEngine::parameters() const {
-  return lanes_.front().flatten_params();
+  return lanes_.front().model.flatten_params();
 }
 
 const VnState& VirtualFlowEngine::vn_state(std::int32_t vn) const {
@@ -447,10 +441,10 @@ InferStats VirtualFlowEngine::infer(const std::vector<InferSlice>& slices) {
   // its slices in call order (same execution shape as training VNs), all
   // on lane 0's model and the calling thread: handing devices to the pool measured slower
   // than this loop on every serving workload (README, "Concurrency
-  // model"). All the loop's scratch — grouping lists, per-VN prediction
-  // vectors, the averaged eval state — is engine-member storage keyed by
-  // VN: a serving loop issuing thousands of dispatches reuses it call
-  // after call instead of reallocating.
+  // model"). All the loop's scratch — lane 0's pass buffers and logits,
+  // grouping lists, per-VN prediction vectors, the averaged eval state —
+  // is engine-member storage: a serving loop issuing thousands of
+  // dispatches reuses it call after call instead of reallocating.
   const std::int64_t n_dev = mapping_.num_devices();
   infer_by_device_.resize(static_cast<std::size_t>(n_dev));
   for (auto& list : infer_by_device_) list.clear();
@@ -461,8 +455,9 @@ InferStats VirtualFlowEngine::infer(const std::vector<InferSlice>& slices) {
   VnState& eval_state = shared_eval_state();  // read-only under training=false
   VnState* const eval_state_ptr = eval_state.empty() ? nullptr : &eval_state;
 
-  ws_.begin_region();  // this thread takes over the VNs' slots from the last region
-  Sequential& model = lanes_.front();
+  ws_.begin_region();  // this thread takes over lane 0's row from the last region
+  Sequential& model = lanes_.front().model;
+  Tensor& logits = ws_.acquire(0, kTagLogits);
   for (std::int64_t d = 0; d < n_dev; ++d) {
     for (const std::size_t i : infer_by_device_[static_cast<std::size_t>(d)]) {
       const InferSlice& s = slices[i];
@@ -473,10 +468,6 @@ InferStats VirtualFlowEngine::infer(const std::vector<InferSlice>& slices) {
       ctx.vn_id = s.vn;
       ctx.training = false;
       ctx.state = eval_state_ptr;
-      // Slices name distinct VNs, so the per-VN slots of the training
-      // workspace are free for serving reuse.
-      ctx.ws = &ws_;
-      Tensor& logits = ws_.acquire(s.vn, kTagLogits);
       model.forward_into(s.features, logits, ctx);
       logits.row_argmax_into(vn_infer_preds_[v]);
       vn_infer_bytes_[v] = static_cast<double>(logits.size()) * 4.0;

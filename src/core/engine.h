@@ -71,11 +71,12 @@ struct EngineConfig {
   /// Host worker threads running train_step's device loop, the only work
   /// the pool runs; the optimizer applies once, on the calling thread.
   /// 0 = serial (the reference path). Each worker owns one lane: a model
-  /// copy plus the VN slots of the devices w, w+L, w+2L, ... (L = min(
-  /// workers, devices)). Any value yields bit-identical results: every
-  /// lane holds the same parameters when a step starts, each device
-  /// writes only its own VNs' gradient sums, and the reduction in
-  /// sync_and_update is ordered by VN id, not by completion.
+  /// copy and the pass scratch that runs the VNs of devices w, w+L,
+  /// w+2L, ... (L = min(workers, devices)) one at a time. Any value
+  /// yields bit-identical results: every lane holds the same parameters
+  /// when a step starts, each device writes only its own VNs' gradient
+  /// sums, and the reduction in sync_and_update is ordered by VN id, not
+  /// by completion.
   std::int64_t num_threads = 0;
 };
 
@@ -236,18 +237,14 @@ class VirtualFlowEngine {
   MemoryBreakdown device_memory(std::int64_t d) const;
   /// Whether device d uses the shared gradient buffer (V_d > 1).
   bool uses_grad_buffer(std::int64_t d) const;
-  /// Heap allocations observed across the engine's workspaces so far.
+  /// Heap allocations observed across the engine's workspace so far.
   /// After warm-up a steady-state train_step must not move this (the
   /// zero-allocation contract; see tests/core/test_zero_alloc.cpp).
   std::int64_t workspace_allocs() const { return ws_.heap_allocs(); }
-  /// Virtual-node slot rows currently held by the hot-path workspace.
-  /// Tracks the live mapping exactly: reconfigure evicts slots (and infer
-  /// scratch) of departed VNs rather than letting them pin buffers.
-  std::int64_t workspace_vns() const { return ws_.num_vns(); }
 
  private:
   void check_memory() const;
-  /// (Re)sizes the per-VN hot-path scratch to the current mapping.
+  /// (Re)sizes the per-VN vectors to the current mapping.
   void resize_vn_scratch();
   double sync_and_update(const std::vector<Tensor>& vn_grad_sums,
                          const std::vector<double>& vn_loss_sums, double* out_loss);
@@ -269,12 +266,18 @@ class VirtualFlowEngine {
   std::unique_ptr<LrSchedule> schedule_;
   EpochBatcher batcher_;
 
-  // One model per host lane (lane w runs devices w, w+L, ... of a step),
-  // built in the constructor and never rebuilt; lane 0's is the one the
-  // optimizer updates and infer() runs.
-  std::vector<Sequential> lanes_;
-  /// Each lane's parameter tensors, listed once: the lanes never rebuild.
-  std::vector<std::vector<Tensor*>> lane_params_;
+  /// One host lane: lane w runs devices w, w+L, ... of a step, their VNs
+  /// one at a time, so a VN's transient buffers live in its lane, not per
+  /// VN. Built in the constructor and never rebuilt.
+  struct Lane {
+    Sequential model;  ///< this lane's model; its layers hold the pass scratch
+    std::vector<Tensor*> params;  ///< model's parameter tensors, listed once
+    MicroBatch mb;                ///< micro-batch buffers
+    std::vector<std::int64_t> idx;  ///< gather index scratch
+    LossResult loss;              ///< loss + grad_logits
+  };
+  /// Lane 0's model is the one the optimizer updates and infer() runs.
+  std::vector<Lane> lanes_;
   /// Lanes [0, synced_lanes_) hold lane 0's current parameters. A step
   /// refreshes the other lanes it runs first, so an update copies into no
   /// lane and a lane idle since a shrink catches up when a grow wakes it.
@@ -284,13 +287,11 @@ class VirtualFlowEngine {
   std::unique_ptr<ThreadPool> pool_;  // null when config_.num_threads == 0
 
   // ---- Reusable hot-path scratch (zero tensor allocations once warm).
-  // Everything is keyed by VN id, so under any mapping and worker count
-  // the lane driving device d touches exactly its VNs' slots — the same
-  // confinement argument that makes the gradient slots race-free.
-  Workspace ws_;                                    // activations, kernel temps
-  std::vector<MicroBatch> vn_mb_;                   // micro-batch buffers
-  std::vector<std::vector<std::int64_t>> vn_idx_;   // gather index scratch
-  std::vector<LossResult> vn_loss_;                 // loss + grad_logits slots
+  // Transients are per lane (above, and ws_ row w for lane w), so the
+  // lane driving device d touches only its own scratch; what outlives a
+  // VN's pass is per VN, written only by the lane running that VN — the
+  // confinement argument that makes the step race-free.
+  Workspace ws_;                                    // logits, input gradient
   std::vector<Tensor> vn_grad_sums_;                // flattened gradient sums
   std::vector<double> vn_loss_sums_;
   Tensor global_grad_;                              // reduction scratch
@@ -298,8 +299,8 @@ class VirtualFlowEngine {
 
   // ---- Per-model infer scratch (this engine IS the model: co-located
   // serving runs one engine per model, so everything here is keyed by
-  // (model, VN) overall). Sized to the mapping by resize_vn_scratch and
-  // evicted with it on reconfigure, like the training slots above.
+  // (model, VN) overall). Sized to the mapping by resize_vn_scratch, like
+  // the gradient sums above.
   VnState eval_state_cache_;                        // shared averaged eval state
   bool eval_state_dirty_ = true;
   std::vector<std::vector<std::int64_t>> vn_infer_preds_;  // per-VN predictions

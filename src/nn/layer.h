@@ -6,10 +6,13 @@
 // results regardless of which device executes it.
 //
 // The primitive operations are the `_into` forms: they write the result
-// into a caller-owned tensor, which the engine draws from a per-VN
-// Workspace so a warmed-up training step performs zero tensor heap
-// allocations. The by-value forward()/backward() are thin convenience
-// wrappers that only tests call.
+// into a caller-owned tensor, and each layer instance keeps its own
+// intermediates and gradient temporaries, reused pass after pass. The
+// engine gives each host lane one model and runs that lane's virtual
+// nodes one at a time, so this per-instance scratch is per-lane scratch
+// and a warmed-up training step performs zero tensor heap allocations.
+// The by-value forward()/backward() are thin convenience wrappers that
+// only tests call.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +35,8 @@ struct ExecContext {
   std::int32_t vn_id = 0;     ///< virtual node id executing this pass
   bool training = true;       ///< training vs inference mode
   VnState* state = nullptr;   ///< per-VN stateful-kernel storage (may be null)
-  /// Reusable scratch arena, keyed by vn_id (may be null: layers fall back
-  /// to private member scratch, still allocation-free after warm-up).
+  /// Read by no layer: layers keep their scratch per instance. Kept only
+  /// because vfbench's phase replay (benchmark/src/train.cpp) sets it.
   Workspace* ws = nullptr;
 };
 
@@ -56,9 +59,8 @@ class Layer {
   /// (must not alias `grad_out`), and adds parameter gradients into the
   /// tensors returned by grads(). Must follow a training-mode
   /// forward_into() on the same instance: backward reuses that forward's
-  /// caches AND its workspace (stashed at training-forward time — the
-  /// workspace must still be alive; eval-mode forwards in between are
-  /// fine, they neither cache nor re-stash).
+  /// caches (eval-mode forwards in between are fine: they write no cache
+  /// that backward reads).
   virtual void backward_into(const Tensor& grad_out, Tensor& grad_in) = 0;
 
   /// Convenience by-value wrappers over the `_into` primitives.
@@ -89,11 +91,6 @@ class Layer {
   std::int32_t layer_index() const { return layer_index_; }
 
  protected:
-  /// Workspace tag for this layer's scratch slot `purpose` (0..3). Tag
-  /// ranges are disjoint because layer indices are unique across a model
-  /// tree.
-  std::int32_t ws_tag(std::int32_t purpose) const { return (layer_index_ + 1) * 4 + purpose; }
-
   std::int32_t layer_index_ = -1;
 };
 

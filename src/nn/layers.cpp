@@ -42,15 +42,7 @@ Dense::Dense(std::int64_t in_dim, std::int64_t out_dim, CounterRng& rng)
 
 void Dense::forward_into(const Tensor& x, Tensor& y, const ExecContext& ctx) {
   check(x.rank() == 2 && x.cols() == w_.rows(), "Dense: input shape mismatch");
-  // The backward stash tracks the *training* forward it serves (an eval
-  // forward between a training forward and its backward — evaluate() and
-  // infer() run on lane 0's model, which also trains — must not redirect
-  // backward's scratch to another VN's slots).
-  if (ctx.training) {
-    cached_input_ = x;
-    bw_ws_ = ctx.ws;
-    bw_vn_ = ctx.vn_id;
-  }
+  if (ctx.training) cached_input_ = x;
   x.matmul_into(w_, y);
   const std::int64_t n = y.rows(), d = y.cols();
   const float* b = b_.data().data();
@@ -64,12 +56,10 @@ void Dense::backward_into(const Tensor& grad_out, Tensor& grad_in) {
   // Parameter gradients are formed in a zero-based temporary and then
   // added, so accumulation across multiple backwards (gradient
   // accumulation, pipelining) keeps the historical addition order.
-  Tensor& dw_tmp = bw_ws_ != nullptr ? bw_ws_->acquire(bw_vn_, ws_tag(0)) : dw_tmp_;
-  Tensor& db_tmp = bw_ws_ != nullptr ? bw_ws_->acquire(bw_vn_, ws_tag(1)) : db_tmp_;
-  cached_input_.matmul_transpose_lhs_into(grad_out, dw_tmp);
-  dw_.add_(dw_tmp);
-  grad_out.column_sums_into(db_tmp);
-  db_.add_(db_tmp);
+  cached_input_.matmul_transpose_lhs_into(grad_out, dw_tmp_);
+  dw_.add_(dw_tmp_);
+  grad_out.column_sums_into(db_tmp_);
+  db_.add_(db_tmp_);
   grad_out.matmul_transpose_rhs_into(w_, grad_in);
 }
 

@@ -30,10 +30,7 @@ class Dense : public Layer {
  private:
   Tensor w_, b_, dw_, db_;
   Tensor cached_input_;
-  // Workspace stash from the last forward (gradient temporaries live
-  // there); the member tensors are the ws-less fallback.
-  Workspace* bw_ws_ = nullptr;
-  std::int32_t bw_vn_ = 0;
+  // Parameter-gradient temporaries, reused by every backward.
   Tensor dw_tmp_, db_tmp_;
 };
 

@@ -35,20 +35,8 @@ void Sequential::set_layer_index(std::int32_t idx) {
   }
 }
 
-Tensor& Sequential::pass_buf(Workspace* ws, std::int32_t vn, std::int32_t which) {
-  if (ws != nullptr) return ws->acquire(vn, ws_tag(which));
-  return scratch_[static_cast<std::size_t>(which)];
-}
-
 void Sequential::forward_into(const Tensor& x, Tensor& y, const ExecContext& ctx) {
   check(&y != &x, "Sequential: y must not alias x");
-  // Stash the backward arena only for training forwards, so backward
-  // always draws scratch from the arena of the forward whose caches it
-  // consumes (eval forwards may interleave with a different workspace).
-  if (ctx.training) {
-    bw_ws_ = ctx.ws;
-    bw_vn_ = ctx.vn_id;
-  }
   const std::size_t n = layers_.size();
   if (n == 0) {
     y = x;
@@ -59,9 +47,7 @@ void Sequential::forward_into(const Tensor& x, Tensor& y, const ExecContext& ctx
   // the last layer writes straight into the caller's tensor.
   const Tensor* cur = &x;
   for (std::size_t i = 0; i < n; ++i) {
-    Tensor& dst = (i + 1 == n)
-                      ? y
-                      : pass_buf(ctx.ws, ctx.vn_id, static_cast<std::int32_t>(i & 1));
+    Tensor& dst = (i + 1 == n) ? y : scratch_[i & 1];
     layers_[i]->forward_into(*cur, dst, ctx);
     cur = &dst;
   }
@@ -77,9 +63,7 @@ void Sequential::backward_into(const Tensor& grad_out, Tensor& grad_in) {
   const Tensor* cur = &grad_out;
   for (std::size_t done = 0; done < n; ++done) {
     const std::size_t idx = n - 1 - done;
-    Tensor& dst = (idx == 0)
-                      ? grad_in
-                      : pass_buf(bw_ws_, bw_vn_, static_cast<std::int32_t>(2 + (done & 1)));
+    Tensor& dst = (idx == 0) ? grad_in : scratch_[2 + (done & 1)];
     layers_[idx]->backward_into(*cur, dst);
     cur = &dst;
   }

@@ -26,9 +26,8 @@ class Sequential : public Layer {
   /// Appends a layer; assigns its stable layer index.
   Sequential& add(std::unique_ptr<Layer> layer);
 
-  /// Runs the stack through reusable ping-pong buffers (drawn from
-  /// ctx.ws when present, private member scratch otherwise); only the
-  /// final layer writes `y`. Zero tensor allocations once warm.
+  /// Runs the stack through this instance's reusable ping-pong buffers;
+  /// only the final layer writes `y`. Zero tensor allocations once warm.
   void forward_into(const Tensor& x, Tensor& y, const ExecContext& ctx) override;
   void backward_into(const Tensor& grad_out, Tensor& grad_in) override;
   std::vector<Tensor*> params() override;
@@ -56,17 +55,10 @@ class Sequential : public Layer {
   std::string describe() const;
 
  private:
-  /// Ping-pong buffer `which` (0/1 forward, 2/3 backward) for the pass
-  /// intermediates: a per-VN workspace slot when `ws` is set, else the
-  /// member fallback.
-  Tensor& pass_buf(Workspace* ws, std::int32_t vn, std::int32_t which);
-
   std::vector<std::unique_ptr<Layer>> layers_;
-  // Workspace stash from the last forward (backward_into has no ctx).
-  Workspace* bw_ws_ = nullptr;
-  std::int32_t bw_vn_ = 0;
-  // Fallback scratch for ws-less callers (tests, examples). Not copied by
-  // the copy operations — scratch contents are never meaningful.
+  // Ping-pong buffers for the pass intermediates (0/1 forward, 2/3
+  // backward), reused pass after pass. Not copied by the copy operations
+  // — scratch contents are never meaningful.
   Tensor scratch_[4];
 };
 

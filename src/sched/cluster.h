@@ -9,8 +9,9 @@
 //        |
 //   ClusterController ── event loop on the virtual clock
 //        |     analytic training jobs (closed-form step advancement)
-//        |     + live DeviceLease holders (Server, ColocatedServer,
-//        |       EngineTrainLease) pumped between events
+//        |     + live DeviceLease holders (ColocatedServer — a
+//        |       one-model Server is one — and EngineTrainLease)
+//        |       pumped between events
 //        v
 //   Scheduler policy (gavel, WFS, priority, static-partition decorator)
 //        |     sees serving device-sets as first-class JobState entries:
@@ -96,8 +97,8 @@ class ClusterController {
   /// Adds a live serving device-set. `spec.kind` must be kServe with
   /// min_gpus >= 1 and max_gpus >= min_gpus; spec.demand_gpus records the
   /// static-partition size baselines pin it to. The lease must be
-  /// cluster-governed and begun (Server::set_cluster_governed() +
-  /// begin()) before run(), and must outlive the controller. The job is
+  /// cluster-governed and begun (ColocatedServer::set_cluster_governed()
+  /// + begin()) before run(), and must outlive the controller. The job is
   /// active from spec.arrival_s until the lease drains; call the
   /// holder's finish() after run() to export its summary metrics.
   void add_serve_job(JobSpec spec, sched::DeviceLease& lease);

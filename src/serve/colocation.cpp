@@ -64,7 +64,7 @@ const ModelConfig& ModelRegistry::config(std::int32_t m) const {
 
 // ---- ColocatedServer -------------------------------------------------------
 
-ColocatedServer::ColocatedServer(ModelRegistry& registry, ColocationConfig config)
+ColocatedServer::ColocatedServer(const ModelRegistry& registry, ColocationConfig config)
     : registry_(registry), config_(std::move(config)) {
   check(registry_.size() >= 1, "co-location needs at least one registered model");
 
@@ -153,8 +153,6 @@ std::int64_t ColocatedServer::shared_devices() const {
 }
 
 const SloTracker& ColocatedServer::slo(std::int32_t m) const {
-  // Bounds come from models_, the state frozen at construction — the
-  // registry object could have grown since (see the replay() check).
   check_index(m, static_cast<std::int64_t>(models_.size()), "model");
   return models_[static_cast<std::size_t>(m)].tracker;
 }
@@ -198,9 +196,6 @@ void ColocatedServer::begin(std::span<const std::vector<InferRequest>> traces) {
 void ColocatedServer::open(std::span<const std::vector<InferRequest>> traces) {
   check(!replayed_, "a server replays exactly one trace set");
   replayed_ = true;
-  check(registry_.size() == static_cast<std::int64_t>(models_.size()),
-        "the registry grew after this server was built (it serves the " +
-            std::to_string(models_.size()) + " models registered at construction)");
   check(traces.size() == models_.size(),
         "one trace per registered model (got " + std::to_string(traces.size()) +
             ", registry holds " + std::to_string(models_.size()) + ")");
@@ -497,16 +492,17 @@ void ColocatedServer::finalize_span_depth() {
 // multi-model completion order. Slots awaiting a deferred decode
 // continuation (pending_chain) were already absorbed and are skipped.
 void ColocatedServer::complete_due() {
-  std::vector<std::tuple<double, std::int32_t, std::int32_t>> due;
+  due_.clear();
   for (std::size_t m = 0; m < models_.size(); ++m) {
-    ModelState& st = models_[m];
-    for (const std::int32_t vn : st.ledger.due(clock_)) {
-      if (st.pending_chain[static_cast<std::size_t>(vn)]) continue;
-      due.emplace_back(st.ledger.slot(vn).done_s, static_cast<std::int32_t>(m), vn);
+    const ModelState& st = models_[m];
+    for (std::int32_t vn = 0; vn < st.ledger.total_slots(); ++vn) {
+      const Slot& slot = st.ledger.slot(vn);
+      if (slot.busy && slot.done_s <= clock_ && !st.pending_chain[static_cast<std::size_t>(vn)])
+        due_.emplace_back(slot.done_s, static_cast<std::int32_t>(m), vn);
     }
   }
-  std::sort(due.begin(), due.end());
-  for (const auto& [done_s, m, vn] : due) {
+  std::sort(due_.begin(), due_.end());
+  for (const auto& [done_s, m, vn] : due_) {
     static_cast<void>(done_s);
     ModelState& st = models_[static_cast<std::size_t>(m)];
     BatchEvent ev = make_slice_event(st.ledger.slot(vn), vn, st.queue.size());

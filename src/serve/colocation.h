@@ -79,18 +79,18 @@
 // the queued requests already past its deadline at the clock, so no
 // request dispatches after arrival + deadline.
 //
-// ONE MODEL is how Server (serve/server.h) serves: it registers its
-// engine here and forwards every call, so this is the repo's only serving
-// loop, and one model rolls its migrations exactly as N models do. The
-// model count only picks export labels: one model records under Server's
-// (model id -1, "serve." metric names, no share or device-seconds
-// gauges).
+// ONE MODEL is how Server (serve/server.h) serves: it is this class built
+// from a one-model registry, so this is the repo's only serving loop, and
+// one model rolls its migrations exactly as N models do. The model count
+// only picks export labels: one model records under Server's (model id
+// -1, "serve." metric names, no share or device-seconds gauges).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/engine.h"
@@ -168,8 +168,9 @@ struct ModelConfig {
 
 /// Binds each co-located model's engine, request pool, and config under a
 /// dense model id (registration order). Engines and pools must outlive the
-/// registry and any server built on it; each engine may appear only once
-/// (its virtual nodes are one model's identity).
+/// registry and any server built on it (a server keeps its own copy of
+/// the registry); each engine may appear only once (its virtual nodes are
+/// one model's identity).
 class ModelRegistry {
  public:
   std::int32_t add(VirtualFlowEngine& engine, const Dataset& request_pool,
@@ -211,9 +212,9 @@ class ColocatedServer : public sched::DeviceLease {
  public:
   /// All engines must start on identical device counts and run one
   /// device type (they stay in lockstep through shared resizes, which
-  /// keep that type). Engines, pools, and the registry must outlive the
-  /// server.
-  ColocatedServer(ModelRegistry& registry, ColocationConfig config);
+  /// keep that type). The server copies `registry`; the engines and pools
+  /// it names must outlive the server.
+  ColocatedServer(const ModelRegistry& registry, ColocationConfig config);
 
   ColocatedServer(const ColocatedServer&) = delete;
   ColocatedServer& operator=(const ColocatedServer&) = delete;
@@ -311,8 +312,7 @@ class ColocatedServer : public sched::DeviceLease {
   void finish();
 
   double now_s() const { return clock_; }
-  /// Models frozen at construction (a registry that grows afterwards is
-  /// rejected at replay; these accessors never index past the snapshot).
+  /// Models registered at construction.
   std::int64_t num_models() const { return static_cast<std::int64_t>(models_.size()); }
   /// Devices currently backing the shared set (all engines agree).
   std::int64_t shared_devices() const;
@@ -446,7 +446,7 @@ class ColocatedServer : public sched::DeviceLease {
   std::int32_t label(std::int32_t m) const { return one_model() ? -1 : m; }
   std::string metrics_prefix(std::int32_t m) const;
 
-  ModelRegistry& registry_;
+  ModelRegistry registry_;
   ColocationConfig config_;
   std::vector<ModelState> models_;
   /// The opened traces, one per model (empty before begin()/replay()).
@@ -484,6 +484,8 @@ class ColocatedServer : public sched::DeviceLease {
   bool finished_ = false;
   std::vector<ResizeEvent> resizes_;
   std::vector<BatchEvent> batches_;
+  /// complete_due's (done_s, model id, VN id) list, reused across calls.
+  std::vector<std::tuple<double, std::int32_t, std::int32_t>> due_;
 
   /// Fault injector (null = no faults); see set_fault_injector.
   fault::FaultInjector* injector_ = nullptr;

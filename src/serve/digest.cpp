@@ -111,12 +111,6 @@ LoopStreams::LoopStreams(const ColocatedServer& loop)
     records.emplace_back(loop.slo(m).records());
 }
 
-LoopStreams::LoopStreams(const Server& server)
-    : records{server.slo().records()},
-      resizes(server.resizes()),
-      batches(server.batches()),
-      faults(server.faults()) {}
-
 RunDigest digest(const LoopStreams& loop, obs::Observability recorded) {
   return digest_loops({&loop, 1}, recorded);
 }

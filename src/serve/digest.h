@@ -47,9 +47,10 @@ struct RunDigest {
 };
 
 /// The schedule streams of one serving loop, viewed in place (the loop
-/// must outlive the view). Converts implicitly from either serving class,
-/// so `digest(server, obs)` reads as it should; tests build one by hand
-/// to digest perturbed copies.
+/// must outlive the view). Converts implicitly from either serving class
+/// (a Server through its ColocatedServer base), so `digest(server, obs)`
+/// reads as it should; tests build one by hand to digest perturbed
+/// copies.
 struct LoopStreams {
   std::vector<std::span<const RequestRecord>> records;  ///< per model, id order
   std::span<const ResizeEvent> resizes;
@@ -58,7 +59,6 @@ struct LoopStreams {
 
   LoopStreams() = default;
   LoopStreams(const ColocatedServer& loop);
-  LoopStreams(const Server& server);
 };
 
 /// Digests the serving loops of one run, after it has finished. Each

@@ -4,8 +4,8 @@ namespace vf::serve {
 
 namespace {
 
-ModelRegistry one_model(VirtualFlowEngine& engine, const Dataset& request_pool,
-                        const ServerConfig& config) {
+ModelRegistry one_model_registry(VirtualFlowEngine& engine, const Dataset& request_pool,
+                                 const ServerConfig& config) {
   ModelConfig mc;
   mc.queue_capacity = config.queue_capacity;
   mc.batch = config.batch;
@@ -27,6 +27,6 @@ ColocationConfig loop_config(const ServerConfig& config) {
 }  // namespace
 
 Server::Server(VirtualFlowEngine& engine, const Dataset& request_pool, ServerConfig config)
-    : registry_(one_model(engine, request_pool, config)), loop_(registry_, loop_config(config)) {}
+    : ColocatedServer(one_model_registry(engine, request_pool, config), loop_config(config)) {}
 
 }  // namespace vf::serve

@@ -1,6 +1,5 @@
 #include "serve/slot_ledger.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/common.h"
@@ -29,20 +28,6 @@ void SlotLedger::admit(std::int32_t vn, Slot slot) {
   dst = std::move(slot);
   ++busy_;
   if (admits_ != nullptr) admits_->add();
-}
-
-std::vector<std::int32_t> SlotLedger::due(double now_s) const {
-  std::vector<std::int32_t> out;
-  for (std::size_t vn = 0; vn < slots_.size(); ++vn)
-    if (slots_[vn].busy && slots_[vn].done_s <= now_s)
-      out.push_back(static_cast<std::int32_t>(vn));
-  std::sort(out.begin(), out.end(), [&](std::int32_t a, std::int32_t b) {
-    const Slot& sa = slots_[static_cast<std::size_t>(a)];
-    const Slot& sb = slots_[static_cast<std::size_t>(b)];
-    if (sa.done_s != sb.done_s) return sa.done_s < sb.done_s;
-    return a < b;
-  });
-  return out;
 }
 
 Slot SlotLedger::complete(std::int32_t vn) {
@@ -98,11 +83,6 @@ void SlotLedger::set_metrics(obs::MetricsRegistry* metrics,
   readmits_ = &metrics->counter(prefix + "slots.readmits");
   completes_ = &metrics->counter(prefix + "slots.completes");
   evictions_ = &metrics->counter(prefix + "slots.evictions");
-}
-
-const Slot& SlotLedger::slot(std::int32_t vn) const {
-  check_index(vn, total_slots(), "virtual-node slot");
-  return slots_[static_cast<std::size_t>(vn)];
 }
 
 }  // namespace vf::serve

@@ -10,10 +10,11 @@
 // Determinism contract (same as the rest of vf::serve): every transition
 // is driven by the virtual clock and resolved in a fixed order — admission
 // takes the FIFO queue prefix (ascending request id by construction),
-// free slots are claimed in ascending VN-id order, and due completions
-// are processed in (completion time, VN id) order. Host threads never
-// enter the picture; the in-flight schedule is a pure function of
-// (trace, policy, cost model).
+// free slots are claimed in ascending VN-id order, and the serving loop
+// completes due slots in (completion time, model id, VN id) order
+// (ColocatedServer::complete_due). Host threads never enter the picture;
+// the in-flight schedule is a pure function of (trace, policy, cost
+// model).
 #pragma once
 
 #include <cstdint>
@@ -23,6 +24,7 @@
 #include "core/engine.h"
 #include "obs/metrics.h"
 #include "serve/request.h"
+#include "util/common.h"
 
 namespace vf::serve {
 
@@ -98,10 +100,6 @@ class SlotLedger {
   /// free, hold at least one request, and respect dispatch_s <= done_s.
   void admit(std::int32_t vn, Slot slot);
 
-  /// VN ids of every slot due at or before `now_s`, in (done_s, VN id)
-  /// order — the canonical completion-processing order.
-  std::vector<std::int32_t> due(double now_s) const;
-
   /// Complete transition: free slot `vn` (which must be busy) and return
   /// the slice it held.
   Slot complete(std::int32_t vn);
@@ -122,8 +120,12 @@ class SlotLedger {
   /// at any stamp, including before the slice's scheduled done_s.
   Slot evict(std::int32_t vn);
 
-  /// Read-only view of slot `vn` (busy or free).
-  const Slot& slot(std::int32_t vn) const;
+  /// Read-only view of slot `vn` (busy or free). Inline: the serving
+  /// loop's completion scan reads every slot of every model per iteration.
+  const Slot& slot(std::int32_t vn) const {
+    check_index(vn, total_slots(), "virtual-node slot");
+    return slots_[static_cast<std::size_t>(vn)];
+  }
 
   /// Attaches admit/readmit/complete transition counters under
   /// `prefix` ("<prefix>slots.admits" etc). The registry must outlive the

@@ -10,19 +10,8 @@
 namespace vf {
 
 void Workspace::ensure_vns(std::int64_t num_vns) {
-  check(num_vns >= 0, "workspace VN count must be non-negative");
+  check(num_vns >= 0, "workspace row count must be non-negative");
   if (static_cast<std::int64_t>(vns_.size()) < num_vns) {
-    vns_.resize(static_cast<std::size_t>(num_vns));
-    owners_.resize(static_cast<std::size_t>(num_vns));
-  }
-}
-
-void Workspace::shrink_vns(std::int64_t num_vns) {
-  check(num_vns >= 0, "workspace VN count must be non-negative");
-  if (static_cast<std::int64_t>(vns_.size()) > num_vns) {
-    // Destroying the maps drops every (vn, tag) slot — and with it the
-    // tensor buffers — of the evicted virtual nodes. The cumulative
-    // allocation audit is history, not occupancy; it stays put.
     vns_.resize(static_cast<std::size_t>(num_vns));
     owners_.resize(static_cast<std::size_t>(num_vns));
   }
@@ -60,11 +49,11 @@ void Workspace::assert_vn_owner(std::int32_t vn) {
   std::uint64_t cur = word.load(std::memory_order_acquire);
   for (;;) {
     if ((cur >> 32) == gen) {
-      // The VN is claimed in this region; only its owner may touch it.
+      // The row is claimed in this region; only its owner may touch it.
       check((cur & 0xffffffffULL) == me, [&] {
-        return "workspace confinement violated: virtual node " + std::to_string(vn) +
+        return "workspace confinement violated: row " + std::to_string(vn) +
                " acquired by a second thread within one region (slots assume "
-               "one worker per VN; see Workspace docs)";
+               "one worker per row; see Workspace docs)";
       });
       return;
     }
@@ -81,7 +70,7 @@ void Workspace::assert_vn_owner(std::int32_t vn) {
 #endif
 
 Tensor& Workspace::acquire(std::int32_t vn, std::int32_t tag) {
-  check_index(vn, num_vns(), "workspace virtual node");
+  check_index(vn, static_cast<std::int64_t>(vns_.size()), "workspace row");
 #ifndef NDEBUG
   // Ownership check first: a violating thread throws before it can touch
   // (and race on) the slot's non-atomic state.

@@ -1,29 +1,28 @@
 // vf::Workspace — a reusable tensor arena for the training/serving hot path.
 //
-// The engine replays each device's virtual nodes serially, and every pass
-// needs the same set of intermediates (activations, loss gradients, weight-
-// gradient temporaries, flattened gradient sums) with the same shapes step
+// Every pass needs the same set of intermediates with the same shapes step
 // after step. Allocating them fresh each time dominated steady-state cost;
-// the workspace instead hands out named slots whose tensors keep their heap
-// buffers across steps.
+// the workspace instead hands out named slots whose tensors keep their
+// heap buffers across steps.
 //
-// Keying: slots are addressed by (virtual-node id, tag). Keying by the
-// *logical* VN id — not by device or worker — is what keeps the arena out
-// of the bit-exactness story entirely: under any mapping and any pool
-// worker count, the worker running device d touches exactly the slots of
-// d's VNs and nobody else's, so there are no races and no scheduling-
-// dependent buffer contents. (Two workers may concurrently create slots
-// for *different* VNs; each VN's slot map is an independent object, so
-// that is safe. A single VN is always driven by one worker at a time.)
+// Keying: slots are addressed by (row, tag), and each row has one driver
+// at a time. The engine keys rows by host lane: lane w runs its virtual
+// nodes one after another on one worker, so row w holds the transients of
+// whichever VN that lane is running, and the rows stay as many as the
+// lanes whatever the VN count. vfbench's phase replay
+// (benchmark/src/train.cpp) keys its rows by VN id. Either way no two
+// workers share a row, so there are no races and no scheduling-dependent
+// buffer contents. (Two workers may concurrently create slots in
+// *different* rows; each row's slot map is an independent object, so that
+// is safe.)
 //
-// Confinement tripwire (debug builds): the one-worker-per-VN contract
-// above is load-bearing but was previously unchecked — a future caller
-// letting two pool workers drive the same VN would corrupt buffers
-// silently. In builds without NDEBUG every acquisition verifies that the
-// acquiring thread is the VN's sole owner within the current ownership
-// region (begin_region() opens a new one; the engine calls it before
-// every parallel section). The check costs one atomic op per acquisition
-// and compiles out of release builds.
+// Confinement tripwire (debug builds): the one-worker-per-row contract
+// above is load-bearing — a caller letting two pool workers drive the
+// same row would corrupt buffers silently. In builds without NDEBUG every
+// acquisition verifies that the acquiring thread is the row's sole owner
+// within the current ownership region (begin_region() opens a new one;
+// the engine calls it before every parallel section). The check costs one
+// atomic op per acquisition and compiles out of release builds.
 #pragma once
 
 #include <atomic>
@@ -60,31 +59,23 @@ class Workspace {
   Workspace(const Workspace&) = delete;
   Workspace& operator=(const Workspace&) = delete;
 
-  /// Grows the per-VN slot table to at least `num_vns` entries. NOT
-  /// thread-safe — call from single-threaded setup (engine construction /
-  /// reconfiguration), never inside a parallel region.
+  /// Grows the slot table to at least `num_vns` rows (named for vfbench's
+  /// replay, which keys rows by VN; the engine sizes it to its lanes).
+  /// NOT thread-safe — call from single-threaded setup, never inside a
+  /// parallel region.
   void ensure_vns(std::int64_t num_vns);
 
-  /// Drops every slot (and its buffers) of VNs at or beyond `num_vns`.
-  /// The engine calls this on reconfigure: when a new mapping has fewer
-  /// virtual nodes, the departed VNs' slots must not outlive it — before
-  /// this existed they pinned their buffers for the engine's lifetime.
-  /// Same thread-safety contract as ensure_vns (setup only).
-  void shrink_vns(std::int64_t num_vns);
-
-  std::int64_t num_vns() const { return static_cast<std::int64_t>(vns_.size()); }
-
   /// Opens a new ownership region for the debug confinement check: the
-  /// first thread to acquire a VN's slots after this call owns that VN
+  /// first thread to acquire a row's slots after this call owns that row
   /// until the next begin_region(). Callers bracket every parallel
-  /// section with it (worker -> VN assignment may legitimately change
+  /// section with it (worker -> row assignment may legitimately change
   /// between sections, never within one). Cheap enough to call always;
   /// the per-acquisition check compiles out of NDEBUG builds.
   void begin_region() { generation_.fetch_add(1, std::memory_order_acq_rel); }
 
-  /// The reusable tensor in slot (vn, tag), created empty on first use.
-  /// The caller reshapes (ensure_shape) and overwrites it; contents from
-  /// the previous acquisition are stale, never meaningful.
+  /// The reusable tensor in slot (row `vn`, tag), created empty on first
+  /// use. The caller reshapes (ensure_shape) and overwrites it; contents
+  /// from the previous acquisition are stale, never meaningful.
   Tensor& acquire(std::int32_t vn, std::int32_t tag);
 
   /// Heap-buffer allocations observed across this workspace's slots so
@@ -99,7 +90,7 @@ class Workspace {
     mutable std::size_t audited_capacity = 0;
   };
 
-  /// Per-VN ownership word for the debug confinement check, packed as
+  /// Per-row ownership word for the debug confinement check, packed as
   /// (region generation << 32) | 32-bit thread tag. One atomic so the
   /// claim race between two violating threads is itself data-race-free
   /// (the tripwire must not trip TSan). Movable wrapper because the slot
@@ -119,14 +110,14 @@ class Workspace {
 
 #ifndef NDEBUG
   /// Debug confinement check: throws VfError when a second thread touches
-  /// `vn`'s slots within the current ownership region.
+  /// row `vn`'s slots within the current ownership region.
   void assert_vn_owner(std::int32_t vn);
 #endif
 
-  // One independent slot map per VN: concurrent first-use insertions for
-  // different VNs touch different maps. std::map keeps node addresses
+  // One independent slot map per row: concurrent first-use insertions for
+  // different rows touch different maps. std::map keeps node addresses
   // stable, so Tensor& references survive later insertions. The audit
-  // total is atomic because workers acquiring *different* VNs' slots
+  // total is atomic because workers acquiring *different* rows' slots
   // charge it concurrently (relaxed: it is a diagnostic counter, read
   // from quiescent contexts only).
   std::vector<std::map<std::int32_t, Slot>> vns_;

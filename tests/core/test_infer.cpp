@@ -220,21 +220,28 @@ TEST(Infer, ReusesEngineScratchAcrossCalls) {
 }
 
 TEST(Infer, ScratchShrinksWithTheMapping) {
-  // Reconfiguring to fewer VNs must evict the departed VNs' infer scratch
-  // and workspace slots alongside the training scratch.
+  // Reconfiguring to fewer VNs drops the departed VNs' infer scratch
+  // alongside the training scratch: slices naming them are rejected
+  // against the live mapping. The logits live in lane 0's workspace row
+  // whatever the VN count, so serving the survivors grows no slot, and
+  // after one re-warm call a repeat allocates nothing.
   Rig rig = make_rig();
   VirtualFlowEngine engine = make_engine(rig, 8, 2, 0);
   engine.infer(make_slices(*rig.task.val, 64, 8));
-  ASSERT_EQ(engine.workspace_vns(), 8);
+  const std::int64_t ws0 = engine.workspace_allocs();
 
   engine.reconfigure(make_devices(DeviceType::kV100, 2),
                      VnMapping::even(4, 2, rig.recipe.global_batch));
-  EXPECT_EQ(engine.workspace_vns(), 4);
-  // Slices naming departed VNs are rejected against the live mapping.
   auto stale = make_slices(*rig.task.val, 16, 8);
   EXPECT_THROW(engine.infer(stale), VfError);
-  const InferStats ok = engine.infer(make_slices(*rig.task.val, 16, 4));
+  const auto live = make_slices(*rig.task.val, 16, 4);
+  const InferStats ok = engine.infer(live);
   EXPECT_EQ(ok.predictions.size(), 16u);
+  EXPECT_EQ(engine.workspace_allocs(), ws0);
+
+  const std::int64_t t0 = tensor_alloc_count();
+  engine.infer(live);
+  EXPECT_EQ(tensor_alloc_count() - t0, 0);
 }
 
 TEST(Infer, DoesNotAdvanceClockOrTraining) {

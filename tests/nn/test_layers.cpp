@@ -241,16 +241,14 @@ struct PassGrads {
   std::vector<Tensor> params;
 };
 
-PassGrads train_pass(const Layer& proto, const Tensor& x, const Tensor* eval_x,
-                     Workspace* ws) {
+PassGrads train_pass(const Layer& proto, const Tensor& x, const Tensor* eval_x) {
   const std::unique_ptr<Layer> layer = proto.clone();
   VnState state;
-  ExecContext train = make_ctx(true, 3, 0, &state);
-  train.ws = ws;
+  const ExecContext train = make_ctx(true, 3, 0, &state);
   Tensor y;
   layer->forward_into(x, y, train);
   if (eval_x != nullptr) {
-    // Same VN, state and workspace, as infer() on lane 0's model.
+    // Same instance, VN and state, as infer() on lane 0's model.
     ExecContext eval = train;
     eval.training = false;
     Tensor y_eval;
@@ -272,10 +270,11 @@ bool same_bits(const Tensor& a, const Tensor& b) {
 
 TEST(Layers, EvalForwardBeforeBackwardKeepsEveryGradientBit) {
   // Layer's contract: eval-mode forwards between a training forward and
-  // its backward neither cache nor re-stash. An 8-row training batch, a
-  // 3-row eval batch that reads the moving statistics the training pass
-  // just wrote, then backward: every gradient must match an uninterrupted
-  // pass bit for bit, with and without a workspace.
+  // its backward write no cache that backward reads, though they run
+  // through the same instance scratch. An 8-row training batch, a 3-row
+  // eval batch that reads the moving statistics the training pass just
+  // wrote, then backward: every gradient must match an uninterrupted pass
+  // bit for bit.
   CounterRng rng(12, 0);
   const Tensor x = Tensor::randn({8, 4}, rng);
   const Tensor x_eval = Tensor::randn({3, 4}, rng);
@@ -296,17 +295,14 @@ TEST(Layers, EvalForwardBeforeBackwardKeepsEveryGradientBit) {
       {"dense", &dense}, {"relu", &relu}, {"dropout", &dropout},
       {"batch_norm", &bn}, {"sequential", &stack}};
   for (const auto& [name, layer] : cases) {
-    for (const bool with_ws : {false, true}) {
-      SCOPED_TRACE(std::string(name) + (with_ws ? " on a workspace" : " without one"));
-      Workspace ws_a(1), ws_b(1);
-      const PassGrads plain = train_pass(*layer, x, nullptr, with_ws ? &ws_a : nullptr);
-      const PassGrads interleaved = train_pass(*layer, x, &x_eval, with_ws ? &ws_b : nullptr);
-      EXPECT_TRUE(same_bits(plain.grad_in, interleaved.grad_in))
-          << "grad_in max diff " << plain.grad_in.max_abs_diff(interleaved.grad_in);
-      ASSERT_EQ(plain.params.size(), interleaved.params.size());
-      for (std::size_t i = 0; i < plain.params.size(); ++i)
-        EXPECT_TRUE(same_bits(plain.params[i], interleaved.params[i])) << "param grad " << i;
-    }
+    SCOPED_TRACE(name);
+    const PassGrads plain = train_pass(*layer, x, nullptr);
+    const PassGrads interleaved = train_pass(*layer, x, &x_eval);
+    EXPECT_TRUE(same_bits(plain.grad_in, interleaved.grad_in))
+        << "grad_in max diff " << plain.grad_in.max_abs_diff(interleaved.grad_in);
+    ASSERT_EQ(plain.params.size(), interleaved.params.size());
+    for (std::size_t i = 0; i < plain.params.size(); ++i)
+      EXPECT_TRUE(same_bits(plain.params[i], interleaved.params[i])) << "param grad " << i;
   }
 }
 

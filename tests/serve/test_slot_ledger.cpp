@@ -1,6 +1,6 @@
-// SlotLedger: admit/complete transitions and the deterministic orderings
-// continuous batching leans on — free slots claimed in ascending VN-id
-// order, due completions processed in (done time, VN id) order.
+// SlotLedger: admit/complete transitions and what continuous batching
+// leans on — free slots claimed in ascending VN-id order, and each busy
+// slot's done time kept for the serving loop's completion scan.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -62,22 +62,27 @@ TEST(SlotLedger, LowestFreeClaimsAscendingVnOrder) {
   EXPECT_EQ(ledger.lowest_free(), -1) << "every slot in flight";
 }
 
-TEST(SlotLedger, DueOrdersByDoneTimeThenVnId) {
+TEST(SlotLedger, SlotsKeepTheirDoneTimesUntilCompleted) {
+  // The serving loop finds due slots through slot(vn).done_s and orders
+  // them itself (ColocatedServer::complete_due), so each busy slot must
+  // hold the stamp its admission set until it completes.
   SlotLedger ledger(4);
   ledger.admit(0, slice(0.0, 3.0, {0}));
   ledger.admit(1, slice(0.0, 1.0, {1}));
   ledger.admit(2, slice(0.0, 2.0, {2}));
   ledger.admit(3, slice(0.0, 1.0, {3}));  // ties VN 1 on done time
-
-  EXPECT_TRUE(ledger.due(0.5).empty());
-  EXPECT_EQ(ledger.due(1.0), (std::vector<std::int32_t>{1, 3}))
-      << "equal done times break ties by VN id";
-  EXPECT_EQ(ledger.due(2.5), (std::vector<std::int32_t>{1, 3, 2}));
-  EXPECT_EQ(ledger.due(10.0), (std::vector<std::int32_t>{1, 3, 2, 0}));
+  const double done[] = {3.0, 1.0, 2.0, 1.0};
+  for (std::int32_t vn = 0; vn < 4; ++vn) {
+    EXPECT_TRUE(ledger.slot(vn).busy) << "VN " << vn;
+    EXPECT_DOUBLE_EQ(ledger.slot(vn).done_s, done[vn]) << "VN " << vn;
+  }
 
   ledger.complete(1);
   ledger.complete(3);
-  EXPECT_EQ(ledger.due(2.5), (std::vector<std::int32_t>{2}));
+  EXPECT_FALSE(ledger.slot(1).busy);
+  EXPECT_FALSE(ledger.slot(3).busy);
+  EXPECT_TRUE(ledger.slot(2).busy);
+  EXPECT_DOUBLE_EQ(ledger.slot(2).done_s, 2.0);
 }
 
 TEST(SlotLedger, ReadmitChainsSlicesWithoutFreeingTheSlot) {
@@ -108,11 +113,10 @@ TEST(SlotLedger, ReadmitChainsSlicesWithoutFreeingTheSlot) {
   EXPECT_EQ(ledger.busy_count(), 2);
   EXPECT_EQ(ledger.lowest_free(), -1)
       << "chained readmits leave no admission window";
+  // The slot carries the continuation's completion time; the other slot
+  // keeps its own.
   EXPECT_DOUBLE_EQ(ledger.slot(0).done_s, 3.0);
-  // Due ordering sees the continuation's completion time, with the usual
-  // (done_s, VN id) order against other slots.
-  EXPECT_EQ(ledger.due(3.0), (std::vector<std::int32_t>{0}));
-  EXPECT_EQ(ledger.due(5.0), (std::vector<std::int32_t>{0, 1}));
+  EXPECT_DOUBLE_EQ(ledger.slot(1).done_s, 5.0);
 }
 
 TEST(SlotLedger, ReadmitTracksInflightRequestDelta) {

@@ -1,5 +1,5 @@
-// vf::Workspace: per-VN slot reuse, the allocation audit, slot eviction
-// on shrink, and the debug one-worker-per-VN confinement tripwire.
+// vf::Workspace: per-row slot reuse, the allocation audit, and the debug
+// one-worker-per-row confinement tripwire.
 #include <gtest/gtest.h>
 
 #include <exception>
@@ -51,30 +51,6 @@ TEST(Workspace, AuditCountsGrowthOnceThenGoesQuiet) {
   // Genuine growth is charged again.
   ws.acquire(0, 1).ensure_shape({128, 128});
   EXPECT_EQ(ws.heap_allocs(), 2);
-}
-
-TEST(Workspace, ShrinkEvictsSlotsBeyondTheNewVnCount) {
-  Workspace ws(4);
-  ws.acquire(0, 1).ensure_shape({16, 16}).fill(1.0F);
-  ws.acquire(3, 1).ensure_shape({16, 16}).fill(4.0F);
-
-  // Shrink drops VNs 2-3 (slots, buffers, the lot); surviving slots keep
-  // their contents.
-  ws.shrink_vns(2);
-  EXPECT_EQ(ws.num_vns(), 2);
-  EXPECT_EQ(ws.acquire(0, 1).at(0), 1.0F);
-  EXPECT_THROW(ws.acquire(3, 1), VfError);
-
-  // Growing back re-creates VN 3 fresh: its old slot really was evicted,
-  // so the re-acquisition pays a new allocation.
-  const std::int64_t allocs_before = ws.heap_allocs();
-  ws.ensure_vns(4);
-  ws.acquire(3, 1).ensure_shape({16, 16});
-  EXPECT_EQ(ws.heap_allocs(), allocs_before + 1);
-
-  // Shrinking to the current (or larger) count is a no-op.
-  ws.shrink_vns(8);
-  EXPECT_EQ(ws.num_vns(), 4);
 }
 
 #ifndef NDEBUG
