@@ -3,40 +3,34 @@
 //
 //   1. Per-kernel throughput: GFLOP/s of matmul / matmul_transpose_lhs /
 //      matmul_transpose_rhs on the workload-profile shapes the proxy
-//      models actually run (per-VN batch x feature dims), three-way:
-//      reference vs blocked vs simd — with a bit-identity check on every
-//      shape (no tier may change one bit) and the backend factory's
-//      per-shape dispatch decision printed per row ("vector" = the AVX2
-//      kernel served; "isa"/"narrow-n" = a fallback did — see
-//      tensor/backend.h for the rule names). The three tiers are timed
-//      in kKernelRounds interleaved rounds and every figure is the
-//      per-tier median, so a burst of host load skews one round, not
-//      one tier. On large shapes (>= 8 MFLOP) the median simd time must
-//      beat the median blocked time by --min-simd-speedup (default
-//      1.5x, smoke 1.2x) whenever the vector ISA is live; hosts without
-//      AVX2 skip the gate and report the fallback tier honestly. The
-//      backward pass must also keep pace with the forward one: the simd
-//      dW GEMM (tl 64x1024x64) must reach 0.75x (smoke 0.6x) of the simd
-//      forward GEMM of the same flop count (matmul 1024x64x64). Three
-//      ungated rows show the 8-row micro-batch shapes of vfbench's
-//      train-many-vn workload.
-//   2. End-to-end step time: the same training job run three times, once
-//      per kernel tier ("reference", "blocked", "simd"), every arm on the
-//      engine's reused workspaces, so the arms differ in the kernels
-//      only. Each arm keeps its own engine; the timed steps run in
-//      kE2eRounds interleaved rounds and each arm's step time is the
-//      median of its per-round means, as in the kernel table. All arms
-//      must produce bit-identical parameters and losses, every arm's
-//      timed steps must perform ZERO tensor heap allocations, and
-//      blocked-over-reference must clear --min-speedup (default 1.5x
-//      full, 1.15x smoke). simd-over-reference is reported and recorded;
-//      it is not gated end-to-end because the step budget is dominated by
-//      the simulated device clock, not GEMM wall time.
-//   3. Observability: a fourth arm runs the blocked tier with a trace
+//      models actually run (per-VN batch x feature dims), reference vs
+//      simd, with a bit-identity check on every shape (no tier may change
+//      one bit). The two tiers are timed in kKernelRounds interleaved
+//      rounds and every figure is the per-tier median, so a burst of host
+//      load skews one round, not one tier. On large shapes (>= 8 MFLOP)
+//      the median simd time must beat the median reference time by
+//      --min-simd-speedup (default 3.0x, smoke 2.0x). The backward pass
+//      must also keep pace with the forward one: the simd dW GEMM (tl
+//      64x1024x64) must reach 0.75x (smoke 0.6x) of the simd forward GEMM
+//      of the same flop count (matmul 1024x64x64). Five ungated rows show
+//      the 8-row micro-batch shapes of vfbench's train-many-vn workload
+//      and the GLUE tenants' two-class head.
+//   2. End-to-end step time: the same training job run once per kernel
+//      tier ("reference", "simd"), every arm on the engine's reused
+//      workspaces, so the arms differ in the kernels only. Each arm keeps
+//      its own engine; the timed steps run in kE2eRounds interleaved
+//      rounds and each arm's step time is the median of its per-round
+//      means, as in the kernel table. All arms must produce bit-identical
+//      parameters and losses, every arm's timed steps must perform ZERO
+//      tensor heap allocations, and simd-over-reference must clear
+//      --min-speedup (default 3.0x full, 2.0x smoke).
+//   3. Observability: a third arm runs the simd tier with a trace
 //      recorder and a metrics registry attached, in the same rounds; it
 //      must keep the trajectory and zero allocations and stay within
-//      1.5x of the blocked arm's step time.
+//      1.5x of the simd arm's step time.
 //
+// A host without the vector ISA runs the reference loops in the simd
+// mode too, so the speedup and dW gates skip there, printing why.
 // Exit 1 when any claim fails (speedups are informational under
 // overridden workload knobs, like bench_serving's custom-load rule).
 // --json=<path> emits the machine-readable perf trajectory records.
@@ -68,8 +62,8 @@ double now_s() {
       .count();
 }
 
-/// Interleaved timing rounds per kernel shape (reference, blocked, simd
-/// in turn each round).
+/// Interleaved timing rounds per kernel shape (reference, then simd,
+/// each round).
 constexpr int kKernelRounds = 5;
 
 /// Required simd dW-over-forward GFLOP/s ratio (full run, smoke run).
@@ -162,11 +156,12 @@ int main(int argc, char** argv) {
                {"devices", "devices; VNs fold onto them serially (default 1)"},
                {"steps", "timed steps per arm (default 30; smoke 8)"},
                {"warmup", "untimed warm-up steps per arm (default 5; smoke 2)"},
-               {"min-speedup", "required end-to-end speedup, blocked vs reference "
-                               "kernels (default 1.5; smoke 1.15)"},
-               {"min-simd-speedup", "required per-kernel simd-over-blocked speedup "
+               {"min-speedup", "required end-to-end speedup, simd vs reference "
+                               "kernels, when the vector ISA is live (default "
+                               "3.0; smoke 2.0)"},
+               {"min-simd-speedup", "required per-kernel simd-over-reference speedup "
                                     "on >=8 MFLOP shapes when the vector ISA is "
-                                    "live (default 1.5; smoke 1.2)"},
+                                    "live (default 3.0; smoke 2.0)"},
                {"seed", "experiment seed (default 42)"}});
   if (flags.help_requested()) {
     flags.print_help(
@@ -181,16 +176,16 @@ int main(int argc, char** argv) {
   const std::int64_t devices = flags.get_int("devices", 1);
   const std::int64_t steps = flags.get_int("steps", 30, /*smoke_def=*/8);
   const std::int64_t warmup = flags.get_int("warmup", 5, /*smoke_def=*/2);
-  const double min_speedup = flags.get_double("min-speedup", 1.5, /*smoke_def=*/1.15);
+  const double min_speedup = flags.get_double("min-speedup", 3.0, /*smoke_def=*/2.0);
   const double min_simd_speedup =
-      flags.get_double("min-simd-speedup", 1.5, /*smoke_def=*/1.2);
+      flags.get_double("min-simd-speedup", 3.0, /*smoke_def=*/2.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
 
   const KernelMode saved_mode = TensorConfig::kernel_mode();
   JsonReport report("bench_hotpath");
   bool ok = true;
 
-  print_banner(std::cout, "hot path — kernel tiers (reference/blocked/simd) + zero-allocation step");
+  print_banner(std::cout, "hot path — kernel tiers (reference/simd) + zero-allocation step");
 
   // Overridden workload knobs make the speedup claims informational (the
   // default configuration is what the acceptance numbers are calibrated
@@ -200,11 +195,13 @@ int main(int argc, char** argv) {
     custom |= flags.overridden(knob);
 
   backend::BackendFactory& factory = backend::BackendFactory::instance();
+  const bool vector_live = factory.simd_available();
   std::printf("  simd backend: compiled=%s isa=%s cpu-avx2=%s -> %s\n",
               backend::BackendFactory::simd_compiled() ? "yes" : "no",
               backend::BackendFactory::simd_isa(),
               factory.cpu_features().avx2 ? "yes" : "no",
-              factory.simd_available() ? "live" : "falling back to blocked");
+              vector_live ? "live" : "not live (simd runs the reference loops)");
+  const char* const no_isa = "skipped: vector ISA not live on this host";
 
   // ---- 1. Per-kernel GFLOP/s on the workload-profile shapes. The per-VN
   // batch rows come from the task's reference global batch folded onto the
@@ -220,6 +217,8 @@ int main(int argc, char** argv) {
     const std::int64_t classes = probe.task.train->num_classes();
     // train-many-vn's micro-batch: batch 128 as 16 VNs of 8 rows.
     constexpr std::int64_t kManyVnRows = 8;
+    // The GLUE tenants' (mrpc-sim, cola-sim) two-class head.
+    constexpr std::int64_t kGlueClasses = 2;
     const std::vector<KernelCase> cases = {
         {"matmul", rows, dim, hidden},     // layer-1 forward
         {"matmul", rows, hidden, hidden},  // layer-2 forward
@@ -231,18 +230,19 @@ int main(int argc, char** argv) {
         {"matmul", kManyVnRows, hidden, hidden},  // 8-row forward
         {"tl", hidden, kManyVnRows, hidden},      // 8-row dW
         {"tr", kManyVnRows, hidden, hidden},      // 8-row dx
+        {"matmul", kManyVnRows, hidden, kGlueClasses},  // GLUE head forward
+        {"tl", hidden, kManyVnRows, kGlueClasses},      // GLUE head dW
     };
     // The dW gate compares these two rows: the same flops, one read as
     // the backward pass reads its operands.
     constexpr std::size_t kFwdRow = 1, kDwRow = 3;
     std::vector<double> simd_gfs;
-    std::vector<bool> simd_served;
 
     std::printf("  per-kernel throughput (GFLOP/s, median of %d interleaved rounds), "
-                "reference vs blocked vs simd:\n",
+                "reference vs simd:\n",
                 kKernelRounds);
-    Table table({"kernel", "m", "k", "n", "reference", "blocked", "simd",
-                 "simd/blk", "tier", "bit-identical"});
+    Table table({"kernel", "m", "k", "n", "reference", "simd", "simd/ref", "gated",
+                 "bit-identical"});
     CounterRng rng(seed, /*stream=*/0xBE7C4);
     bool simd_gate_ok = true;
     for (const KernelCase& c : cases) {
@@ -253,42 +253,29 @@ int main(int argc, char** argv) {
       const Tensor b = op == "tr" ? Tensor::randn({c.n, c.k}, rng)
                                   : Tensor::randn({c.k, c.n}, rng);
       Tensor out_ref({c.m, c.n});
-      Tensor out_blk({c.m, c.n});
       Tensor out_simd({c.m, c.n});
       const double flops = 2.0 * static_cast<double>(c.m) *
                            static_cast<double>(c.k) * static_cast<double>(c.n);
       const auto reps = std::max<std::int64_t>(
           1, static_cast<std::int64_t>((flags.smoke() ? 2e7 : 2e8) / flops));
-      // Which tier actually serves the simd mode (the default) here, and
-      // under which factory rule (tensor/backend.h).
-      const backend::KernelOp bop =
-          op == "matmul" ? backend::KernelOp::kMatmul
-          : op == "tl"   ? backend::KernelOp::kMatmulTransposeLhs
-                         : backend::KernelOp::kMatmulTransposeRhs;
-      const backend::Dispatch dispatch = factory.select(bop, c.m, c.k, c.n);
       // Bit-identity first (also warms the caches).
       time_kernel(c, KernelMode::kReference, a, b, out_ref, 1);
-      time_kernel(c, KernelMode::kBlocked, a, b, out_blk, 1);
       time_kernel(c, KernelMode::kSimd, a, b, out_simd, 1);
-      const bool identical = out_ref.equals(out_blk) && out_ref.equals(out_simd);
+      const bool identical = out_ref.equals(out_simd);
       ok &= identical;
-      std::vector<double> ref_t, blk_t, simd_t;
+      std::vector<double> ref_t, simd_t;
       for (int round = 0; round < kKernelRounds; ++round) {
         ref_t.push_back(time_kernel(c, KernelMode::kReference, a, b, out_ref, reps));
-        blk_t.push_back(time_kernel(c, KernelMode::kBlocked, a, b, out_blk, reps));
         simd_t.push_back(time_kernel(c, KernelMode::kSimd, a, b, out_simd, reps));
       }
       const double ref_s = median(ref_t);
-      const double blk_s = median(blk_t);
       const double simd_s = median(simd_t);
       const double ref_gf = flops / ref_s / 1e9;
-      const double blk_gf = flops / blk_s / 1e9;
       const double simd_gf = flops / simd_s / 1e9;
-      const double simd_speedup = simd_s > 0.0 ? blk_s / simd_s : 0.0;
+      const double simd_speedup = simd_s > 0.0 ? ref_s / simd_s : 0.0;
       // The vector-width claim is gated only where it is claimed: shapes
-      // big enough to amortize the panel fill (>= 8 MFLOP) that the
-      // factory actually serves with the vector kernel.
-      const bool gated = flops >= 8e6 && dispatch.tier == KernelMode::kSimd;
+      // big enough to amortize the panel fill (>= 8 MFLOP).
+      const bool gated = flops >= 8e6;
       if (gated && simd_speedup < min_simd_speedup) simd_gate_ok = false;
       const std::string shape = std::to_string(c.m) + "x" + std::to_string(c.k) +
                                 "x" + std::to_string(c.n);
@@ -298,37 +285,31 @@ int main(int argc, char** argv) {
           .cell(c.k)
           .cell(c.n)
           .cell(ref_gf, 2)
-          .cell(blk_gf, 2)
           .cell(simd_gf, 2)
           .cell(simd_speedup, 2)
-          .cell(std::string(dispatch.rule) + (gated ? "*" : ""))
+          .cell(std::string(gated ? "yes" : "no"))
           .cell(std::string(identical ? "yes" : "NO — BUG"));
       report.add("kernel." + op + "." + shape + ".reference", ref_gf, "GFLOP/s");
-      report.add("kernel." + op + "." + shape + ".blocked", blk_gf, "GFLOP/s");
       report.add("kernel." + op + "." + shape + ".simd", simd_gf, "GFLOP/s");
       simd_gfs.push_back(simd_gf);
-      simd_served.push_back(dispatch.tier == KernelMode::kSimd);
     }
     table.print(std::cout);
-    std::printf("  (tier = backend-factory rule serving the default simd mode for "
-                "that shape; * = simd speedup gated)\n");
-    if (factory.simd_available()) {
-      std::printf("  simd-over-blocked on gated shapes >= %.2fx: %s\n",
+    if (vector_live) {
+      std::printf("  simd-over-reference on gated shapes >= %.2fx: %s\n",
                   min_simd_speedup,
                   simd_gate_ok ? "yes"
                                : (custom ? "no (informational: custom workload)"
                                          : "NO — BUG"));
       if (!custom && !simd_gate_ok) ok = false;
     } else {
-      std::printf("  simd-over-blocked gate skipped: vector ISA not live on this "
-                  "host (simd serves via blocked fallback)\n");
+      std::printf("  simd-over-reference gate %s\n", no_isa);
     }
     const KernelCase& fwd = cases[kFwdRow];
     const KernelCase& dw = cases[kDwRow];
     const double dw_ratio = simd_gfs[kDwRow] / simd_gfs[kFwdRow];
     const double min_dw_ratio = flags.smoke() ? kMinDwRatioSmoke : kMinDwRatio;
     report.add("kernel.dw_over_fwd.simd", dw_ratio, "x");
-    if (simd_served[kFwdRow] && simd_served[kDwRow]) {
+    if (vector_live) {
       const bool dw_ok = dw_ratio >= min_dw_ratio;
       std::printf("  simd dW (tl %lldx%lldx%lld) at %.2fx the simd forward (matmul "
                   "%lldx%lldx%lld), gate >= %.2fx: %s\n",
@@ -340,8 +321,7 @@ int main(int argc, char** argv) {
                         : (custom ? "no (informational: custom workload)" : "NO — BUG"));
       if (!custom && !dw_ok) ok = false;
     } else {
-      std::printf("  simd dW-over-forward gate skipped: the vector kernel does not "
-                  "serve both rows on this host\n");
+      std::printf("  simd dW-over-forward gate %s\n", no_isa);
     }
   }
 
@@ -357,23 +337,20 @@ int main(int argc, char** argv) {
   obs::TraceRecorder obs_trace;
   obs::MetricsRegistry obs_metrics;
   Arm ref = make_arm(task, profile, vns, devices, seed, warmup, KernelMode::kReference);
-  Arm blk = make_arm(task, profile, vns, devices, seed, warmup, KernelMode::kBlocked);
   Arm simd = make_arm(task, profile, vns, devices, seed, warmup, KernelMode::kSimd);
-  Arm obs_on = make_arm(task, profile, vns, devices, seed, warmup, KernelMode::kBlocked,
+  Arm obs_on = make_arm(task, profile, vns, devices, seed, warmup, KernelMode::kSimd,
                         {&obs_trace, &obs_metrics});
   for (std::int64_t r = 0; r < rounds; ++r) {
     // Round r's share of the timed steps (shares differ by at most one).
     const std::int64_t share = steps * (r + 1) / rounds - steps * r / rounds;
-    for (Arm* arm : {&ref, &blk, &simd, &obs_on}) time_round(*arm, share);
+    for (Arm* arm : {&ref, &simd, &obs_on}) time_round(*arm, share);
   }
   TensorConfig::set_kernel_mode(saved_mode);
 
-  const double ref_s = ref.step_s(), blk_s = blk.step_s(), simd_s = simd.step_s();
-  const double speedup = blk_s > 0.0 ? ref_s / blk_s : 0.0;
-  const double simd_e2e = simd_s > 0.0 ? ref_s / simd_s : 0.0;
+  const double ref_s = ref.step_s(), simd_s = simd.step_s();
+  const double speedup = simd_s > 0.0 ? ref_s / simd_s : 0.0;
   Table e2e({"arm", "step (ms)", "speedup", "tensor allocs/step", "ws allocs"});
   for (const auto& [name, arm] : {std::pair<const char*, const Arm*>{"reference", &ref},
-                                  {"blocked", &blk},
                                   {"simd", &simd}}) {
     const double step_s = arm->step_s();
     e2e.row()
@@ -385,39 +362,37 @@ int main(int argc, char** argv) {
   }
   e2e.print(std::cout);
 
-  const bool identical = same_trajectory(ref, blk) && same_trajectory(ref, simd);
+  const bool identical = same_trajectory(ref, simd);
 
   const char* miss = custom ? "no (informational: custom workload)" : "NO — BUG";
 
   const bool zero_alloc = ref.tensor_allocs == 0 && ref.ws_allocs == 0 &&
-                          blk.tensor_allocs == 0 && blk.ws_allocs == 0 &&
                           simd.tensor_allocs == 0 && simd.ws_allocs == 0;
-  const bool fast_enough = speedup >= min_speedup;
+  const bool fast_enough = !vector_live || speedup >= min_speedup;
 
   // Observability gates: pure observer (bit-identical trajectory), zero
   // tensor allocations either way, and a 1.5x step-time budget — the
   // recorder's cost is a POD vector push per device per step (measured
   // ~0.8x-1.0x), so the headroom is all for wall noise on smoke-sized
   // steps under loaded CI hosts.
-  const bool obs_identical = same_trajectory(blk, obs_on);
+  const bool obs_identical = same_trajectory(simd, obs_on);
   const bool obs_zero_alloc = obs_on.tensor_allocs == 0 && obs_on.ws_allocs == 0;
   const double obs_s = obs_on.step_s();
-  const double obs_ratio = blk_s > 0.0 ? obs_s / blk_s : 0.0;
+  const double obs_ratio = simd_s > 0.0 ? obs_s / simd_s : 0.0;
   const bool obs_cheap = obs_ratio <= 1.5;
 
-  std::printf("\n  trajectories bit-identical across all three kernel modes: %s\n",
+  std::printf("\n  trajectories bit-identical across both kernel modes: %s\n",
               identical ? "yes" : "NO — BUG");
-  std::printf("  steady-state tensor heap allocations per arm: %lld + %lld + %lld "
+  std::printf("  steady-state tensor heap allocations per arm: %lld + %lld "
               "(want 0)\n",
               static_cast<long long>(ref.tensor_allocs),
-              static_cast<long long>(blk.tensor_allocs),
               static_cast<long long>(simd.tensor_allocs));
-  std::printf("  end-to-end speedup %.2fx blocked / %.2fx simd (gate on blocked: "
-              ">= %.2fx): %s\n",
-              speedup, simd_e2e, min_speedup, fast_enough ? "yes" : miss);
+  std::printf("  end-to-end speedup %.2fx simd over reference (gate >= %.2fx): %s\n",
+              speedup, min_speedup,
+              !vector_live ? no_isa : fast_enough ? "yes" : miss);
   std::printf("  recording on: %zu trace events, step %.3f ms vs %.3f ms off "
               "(%.2fx, budget 1.5x): %s\n",
-              obs_trace.size(), obs_s * 1e3, blk_s * 1e3, obs_ratio,
+              obs_trace.size(), obs_s * 1e3, simd_s * 1e3, obs_ratio,
               obs_cheap ? "yes" : miss);
   std::printf("  recording does not perturb the trajectory, zero tensor allocs: %s\n",
               (obs_identical && obs_zero_alloc) ? "yes" : "NO — BUG");
@@ -426,12 +401,10 @@ int main(int argc, char** argv) {
   if (!custom && (!fast_enough || !obs_cheap)) ok = false;
 
   report.add("e2e.reference.step_ms", ref_s * 1e3, "ms");
-  report.add("e2e.blocked.step_ms", blk_s * 1e3, "ms");
   report.add("e2e.simd.step_ms", simd_s * 1e3, "ms");
-  report.add("e2e.speedup", speedup, "x");
-  report.add("e2e.simd_speedup", simd_e2e, "x");
-  report.add("e2e.blocked.tensor_allocs_per_step",
-             static_cast<double>(blk.tensor_allocs) / static_cast<double>(steps),
+  report.add("e2e.simd_speedup", speedup, "x");
+  report.add("e2e.simd.tensor_allocs_per_step",
+             static_cast<double>(simd.tensor_allocs) / static_cast<double>(steps),
              "allocs");
   report.add("e2e.obs_on.step_ms", obs_s * 1e3, "ms");
   report.add("e2e.obs_on.overhead_x", obs_ratio, "x");

@@ -19,17 +19,7 @@ VnMapping VnMapping::even(std::int64_t total_vns, std::int64_t num_devices,
 
   VnMapping m;
   m.vn_batches_.assign(static_cast<std::size_t>(total_vns), global_batch / total_vns);
-  m.device_vns_.resize(static_cast<std::size_t>(num_devices));
-  const std::int64_t base = total_vns / num_devices;
-  const std::int64_t extra = total_vns % num_devices;
-  std::int32_t next = 0;
-  for (std::int64_t d = 0; d < num_devices; ++d) {
-    const std::int64_t count = base + (d < extra ? 1 : 0);
-    for (std::int64_t k = 0; k < count; ++k)
-      m.device_vns_[static_cast<std::size_t>(d)].push_back(next++);
-  }
-  m.validate();
-  return m;
+  return m.redistributed(num_devices);
 }
 
 VnMapping VnMapping::uneven(const std::vector<std::vector<std::int64_t>>& per_device) {

@@ -41,8 +41,8 @@ bool save_text_file(const std::string& path, const std::string& text);
 /// Machine-readable benchmark/metrics output: a flat list of
 /// name/value/unit records serialized as JSON. This is the repo's perf
 /// trajectory format (`BENCH_*.json`): every record is one measured
-/// scalar, names are dotted paths ("e2e.speedup",
-/// "kernel.matmul.1024x32x64.blocked"), and the CI perf-smoke job uploads
+/// scalar, names are dotted paths ("e2e.simd_speedup",
+/// "kernel.matmul.1024x32x64.simd"), and the CI perf-smoke job uploads
 /// the files as artifacts so regressions are diffable across commits.
 ///
 /// Shape:

@@ -32,17 +32,6 @@ const CpuFeatures& features() {
 
 }  // namespace
 
-const char* kernel_op_name(KernelOp op) {
-  switch (op) {
-    case KernelOp::kMatmul: return "matmul";
-    case KernelOp::kMatmulTransposeLhs: return "tl";
-    case KernelOp::kMatmulTransposeRhs: return "tr";
-    case KernelOp::kMul: return "mul";
-    case KernelOp::kColumnSums: return "column_sums";
-  }
-  return "?";
-}
-
 BackendFactory::BackendFactory() = default;
 
 BackendFactory& BackendFactory::instance() {
@@ -62,7 +51,7 @@ const char* BackendFactory::simd_isa() {
 #if defined(VF_SIMD_AVX2)
   return "avx2";
 #elif defined(__ARM_NEON) || defined(__aarch64__)
-  return "neon";  // stub tier: compiled as delegation, never selected
+  return "neon";  // no NEON core yet: the reference loops serve
 #else
   return "none";
 #endif
@@ -81,21 +70,6 @@ void BackendFactory::set_simd_disabled(bool disabled) {
 
 bool BackendFactory::simd_disabled() const {
   return g_simd_disabled.load(std::memory_order_relaxed);
-}
-
-Dispatch BackendFactory::select(KernelOp /*op*/, std::int64_t /*m*/,
-                                std::int64_t /*k*/, std::int64_t n) const {
-  // Rule order is the contract (backend.h): ISA, then the static rules,
-  // then the vector kernel. Today's one static rule reads only the lane
-  // axis, the same way for every op; op, m and k stay in the signature
-  // for rules that need the op or the whole shape.
-  if (!simd_available()) return {KernelMode::kBlocked, "isa"};
-  // n is the lane axis for every op (see KernelOp): with fewer elements
-  // than one vector register there is nothing to win, so the blocked tier
-  // serves — it is bit-identical, so this is a speed decision, not a
-  // contract one.
-  if (n < 8) return {KernelMode::kBlocked, "narrow-n"};
-  return {KernelMode::kSimd, "vector"};
 }
 
 }  // namespace vf::backend

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "tensor/backend.h"
-#include "tensor/kernels_blocked.h"
 #include "tensor/kernels_simd.h"
 
 namespace vf {
@@ -23,17 +22,15 @@ namespace {
   std::exit(2);
 }
 
-/// Unset or empty means the default, kSimd: the backend factory then picks
-/// the tier per shape from the CPU probe (blocked without the vector ISA).
+/// Unset or empty means the default, kSimd: the CPU probe then decides
+/// whether it runs the vector core or the reference loops (backend.h).
 KernelMode mode_from_env() {
   const char* env = std::getenv("VF_KERNELS");
   if (env == nullptr) return KernelMode::kSimd;
   const std::string v(env);
   if (v == "reference") return KernelMode::kReference;
-  if (v == "blocked") return KernelMode::kBlocked;
   if (v == "simd" || v.empty()) return KernelMode::kSimd;
-  env_usage_error("VF_KERNELS must be 'reference', 'blocked', or 'simd', got: '" +
-                  v + "'");
+  env_usage_error("VF_KERNELS must be 'reference' or 'simd', got: '" + v + "'");
 }
 
 std::atomic<KernelMode>& mode_flag() {
@@ -46,7 +43,6 @@ std::atomic<KernelMode>& mode_flag() {
 const char* kernel_mode_name(KernelMode mode) {
   switch (mode) {
     case KernelMode::kReference: return "reference";
-    case KernelMode::kBlocked: return "blocked";
     case KernelMode::kSimd: return "simd";
   }
   return "?";
@@ -69,8 +65,7 @@ namespace {
 // ------------------------------------------------------------- reference
 //
 // These are the original Tensor loops, verbatim: they define the
-// accumulation order the blocked and simd versions must reproduce bit
-// for bit.
+// accumulation order the simd versions must reproduce bit for bit.
 
 void matmul_reference(const float* a, const float* b, float* out,
                       std::int64_t m, std::int64_t k, std::int64_t n) {
@@ -116,15 +111,12 @@ void matmul_tr_reference(const float* a, const float* b, float* out,
   }
 }
 
-// The scalar elementwise/column-sum loops serve BOTH the reference and
-// blocked tiers (there is nothing to tile); only simd differs.
-
-void mul_scalar(const float* a, const float* b, float* out, std::int64_t count) {
+void mul_reference(const float* a, const float* b, float* out, std::int64_t count) {
   for (std::int64_t i = 0; i < count; ++i) out[i] = a[i] * b[i];
 }
 
-void column_sums_scalar(const float* in, float* out, std::int64_t rows,
-                        std::int64_t cols) {
+void column_sums_reference(const float* in, float* out, std::int64_t rows,
+                           std::int64_t cols) {
   for (std::int64_t j = 0; j < cols; ++j) out[j] = 0.0F;
   // Single row-major pass; per column the accumulation runs over rows in
   // ascending order.
@@ -133,70 +125,77 @@ void column_sums_scalar(const float* in, float* out, std::int64_t rows,
     for (std::int64_t j = 0; j < cols; ++j) out[j] += p[j];
 }
 
-/// Resolves the tier that actually serves this call: kSimd consults the
-/// backend factory per shape (ISA probe, then per-op entries — see
-/// backend.h); the other modes are themselves.
-KernelMode resolve(backend::KernelOp op, std::int64_t m, std::int64_t k,
-                   std::int64_t n, KernelMode mode) {
-  if (mode != KernelMode::kSimd) return mode;
-  return backend::BackendFactory::instance().select(op, m, k, n).tier;
+#if defined(VF_SIMD_AVX2)
+/// The simd mode runs the vector core on every shape whenever the CPU
+/// can (backend.h); its masked lanes cover outputs narrower than one
+/// register.
+bool vector_core(KernelMode mode) {
+  return mode == KernelMode::kSimd &&
+         backend::BackendFactory::instance().simd_available();
 }
+#endif
 
 }  // namespace
 
-// The blocked implementations live in kernels_blocked.cpp (compiled -O3)
-// and the vector implementations in kernels_simd.cpp (the one TU built
-// with -mavx2; see CMakeLists). Dispatch is the only coupling.
+// The vector implementations live in kernels_simd.cpp, the one TU built
+// with -mavx2 (see CMakeLists); a build without it has only the
+// reference loops.
 
 void matmul(const float* a, const float* b, float* out, std::int64_t m,
-            std::int64_t k, std::int64_t n, KernelMode mode) {
-  switch (resolve(backend::KernelOp::kMatmul, m, k, n, mode)) {
-    case KernelMode::kSimd: detail::matmul_simd(a, b, out, m, k, n); return;
-    case KernelMode::kBlocked: detail::matmul_blocked(a, b, out, m, k, n); return;
-    case KernelMode::kReference: break;
+            std::int64_t k, std::int64_t n, [[maybe_unused]] KernelMode mode) {
+#if defined(VF_SIMD_AVX2)
+  if (vector_core(mode)) {
+    detail::matmul_simd(a, b, out, m, k, n);
+    return;
   }
+#endif
   matmul_reference(a, b, out, m, k, n);
 }
 
 void matmul_transpose_lhs(const float* a, const float* b, float* out,
                           std::int64_t m, std::int64_t k, std::int64_t n,
-                          KernelMode mode) {
-  switch (resolve(backend::KernelOp::kMatmulTransposeLhs, m, k, n, mode)) {
-    case KernelMode::kSimd: detail::matmul_tl_simd(a, b, out, m, k, n); return;
-    case KernelMode::kBlocked: detail::matmul_tl_blocked(a, b, out, m, k, n); return;
-    case KernelMode::kReference: break;
+                          [[maybe_unused]] KernelMode mode) {
+#if defined(VF_SIMD_AVX2)
+  if (vector_core(mode)) {
+    detail::matmul_tl_simd(a, b, out, m, k, n);
+    return;
   }
+#endif
   matmul_tl_reference(a, b, out, m, k, n);
 }
 
 void matmul_transpose_rhs(const float* a, const float* b, float* out,
                           std::int64_t m, std::int64_t k, std::int64_t n,
-                          KernelMode mode) {
-  switch (resolve(backend::KernelOp::kMatmulTransposeRhs, m, k, n, mode)) {
-    case KernelMode::kSimd: detail::matmul_tr_simd(a, b, out, m, k, n); return;
-    case KernelMode::kBlocked: detail::matmul_tr_blocked(a, b, out, m, k, n); return;
-    case KernelMode::kReference: break;
+                          [[maybe_unused]] KernelMode mode) {
+#if defined(VF_SIMD_AVX2)
+  if (vector_core(mode)) {
+    detail::matmul_tr_simd(a, b, out, m, k, n);
+    return;
   }
+#endif
   matmul_tr_reference(a, b, out, m, k, n);
 }
 
 void mul(const float* a, const float* b, float* out, std::int64_t count,
-         KernelMode mode) {
-  if (resolve(backend::KernelOp::kMul, 0, 0, count, mode) == KernelMode::kSimd) {
+         [[maybe_unused]] KernelMode mode) {
+#if defined(VF_SIMD_AVX2)
+  if (vector_core(mode)) {
     detail::mul_simd(a, b, out, count);
     return;
   }
-  mul_scalar(a, b, out, count);
+#endif
+  mul_reference(a, b, out, count);
 }
 
 void column_sums(const float* in, float* out, std::int64_t rows,
-                 std::int64_t cols, KernelMode mode) {
-  if (resolve(backend::KernelOp::kColumnSums, rows, 0, cols, mode) ==
-      KernelMode::kSimd) {
+                 std::int64_t cols, [[maybe_unused]] KernelMode mode) {
+#if defined(VF_SIMD_AVX2)
+  if (vector_core(mode)) {
     detail::column_sums_simd(in, out, rows, cols);
     return;
   }
-  column_sums_scalar(in, out, rows, cols);
+#endif
+  column_sums_reference(in, out, rows, cols);
 }
 
 }  // namespace kernels

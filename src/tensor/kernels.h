@@ -3,35 +3,32 @@
 //
 // VirtualFlow replays many virtual nodes serially on each physical device,
 // so per-slice compute time is multiplied by the VN:device ratio — these
-// loops ARE the system's throughput. Three implementations are provided
+// loops ARE the system's throughput. Two implementations are provided
 // for the hot kernels and are selectable at runtime:
 //
 //   * kReference — the original order-stable loops, kept as the executable
-//     specification.
-//   * kBlocked   — cache-blocked (i/j-tiled), unroll-by-4 versions.
-//   * kSimd      — explicitly vectorized (AVX2; NEON slot stubbed) cores,
-//     selected per shape through the backend factory in tensor/backend.h,
-//     which probes the CPU at runtime and falls back to blocked whenever
-//     the ISA or the shape cannot keep the contract below. The default.
+//     specification. They also serve the simd mode on hosts without the
+//     vector ISA.
+//   * kSimd      — explicitly vectorized (AVX2) cores. The default. The
+//     backend in tensor/backend.h probes the CPU once: with the ISA every
+//     shape runs the vector core, without it every shape runs the
+//     reference loops.
 //
-// Bit-exactness contract: all modes produce bit-identical outputs on all
-// finite inputs. The blocked kernels tile ONLY over the i/j (output)
-// dimensions and never reorder, split, or vectorize the k-accumulation of
-// a single output element: each out[i, j] is built by the exact
-// float-addition chain the reference performs, term by term in ascending
-// k. The SIMD kernels keep the same discipline with vector registers: a
-// lane is always one output element, the k chain stays sequential per
-// lane (multiply then add, two roundings — never FMA-contracted), and no
-// horizontal reduction ever combines lanes. Two implementation liberties
-// are taken, neither observable on finite data:
+// Bit-exactness contract: both modes produce bit-identical outputs on all
+// finite inputs. The SIMD kernels never reorder, split, or horizontally
+// reduce the k-accumulation of a single output element: a lane is always
+// one output element, the k chain stays sequential per lane (multiply
+// then add, two roundings — never FMA-contracted), and each out[i, j] is
+// built by the exact float-addition chain the reference performs, term
+// by term in ascending k. Two implementation liberties are taken,
+// neither observable on finite data:
 //
 //   * The reference's zero-lhs skip is dropped (branchless inner loops).
 //     A skipped term contributes a*b = +/-0, and adding a signed zero to
 //     a running sum that started at +0 can never change its bits — the
 //     modes diverge only in the 0 * inf / 0 * NaN corner.
-//   * The transpose-variant kernels reuse their tier's one core. blocked
-//     transposes the transposed operand of tl and tr into scratch first;
-//     simd transposes only tr's rhs and reads tl's [k x m] lhs in place
+//   * The transpose-variant kernels reuse the one vector core: simd
+//     transposes only tr's rhs and reads tl's [k x m] lhs in place
 //     through strides. The multiplication terms and their order per
 //     output element are unchanged either way.
 //
@@ -48,22 +45,19 @@ namespace vf {
 /// Which implementation the tensor ops dispatch to.
 enum class KernelMode : std::uint8_t {
   kReference,  ///< original order-stable loops (executable specification)
-  kBlocked,    ///< i/j-tiled, unroll-by-4; bit-identical to kReference
-  kSimd,       ///< vectorized per-shape via backend factory; same bits
+  kSimd,       ///< vector core where the CPU has the ISA; same bits
 };
 
-/// Short name for logs/benches: "reference", "blocked", or "simd".
+/// Short name for logs/benches: "reference" or "simd".
 const char* kernel_mode_name(KernelMode mode);
 
 /// Process-wide tensor-runtime configuration. The kernel mode comes from
 /// the environment on first use and can be overridden programmatically
 /// (the benches A/B the tiers):
 ///
-///   VF_KERNELS=reference|blocked|simd  kernel implementation (default
-///                                      simd, also when empty: the
-///                                      backend factory serves blocked
-///                                      per shape when the CPU or the
-///                                      shape cannot carry it)
+///   VF_KERNELS=reference|simd  kernel implementation (default simd,
+///                              also when empty: a host without the
+///                              vector ISA runs the reference loops)
 ///
 /// An unknown value is rejected loudly: a one-line diagnosis on stderr and
 /// exit code 2, the same usage-error policy as the bench flag parser — a
@@ -102,8 +96,7 @@ void matmul_transpose_rhs(const float* a, const float* b, float* out,
                           std::int64_t m, std::int64_t k, std::int64_t n,
                           KernelMode mode);
 
-// Elementwise / reduction kernels. reference and blocked share one scalar
-// loop (there is nothing to tile); simd vectorizes the independent lanes
+// Elementwise / reduction kernels. simd vectorizes the independent lanes
 // (elements / columns) and keeps every per-element chain in order.
 
 void mul(const float* a, const float* b, float* out, std::int64_t count,

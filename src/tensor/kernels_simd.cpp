@@ -3,8 +3,9 @@
 // This is the only translation unit the build compiles with a vector ISA
 // (-mavx2 on x86-64; see the per-TU flags in CMakeLists.txt), which is
 // what keeps the rest of the library runnable on any host: AVX2
-// instructions exist only behind entry points the backend factory guards
-// with its runtime cpuid probe.
+// instructions exist only behind entry points kernels.cpp guards with the
+// backend's runtime cpuid probe. A build without a vector ISA compiles
+// this file empty.
 //
 // Determinism scheme (the whole trick): a vector lane is always ONE
 // output element, never a slice of one. The j axis — output columns for
@@ -19,10 +20,7 @@
 // change bits. The result is bit-identity with the reference tier on all
 // finite inputs at ANY vector width — the lane count only changes how
 // many independent chains advance per instruction, never the order
-// within a chain. A backend that cannot keep this discipline for some
-// shape (e.g. a lane-split dot product with a reduction tree) must route
-// that shape to another tier through a per-op rule in the factory
-// instead of weakening the contract (backend.h).
+// within a chain.
 //
 // One register-blocked core serves all three products. It keeps a block
 // of out in ymm accumulators across a k tile — 2 rows x 32 columns on
@@ -30,13 +28,13 @@
 // flight hide the add latency that one or two chains per row would
 // expose — streams the tile's b rows and broadcasts one lhs element per
 // row and k step. With mul and add on separate ports this saturates the
-// FP units on AVX2 hosts at about twice the blocked tier's SSE-width
-// ceiling. The core reads its lhs through two strides, so the dW GEMM
-// (tl) broadcasts straight from its [k x m] operand and never transposes
-// it; tr transposes its [n x k] operand into per-thread scratch with 8x8
-// in-register transposes and runs the core on the result. The last
-// n % 8 columns run as masked lanes: maskload reads 0 into the dead
-// lanes and maskstore never writes them, so no dead lane is observed.
+// FP units on AVX2 hosts. The core reads its lhs through two strides, so
+// the dW GEMM (tl) broadcasts straight from its [k x m] operand and never
+// transposes it; tr transposes its [n x k] operand into per-thread
+// scratch with 8x8 in-register transposes and runs the core on the
+// result. The last n % 8 columns run as masked lanes: maskload reads 0
+// into the dead lanes and maskstore never writes them, so no dead lane
+// is observed; an output narrower than 8 columns is one masked panel.
 // The k loop is tiled so the streamed [kc x n] panel of b stays
 // L1-resident while every output row group sweeps it (without this,
 // long-k shapes like the dW GEMM re-stream a multi-hundred-KB operand
@@ -46,26 +44,22 @@
 // ascending-k mul-then-add sequence at any tile size.
 #include "tensor/kernels_simd.h"
 
+#if defined(VF_SIMD_AVX2)
+
+#include <immintrin.h>
+
 #include <algorithm>
 #include <memory>
 #include <vector>
 
-#include "tensor/kernels_blocked.h"
-
-#if defined(VF_SIMD_AVX2)
-#include <immintrin.h>
-#endif
-
 namespace vf::kernels::detail {
-
-#if defined(VF_SIMD_AVX2)
 
 namespace {
 
-/// Reusable per-thread scratch for tr's transposed operand (same pattern
-/// as the blocked tier: kernel-internal, invisible to the workspace
-/// audit, stable after warm-up). The returned `count` floats start on a
-/// 64-byte line, so no b row load of the core straddles two lines.
+/// Reusable per-thread scratch for tr's transposed operand
+/// (kernel-internal, invisible to the workspace audit, stable after
+/// warm-up). The returned `count` floats start on a 64-byte line, so no
+/// b row load of the core straddles two lines.
 float* simd_scratch(std::size_t count) {
   thread_local std::vector<float> scratch;
   scratch.resize(count + 16);
@@ -312,47 +306,6 @@ void column_sums_simd(const float* in, float* out, std::int64_t rows,
   if (j < cols) column_block<1, true>(in + j, out + j, rows, cols, mask);
 }
 
-#else  // !VF_SIMD_AVX2
-
-// Portable stubs: same symbol set on every platform, delegating to the
-// blocked tier. The factory reports simd_compiled() == false here, so
-// these are never selected — they exist so link and call sites need no
-// preprocessor guards. The `#if defined(__ARM_NEON)` slot below is where
-// real NEON kernels land (same lane discipline: a lane is one output
-// element, the k chain never splits); until then aarch64 builds take the
-// delegation path too.
-#if defined(__ARM_NEON) || defined(__aarch64__)
-// NEON tier: intentionally still the delegation stub — see docs/kernels.md
-// ("Adding a backend") for the checklist a real implementation follows.
-#endif
-
-void matmul_simd(const float* a, const float* b, float* out, std::int64_t m,
-                 std::int64_t k, std::int64_t n) {
-  matmul_blocked(a, b, out, m, k, n);
-}
-
-void matmul_tl_simd(const float* a, const float* b, float* out, std::int64_t m,
-                    std::int64_t k, std::int64_t n) {
-  matmul_tl_blocked(a, b, out, m, k, n);
-}
-
-void matmul_tr_simd(const float* a, const float* b, float* out, std::int64_t m,
-                    std::int64_t k, std::int64_t n) {
-  matmul_tr_blocked(a, b, out, m, k, n);
-}
-
-void mul_simd(const float* a, const float* b, float* out, std::int64_t count) {
-  for (std::int64_t i = 0; i < count; ++i) out[i] = a[i] * b[i];
-}
-
-void column_sums_simd(const float* in, float* out, std::int64_t rows,
-                      std::int64_t cols) {
-  for (std::int64_t j = 0; j < cols; ++j) out[j] = 0.0F;
-  const float* p = in;
-  for (std::int64_t i = 0; i < rows; ++i, p += cols)
-    for (std::int64_t j = 0; j < cols; ++j) out[j] += p[j];
-}
+}  // namespace vf::kernels::detail
 
 #endif  // VF_SIMD_AVX2
-
-}  // namespace vf::kernels::detail

@@ -2,15 +2,16 @@
 // the only TU the build compiles with a vector ISA — -mavx2 on x86-64,
 // isolated there so the rest of the library stays runnable on any host).
 //
-// These must only be invoked when the backend factory resolved the call
-// to the SIMD tier (backend.h rule "vector"): the factory's runtime cpuid
-// probe is what makes executing AVX2 instructions safe. On builds without
-// a vector ISA the same symbols exist as delegation stubs to the blocked
-// kernels, and BackendFactory::simd_compiled() reports false so the
-// factory never selects them. Public dispatch lives in kernels.h.
+// These must only be invoked when BackendFactory::simd_available() holds
+// (backend.h): its runtime cpuid probe is what makes executing AVX2
+// instructions safe. Builds without a vector ISA declare and define none
+// of them, and BackendFactory::simd_compiled() reports false. Public
+// dispatch lives in kernels.h.
 #pragma once
 
 #include <cstdint>
+
+#if defined(VF_SIMD_AVX2)
 
 namespace vf::kernels::detail {
 
@@ -25,3 +26,5 @@ void column_sums_simd(const float* in, float* out, std::int64_t rows,
                       std::int64_t cols);
 
 }  // namespace vf::kernels::detail
+
+#endif  // VF_SIMD_AVX2

@@ -6,9 +6,9 @@
 // Determinism comes first — every op is sequential and order-stable so
 // that training trajectories are bit-reproducible — but the hot-path ops
 // (matmul family, elementwise mul, column_sums) dispatch to the kernel
-// layer in tensor/kernels.h, whose blocked and simd tiers are
-// bit-identical to the reference loops by construction (the simd tier
-// resolves per shape through the backend factory in tensor/backend.h).
+// layer in tensor/kernels.h, whose simd tier is bit-identical to the
+// reference loops by construction (the backend in tensor/backend.h
+// decides once whether the CPU can run it).
 //
 // Allocation discipline: the `_into` variants write into caller-owned
 // tensors via ensure_shape(), which recycles the existing heap buffer

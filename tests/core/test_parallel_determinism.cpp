@@ -142,18 +142,14 @@ TEST(ParallelDeterminism, UnevenMappingBitIdenticalUnderPool) {
 
 TEST(ParallelDeterminism, KernelModeAndWorkerCountCannotChangeBits) {
   // The kernel layer's contract composed with the pool's: reference vs
-  // blocked vs simd kernels, serial vs pooled — every combination must
-  // land on the same bits (tensor/kernels.h). The simd arms run
-  // everywhere: on hosts without the vector ISA the backend factory
-  // serves them with the blocked tier.
+  // simd kernels, serial vs pooled — every combination must land on the
+  // same bits (tensor/kernels.h). The simd arms run everywhere: on hosts
+  // without the vector ISA the simd mode runs the reference loops.
   const KernelMode saved_mode = TensorConfig::kernel_mode();
 
   TensorConfig::set_kernel_mode(KernelMode::kReference);
   const RunResult reference = run(8, 4, 0);
-
-  TensorConfig::set_kernel_mode(KernelMode::kBlocked);
-  const RunResult blocked = run(8, 4, 0);
-  const RunResult blocked_pooled = run(8, 4, 8);
+  const RunResult reference_pooled = run(8, 4, 8);
 
   TensorConfig::set_kernel_mode(KernelMode::kSimd);
   const RunResult simd = run(8, 4, 0);
@@ -162,8 +158,7 @@ TEST(ParallelDeterminism, KernelModeAndWorkerCountCannotChangeBits) {
 
   TensorConfig::set_kernel_mode(saved_mode);
 
-  expect_identical(reference, blocked);
-  expect_identical(blocked, blocked_pooled);
+  expect_identical(reference, reference_pooled);
   expect_identical(reference, simd);
   expect_identical(simd, simd_pooled);
   expect_identical(simd, simd_wide);

@@ -8,8 +8,8 @@
 // and on 8 host workers, before and after a resize to one device, then
 // imagenet-sim's full validation set. The kernel tiers are bit-identical
 // by contract (docs/kernels.md), so each hash must be the same under
-// `reference`, `blocked` and `simd`; each is the hash of the runs when
-// its pin was taken, so a change means a bit moved in every tier at once.
+// `reference` and `simd`; each is the hash of the runs when its pin was
+// taken, so a change means a bit moved in every tier at once.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -92,15 +92,13 @@ std::uint64_t evaluation_hash(KernelMode mode) {
 
 TEST(TrainingGolden, TrajectoryPinHoldsInEveryKernelTier) {
   constexpr std::uint64_t kPin = 0x135a65f4ab97c11bull;
-  for (const KernelMode mode :
-       {KernelMode::kReference, KernelMode::kBlocked, KernelMode::kSimd})
+  for (const KernelMode mode : {KernelMode::kReference, KernelMode::kSimd})
     EXPECT_EQ(hex(trajectory_hash(mode)), hex(kPin)) << kernel_mode_name(mode);
 }
 
 TEST(TrainingGolden, EvaluationPinHoldsInEveryKernelTier) {
   constexpr std::uint64_t kPin = 0x3cdef28fc668998full;
-  for (const KernelMode mode :
-       {KernelMode::kReference, KernelMode::kBlocked, KernelMode::kSimd})
+  for (const KernelMode mode : {KernelMode::kReference, KernelMode::kSimd})
     EXPECT_EQ(hex(evaluation_hash(mode)), hex(kPin)) << kernel_mode_name(mode);
 }
 

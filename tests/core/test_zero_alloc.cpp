@@ -4,7 +4,8 @@
 // gradient sum in its VN's slot, reused across steps. Asserted through
 // both counters: the engine's Workspace audit and the global tensor
 // allocation counter (the stronger claim — nothing anywhere in the step
-// touches the heap).
+// touches the heap). Every case runs the simd mode, the tier that serves
+// by default.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -45,7 +46,7 @@ class ZeroAllocSteadyState : public ::testing::TestWithParam<std::int64_t> {};
 
 TEST_P(ZeroAllocSteadyState, WarmTrainStepNeverTouchesTheHeap) {
   ConfigGuard guard;
-  TensorConfig::set_kernel_mode(KernelMode::kBlocked);
+  TensorConfig::set_kernel_mode(KernelMode::kSimd);
 
   const std::int64_t workers = GetParam();
   ProxyTask task = make_task("qnli-sim", 42);
@@ -75,7 +76,7 @@ INSTANTIATE_TEST_SUITE_P(SerialAndPooled, ZeroAllocSteadyState,
 
 TEST(ZeroAllocSteadyState, ResizeRewarmsThenGoesQuietAgain) {
   ConfigGuard guard;
-  TensorConfig::set_kernel_mode(KernelMode::kBlocked);
+  TensorConfig::set_kernel_mode(KernelMode::kSimd);
 
   ProxyTask task = make_task("qnli-sim", 42);
   TrainRecipe recipe = make_recipe("qnli-sim");
@@ -120,7 +121,7 @@ bool rejects_vn(VirtualFlowEngine& eng, const Dataset& rows, std::int32_t vn) {
 
 TEST(ZeroAllocSteadyState, GrowShrinkGrowCycleEvictsStaleVnSlotsAndRewarms) {
   ConfigGuard guard;
-  TensorConfig::set_kernel_mode(KernelMode::kBlocked);
+  TensorConfig::set_kernel_mode(KernelMode::kSimd);
 
   ProxyTask task = make_task("qnli-sim", 42);
   TrainRecipe recipe = make_recipe("qnli-sim");
@@ -165,7 +166,7 @@ TEST(ZeroAllocSteadyState, LaneScratchDoesNotGrowWithTheVnCount) {
   // them all: warmed up, engines time-slicing one device into 4, 8 or 32
   // VNs hold the same workspace, one set of slots per lane.
   ConfigGuard guard;
-  TensorConfig::set_kernel_mode(KernelMode::kBlocked);
+  TensorConfig::set_kernel_mode(KernelMode::kSimd);
 
   ProxyTask task = make_task("qnli-sim", 42);
   TrainRecipe recipe = make_recipe("qnli-sim");
@@ -191,7 +192,7 @@ TEST(ZeroAllocSteadyState, PooledLanesStayQuietThroughAResizeCycle) {
   // lane runs, never the VNs' batch shapes, so the resizes and every step
   // after them allocate nothing.
   ConfigGuard guard;
-  TensorConfig::set_kernel_mode(KernelMode::kBlocked);
+  TensorConfig::set_kernel_mode(KernelMode::kSimd);
 
   ProxyTask task = make_task("qnli-sim", 42);
   TrainRecipe recipe = make_recipe("qnli-sim");

@@ -353,28 +353,27 @@ TEST(Server, ContinuousReplayBitIdenticalAcrossWorkerCounts) {
 
 TEST(Server, ReplayBitIdenticalAcrossKernelModes) {
   // The kernel layer cannot move a prediction, a latency bit, or a resize
-  // decision — in either batching mode. (Replays run under reference,
-  // blocked, and simd kernels at different worker counts; every output
-  // stream is compared exactly. The simd arm runs everywhere: without the
-  // vector ISA the backend factory serves it with the blocked tier.)
+  // decision — in either batching mode. (Replays run under reference and
+  // simd kernels at different worker counts; every output stream is
+  // compared exactly. The simd arms run everywhere: without the vector
+  // ISA the simd mode runs the reference loops.)
   const KernelMode saved = TensorConfig::kernel_mode();
 
   TensorConfig::set_kernel_mode(KernelMode::kReference);
   const ReplayResult batch_ref = run_replay(0);
   const ReplayResult cont_ref = run_continuous_replay(0);
-  TensorConfig::set_kernel_mode(KernelMode::kBlocked);
-  const ReplayResult batch_blk = run_replay(2);
-  const ReplayResult cont_blk = run_continuous_replay(2);
   TensorConfig::set_kernel_mode(KernelMode::kSimd);
-  const ReplayResult batch_simd = run_replay(8);
-  const ReplayResult cont_simd = run_continuous_replay(8);
+  const ReplayResult batch_simd = run_replay(2);
+  const ReplayResult cont_simd = run_continuous_replay(2);
+  const ReplayResult batch_simd_wide = run_replay(8);
+  const ReplayResult cont_simd_wide = run_continuous_replay(8);
   TensorConfig::set_kernel_mode(saved);
 
   ASSERT_GT(batch_ref.summary.completed, 0);
-  EXPECT_EQ(first_difference(batch_ref.digest, batch_blk.digest), nullptr);
-  EXPECT_EQ(first_difference(cont_ref.digest, cont_blk.digest), nullptr);
   EXPECT_EQ(first_difference(batch_ref.digest, batch_simd.digest), nullptr);
   EXPECT_EQ(first_difference(cont_ref.digest, cont_simd.digest), nullptr);
+  EXPECT_EQ(first_difference(batch_ref.digest, batch_simd_wide.digest), nullptr);
+  EXPECT_EQ(first_difference(cont_ref.digest, cont_simd_wide.digest), nullptr);
 }
 
 // ---- Token streaming: prefill/decode disaggregation on the slice chain.

@@ -1,13 +1,14 @@
-// Backend-factory suite: the runtime dispatch policy behind
-// VF_KERNELS=simd. What is asserted here is the *decision*, not just the
-// bits — which tier serves which (op, shape) and under which factory
-// rule — plus the bit-identity of the simd tier against the reference
-// specification on the shapes the generic kernel suite does not reach
-// (edge dims with a live lane axis, negative zero, NaN/Inf passthrough).
+// Kernel-backend suite: the one runtime decision behind VF_KERNELS=simd.
+// What is asserted here is the *decision*, not just the bits — the simd
+// mode runs the vector core on every shape when the CPU has the ISA and
+// the reference loops otherwise — plus the bit-identity of the vector
+// core against the reference specification on the shapes the generic
+// kernel suite does not reach (edge dims, outputs narrower than one
+// register, negative zero, NaN/Inf passthrough).
 //
 // Everything must pass on hosts WITHOUT the vector ISA too: there the
-// factory serves every shape with the blocked tier under rule "isa", and
-// the tier-specific asserts are skipped rather than weakened.
+// simd mode runs the reference loops on every shape, and the
+// vector-specific asserts are skipped rather than weakened.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -26,9 +27,10 @@ namespace vf {
 namespace {
 
 using backend::BackendFactory;
-using backend::Dispatch;
-using backend::KernelOp;
 using backend::ScopedSimdDisable;
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
 
 /// Restores the global kernel mode.
 struct FactoryGuard {
@@ -46,6 +48,19 @@ bool bits_equal(const Tensor& a, const Tensor& b) {
                      a.data().size() * sizeof(float)) == 0;
 }
 
+/// True when a simd-mode matmul of `n` output columns ran the vector
+/// core. The one place the two implementations differ is 0 * inf
+/// (kernels.h): the reference loops skip a zero lhs term, the vector core
+/// multiplies it, so a zero lhs against an inf rhs reads 0 after the
+/// reference and NaN after the core.
+bool simd_mode_ran_vector_core(std::int64_t n) {
+  const float a = 0.0F;
+  const std::vector<float> b(static_cast<std::size_t>(n), kInf);
+  std::vector<float> out(static_cast<std::size_t>(n));
+  kernels::matmul(&a, b.data(), out.data(), 1, 1, n, KernelMode::kSimd);
+  return std::isnan(out[0]);
+}
+
 TEST(BackendFactory, ProbeAndAvailabilityAreCoherent) {
   BackendFactory& f = BackendFactory::instance();
   if (BackendFactory::simd_compiled()) {
@@ -59,18 +74,16 @@ TEST(BackendFactory, ProbeAndAvailabilityAreCoherent) {
   }
 }
 
-TEST(BackendFactory, ForceDisableFallsBackToBlockedUnderIsaRule) {
+TEST(BackendFactory, ForceDisableRunsTheReferenceLoops) {
   FactoryGuard guard;
   BackendFactory& f = BackendFactory::instance();
   {
     ScopedSimdDisable disable;
     EXPECT_FALSE(f.simd_available());
-    const Dispatch d = f.select(KernelOp::kMatmul, 64, 64, 64);
-    EXPECT_EQ(d.tier, KernelMode::kBlocked);
-    EXPECT_STREQ(d.rule, "isa");
+    EXPECT_FALSE(simd_mode_ran_vector_core(64));
 
-    // Dispatch through the public kernel entry points still works and
-    // still keeps the contract while disabled.
+    // The public kernel entry points still keep the contract while
+    // disabled.
     CounterRng rng(3, 0x51);
     const Tensor a = Tensor::randn({17, 9}, rng);
     const Tensor b = Tensor::randn({9, 21}, rng);
@@ -83,34 +96,16 @@ TEST(BackendFactory, ForceDisableFallsBackToBlockedUnderIsaRule) {
   }
   // The guard restored the previous override.
   EXPECT_EQ(f.simd_disabled(), false);
+  EXPECT_EQ(simd_mode_ran_vector_core(64), f.simd_available());
 }
 
-TEST(BackendFactory, PerShapeIntrospectionNamesTheDecidingRule) {
-  BackendFactory& f = BackendFactory::instance();
-  if (!f.simd_available()) GTEST_SKIP() << "no vector ISA on this host";
-
-  // A healthy GEMM shape is served by the vector kernel.
-  Dispatch d = f.select(KernelOp::kMatmul, 64, 64, 64);
-  EXPECT_EQ(d.tier, KernelMode::kSimd);
-  EXPECT_STREQ(d.rule, "vector");
-
-  // A lane axis shorter than one vector register has nothing to win.
-  d = f.select(KernelOp::kMatmul, 64, 64, 3);
-  EXPECT_EQ(d.tier, KernelMode::kBlocked);
-  EXPECT_STREQ(d.rule, "narrow-n");
-
-  // Elementwise ops vectorize from one full register up.
-  EXPECT_EQ(f.select(KernelOp::kMul, 0, 0, 8).tier, KernelMode::kSimd);
-  EXPECT_EQ(f.select(KernelOp::kMul, 0, 0, 7).tier, KernelMode::kBlocked);
-  EXPECT_EQ(f.select(KernelOp::kColumnSums, 40, 0, 11).tier, KernelMode::kSimd);
-}
-
-TEST(BackendFactory, KernelOpNamesRoundTrip) {
-  EXPECT_STREQ(backend::kernel_op_name(KernelOp::kMatmul), "matmul");
-  EXPECT_STREQ(backend::kernel_op_name(KernelOp::kMatmulTransposeLhs), "tl");
-  EXPECT_STREQ(backend::kernel_op_name(KernelOp::kMatmulTransposeRhs), "tr");
-  EXPECT_STREQ(backend::kernel_op_name(KernelOp::kMul), "mul");
-  EXPECT_STREQ(backend::kernel_op_name(KernelOp::kColumnSums), "column_sums");
+TEST(BackendFactory, VectorCoreServesEveryOutputWidth) {
+  // One decision per process, none per shape: outputs narrower than one
+  // register run the core's masked lanes, never a fallback.
+  if (!BackendFactory::instance().simd_available())
+    GTEST_SKIP() << "no vector ISA on this host";
+  for (std::int64_t n = 1; n <= 17; ++n)
+    EXPECT_TRUE(simd_mode_ran_vector_core(n)) << "n = " << n;
 }
 
 // ---- simd bit-identity on the edges the generic suite does not reach.
@@ -119,9 +114,10 @@ struct Shape {
   std::int64_t m, k, n;
 };
 
-/// Edge shapes with a live lane axis (n >= 8, so the vector kernel — not
-/// a fallback — actually serves): degenerate and 1-sized m/k, odd
-/// everything, panel boundaries (8/16/32) and their neighbours.
+/// Edge shapes with at least one full register of output columns:
+/// degenerate and 1-sized m/k, odd everything, panel boundaries
+/// (8/16/32) and their neighbours. Narrower outputs have their own sweep
+/// below.
 const std::vector<Shape> kEdgeShapes = {
     {0, 5, 9},  {5, 0, 9},   {1, 1, 8},   {3, 1, 12},  {1, 7, 33},
     {2, 3, 8},  {7, 5, 31},  {9, 11, 32}, {33, 7, 40}, {5, 13, 72},
@@ -159,6 +155,47 @@ void expect_matmul_family_bits_equal(const Tensor& a_mm, const Tensor& b_mm,
   EXPECT_TRUE(bits_equal(ref, simd)) << "tr " << shape;
 }
 
+/// Signed zeros in every position parity: (+0) + (-0) = +0 but
+/// (-0) + (-0) = -0, so a re-associated or a skipped term shows.
+void seed_negative_zeros(Tensor& a, Tensor& b) {
+  for (std::int64_t i = 0; i < a.size(); i += 3) a.at(i) = -0.0F;
+  for (std::int64_t i = 1; i < b.size(); i += 4) b.at(i) = -0.0F;
+}
+
+/// Inf and NaN with no exact zero in the lhs, so the reference zero-skip
+/// never fires (with zeros, 0 * inf differs by documented design —
+/// kernels.h) and the chains are term-for-term identical. Each output
+/// chain meets at most one special lhs term (one per lhs row) and one
+/// special rhs term (one rhs row, inf and NaN in different columns), so
+/// no chain adds a default NaN from inf + -inf to a quiet NaN, whose sum
+/// would carry the payload of whichever operand comes first.
+void seed_nan_inf(Tensor& a, Tensor& b) {
+  for (float& v : a.data())
+    if (v == 0.0F) v = 1.0F;
+  const std::int64_t m = a.rows(), k = a.cols(), n = b.cols();
+  if (k == 0) return;
+  const float specials[3] = {kInf, -kInf, kNan};
+  for (std::int64_t i = 0; i < m; ++i) a.at(i, i % k) = specials[i % 3];
+  for (std::int64_t j = 1; j < n; j += 2) b.at(k - 1, j) = j % 4 == 1 ? kInf : kNan;
+}
+
+/// All three products at shape `s`, from a random draw (`relu` zeroes the
+/// lhs's negative half, as a cached activation is), then from the same
+/// draw under each special-value seed.
+void expect_bits_equal_under_every_seed(const Shape& s, CounterRng& rng, bool relu) {
+  Tensor a = Tensor::randn({s.m, s.k}, rng);
+  if (relu)
+    for (float& v : a.data()) v = v < 0.0F ? 0.0F : v;
+  const Tensor b = Tensor::randn({s.k, s.n}, rng);
+  expect_matmul_family_bits_equal(a, b, s);
+  Tensor a0 = a, b0 = b;
+  seed_negative_zeros(a0, b0);
+  expect_matmul_family_bits_equal(a0, b0, s);
+  Tensor a1 = a, b1 = b;
+  seed_nan_inf(a1, b1);
+  expect_matmul_family_bits_equal(a1, b1, s);
+}
+
 TEST(SimdBitIdentity, EdgeShapesMatchReferenceBitForBit) {
   CounterRng rng(41, 0x53);
   for (const Shape& s : kEdgeShapes) {
@@ -166,6 +203,17 @@ TEST(SimdBitIdentity, EdgeShapesMatchReferenceBitForBit) {
     const Tensor b = Tensor::randn({s.k, s.n}, rng);
     expect_matmul_family_bits_equal(a, b, s);
   }
+}
+
+TEST(SimdBitIdentity, NarrowOutputsMatchReferenceBitForBit) {
+  // Fewer output columns than one register: the vector core runs them
+  // as an all-masked panel. Every row remainder of its panels, and k
+  // from empty through one k step to a deep chain.
+  CounterRng rng(71, 0x5A);
+  for (std::int64_t n = 1; n <= 7; ++n)
+    for (std::int64_t m = 1; m <= 9; ++m)
+      for (const std::int64_t k : {0, 1, 2, 8, 64})
+        expect_bits_equal_under_every_seed({m, k, n}, rng, /*relu=*/false);
 }
 
 TEST(SimdBitIdentity, TrainingWorkloadShapesMatchReferenceBitForBit) {
@@ -188,6 +236,23 @@ TEST(SimdBitIdentity, TrainingWorkloadShapesMatchReferenceBitForBit) {
     const Tensor b = Tensor::randn({s.k, s.n}, rng);
     expect_matmul_family_bits_equal(a, b, s);
   }
+}
+
+TEST(SimdBitIdentity, GlueTenantShapesMatchReferenceBitForBit) {
+  // The per-VN GEMMs of the GLUE tenants (16 -> 64 -> 64 -> 2) at 1..8
+  // rows: the forwards, the dW GEMMs (in, rows, out) and the input
+  // gradients (rows, out, in) — the two-class head's among them.
+  CounterRng rng(73, 0x5B);
+  for (std::int64_t r = 1; r <= 8; ++r)
+    for (const Shape& s : std::vector<Shape>{{r, 16, 64},
+                                             {r, 64, 64},
+                                             {r, 64, 2},
+                                             {16, r, 64},
+                                             {64, r, 64},
+                                             {64, r, 2},
+                                             {r, 64, 16},
+                                             {r, 2, 64}})
+      expect_bits_equal_under_every_seed(s, rng, /*relu=*/true);
 }
 
 TEST(SimdBitIdentity, PanelEdgesMatchReferenceBitForBit) {
@@ -214,12 +279,12 @@ TEST(SimdBitIdentity, NegativeZeroSurvivesEveryTier) {
   // -0.0 inputs are where a "harmless" re-association or a skipped term
   // shows up: (+0) + (-0) = +0 but (-0) + (-0) = -0. Seed operands with
   // signed zeros in every position parity and require exact bits.
+  FactoryGuard guard;
   CounterRng rng(43, 0x54);
   const Shape s{9, 12, 16};
   Tensor a = Tensor::randn({s.m, s.k}, rng);
   Tensor b = Tensor::randn({s.k, s.n}, rng);
-  for (std::int64_t i = 0; i < a.size(); i += 3) a.at(i) = -0.0F;
-  for (std::int64_t i = 1; i < b.size(); i += 4) b.at(i) = -0.0F;
+  seed_negative_zeros(a, b);
   expect_matmul_family_bits_equal(a, b, s);
 
   // Elementwise: a lane is one element; signed-zero products must match.
@@ -230,7 +295,6 @@ TEST(SimdBitIdentity, NegativeZeroSurvivesEveryTier) {
   zneg.mul_into(zpos, ref);
   TensorConfig::set_kernel_mode(KernelMode::kSimd);
   zneg.mul_into(zpos, simd);
-  TensorConfig::set_kernel_mode(KernelMode::kBlocked);
   EXPECT_TRUE(bits_equal(ref, simd));
   EXPECT_EQ(std::signbit(simd.at(0)), true);  // (-0) * (+0) = -0
 }
@@ -240,8 +304,6 @@ TEST(SimdBitIdentity, NanAndInfPassThroughIdentically) {
   // so the chains are term-for-term identical and NaN/Inf must propagate
   // to the same bits. (With zeros, 0 * inf differs by documented design —
   // kernels.h.)
-  constexpr float kInf = std::numeric_limits<float>::infinity();
-  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
   CounterRng rng(47, 0x55);
   const Shape s{6, 9, 24};
   Tensor a = Tensor::randn({s.m, s.k}, rng);
@@ -257,32 +319,47 @@ TEST(SimdBitIdentity, NanAndInfPassThroughIdentically) {
 }
 
 TEST(SimdBitIdentity, ElementwiseAndColumnSumsMatchAcrossCounts) {
-  // Sweep counts across the 8-lane boundary (tails 0..7), and column
-  // counts for the strided reduction that reach its four-block strips
-  // (32, 33, 64, 72), the one-block strips after them (31, 40, 72) and
-  // its masked tail (11, 31, 33).
+  // Sweep counts below one register (an all-masked strip) and across the
+  // 8-lane boundary (tails 0..7), and column counts for the strided
+  // reduction that reach its four-block strips (32, 33, 64, 72), the
+  // one-block strips after them (31, 40, 72), its masked tail (11, 31,
+  // 33) and an all-masked strip (1..7). Each runs from a random draw,
+  // then under the signed-zero and the inf/NaN seed (one special value
+  // per column chain, as in seed_nan_inf).
+  const float specials[3] = {kInf, -kInf, kNan};
   CounterRng rng(53, 0x56);
-  for (std::int64_t count : {1, 7, 8, 9, 15, 16, 17, 40, 64, 100}) {
-    const Tensor a = Tensor::randn({count}, rng);
-    const Tensor b = Tensor::randn({count}, rng);
-    Tensor r1({count}), r2({count});
-    kernels::mul(a.data().data(), b.data().data(), r1.data().data(), count,
-                 KernelMode::kReference);
-    kernels::mul(a.data().data(), b.data().data(), r2.data().data(), count,
-                 KernelMode::kSimd);
-    EXPECT_TRUE(bits_equal(r1, r2)) << "mul " << count;
-  }
-  for (const auto& [rows, cols] :
-       std::vector<std::pair<std::int64_t, std::int64_t>>{
-           {0, 9}, {1, 8}, {23, 11}, {40, 31}, {7, 64}, {9, 32}, {17, 33},
-           {5, 40}, {33, 72}}) {
-    const Tensor m = Tensor::randn({rows, cols}, rng);
-    Tensor r1({cols}), r2({cols});
-    kernels::column_sums(m.data().data(), r1.data().data(), rows, cols,
-                         KernelMode::kReference);
-    kernels::column_sums(m.data().data(), r2.data().data(), rows, cols,
-                         KernelMode::kSimd);
-    EXPECT_TRUE(bits_equal(r1, r2)) << "column_sums " << rows << "x" << cols;
+  for (int seed = 0; seed < 3; ++seed) {
+    for (std::int64_t count : {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 40, 64, 100}) {
+      Tensor a = Tensor::randn({count}, rng);
+      Tensor b = Tensor::randn({count}, rng);
+      if (seed == 1) seed_negative_zeros(a, b);
+      if (seed == 2)
+        for (std::int64_t i = 0; i < count; ++i) a.at(i) = specials[i % 3];
+      Tensor r1({count}), r2({count});
+      kernels::mul(a.data().data(), b.data().data(), r1.data().data(), count,
+                   KernelMode::kReference);
+      kernels::mul(a.data().data(), b.data().data(), r2.data().data(), count,
+                   KernelMode::kSimd);
+      EXPECT_TRUE(bits_equal(r1, r2)) << "mul " << count << " seed " << seed;
+    }
+    for (const auto& [rows, cols] :
+         std::vector<std::pair<std::int64_t, std::int64_t>>{
+             {0, 9}, {1, 8}, {23, 11}, {40, 31}, {7, 64}, {9, 32}, {17, 33},
+             {5, 40}, {33, 72}, {1, 1}, {5, 2}, {23, 3}, {1, 4}, {5, 5},
+             {23, 6}, {0, 7}, {5, 7}}) {
+      Tensor m = Tensor::randn({rows, cols}, rng);
+      if (seed == 1)
+        for (std::int64_t i = 0; i < m.size(); i += 3) m.at(i) = -0.0F;
+      if (seed == 2 && rows > 0)
+        for (std::int64_t j = 0; j < cols; ++j) m.at(j % rows, j) = specials[j % 3];
+      Tensor r1({cols}), r2({cols});
+      kernels::column_sums(m.data().data(), r1.data().data(), rows, cols,
+                           KernelMode::kReference);
+      kernels::column_sums(m.data().data(), r2.data().data(), rows, cols,
+                           KernelMode::kSimd);
+      EXPECT_TRUE(bits_equal(r1, r2))
+          << "column_sums " << rows << "x" << cols << " seed " << seed;
+    }
   }
 }
 

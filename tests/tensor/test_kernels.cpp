@@ -1,15 +1,16 @@
-// Kernel equivalence suite: the blocked AND simd kernels must be
-// bit-identical to the reference kernels on every (finite) input — that
-// is the contract that lets the training/serving bit-reproducibility
-// story survive a kernel swap. Hammered shape by shape, including the
-// degenerate and odd shapes the tiling/lane tails have to get right, and
-// with ReLU-style exact zeros (the reference's zero-skip must be
-// invisible). On hosts without the vector ISA the kSimd arms still run —
-// the backend factory serves them with the blocked tier, so the asserts
-// hold everywhere (tier-selection specifics live in test_backend.cpp).
+// Kernel equivalence suite: the simd kernels must be bit-identical to the
+// reference kernels on every (finite) input — that is the contract that
+// lets the training/serving bit-reproducibility story survive a kernel
+// swap. Hammered shape by shape, including the degenerate and odd shapes
+// the panel and lane tails have to get right, and with ReLU-style exact
+// zeros (the reference's zero-skip must be invisible). On hosts without
+// the vector ISA the kSimd arms still run — the simd mode runs the
+// reference loops there, so the asserts hold everywhere (the backend
+// decision itself is tested in test_backend.cpp).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,8 +44,8 @@ struct Shape {
   std::int64_t m, k, n;
 };
 
-// Degenerate (0- and 1-sized dims), odd, prime, tile-boundary, and
-// beyond-one-tile shapes. kTileI=32 / kTileJ=128 boundaries included.
+// Degenerate (0- and 1-sized dims), odd, prime, panel-boundary, and
+// beyond-one-k-tile shapes.
 const std::vector<Shape> kShapes = {
     {0, 5, 3},   {5, 0, 3},   {4, 6, 0},    {1, 1, 1},   {1, 7, 1},
     {3, 1, 5},   {7, 13, 9},  {17, 33, 29}, {32, 4, 128}, {33, 5, 129},
@@ -53,65 +54,53 @@ const std::vector<Shape> kShapes = {
 
 class KernelEquivalence : public ::testing::TestWithParam<double> {};
 
-TEST_P(KernelEquivalence, MatmulBlockedMatchesReferenceBitForBit) {
+TEST_P(KernelEquivalence, MatmulSimdMatchesReferenceBitForBit) {
   const double sparsity = GetParam();
   CounterRng rng(7, 0xAB);
   for (const Shape& s : kShapes) {
     const Tensor a = sparse_randn({s.m, s.k}, rng, sparsity);
     const Tensor b = sparse_randn({s.k, s.n}, rng, sparsity);
-    Tensor ref({s.m, s.n}), blk({s.m, s.n}), simd({s.m, s.n});
+    Tensor ref({s.m, s.n}), simd({s.m, s.n});
     kernels::matmul(a.data().data(), b.data().data(), ref.data().data(), s.m, s.k,
                     s.n, KernelMode::kReference);
-    kernels::matmul(a.data().data(), b.data().data(), blk.data().data(), s.m, s.k,
-                    s.n, KernelMode::kBlocked);
     kernels::matmul(a.data().data(), b.data().data(), simd.data().data(), s.m,
                     s.k, s.n, KernelMode::kSimd);
-    EXPECT_TRUE(ref.equals(blk)) << s.m << "x" << s.k << "x" << s.n
-                                 << " max diff " << ref.max_abs_diff(blk);
-    EXPECT_TRUE(ref.equals(simd)) << "simd " << s.m << "x" << s.k << "x" << s.n
+    EXPECT_TRUE(ref.equals(simd)) << s.m << "x" << s.k << "x" << s.n
                                   << " max diff " << ref.max_abs_diff(simd);
   }
 }
 
-TEST_P(KernelEquivalence, TransposeLhsBlockedMatchesReferenceBitForBit) {
+TEST_P(KernelEquivalence, TransposeLhsSimdMatchesReferenceBitForBit) {
   const double sparsity = GetParam();
   CounterRng rng(11, 0xCD);
   for (const Shape& s : kShapes) {
     const Tensor a = sparse_randn({s.k, s.m}, rng, sparsity);  // lhs is [k x m]
     const Tensor b = sparse_randn({s.k, s.n}, rng, sparsity);
-    Tensor ref({s.m, s.n}), blk({s.m, s.n}), simd({s.m, s.n});
+    Tensor ref({s.m, s.n}), simd({s.m, s.n});
     kernels::matmul_transpose_lhs(a.data().data(), b.data().data(),
                                   ref.data().data(), s.m, s.k, s.n,
                                   KernelMode::kReference);
     kernels::matmul_transpose_lhs(a.data().data(), b.data().data(),
-                                  blk.data().data(), s.m, s.k, s.n,
-                                  KernelMode::kBlocked);
-    kernels::matmul_transpose_lhs(a.data().data(), b.data().data(),
                                   simd.data().data(), s.m, s.k, s.n,
                                   KernelMode::kSimd);
-    EXPECT_TRUE(ref.equals(blk)) << s.m << "x" << s.k << "x" << s.n;
-    EXPECT_TRUE(ref.equals(simd)) << "simd " << s.m << "x" << s.k << "x" << s.n;
+    EXPECT_TRUE(ref.equals(simd)) << s.m << "x" << s.k << "x" << s.n;
   }
 }
 
-TEST_P(KernelEquivalence, TransposeRhsBlockedMatchesReferenceBitForBit) {
+TEST_P(KernelEquivalence, TransposeRhsSimdMatchesReferenceBitForBit) {
   const double sparsity = GetParam();
   CounterRng rng(13, 0xEF);
   for (const Shape& s : kShapes) {
     const Tensor a = sparse_randn({s.m, s.k}, rng, sparsity);
     const Tensor b = sparse_randn({s.n, s.k}, rng, sparsity);  // rhs is [n x k]
-    Tensor ref({s.m, s.n}), blk({s.m, s.n}), simd({s.m, s.n});
+    Tensor ref({s.m, s.n}), simd({s.m, s.n});
     kernels::matmul_transpose_rhs(a.data().data(), b.data().data(),
                                   ref.data().data(), s.m, s.k, s.n,
                                   KernelMode::kReference);
     kernels::matmul_transpose_rhs(a.data().data(), b.data().data(),
-                                  blk.data().data(), s.m, s.k, s.n,
-                                  KernelMode::kBlocked);
-    kernels::matmul_transpose_rhs(a.data().data(), b.data().data(),
                                   simd.data().data(), s.m, s.k, s.n,
                                   KernelMode::kSimd);
-    EXPECT_TRUE(ref.equals(blk)) << s.m << "x" << s.k << "x" << s.n;
-    EXPECT_TRUE(ref.equals(simd)) << "simd " << s.m << "x" << s.k << "x" << s.n;
+    EXPECT_TRUE(ref.equals(simd)) << s.m << "x" << s.k << "x" << s.n;
   }
 }
 
@@ -130,15 +119,14 @@ TEST(KernelDispatch, TensorOpsHonorTheGlobalMode) {
 
   TensorConfig::set_kernel_mode(KernelMode::kReference);
   const Tensor ref = a.matmul(b);
-  TensorConfig::set_kernel_mode(KernelMode::kBlocked);
-  const Tensor blk = a.matmul(b);
+  TensorConfig::set_kernel_mode(KernelMode::kSimd);
+  const Tensor simd = a.matmul(b);
 
-  EXPECT_TRUE(ref.equals(blk));
+  EXPECT_TRUE(ref.equals(simd));
 }
 
 TEST(KernelDispatch, ModeNamesRoundTrip) {
   EXPECT_STREQ(kernel_mode_name(KernelMode::kReference), "reference");
-  EXPECT_STREQ(kernel_mode_name(KernelMode::kBlocked), "blocked");
   EXPECT_STREQ(kernel_mode_name(KernelMode::kSimd), "simd");
 }
 
@@ -176,30 +164,32 @@ TEST_F(EnvConfig, AcceptsEveryDocumentedKernelMode) {
   ::setenv("VF_KERNELS", "simd", 1);
   TensorConfig::reload_from_env();
   EXPECT_EQ(TensorConfig::kernel_mode(), KernelMode::kSimd);
-  ::setenv("VF_KERNELS", "blocked", 1);
-  TensorConfig::reload_from_env();
-  EXPECT_EQ(TensorConfig::kernel_mode(), KernelMode::kBlocked);
   // Unset and empty both mean the default, simd; each is read after
-  // "blocked", so the mode is seen to move.
+  // "reference", so the mode is seen to move.
+  ::setenv("VF_KERNELS", "reference", 1);
+  TensorConfig::reload_from_env();
   ::setenv("VF_KERNELS", "", 1);
   TensorConfig::reload_from_env();
   EXPECT_EQ(TensorConfig::kernel_mode(), KernelMode::kSimd);
-  ::setenv("VF_KERNELS", "blocked", 1);
+  ::setenv("VF_KERNELS", "reference", 1);
   TensorConfig::reload_from_env();
   ::unsetenv("VF_KERNELS");
   TensorConfig::reload_from_env();
   EXPECT_EQ(TensorConfig::kernel_mode(), KernelMode::kSimd);
 }
 
-TEST_F(EnvConfig, DefaultModeServesBlockedWithoutTheVectorIsa) {
+TEST_F(EnvConfig, DefaultModeRunsReferenceWithoutTheVectorIsa) {
   ::unsetenv("VF_KERNELS");
   TensorConfig::reload_from_env();
   ASSERT_EQ(TensorConfig::kernel_mode(), KernelMode::kSimd);
   backend::ScopedSimdDisable disable;
-  const backend::Dispatch d =
-      backend::BackendFactory::instance().select(backend::KernelOp::kMatmul, 256, 64, 64);
-  EXPECT_EQ(d.tier, KernelMode::kBlocked);
-  EXPECT_STREQ(d.rule, "isa");
+  EXPECT_FALSE(backend::BackendFactory::instance().simd_available());
+
+  // 0 * inf is the one product the reference loops skip (kernels.h), so
+  // the default mode keeping the zero lhs term's 0 shows they served.
+  const Tensor zero_lhs = Tensor::full({1, 1}, 0.0F);
+  const Tensor inf_rhs = Tensor::full({1, 3}, std::numeric_limits<float>::infinity());
+  EXPECT_TRUE(zero_lhs.matmul(inf_rhs).equals(Tensor::full({1, 3}, 0.0F)));
 
   CounterRng rng(29, 0x23);
   const Tensor a = Tensor::randn({33, 17}, rng);
@@ -210,10 +200,13 @@ TEST_F(EnvConfig, DefaultModeServesBlockedWithoutTheVectorIsa) {
 }
 
 TEST_F(EnvConfig, RejectsUnknownKernelModeWithUsageError) {
-  ::setenv("VF_KERNELS", "sidm", 1);  // the classic transposition typo
-  EXPECT_EXIT(TensorConfig::reload_from_env(),
-              ::testing::ExitedWithCode(2),
-              "VF_KERNELS must be 'reference', 'blocked', or 'simd'");
+  // The classic transposition typo, and the retired third tier.
+  for (const char* value : {"sidm", "blocked"}) {
+    ::setenv("VF_KERNELS", value, 1);
+    EXPECT_EXIT(TensorConfig::reload_from_env(), ::testing::ExitedWithCode(2),
+                "VF_KERNELS must be 'reference' or 'simd'")
+        << value;
+  }
 }
 
 TEST(TensorInto, MatmulIntoReusesTheOutputBuffer) {
